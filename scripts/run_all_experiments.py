@@ -1,23 +1,19 @@
 #!/usr/bin/env python3
-"""Run every experiment at CI scale into one output tree.
+"""Run every experiment that has a CLI subcommand into one output tree.
 
-Usage: python scripts/run_all_experiments.py [OUT_DIR] [--seed N] [--full-scale]
+The experiments come from the registry ``ricensim.runio.EXPERIMENTS``; each
+writes into ``OUT_DIR/<name>`` (dashes become underscores). Sizes are the
+CI-scale defaults unless ``--full-scale`` is given. The single-episode
+experiment has no subcommand and is run with ``ricensim run --config``.
+
+Usage: python scripts/run_all_experiments.py [OUT_DIR] [--seed N] [--full-scale] [--workers N]
 """
 import argparse
 import sys
 from pathlib import Path
 
 from ricensim.cli import main as ricensim_main
-
-EXPERIMENTS = (
-    "sweep",
-    "pariah",
-    "trade-effect",
-    "tariff-effect",
-    "horizon",
-    "masking-demo",
-    "calibrate",
-)
+from ricensim.runio import EXPERIMENTS
 
 
 def main() -> int:
@@ -28,7 +24,7 @@ def main() -> int:
     parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args()
 
-    for name in EXPERIMENTS:
+    for name in (e.name for e in EXPERIMENTS.values() if e.help):
         argv = [
             name,
             "--seed", str(args.seed),

@@ -35,7 +35,7 @@ from .policies import (
     PariahOverridePolicy,
     UniformRandomPolicy,
 )
-from .regions import RegionGrowth, RegionState, generate_regions
+from .regions import generate_regions
 
 __version__ = "0.1.0"
 
@@ -58,8 +58,6 @@ __all__ = [
     "Observation",
     "PariahOverridePolicy",
     "ProtocolError",
-    "RegionGrowth",
-    "RegionState",
     "RicensimError",
     "SimParams",
     "UniformRandomPolicy",

@@ -144,15 +144,6 @@ class JointActions:
             tariff_levels=tuple(int(v) for v in self.tariffs[i]),
         )
 
-    def copy(self) -> "JointActions":
-        return JointActions(
-            self.savings.copy(),
-            self.mitigation.copy(),
-            self.export.copy(),
-            self.imports.copy(),
-            self.tariffs.copy(),
-        )
-
     def validate(self) -> None:
         n = self.n_regions
         for name, arr in (

@@ -9,34 +9,15 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 from pathlib import Path
 
-from .actions import ACTION_DIMENSIONS
-from .calibration import calibrate_damage_to_anchor
 from .config import SimParams, VariantConfig
-from .engine import run_episode
 from .errors import ConfigError, RicensimError
-from .experiments import (
-    SWEEP_METRICS,
-    action_sweep,
-    horizon_experiment,
-    masking_demo,
-    pariah_experiment,
-    tariff_effect_experiment,
-    trade_effect_experiment,
-)
-from .policies import FixedLevelsPolicy
-from .runio import RunConfig, load_config, write_csv, write_manifest
+from .runio import EXPERIMENTS, RunConfig, load_config, write_manifest
 
 OUT_DIR_ENV = "RICENSIM_OUT"
-
-# CI-scale defaults; --full-scale switches to the full factorial grid and
-# the full run counts.
-DEFAULTS = {"grid": 4, "runs": 100, "episodes": 10_000}
-FULL_SCALE = {"grid": 10, "runs": 1000, "episodes": 10_000}
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -44,11 +25,21 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _int_list(text: str) -> list[int]:
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
+
+
 def _build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(prog="ricensim", description=__doc__)
     sub = parser.add_subparsers(dest="command")
-
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
+    commands = [("run", "run the experiment selected by the config file", {})]
+    commands += [(e.name, e.help, e.options) for e in EXPERIMENTS.values() if e.help]
+    for name, help_text, options in commands:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", type=str, default=None, help="JSON config file")
         p.add_argument("--seed", type=int, default=None, help="seed override")
@@ -59,22 +50,14 @@ def _build_parser() -> _ArgumentParser:
             action="store_true",
             help="use the full experiment sizes instead of the CI-scale defaults",
         )
-        return p
-
-    add("run", "run the experiment selected by the config file")
-    p = add("sweep", "fixed-action factorial sweep with correlation matrix")
-    p.add_argument("--grid", type=int, default=None, help="levels per action dimension")
-    p = add("pariah", "fixed tariffs from all regions toward a random subject")
-    p.add_argument("--runs", type=int, default=None, help="runs per condition")
-    add("trade-effect", "zero-trade vs max-trade reward comparison")
-    add("tariff-effect", "max-tariff vs no-tariff reward comparison")
-    p = add("horizon", "damage anchor calibration and horizon extension")
-    p.add_argument(
-        "--horizons", type=str, default=None, help="comma-separated horizons in years"
-    )
-    p = add("masking-demo", "commitment statistics under random proposals")
-    p.add_argument("--episodes", type=int, default=None, help="episode count")
-    add("calibrate", "solve the damage coefficient for the current config")
+        for key, opt in options.items():
+            if opt.flag_help:
+                p.add_argument(
+                    f"--{key}",
+                    type=_int_list if opt.is_list else int,
+                    default=None,
+                    help=opt.flag_help,
+                )
     return parser
 
 
@@ -84,28 +67,7 @@ def _resolve_config(args) -> RunConfig:
     else:
         config = RunConfig(sim=SimParams(), variant=VariantConfig())
     command = args.command if args.command != "run" else config.experiment
-    options = dict(config.options)
-    scale = FULL_SCALE if args.full_scale else DEFAULTS
-    if command == "sweep":
-        if getattr(args, "grid", None) is not None:
-            options["grid"] = args.grid
-        options.setdefault("grid", scale["grid"])
-    elif command == "pariah":
-        if getattr(args, "runs", None) is not None:
-            options["runs"] = args.runs
-        options.setdefault("runs", scale["runs"])
-    elif command == "masking-demo":
-        if getattr(args, "episodes", None) is not None:
-            options["episodes"] = args.episodes
-        options.setdefault("episodes", scale["episodes"])
-    elif command == "horizon":
-        horizons = getattr(args, "horizons", None)
-        if horizons is not None:
-            try:
-                options["horizons"] = [int(h) for h in horizons.split(",")]
-            except ValueError as exc:
-                raise ConfigError(f"horizons: {exc}") from exc
-        options.setdefault("horizons", [100, 200, 300])
+    options = EXPERIMENTS[command].resolve_options(config.options, vars(args), args.full_scale)
 
     seed = args.seed if args.seed is not None else config.seed
     if seed is None:
@@ -122,208 +84,10 @@ def _resolve_config(args) -> RunConfig:
     )
 
 
-def _episode_policy(options: dict) -> FixedLevelsPolicy:
-    defaults = {"savings": 3, "mitigation": 0, "export": 0, "imports": 0, "tariffs": 0}
-    levels = {dim: int(options.get(dim, defaults[dim])) for dim in ACTION_DIMENSIONS}
-    return FixedLevelsPolicy(**levels)
-
-
-def _write_sweep(out: Path, result) -> None:
-    rows = [
-        list(result.levels[i])
-        + [
-            result.delta_t_end[i],
-            result.y_cum[i],
-            result.mean_reward[i],
-            result.climate_index[i],
-            result.economic_index[i],
-        ]
-        for i in range(result.n_rollouts)
-    ]
-    write_csv(
-        out / "sweep.csv",
-        [f"{d}_level" for d in ACTION_DIMENSIONS]
-        + ["delta_t_end_degc", "cumulative_gross_output", "mean_total_reward", "climate_index", "economic_index"],
-        rows,
-    )
-    write_csv(
-        out / "correlations.csv",
-        ["action"] + list(SWEEP_METRICS),
-        [
-            [dim] + [result.correlations[dim][m] for m in SWEEP_METRICS]
-            for dim in ACTION_DIMENSIONS
-        ],
-    )
-    write_csv(
-        out / "sweep_summary.csv",
-        ["rollouts", "distinct_outcome_pairs", "seed"],
-        [[result.n_rollouts, result.distinct_outcome_count, result.seed]],
-    )
-
-
 def _execute(config: RunConfig, workers: int) -> None:
     out = Path(config.out_dir)
-    sim, variant, options, seed = config.sim, config.variant, config.options, config.seed
-    experiment = config.experiment
-
-    if experiment == "episode":
-        rec = run_episode(sim, variant, _episode_policy(options), seed)
-        rows = []
-        for t in range(rec.n_steps):
-            for i in range(rec.n_regions):
-                rows.append(
-                    [
-                        t,
-                        (t + 1) * rec.dt_years,
-                        i,
-                        rec.savings_levels[t, i],
-                        rec.mitigation_levels[t, i],
-                        rec.export_levels[t, i],
-                        rec.gross_output[t, i],
-                        rec.net_output[t, i],
-                        rec.investment[t, i],
-                        rec.damage_fraction[t],
-                        rec.abatement_fraction[t, i],
-                        rec.domestic[t, i],
-                        rec.foreign[t, i],
-                        rec.aggregate[t, i],
-                        rec.rewards[t, i],
-                        rec.balance[t, i],
-                        rec.emissions[t, i],
-                        rec.t_atmosphere[t],
-                    ]
-                )
-        write_csv(
-            out / "episode.csv",
-            [
-                "step", "year", "region", "savings_level", "mitigation_level",
-                "export_level", "gross_output", "net_output", "investment",
-                "damage_fraction", "abatement_fraction", "domestic_consumption",
-                "foreign_consumption", "aggregate_consumption", "reward",
-                "balance", "emissions_gtc_per_year", "t_atmosphere_degc",
-            ],
-            rows,
-        )
-        write_csv(
-            out / "episode_summary.csv",
-            ["region", "total_reward", "delta_t_end_degc", "y_cum", "d_end", "seed"],
-            [
-                [i, rec.total_reward[i], rec.delta_t_end, rec.y_cum, rec.d_end, rec.seed]
-                for i in range(rec.n_regions)
-            ],
-        )
-        print(f"episode: {rec.n_steps} steps, delta_t_end={rec.delta_t_end:.3f} degC")
-    elif experiment == "sweep":
-        result = action_sweep(sim, variant, grid=int(options["grid"]), seed=seed, workers=workers)
-        _write_sweep(out, result)
-        print(
-            f"sweep: {result.n_rollouts} rollouts, "
-            f"{result.distinct_outcome_count} distinct outcome pairs"
-        )
-    elif experiment == "pariah":
-        tariff_levels = tuple(int(x) for x in options.get("tariff_levels", (5, 7, 9)))
-        result = pariah_experiment(
-            sim, variant, runs=int(options["runs"]), tariff_levels=tariff_levels, seed=seed
-        )
-        write_csv(
-            out / "pariah.csv",
-            ["condition", "runs", "mean_z_reward", "std_z_reward", "mean_tariff_toward_subject"],
-            [
-                [c, result.runs, result.mean_z[c], result.std_z[c], result.mean_realized_tariff[c]]
-                for c in result.conditions
-            ],
-        )
-        write_csv(
-            out / "pariah_runs.csv",
-            ["condition", "run", "subject", "total_reward", "z_reward", "realized_tariff"],
-            [
-                [c, r, result.subjects[c][r], result.rewards[c][r], result.z_rewards[c][r], result.realized_tariff[c][r]]
-                for c in result.conditions
-                for r in range(result.runs)
-            ],
-        )
-        print(f"pariah: {result.runs} runs/condition, mean z by condition: "
-              + ", ".join(f"{c}={result.mean_z[c]:+.4f}" for c in result.conditions))
-    elif experiment == "trade-effect":
-        result = trade_effect_experiment(sim, variant, seed)
-        write_csv(
-            out / "trade_effect.csv",
-            ["region", "reward_no_trade", "reward_max_trade", "ratio_no_over_max"],
-            [
-                [i, result.reward_no_trade[i], result.reward_max_trade[i], result.ratio[i]]
-                for i in range(len(result.ratio))
-            ],
-        )
-        print(f"trade-effect: ratio range [{result.ratio.min():.4f}, {result.ratio.max():.4f}]")
-    elif experiment == "tariff-effect":
-        result = tariff_effect_experiment(sim, variant, seed)
-        write_csv(
-            out / "tariff_effect.csv",
-            ["region", "delta_total_reward", "delta_domestic_channel", "delta_foreign_channel"],
-            [
-                [i, result.delta_total[i], result.delta_domestic[i], result.delta_foreign[i]]
-                for i in range(len(result.delta_total))
-            ],
-        )
-        print(
-            "tariff-effect: max |domestic channel| = "
-            f"{abs(result.delta_domestic).max():.6g}, "
-            f"max foreign channel = {result.delta_foreign.max():.6g}"
-        )
-    elif experiment == "horizon":
-        horizons = tuple(int(h) for h in options["horizons"])
-        result = horizon_experiment(sim, variant, horizons, seed)
-        write_csv(
-            out / "horizon.csv",
-            ["horizon_years", "t_end_degc", "damage_fraction_end"],
-            [[h, result.t_end[h], result.damage_end[h]] for h in result.horizons],
-        )
-        print(
-            "horizon: "
-            + ", ".join(f"{h}y -> D={result.damage_end[h]:.4f}" for h in result.horizons)
-        )
-    elif experiment == "masking-demo":
-        result = masking_demo(sim, episodes=int(options["episodes"]), seed=seed)
-        write_csv(
-            out / "masking.csv",
-            ["commitment_level", "count", "frequency"],
-            [
-                [lvl, result.level_counts[lvl], result.level_counts[lvl] / result.level_counts.sum()]
-                for lvl in range(len(result.level_counts))
-            ],
-        )
-        write_csv(
-            out / "masking_summary.csv",
-            ["episodes", "steps_per_episode", "n_regions", "mean_commitment", "p_max_level", "mean_realized_mitigation", "seed"],
-            [[result.episodes, result.steps_per_episode, result.n_regions,
-              result.mean_commitment, result.p_max_level, result.mean_realized_mitigation, result.seed]],
-        )
-        print(
-            f"masking-demo: mean commitment {result.mean_commitment:.4f}, "
-            f"P(level 9) {result.p_max_level:.4f}"
-        )
-    elif experiment == "calibrate":
-        result = calibrate_damage_to_anchor(sim, variant, seed=seed)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "calibration.json").write_text(
-            json.dumps(
-                {
-                    "pi2": result.pi2,
-                    "t_ref_degc": result.t_ref,
-                    "anchor_damage": result.anchor_damage,
-                    "iterations": result.iterations,
-                    "seed": seed,
-                },
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n",
-            encoding="utf-8",
-        )
-        print(f"calibrate: pi2={result.pi2:.6e} at t_ref={result.t_ref:.4f} degC")
-    else:
-        raise ConfigError(f"experiment: unknown experiment {experiment!r}")
-
+    experiment = EXPERIMENTS[config.experiment]
+    print(experiment.write(out, config, experiment.run(config, workers)))
     write_manifest(out, config)
 
 
@@ -348,11 +112,6 @@ def main(argv: list[str] | None = None) -> int:
     except (RicensimError, OSError, ValueError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
-
-
-def run_cli(argv: list[str]) -> int:
-    """Programmatic entry point mirroring the console script."""
-    return main(argv)
 
 
 if __name__ == "__main__":

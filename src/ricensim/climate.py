@@ -2,27 +2,11 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .config import ClimateParams
 from .errors import DomainError
-
-
-@dataclass(frozen=True)
-class ClimateState:
-    """Carbon stocks (GtC) and temperature anomalies (degC)."""
-
-    carbon_gtc: tuple[float, float, float]  # atmosphere, upper ocean, lower ocean
-    t_atmosphere: float
-    t_ocean: float
-
-    def __post_init__(self) -> None:
-        if not all(m > 0 for m in self.carbon_gtc):
-            raise DomainError(f"carbon stocks must be positive: {self.carbon_gtc}")
-        if not (math.isfinite(self.t_atmosphere) and math.isfinite(self.t_ocean)):
-            raise DomainError("temperature anomalies must be finite")
 
 
 def carbon_transfer_matrix(params: ClimateParams, dt_years: float) -> np.ndarray:

@@ -1,17 +1,14 @@
-"""Production, damages, abatement cost, investment, and capital dynamics.
+"""Production, damages, and abatement cost.
 
 All scalar functions also accept numpy arrays; the engine uses them
-vectorized across regions.
+vectorized across regions and applies investment and capital dynamics
+itself.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .config import SimParams, VariantConfig
 from .errors import DomainError
-from .regions import RegionGrowth, RegionState
 
 # Published calibration of the steep high-temperature damage curve:
 # D = 1 - 1/(1 + (T/a)^2 + (T/b)^c).
@@ -26,18 +23,6 @@ FRACTION_CAP = 0.99
 #: Residual weight of the level-dependent cost in the transitional
 #: abatement variant; completed mitigation stays cheap but never free.
 TRANSITIONAL_RESIDUAL = 0.2
-
-
-@dataclass(frozen=True)
-class EconomyStepOutput:
-    """Per-region economic quantities for one step."""
-
-    gross_output: float
-    damage_fraction: float
-    abatement_fraction: float
-    net_output: float
-    investment: float
-    emissions: float
 
 
 def gross_output(productivity, capital, labor, elasticity):
@@ -84,57 +69,3 @@ def abatement_fraction(mitigation, mitigation_prev, kind: str, theta1, theta2, t
     lam = np.clip(lam, 0.0, FRACTION_CAP)
     return float(lam) if np.ndim(mitigation) == 0 else lam
 
-
-def step_economy(
-    region: RegionState,
-    growth: RegionGrowth,
-    savings_rate: float,
-    mitigation_rate: float,
-    temperature: float,
-    params: SimParams,
-    variant: VariantConfig,
-) -> tuple[EconomyStepOutput, RegionState]:
-    """One region's production step plus its advanced state.
-
-    The balance is untouched here; trade settles it afterwards.
-    """
-    dt = params.dt_years
-    y_gross = gross_output(
-        region.productivity, region.capital, region.labor, params.output_elasticity
-    )
-    dmg = damage_fraction(
-        max(temperature, 0.0), variant.damage_kind, params.damage_pi1, params.damage_pi2
-    )
-    abat = abatement_fraction(
-        mitigation_rate,
-        region.mitigation_prev,
-        variant.abatement_kind,
-        growth.abatement_theta1,
-        params.theta2,
-        params.theta3,
-    )
-    y_net = (1.0 - dmg) * (1.0 - abat) * y_gross
-    investment = savings_rate * y_net
-    emissions = region.emission_intensity * (1.0 - mitigation_rate) * y_gross
-
-    out = EconomyStepOutput(
-        gross_output=float(y_gross),
-        damage_fraction=float(dmg),
-        abatement_fraction=float(abat),
-        net_output=float(y_net),
-        investment=float(investment),
-        emissions=float(emissions),
-    )
-    new_state = RegionState(
-        capital=float(
-            region.capital * (1.0 - params.depreciation) ** dt + dt * investment
-        ),
-        labor=float(region.labor * (1.0 + growth.labor_growth) ** dt),
-        productivity=float(region.productivity * (1.0 + growth.productivity_growth) ** dt),
-        emission_intensity=float(
-            region.emission_intensity * (1.0 - growth.intensity_decline) ** dt
-        ),
-        mitigation_prev=float(mitigation_rate),
-        balance=region.balance,
-    )
-    return out, new_state

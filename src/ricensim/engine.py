@@ -14,6 +14,8 @@ shared mutable generators.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -120,7 +122,7 @@ def reset(params: SimParams, variant: VariantConfig, seed: int | None = None) ->
     """Fresh world: generated regions, initial climate, first-step masks."""
     if seed is None:
         seed = params.region_seed
-    states, growths = generate_regions(params.n_regions, seed)
+    regions = generate_regions(params.n_regions, seed)
     cp = params.climate
     carbon = np.array(cp.initial_carbon_gtc, dtype=np.float64)
     commitments = (
@@ -131,16 +133,9 @@ def reset(params: SimParams, variant: VariantConfig, seed: int | None = None) ->
         variant=variant,
         episode_seed=int(seed),
         t=0,
-        capital=np.array([s.capital for s in states]),
-        labor=np.array([s.labor for s in states]),
-        productivity=np.array([s.productivity for s in states]),
-        intensity=np.array([s.emission_intensity for s in states]),
-        mitigation_prev=np.array([s.mitigation_prev for s in states]),
-        balance=np.array([s.balance for s in states]),
-        theta1=np.array([g.abatement_theta1 for g in growths]),
-        productivity_growth=np.array([g.productivity_growth for g in growths]),
-        labor_growth=np.array([g.labor_growth for g in growths]),
-        intensity_decline=np.array([g.intensity_decline for g in growths]),
+        mitigation_prev=np.zeros(params.n_regions),
+        balance=np.zeros(params.n_regions),
+        **regions,
         carbon=carbon,
         t_atmosphere=cp.initial_t_atmosphere,
         t_ocean=cp.initial_t_ocean,
@@ -177,9 +172,6 @@ class StepResult:
     world: World
     rewards: np.ndarray
     detail: StepDetail
-
-    def masks(self) -> list[ActionMask] | None:
-        return self.world.masks()
 
 
 def _enforce_masks(world: World, actions: JointActions) -> None:
@@ -313,11 +305,26 @@ def step(world: World, actions: JointActions) -> StepResult:
     return StepResult(world=new_world, rewards=rewards, detail=detail)
 
 
-@dataclass
-class EpisodeRecord:
-    """Per-step, per-region history of one episode plus its summaries."""
+@dataclass(frozen=True)
+class EpisodeSummary:
+    """Episode endpoints only; what parameter sweeps keep per rollout."""
 
     seed: int
+    delta_t_end: float
+    y_cum: float  # dt times the running sum of each step's world gross output
+    total_reward: np.ndarray  # [region]
+    mean_total_reward: float
+    d_end: float
+    initial_carbon_total: float
+    cumulative_emissions: float
+    final_carbon_total: float
+    any_domestic_floored: bool
+
+
+@dataclass(frozen=True)
+class EpisodeRecord(EpisodeSummary):
+    """Per-step, per-region history of one episode plus its endpoints."""
+
     n_regions: int
     n_steps: int
     dt_years: int
@@ -346,29 +353,76 @@ class EpisodeRecord:
     t_atmosphere: np.ndarray  # [t], post-update
     t_ocean: np.ndarray
     commitments: np.ndarray | None  # [t, region] when negotiation is on
-    delta_t_end: float
-    y_cum: float
-    total_reward: np.ndarray  # [region]
-    d_end: float
-    initial_carbon_total: float
-    cumulative_emissions: float
-    final_carbon_total: float
 
 
-@dataclass(frozen=True)
-class EpisodeSummary:
-    """Episode endpoints only; what parameter sweeps keep per rollout."""
+#: Each per-step array of ``EpisodeRecord`` and its getter on the
+#: (actions, detail) pair of every step.
+_HISTORY = {
+    "savings_levels": attrgetter("actions.savings"),
+    "mitigation_levels": attrgetter("actions.mitigation"),
+    "export_levels": attrgetter("actions.export"),
+    "import_levels": attrgetter("actions.imports"),
+    "tariff_levels": attrgetter("actions.tariffs"),
+    "gross_output": attrgetter("detail.gross_output"),
+    "damage_fraction": attrgetter("detail.damage_fraction"),
+    "abatement_fraction": attrgetter("detail.abatement_fraction"),
+    "net_output": attrgetter("detail.net_output"),
+    "investment": attrgetter("detail.investment"),
+    "emissions": attrgetter("detail.emissions"),
+    "emissions_global": attrgetter("detail.emissions_global"),
+    "domestic": attrgetter("detail.consumption.domestic"),
+    "foreign": attrgetter("detail.consumption.foreign"),
+    "aggregate": attrgetter("detail.consumption.aggregate"),
+    "domestic_floored": attrgetter("detail.consumption.domestic_floored"),
+    "exports_scaled": attrgetter("detail.flows.exports_scaled"),
+    "imports_scaled": attrgetter("detail.flows.imports_scaled"),
+    "revenue": attrgetter("detail.flows.revenue"),
+    "rewards": attrgetter("detail.rewards"),
+    "balance": attrgetter("detail.balance_after"),
+    "carbon": attrgetter("detail.carbon_after"),
+    "t_atmosphere": attrgetter("detail.t_atmosphere_after"),
+    "t_ocean": attrgetter("detail.t_ocean_after"),
+}
 
-    seed: int
-    delta_t_end: float
-    y_cum: float
-    total_reward: np.ndarray
-    mean_total_reward: float
-    d_end: float
-    initial_carbon_total: float
-    cumulative_emissions: float
-    final_carbon_total: float
-    any_domestic_floored: bool
+
+class _Step(NamedTuple):
+    actions: JointActions
+    detail: StepDetail
+
+
+def _rollout(world: World, next_actions, history: list | None = None) -> EpisodeSummary:
+    """The one loop over ``step``. It accumulates the episode endpoints and,
+    when given a ``history`` list, appends every step's actions and detail."""
+    params, variant = world.params, world.variant
+    y_cum = 0.0
+    total_reward = np.zeros(params.n_regions)
+    any_floored = False
+    for _ in range(params.n_steps):
+        actions = next_actions(world)
+        result = step(world, actions)
+        d = result.detail
+        y_cum += float(d.gross_output.sum())
+        total_reward += d.rewards
+        any_floored = any_floored or bool(d.consumption.domestic_floored.any())
+        if history is not None:
+            history.append(_Step(actions, d))
+        world = result.world
+
+    d_end = economy_mod.damage_fraction(
+        max(world.t_atmosphere, 0.0), variant.damage_kind, params.damage_pi1, params.damage_pi2
+    )
+    return EpisodeSummary(
+        seed=world.episode_seed,
+        delta_t_end=float(world.t_atmosphere),
+        y_cum=float(params.dt_years * y_cum),
+        total_reward=total_reward,
+        mean_total_reward=float(total_reward.mean()),
+        d_end=float(d_end),
+        initial_carbon_total=world.initial_carbon_total,
+        cumulative_emissions=world.cumulative_emissions,
+        final_carbon_total=float(world.carbon.sum()),
+        any_domestic_floored=any_floored,
+    )
 
 
 def _episode_actions(world: World, policy, policy_rng: np.random.Generator) -> JointActions:
@@ -380,6 +434,18 @@ def _episode_actions(world: World, policy, policy_rng: np.random.Generator) -> J
     return JointActions.from_action_sets(sets)
 
 
+def _policy_actions(world: World, policy):
+    """Per-step action source for ``policy``: a static policy without
+    negotiation acts once at reset, any other policy acts every step."""
+    policy_rng = np.random.default_rng(
+        np.random.SeedSequence([world.episode_seed, _POLICY_STREAM])
+    )
+    if getattr(policy, "is_static", False) and not world.params.negotiation.enabled:
+        actions = _episode_actions(world, policy, policy_rng)
+        return lambda w: actions
+    return lambda w: _episode_actions(w, policy, policy_rng)
+
+
 def run_episode(
     params: SimParams,
     variant: VariantConfig,
@@ -388,127 +454,21 @@ def run_episode(
 ) -> EpisodeRecord:
     """Roll one full episode under ``policy`` and record everything."""
     world = reset(params, variant, seed)
-    n, steps, dt = params.n_regions, params.n_steps, params.dt_years
-    policy_rng = np.random.default_rng(
-        np.random.SeedSequence([world.episode_seed, _POLICY_STREAM])
-    )
-    static = getattr(policy, "is_static", False) and not params.negotiation.enabled
-    static_actions = _episode_actions(world, policy, policy_rng) if static else None
-
-    rec = EpisodeRecord(
-        seed=world.episode_seed,
-        n_regions=n,
-        n_steps=steps,
-        dt_years=dt,
-        savings_levels=np.zeros((steps, n), dtype=np.int64),
-        mitigation_levels=np.zeros((steps, n), dtype=np.int64),
-        export_levels=np.zeros((steps, n), dtype=np.int64),
-        import_levels=np.zeros((steps, n, n), dtype=np.int64),
-        tariff_levels=np.zeros((steps, n, n), dtype=np.int64),
-        gross_output=np.zeros((steps, n)),
-        damage_fraction=np.zeros(steps),
-        abatement_fraction=np.zeros((steps, n)),
-        net_output=np.zeros((steps, n)),
-        investment=np.zeros((steps, n)),
-        emissions=np.zeros((steps, n)),
-        emissions_global=np.zeros(steps),
-        domestic=np.zeros((steps, n)),
-        foreign=np.zeros((steps, n)),
-        aggregate=np.zeros((steps, n)),
-        domestic_floored=np.zeros((steps, n), dtype=bool),
-        exports_scaled=np.zeros((steps, n)),
-        imports_scaled=np.zeros((steps, n)),
-        revenue=np.zeros((steps, n)),
-        rewards=np.zeros((steps, n)),
-        balance=np.zeros((steps, n)),
-        carbon=np.zeros((steps, 3)),
-        t_atmosphere=np.zeros(steps),
-        t_ocean=np.zeros(steps),
-        commitments=np.zeros((steps, n), dtype=np.int64) if params.negotiation.enabled else None,
-        delta_t_end=0.0,
-        y_cum=0.0,
-        total_reward=np.zeros(n),
-        d_end=0.0,
-        initial_carbon_total=world.initial_carbon_total,
-        cumulative_emissions=0.0,
-        final_carbon_total=0.0,
-    )
-
-    for t in range(steps):
-        actions = static_actions if static else _episode_actions(world, policy, policy_rng)
-        result = step(world, actions)
-        d = result.detail
-        rec.savings_levels[t] = actions.savings
-        rec.mitigation_levels[t] = actions.mitigation
-        rec.export_levels[t] = actions.export
-        rec.import_levels[t] = actions.imports
-        rec.tariff_levels[t] = actions.tariffs
-        rec.gross_output[t] = d.gross_output
-        rec.damage_fraction[t] = d.damage_fraction
-        rec.abatement_fraction[t] = d.abatement_fraction
-        rec.net_output[t] = d.net_output
-        rec.investment[t] = d.investment
-        rec.emissions[t] = d.emissions
-        rec.emissions_global[t] = d.emissions_global
-        rec.domestic[t] = d.consumption.domestic
-        rec.foreign[t] = d.consumption.foreign
-        rec.aggregate[t] = d.consumption.aggregate
-        rec.domestic_floored[t] = d.consumption.domestic_floored
-        rec.exports_scaled[t] = d.flows.exports_scaled
-        rec.imports_scaled[t] = d.flows.imports_scaled
-        rec.revenue[t] = d.flows.revenue
-        rec.rewards[t] = d.rewards
-        rec.balance[t] = d.balance_after
-        rec.carbon[t] = d.carbon_after
-        rec.t_atmosphere[t] = d.t_atmosphere_after
-        rec.t_ocean[t] = d.t_ocean_after
-        if rec.commitments is not None and d.commitments is not None:
-            rec.commitments[t] = d.commitments
-        world = result.world
-
-    rec.delta_t_end = float(world.t_atmosphere)
-    rec.y_cum = float(dt * rec.gross_output.sum())
-    rec.total_reward = rec.rewards.sum(axis=0)
-    rec.d_end = economy_mod.damage_fraction(
-        max(rec.delta_t_end, 0.0), variant.damage_kind, params.damage_pi1, params.damage_pi2
-    )
-    rec.cumulative_emissions = world.cumulative_emissions
-    rec.final_carbon_total = float(world.carbon.sum())
-    return rec
-
-
-def _summarize_rollout(
-    world: World,
-    params: SimParams,
-    variant: VariantConfig,
-    next_actions,
-) -> EpisodeSummary:
-    steps, dt = params.n_steps, params.dt_years
-    y_cum = 0.0
-    total_reward = np.zeros(params.n_regions)
-    any_floored = False
-    for t in range(steps):
-        result = step(world, next_actions(world))
-        d = result.detail
-        y_cum += float(d.gross_output.sum())
-        total_reward += d.rewards
-        any_floored = any_floored or bool(d.consumption.domestic_floored.any())
-        world = result.world
-
-    d_end = economy_mod.damage_fraction(
-        max(world.t_atmosphere, 0.0), variant.damage_kind, params.damage_pi1, params.damage_pi2
-    )
-    return EpisodeSummary(
-        seed=world.episode_seed,
-        delta_t_end=float(world.t_atmosphere),
-        y_cum=float(dt * y_cum),
-        total_reward=total_reward,
-        mean_total_reward=float(total_reward.mean()),
-        d_end=float(d_end),
-        initial_carbon_total=world.initial_carbon_total,
-        cumulative_emissions=world.cumulative_emissions,
-        final_carbon_total=float(world.carbon.sum()),
-        any_domestic_floored=any_floored,
+    history: list[_Step] = []
+    summary = _rollout(world, _policy_actions(world, policy), history)
+    return EpisodeRecord(
+        **vars(summary),
+        n_regions=params.n_regions,
+        n_steps=params.n_steps,
+        dt_years=params.dt_years,
+        **{
+            name: np.array([get(s) for s in history]) for name, get in _HISTORY.items()
+        },
+        commitments=(
+            np.array([s.detail.commitments for s in history])
+            if params.negotiation.enabled
+            else None
+        ),
     )
 
 
@@ -520,16 +480,7 @@ def run_episode_summary(
 ) -> EpisodeSummary:
     """Roll one episode keeping only endpoints (used by large sweeps)."""
     world = reset(params, variant, seed)
-    policy_rng = np.random.default_rng(
-        np.random.SeedSequence([world.episode_seed, _POLICY_STREAM])
-    )
-    static = getattr(policy, "is_static", False) and not params.negotiation.enabled
-    if static:
-        static_actions = _episode_actions(world, policy, policy_rng)
-        return _summarize_rollout(world, params, variant, lambda w: static_actions)
-    return _summarize_rollout(
-        world, params, variant, lambda w: _episode_actions(w, policy, policy_rng)
-    )
+    return _rollout(world, _policy_actions(world, policy))
 
 
 def run_fixed_actions_summary(
@@ -539,5 +490,4 @@ def run_fixed_actions_summary(
     seed: int | None = None,
 ) -> EpisodeSummary:
     """Roll one episode applying the same joint actions every step."""
-    world = reset(params, variant, seed)
-    return _summarize_rollout(world, params, variant, lambda w: actions)
+    return _rollout(reset(params, variant, seed), lambda w: actions)

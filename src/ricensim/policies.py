@@ -39,7 +39,6 @@ class FixedLevelsPolicy:
     #: Static policies let episode runners reuse one action set when no
     #: masking is active.
     is_static = True
-    requires_observation = False
 
     def __post_init__(self) -> None:
         for name in ("savings", "mitigation", "export", "imports", "tariffs"):
@@ -85,7 +84,6 @@ class UniformRandomPolicy:
     """Uniform draw over the permitted levels of every dimension."""
 
     is_static = False
-    requires_observation = False
 
     def act(self, observation, mask: ActionMask | None, rng: np.random.Generator) -> ActionSet:
         region = observation.region
@@ -120,8 +118,6 @@ class PariahOverridePolicy:
     base: FixedLevelsPolicy
     target: int
     tariff_level: int | None
-
-    requires_observation = False
 
     def __post_init__(self) -> None:
         if self.tariff_level is not None and not 0 <= self.tariff_level < NUM_LEVELS:

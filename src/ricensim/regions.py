@@ -1,4 +1,4 @@
-"""Region state and procedural generation of heterogeneous region sets.
+"""Procedural generation of heterogeneous region sets.
 
 The generator draws each region around a common size factor so that no
 single region dominates world output (the largest output share stays below
@@ -8,8 +8,6 @@ the sign properties of the trade experiments rely on, and still spans more
 than an order of magnitude in emissions across regions.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,50 +24,18 @@ INTENSITY_DECLINE_RANGE = (0.004, 0.010)  # per year
 ABATEMENT_THETA1_RANGE = (0.02, 0.05)
 
 
-@dataclass(frozen=True)
-class RegionState:
-    """Economic state of one region at one point in time."""
-
-    capital: float
-    labor: float
-    productivity: float
-    emission_intensity: float
-    mitigation_prev: float
-    balance: float
-
-    def __post_init__(self) -> None:
-        if not (
-            self.capital >= 0
-            and self.labor > 0
-            and self.productivity > 0
-            and self.emission_intensity >= 0
-            and 0.0 <= self.mitigation_prev <= 1.0
-            and np.isfinite(self.balance)
-        ):
-            raise ConfigError(f"region state violates invariants: {self}")
-
-
-@dataclass(frozen=True)
-class RegionGrowth:
-    """Exogenous per-year trajectories of one region.
-
-    ``productivity_growth`` and ``labor_growth`` compound upward,
-    ``intensity_decline`` compounds downward; ``abatement_theta1`` is the
-    region's linear abatement-cost coefficient.
-    """
-
-    productivity_growth: float
-    labor_growth: float
-    intensity_decline: float
-    abatement_theta1: float
-
-
 def _within(lo: float, hi: float, values: np.ndarray) -> np.ndarray:
     return lo + (hi - lo) * values
 
 
-def generate_regions(n: int, seed: int) -> tuple[list[RegionState], list[RegionGrowth]]:
-    """Generate ``n`` heterogeneous regions deterministically from ``seed``."""
+def generate_regions(n: int, seed: int) -> dict[str, np.ndarray]:
+    """Generate ``n`` heterogeneous regions deterministically from ``seed``.
+
+    Returns one ``[n]`` array per generated quantity, keyed by the ``World``
+    field that stores it. Productivity and labor growth compound upward,
+    intensity decline compounds downward, and ``theta1`` is the region's
+    linear abatement-cost coefficient.
+    """
     if n < 2:
         raise ConfigError(f"n_regions: must be >= 2, got {n}")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x5247]))
@@ -89,24 +55,13 @@ def generate_regions(n: int, seed: int) -> tuple[list[RegionState], list[RegionG
     intensity_decline = _within(*INTENSITY_DECLINE_RANGE, rng.uniform(size=n))
     theta1 = _within(*ABATEMENT_THETA1_RANGE, rng.uniform(size=n))
 
-    states = [
-        RegionState(
-            capital=float(capital[i]),
-            labor=float(labor[i]),
-            productivity=float(productivity[i]),
-            emission_intensity=float(intensity[i]),
-            mitigation_prev=0.0,
-            balance=0.0,
-        )
-        for i in range(n)
-    ]
-    growths = [
-        RegionGrowth(
-            productivity_growth=float(prod_growth[i]),
-            labor_growth=float(labor_growth[i]),
-            intensity_decline=float(intensity_decline[i]),
-            abatement_theta1=float(theta1[i]),
-        )
-        for i in range(n)
-    ]
-    return states, growths
+    return {
+        "capital": capital,
+        "labor": labor,
+        "productivity": productivity,
+        "intensity": intensity,
+        "productivity_growth": prod_growth,
+        "labor_growth": labor_growth,
+        "intensity_decline": intensity_decline,
+        "theta1": theta1,
+    }

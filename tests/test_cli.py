@@ -1,9 +1,12 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from ricensim.cli import main
+from ricensim.errors import ConfigError
+from ricensim.runio import EXPERIMENTS, parse_config
 
 
 def read_lines(path: Path) -> list[str]:
@@ -35,13 +38,32 @@ class TestSweepCommand:
         assert main(["sweep", "--grid", "2", "--seed", "3", "--out", str(a)]) == 0
         assert (a / "manifest.json").read_bytes() == manifest_before
 
-    def test_manifest_reproduces_run(self, tmp_path):
-        first = tmp_path / "first"
-        assert main(["sweep", "--grid", "2", "--seed", "5", "--out", str(first)]) == 0
-        manifest = first / "manifest.json"
-        replay = tmp_path / "replay"
-        assert main(["run", "--config", str(manifest), "--out", str(replay)]) == 0
-        assert (first / "sweep.csv").read_bytes() == (replay / "sweep.csv").read_bytes()
+
+#: Tiny options per experiment; every other option keeps its default.
+TINY_OPTIONS = {"sweep": {"grid": 2}, "pariah": {"runs": 2}, "masking-demo": {"episodes": 200}}
+
+
+@pytest.mark.parametrize("name", list(EXPERIMENTS))
+def test_manifest_reproduces_run(tmp_path, name):
+    doc = {"experiment": name, "options": TINY_OPTIONS.get(name, {}), "seed": 5}
+    if name == "episode":
+        doc["sim"] = {"n_regions": 4, "horizon_years": 20}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    first, replay = tmp_path / "first", tmp_path / "replay"
+    assert main(["run", "--config", str(cfg), "--out", str(first)]) == 0
+    assert main(["run", "--config", str(first / "manifest.json"), "--out", str(replay)]) == 0
+    written = sorted(f.name for f in first.iterdir())
+    assert written == sorted(f.name for f in replay.iterdir())
+    assert len(written) >= 2
+    for fname in written:
+        if fname != "manifest.json":
+            assert (first / fname).read_bytes() == (replay / fname).read_bytes(), fname
+    manifests = [json.loads((d / "manifest.json").read_text()) for d in (first, replay)]
+    for m in manifests:
+        del m["out_dir"]
+    assert manifests[0] == manifests[1]
+    assert manifests[0]["options"].keys() == EXPERIMENTS[name].options.keys()
 
 
 class TestOtherCommands:
@@ -100,6 +122,33 @@ class TestErrors:
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
+
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            ({"experiment": "sweep", "options": {"grid": 2, "gird": 9}}, "options.gird"),
+            ({"experiment": "pariah", "options": {"tariffs": [5]}}, "options.tariffs"),
+            ({"experiment": "masking-demo", "options": {"episodez": 4}}, "options.episodez"),
+            ({"experiment": "episode", "options": {"mitigaton": 5}}, "options.mitigaton"),
+            ({"experiment": "sweep", "options": {"grid": "x"}}, "options.grid"),
+            ({"experiment": "pariah", "options": {"tariff_levels": [12]}}, "options.tariff_levels"),
+            ({"experiment": "episode", "options": {"mitigation": 12}}, "options.mitigation"),
+            ({"experiment": "sweep", "seed": -1}, "seed"),
+        ],
+    )
+    def test_bad_option_or_seed_is_a_config_error(self, tmp_path, capsys, doc, key):
+        text = json.dumps(doc)
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            parse_config(text)
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(text)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_negative_seed_flag_is_a_config_error(self, tmp_path, capsys):
+        assert main(["calibrate", "--seed", "-1", "--out", str(tmp_path / "o")]) == 1
+        assert "seed" in capsys.readouterr().err
 
 
 def test_env_var_default_out_dir(tmp_path, monkeypatch):

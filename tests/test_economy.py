@@ -5,16 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ricensim import JointActions
+from ricensim.calibration import calibrate_damage_to_anchor
 from ricensim.config import DEFAULT_DAMAGE_PI2, SimParams, VariantConfig
 from ricensim.economy import (
     abatement_fraction,
     calibrate_damage_coefficient,
     damage_fraction,
     gross_output,
-    step_economy,
 )
+from ricensim.engine import reset, step
 from ricensim.errors import DomainError
-from ricensim.regions import RegionGrowth, RegionState
+
+from conftest import symmetric_world
 
 
 class TestGrossOutput:
@@ -88,6 +91,11 @@ class TestCalibrateCoefficient:
         with pytest.raises(DomainError):
             calibrate_damage_coefficient(4.0, 1.0)
 
+    def test_default_coefficient_is_the_calibrated_fixed_point(self):
+        # A trajectory change must recompute DEFAULT_DAMAGE_PI2 (and the
+        # README's horizon damages) rather than leave it stale.
+        assert calibrate_damage_to_anchor(SimParams()).pi2 == DEFAULT_DAMAGE_PI2
+
 
 class TestAbatement:
     def test_no_mitigation_no_cost(self):
@@ -143,55 +151,52 @@ class TestAbatement:
 
 
 class TestStepEconomy:
-    PARAMS = SimParams()
+    """The production phase of ``engine.step``, on two identical regions."""
+
+    PARAMS = SimParams(n_regions=2)
     VARIANT = VariantConfig()
+    PRODUCTIVITY = 20.0 / 100.0**0.3
 
-    def region(self, **kw):
-        base = dict(
-            capital=100.0, labor=1.0, productivity=20.0 / 100.0**0.3,
-            emission_intensity=0.2, mitigation_prev=0.0, balance=0.0,
+    def step(self, savings, mitigation, temperature):
+        world = symmetric_world(
+            reset(self.PARAMS, self.VARIANT, 0),
+            capital=100.0, labor=1.0, productivity=self.PRODUCTIVITY, intensity=0.2,
         )
-        base.update(kw)
-        return RegionState(**base)
-
-    def growth(self):
-        return RegionGrowth(0.01, 0.005, 0.007, 0.03)
+        world.t_atmosphere = temperature
+        result = step(world, JointActions.uniform(2, savings, mitigation, 0, 0, 0))
+        return world, result.detail, result.world
 
     def test_all_zero_actions(self):
-        region = self.region()
-        out, new = step_economy(region, self.growth(), 0.0, 0.0, 0.0, self.PARAMS, self.VARIANT)
-        assert out.investment == 0.0
-        assert math.isclose(new.capital, 100.0 * 0.9**5, rel_tol=1e-12)
-        assert math.isclose(out.emissions, 0.2 * out.gross_output, rel_tol=1e-12)
+        _, out, new = self.step(0, 0, 0.0)
+        assert np.all(out.investment == 0.0)
+        assert np.allclose(new.capital, 100.0 * 0.9**5, rtol=1e-12, atol=0)
+        assert np.allclose(out.emissions, 0.2 * out.gross_output, rtol=1e-12, atol=0)
 
     def test_capital_update_with_investment(self):
         # Y = 5.0238473 * 100^0.3 * 1 = 20.0 (to float), s=0.5 -> I = 10
         # K' = 100 * 0.9^5 + 5 * 10 = 109.049
-        region = self.region()
-        out, new = step_economy(region, self.growth(), 0.5, 0.0, 0.0, self.PARAMS, self.VARIANT)
-        assert math.isclose(out.investment, 10.0, abs_tol=1e-4)
-        assert math.isclose(new.capital, 109.049, abs_tol=1e-3)
+        _, out, new = self.step(5, 0, 0.0)
+        assert np.allclose(out.investment, 10.0, rtol=0, atol=1e-4)
+        assert np.allclose(new.capital, 109.049, rtol=0, atol=1e-3)
 
     def test_mitigation_strictly_cuts_emissions(self):
-        region = self.region()
-        low, _ = step_economy(region, self.growth(), 0.3, 0.0, 1.0, self.PARAMS, self.VARIANT)
-        high, _ = step_economy(region, self.growth(), 0.3, 0.9, 1.0, self.PARAMS, self.VARIANT)
-        assert high.emissions < low.emissions
+        _, low, _ = self.step(3, 0, 1.0)
+        _, high, _ = self.step(3, 9, 1.0)
+        assert np.all(high.emissions < low.emissions)
 
     def test_output_identities(self):
-        region = self.region()
-        out, new = step_economy(region, self.growth(), 0.4, 0.6, 2.0, self.PARAMS, self.VARIANT)
-        assert math.isclose(
+        region, out, new = self.step(4, 6, 2.0)
+        assert np.allclose(
             out.net_output,
             (1 - out.damage_fraction) * (1 - out.abatement_fraction) * out.gross_output,
-            rel_tol=1e-12,
+            rtol=1e-12, atol=0,
         )
-        assert out.investment <= out.net_output
-        assert math.isclose(
-            out.emissions, region.emission_intensity * 0.4 * out.gross_output, rel_tol=1e-12
+        assert np.all(out.investment <= out.net_output)
+        assert np.allclose(
+            out.emissions, region.intensity * 0.4 * out.gross_output, rtol=1e-12, atol=0
         )
-        assert new.mitigation_prev == 0.6
+        assert np.all(new.mitigation_prev == 0.6)
         # exogenous trajectories advanced
-        assert new.productivity > region.productivity
-        assert new.labor > region.labor
-        assert new.emission_intensity < region.emission_intensity
+        assert np.all(new.productivity > region.productivity)
+        assert np.all(new.labor > region.labor)
+        assert np.all(new.intensity < region.intensity)

@@ -14,7 +14,13 @@ from ricensim import (
     UniformRandomPolicy,
     VariantConfig,
 )
-from ricensim.engine import reset, run_episode, run_episode_summary, step
+from ricensim.engine import (
+    reset,
+    run_episode,
+    run_episode_summary,
+    run_fixed_actions_summary,
+    step,
+)
 from ricensim.errors import MaskViolationError
 
 
@@ -112,6 +118,20 @@ class TestEpisodes:
         assert summary.y_cum == rec.y_cum
         assert np.allclose(summary.total_reward, rec.total_reward, rtol=1e-12)
         assert summary.d_end == rec.d_end
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    def test_record_and_fixed_action_summary_agree_bitwise(self, default_params, baseline, seed):
+        """The full record and the endpoints-only rollout share one loop, so
+        their endpoints are the same floats."""
+        for levels in [(3, 0, 0, 0, 0), (5, 5, 9, 9, 0), (9, 9, 2, 7, 4), (0, 9, 9, 9, 9)]:
+            rec = run_episode(default_params, baseline, FixedLevelsPolicy(*levels), seed)
+            summary = run_fixed_actions_summary(
+                default_params, baseline, JointActions.uniform(27, *levels), seed
+            )
+            for name in ("delta_t_end", "y_cum", "d_end", "cumulative_emissions",
+                         "final_carbon_total"):
+                assert getattr(rec, name) == getattr(summary, name), (levels, name)
+            assert rec.total_reward.tobytes() == summary.total_reward.tobytes(), levels
 
     def test_action_irrelevance_for_climate_and_output(self, default_params, baseline):
         """Trade actions never touch production or emissions: with (savings,

@@ -1,7 +1,8 @@
-import dataclasses
-
+import numpy as np
 import pytest
 
+from ricensim.config import SimParams, VariantConfig
+from ricensim.engine import reset
 from ricensim.errors import ConfigError
 from ricensim.regions import (
     ABATEMENT_THETA1_RANGE,
@@ -12,31 +13,42 @@ from ricensim.regions import (
     LABOR_RANGE,
     PRODUCTIVITY_GROWTH_RANGE,
     PRODUCTIVITY_RANGE,
-    RegionState,
     generate_regions,
 )
+
+RANGES = {
+    "productivity": PRODUCTIVITY_RANGE,
+    "capital": CAPITAL_RANGE,
+    "labor": LABOR_RANGE,
+    "intensity": INTENSITY_RANGE,
+    "productivity_growth": PRODUCTIVITY_GROWTH_RANGE,
+    "labor_growth": LABOR_GROWTH_RANGE,
+    "intensity_decline": INTENSITY_DECLINE_RANGE,
+    "theta1": ABATEMENT_THETA1_RANGE,
+}
 
 
 def test_deterministic_for_same_seed():
     a = generate_regions(27, 123)
     b = generate_regions(27, 123)
-    assert a == b
+    assert a.keys() == b.keys()
+    assert all(a[k].tobytes() == b[k].tobytes() for k in a)
 
 
 def test_two_region_world_satisfies_invariants():
-    states, growths = generate_regions(2, 5)
-    assert len(states) == 2 and len(growths) == 2
-    for s in states:
-        assert s.capital >= 0 and s.labor > 0 and s.productivity > 0
-        assert s.emission_intensity >= 0 and 0 <= s.mitigation_prev <= 1
+    w = reset(SimParams(n_regions=2), VariantConfig(), 5)
+    for arr in (w.capital, w.labor, w.productivity, w.intensity, w.mitigation_prev, w.balance):
+        assert arr.shape == (2,)
+    assert np.all(w.capital >= 0) and np.all(w.labor > 0) and np.all(w.productivity > 0)
+    assert np.all(w.intensity >= 0)
+    assert np.all(w.mitigation_prev == 0.0) and np.all(w.balance == 0.0)
 
 
 def test_different_seeds_differ_fieldwise():
-    a, _ = generate_regions(27, 7)
-    b, _ = generate_regions(27, 8)
+    a = generate_regions(27, 7)
+    b = generate_regions(27, 8)
     assert any(
-        sa.capital != sb.capital or sa.labor != sb.labor or sa.productivity != sb.productivity
-        for sa, sb in zip(a, b)
+        not np.array_equal(a[k], b[k]) for k in ("capital", "labor", "productivity")
     )
 
 
@@ -47,27 +59,8 @@ def test_rejects_single_region():
 
 def test_invariants_and_ranges_hold_over_many_seeds():
     for seed in range(1000):
-        states, growths = generate_regions(5, seed)
-        for s in states:
-            assert PRODUCTIVITY_RANGE[0] <= s.productivity <= PRODUCTIVITY_RANGE[1]
-            assert CAPITAL_RANGE[0] <= s.capital <= CAPITAL_RANGE[1]
-            assert LABOR_RANGE[0] <= s.labor <= LABOR_RANGE[1]
-            assert INTENSITY_RANGE[0] <= s.emission_intensity <= INTENSITY_RANGE[1]
-            assert s.mitigation_prev == 0.0 and s.balance == 0.0
-        for g in growths:
-            assert PRODUCTIVITY_GROWTH_RANGE[0] <= g.productivity_growth <= PRODUCTIVITY_GROWTH_RANGE[1]
-            assert LABOR_GROWTH_RANGE[0] <= g.labor_growth <= LABOR_GROWTH_RANGE[1]
-            assert INTENSITY_DECLINE_RANGE[0] <= g.intensity_decline <= INTENSITY_DECLINE_RANGE[1]
-            assert ABATEMENT_THETA1_RANGE[0] <= g.abatement_theta1 <= ABATEMENT_THETA1_RANGE[1]
-
-
-def test_state_invariant_enforced_at_construction():
-    with pytest.raises(ConfigError):
-        RegionState(
-            capital=-1.0, labor=1.0, productivity=1.0,
-            emission_intensity=0.1, mitigation_prev=0.0, balance=0.0,
-        )
-    with pytest.raises(ConfigError):
-        dataclasses.replace(
-            RegionState(10.0, 1.0, 1.0, 0.1, 0.0, 0.0), mitigation_prev=1.5
-        )
+        regions = generate_regions(5, seed)
+        assert regions.keys() == RANGES.keys()
+        for key, (lo, hi) in RANGES.items():
+            assert regions[key].shape == (5,)
+            assert np.all((lo <= regions[key]) & (regions[key] <= hi)), key
