@@ -58,7 +58,7 @@ class ActionSet:
                 raise InvalidActionError(
                     f"region {region}: {name} vector has length {len(vec)}, expected {n_regions}"
                 )
-            if any(not 0 <= v < NUM_LEVELS for v in vec):
+            if min(vec) < 0 or max(vec) >= NUM_LEVELS:
                 raise InvalidActionError(f"region {region}: {name} level out of range")
             if vec[region] != 0:
                 raise InvalidActionError(
@@ -71,9 +71,14 @@ class JointActions:
 
     ``imports[i, j]`` / ``tariffs[i, j]`` refer to region i importing from /
     tariffing region j. Diagonals are zero.
+
+    Immutable and validated once: ``__init__`` stores read-only ``int64``
+    copies of the five arrays, rebinding an attribute raises, and
+    ``validate`` runs its checks on the first call only, so a rollout that
+    reuses one object for every step pays for the checks once.
     """
 
-    __slots__ = ("savings", "mitigation", "export", "imports", "tariffs")
+    __slots__ = (*ACTION_DIMENSIONS, "_validated")
 
     def __init__(
         self,
@@ -83,11 +88,20 @@ class JointActions:
         imports: np.ndarray,
         tariffs: np.ndarray,
     ):
-        self.savings = np.asarray(savings, dtype=np.int64)
-        self.mitigation = np.asarray(mitigation, dtype=np.int64)
-        self.export = np.asarray(export, dtype=np.int64)
-        self.imports = np.asarray(imports, dtype=np.int64)
-        self.tariffs = np.asarray(tariffs, dtype=np.int64)
+        for name, value in zip(ACTION_DIMENSIONS, (savings, mitigation, export, imports, tariffs)):
+            arr = np.array(value, dtype=np.int64)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "_validated", False)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"JointActions is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"JointActions is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return (type(self), tuple(getattr(self, name) for name in ACTION_DIMENSIONS))
 
     @property
     def n_regions(self) -> int:
@@ -95,16 +109,20 @@ class JointActions:
 
     @classmethod
     def from_action_sets(cls, sets: list[ActionSet]) -> "JointActions":
+        """Stack per-region sets; each set's checks imply the joint ones, so
+        the result is marked validated."""
         n = len(sets)
         for i, a in enumerate(sets):
             a.validate(i, n)
-        return cls(
-            savings=np.array([a.savings_level for a in sets]),
-            mitigation=np.array([a.mitigation_level for a in sets]),
-            export=np.array([a.max_export_level for a in sets]),
-            imports=np.array([a.import_levels for a in sets]),
-            tariffs=np.array([a.tariff_levels for a in sets]),
+        joint = cls(
+            savings=[a.savings_level for a in sets],
+            mitigation=[a.mitigation_level for a in sets],
+            export=[a.max_export_level for a in sets],
+            imports=[a.import_levels for a in sets],
+            tariffs=[a.tariff_levels for a in sets],
         )
+        object.__setattr__(joint, "_validated", True)
+        return joint
 
     @classmethod
     def uniform(
@@ -145,6 +163,8 @@ class JointActions:
         )
 
     def validate(self) -> None:
+        if self._validated:
+            return
         n = self.n_regions
         for name, arr in (
             ("savings", self.savings),
@@ -162,3 +182,4 @@ class JointActions:
                 raise InvalidActionError(f"{name} level out of range")
             if np.any(np.diag(mat) != 0):
                 raise InvalidActionError(f"{name} matrix has nonzero diagonal")
+        object.__setattr__(self, "_validated", True)

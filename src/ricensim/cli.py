@@ -72,16 +72,17 @@ def _resolve_config(args) -> RunConfig:
     seed = args.seed if args.seed is not None else config.seed
     if seed is None:
         seed = config.sim.region_seed
-    sim = dataclasses.replace(config.sim, region_seed=int(seed))
     out_dir = args.out or config.out_dir or os.environ.get(OUT_DIR_ENV) or "ricensim_out"
-    return RunConfig(
-        sim=sim,
+    # Built before the seed reaches ``sim``, so a bad ``--seed`` is named ``seed``.
+    resolved = RunConfig(
+        sim=config.sim,
         variant=config.variant,
         experiment=command,
         options=options,
-        seed=int(seed),
+        seed=seed,
         out_dir=out_dir,
     )
+    return dataclasses.replace(resolved, sim=dataclasses.replace(config.sim, region_seed=seed))
 
 
 def _execute(config: RunConfig, workers: int) -> None:

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 
 #: Per-5-year carbon transfer fractions between (atmosphere, upper ocean,
 #: lower ocean). Column-stochastic: column j holds the destination split of
@@ -175,7 +175,14 @@ class SimParams:
 
     def __post_init__(self) -> None:
         _require(self.n_regions >= 2, "n_regions", "must be >= 2")
+        _require(self.region_seed >= 0, "region_seed", "must be >= 0")
         _require(self.dt_years >= 1, "dt_years", "must be >= 1")
+        from .climate import carbon_transfer_matrix  # climate imports this module
+
+        try:
+            carbon_transfer_matrix(self.climate, self.dt_years)
+        except DomainError as exc:
+            raise ConfigError(f"dt_years: {exc}") from None
         _require(
             self.horizon_years >= self.dt_years
             and self.horizon_years % self.dt_years == 0,

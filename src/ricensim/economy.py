@@ -31,7 +31,20 @@ def gross_output(productivity, capital, labor, elasticity):
 
 
 def damage_fraction(temperature, kind: str, pi1: float, pi2: float):
-    """Fraction of gross output lost at the given temperature anomaly."""
+    """Fraction of gross output lost at the given temperature anomaly.
+
+    ``dice_quadratic``: ``min(1 - 1 / (1 + pi1 * T + pi2 * T * T), FRACTION_CAP)``;
+    ``weitzman``: ``min(1 - 1 / (1 + (T / a) ** 2 + (T / b) ** c), FRACTION_CAP)``.
+    """
+    if kind == "dice_quadratic" and isinstance(temperature, float):
+        # The scalar temperature ``step`` passes: the same IEEE operations in
+        # the same order as the array path, without numpy's per-call cost.
+        # numpy's ``**`` can round differently from Python's, so the
+        # weitzman form always takes the array path.
+        denominator = 1.0 + pi1 * temperature + pi2 * temperature * temperature
+        if denominator != 0.0:
+            d = 1.0 - 1.0 / denominator
+            return float(FRACTION_CAP if d > FRACTION_CAP else d)
     t = np.asarray(temperature, dtype=np.float64)
     if kind == "dice_quadratic":
         d = 1.0 - 1.0 / (1.0 + pi1 * t + pi2 * t * t)
@@ -56,7 +69,11 @@ def abatement_fraction(mitigation, mitigation_prev, kind: str, theta1, theta2, t
     """Fraction of gross output spent on mitigation.
 
     'persistent' charges the current level only; 'transitional' charges a
-    small residual of that plus the squared increase over the previous level.
+    small residual of that plus the squared increase over the previous level:
+
+    ``persistent``: ``theta1 * mu ** theta2``;
+    ``transitional``: ``TRANSITIONAL_RESIDUAL * theta1 * mu ** theta2 + theta3 * rise * rise``
+    with ``rise = max(0, mu - mu_prev)``; either is clamped to ``[0, FRACTION_CAP]``.
     """
     mu = np.asarray(mitigation, dtype=np.float64)
     if kind == "persistent":
@@ -66,6 +83,6 @@ def abatement_fraction(mitigation, mitigation_prev, kind: str, theta1, theta2, t
         lam = TRANSITIONAL_RESIDUAL * theta1 * mu**theta2 + theta3 * rise * rise
     else:
         raise DomainError(f"unknown abatement kind {kind!r}")
-    lam = np.clip(lam, 0.0, FRACTION_CAP)
+    lam = np.minimum(np.maximum(lam, 0.0), FRACTION_CAP)
     return float(lam) if np.ndim(mitigation) == 0 else lam
 

@@ -18,19 +18,13 @@ import json
 import sys
 from collections.abc import Callable
 from pathlib import Path
-from typing import Any
+from typing import Any, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .actions import ACTION_DIMENSIONS, NUM_LEVELS
 from .calibration import calibrate_damage_to_anchor
-from .config import (
-    ClimateParams,
-    DisasterPenalty,
-    NegotiationConfig,
-    SimParams,
-    VariantConfig,
-)
+from .config import SimParams, VariantConfig
 from .engine import run_episode
 from .errors import ConfigError
 from .experiments import (
@@ -47,6 +41,10 @@ from .policies import FixedLevelsPolicy
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -400,22 +398,14 @@ class RunConfig:
 def _dataclass_from_dict(cls, data: dict, key_prefix: str):
     if not isinstance(data, dict):
         raise ConfigError(f"{key_prefix}: expected an object, got {type(data).__name__}")
-    fields = {f.name: f for f in dataclasses.fields(cls)}
+    hints = get_type_hints(cls)
+    names = {f.name for f in dataclasses.fields(cls)}
     kwargs = {}
     for key, value in data.items():
-        if key not in fields:
-            raise ConfigError(f"unknown key: {key_prefix}.{key}" if key_prefix else f"unknown key: {key}")
         path = f"{key_prefix}.{key}" if key_prefix else key
-        if key == "climate":
-            kwargs[key] = _dataclass_from_dict(ClimateParams, value, path)
-        elif key == "negotiation":
-            kwargs[key] = _dataclass_from_dict(NegotiationConfig, value, path)
-        elif key == "disaster":
-            kwargs[key] = None if value is None else _dataclass_from_dict(DisasterPenalty, value, path)
-        elif isinstance(value, list):
-            kwargs[key] = _tuplify(value)
-        else:
-            kwargs[key] = value
+        if key not in names:
+            raise ConfigError(f"unknown key: {path}")
+        kwargs[key] = _typed(value, hints[key], path)
     try:
         return cls(**kwargs)
     except ConfigError:
@@ -424,9 +414,37 @@ def _dataclass_from_dict(cls, data: dict, key_prefix: str):
         raise ConfigError(f"{key_prefix or cls.__name__}: {exc}") from exc
 
 
-def _tuplify(value):
-    if isinstance(value, list):
-        return tuple(_tuplify(v) for v in value)
+def _typed(value, hint, path: str):
+    """``value`` checked against the field annotation ``hint``: nested
+    objects become dataclasses and lists become tuples; anything else of
+    the wrong type is a ``ConfigError`` naming ``path``."""
+    if dataclasses.is_dataclass(hint):
+        return _dataclass_from_dict(hint, value, path)
+    args = get_args(hint)
+    if type(None) in args:  # ``X | None``
+        if value is None:
+            return None
+        (hint,) = (a for a in args if a is not type(None))
+        return _typed(value, hint, path)
+    if get_origin(hint) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{path}: expected a list, got {value!r}")
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        elif len(value) != len(args):
+            raise ConfigError(f"{path}: expected {len(args)} entries, got {len(value)}")
+        return tuple(_typed(v, a, f"{path}[{k}]") for k, (v, a) in enumerate(zip(value, args)))
+    if hint is float:
+        ok = _is_number(value) and abs(value) <= sys.float_info.max
+        expected = "a finite number"
+    elif hint is int:
+        ok = _is_int(value)
+        expected = "an integer"
+    else:
+        ok = isinstance(value, hint)
+        expected = f"a {hint.__name__}"
+    if not ok:
+        raise ConfigError(f"{path}: expected {expected}, got {value!r}")
     return value
 
 

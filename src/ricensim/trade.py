@@ -22,6 +22,9 @@ from .config import VariantConfig
 #: prevent runaway feedback through the trade channel.
 BUDGET_MULTIPLIER_BOUNDS = (0.5, 1.5)
 
+#: Positive denominators below this are raised to it before dividing.
+TINY = 1e-300
+
 
 @dataclass(frozen=True)
 class TradeFlows:
@@ -58,37 +61,47 @@ def build_demand(
 ) -> np.ndarray:
     """Demand matrix from import levels, budgets, and partner sizes.
 
-    ``demand[i, j] = rate(level[i, j]) * budget[i] * Y[i] * Y[j] / sum(Y[k], k != i)``
+    ``demand[i, j] = rate(level[i, j]) * (budget[i] * Y[i]) * (Y[j] / P[i])``
+    with partner total ``P[i] = sum(Y) - Y[i]``, evaluated in that order.
 
     With two regions the partner weight is 1 and the entry reduces to
-    rate * budget * own output. Rows of a region with zero output (or zero
-    partner output) are zero.
+    rate * budget * own output. Rows whose partner total is not positive
+    are zero; a positive total is floored at ``TINY`` before dividing. The
+    diagonal is zero.
     """
     y = np.asarray(gross_output, dtype=np.float64)
     n = y.shape[0]
-    rates = levels_to_rates(import_levels)
-    budget = np.broadcast_to(np.asarray(budget_fraction, dtype=np.float64), (n,))
     partner_total = y.sum() - y  # sum over k != i, per importer i
-    shares = np.where(
-        partner_total[:, None] > 0.0, y[None, :] / np.maximum(partner_total[:, None], 1e-300), 0.0
-    )
-    demand = rates * (budget * y)[:, None] * shares
-    demand[np.arange(n), np.arange(n)] = 0.0
+    if partner_total.min() >= TINY:
+        shares = y / partner_total[:, None]
+    else:
+        shares = np.where(
+            partner_total[:, None] > 0.0, y / np.maximum(partner_total[:, None], TINY), 0.0
+        )
+    demand = levels_to_rates(import_levels) * (budget_fraction * y)[:, None] * shares
+    demand.flat[:: n + 1] = 0.0
     return demand
 
 
 def ration_exports(demanded: np.ndarray, export_capacity: np.ndarray) -> np.ndarray:
     """Scale each exporter's column so its total never exceeds capacity.
 
-    Rationing is proportional in a single pass; an unconstrained exporter
-    ships exactly what is demanded, and 0/0 resolves to no trade.
+    ``scaled[i, j] = demanded[i, j] * min(1, capacity[j] / T[j])`` with
+    column total ``T[j] = sum(demanded[:, j])``, and 0 where ``T[j]`` is not
+    positive. Rationing is proportional in a single pass; an unconstrained
+    exporter ships exactly what is demanded, and 0/0 resolves to no trade.
     """
     demanded = np.asarray(demanded, dtype=np.float64)
     capacity = np.asarray(export_capacity, dtype=np.float64)
     col_totals = demanded.sum(axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scale = np.where(col_totals > 0.0, np.minimum(1.0, capacity / col_totals), 0.0)
-    return demanded * scale[None, :]
+    if col_totals.min() > 0.0:
+        scale = np.minimum(1.0, capacity / col_totals)
+    else:
+        ratio = np.divide(
+            capacity, col_totals, out=np.zeros_like(col_totals), where=col_totals > 0.0
+        )
+        scale = np.minimum(1.0, ratio)
+    return demanded * scale
 
 
 def apply_tariffs(
@@ -155,10 +168,17 @@ def step_balance(
 
 
 def import_budget_multiplier(balance: np.ndarray, gross_output: np.ndarray) -> np.ndarray:
-    """Balance feedback on the import budget, clamped to [0.5, 1.5]."""
+    """Balance feedback on the import budget, clamped to [0.5, 1.5].
+
+    ``multiplier[i] = min(max(1 + balance[i] / (10 * Y[i]), 0.5), 1.5)``,
+    and 1 where ``Y[i]`` is not positive; a positive output is floored at
+    ``TINY`` before dividing.
+    """
     lo, hi = BUDGET_MULTIPLIER_BOUNDS
-    with np.errstate(divide="ignore", invalid="ignore"):
+    if gross_output.min() >= TINY:
+        raw = 1.0 + balance / (10.0 * gross_output)
+    else:
         raw = np.where(
-            gross_output > 0.0, 1.0 + balance / (10.0 * np.maximum(gross_output, 1e-300)), 1.0
+            gross_output > 0.0, 1.0 + balance / (10.0 * np.maximum(gross_output, TINY)), 1.0
         )
-    return np.clip(raw, lo, hi)
+    return np.minimum(np.maximum(raw, lo), hi)

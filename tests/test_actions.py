@@ -1,9 +1,15 @@
+import copy
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ricensim import SimParams, VariantConfig
 from ricensim.actions import ActionSet, JointActions, level_to_rate
+from ricensim.engine import reset, step
 from ricensim.errors import InvalidActionError
 
 
@@ -75,7 +81,90 @@ class TestJointActions:
         assert j.imports[1, 0] == 5
 
     def test_out_of_range_matrix_rejected(self):
+        # The arrays are read-only, so the out-of-range matrix has to come in
+        # through the constructor; it is still caught by validate and by step.
         j = JointActions.uniform(3, savings=1, mitigation=2, export=3, imports=5, tariffs=7)
-        j.imports[0, 1] = 11
-        with pytest.raises(InvalidActionError):
-            j.validate()
+        with pytest.raises(ValueError, match="read-only"):
+            j.imports[0, 1] = 11
+        assert j.imports[0, 1] == 5
+        bad_imports = np.array(j.imports)
+        bad_imports[0, 1] = 11
+        for make in (
+            lambda: JointActions(j.savings, j.mitigation, j.export, bad_imports, j.tariffs),
+            lambda: JointActions(j.savings, j.mitigation, j.export, j.imports, j.tariffs - 1),
+            lambda: JointActions(j.savings, j.mitigation, j.export, np.ones((3, 3)), j.tariffs),
+            lambda: JointActions(j.savings[:2], j.mitigation, j.export, j.imports, j.tariffs),
+        ):
+            with pytest.raises(InvalidActionError):
+                make().validate()
+            with pytest.raises(InvalidActionError):
+                step(reset(SimParams(n_regions=3), VariantConfig(), 0), make())
+
+    def test_constructor_copies_its_inputs(self):
+        imports = 5 * (1 - np.eye(3, dtype=np.int64))
+        j = JointActions(np.ones(3), np.ones(3), np.ones(3), imports, imports)
+        imports[0, 1] = 11
+        assert j.imports[0, 1] == 5 and j.tariffs[0, 1] == 5
+        assert j.savings.dtype == np.int64 and not j.savings.flags.writeable
+
+    def test_attributes_cannot_be_rebound(self):
+        j = JointActions.uniform(3, savings=1, mitigation=2, export=3, imports=5, tariffs=7)
+        for name in ("savings", "mitigation", "export", "imports", "tariffs", "_validated"):
+            with pytest.raises(AttributeError):
+                setattr(j, name, getattr(j, name))
+            with pytest.raises(AttributeError):
+                delattr(j, name)
+        with pytest.raises(AttributeError):
+            j.extra = 1
+
+    def test_second_validate_is_a_no_op(self, monkeypatch):
+        j = JointActions.uniform(3, savings=1, mitigation=2, export=3, imports=5, tariffs=7)
+        j.validate()
+        # A validated object never looks at its arrays again.
+        monkeypatch.setattr(JointActions, "n_regions", property(lambda self: 1 / 0))
+        j.validate()
+        fresh = JointActions.uniform(3, savings=1, mitigation=2, export=3, imports=5, tariffs=7)
+        with pytest.raises(ZeroDivisionError):
+            fresh.validate()
+
+    def test_copies_survive_pickle_and_deepcopy(self):
+        j = JointActions.uniform(3, savings=1, mitigation=2, export=3, imports=5, tariffs=7)
+        for clone in (pickle.loads(pickle.dumps(j)), copy.deepcopy(j)):
+            for name in ("savings", "mitigation", "export", "imports", "tariffs"):
+                assert np.array_equal(getattr(clone, name), getattr(j, name))
+            clone.validate()
+
+    def test_from_action_sets_result_passes_validate(self):
+        sets = [JointActions.uniform(4, 1, 2, 3, 5, 7).region(i) for i in range(4)]
+        j = JointActions.from_action_sets(sets)
+        j.validate()
+        # The checks it skips would pass on a copy that runs them.
+        JointActions(j.savings, j.mitigation, j.export, j.imports, j.tariffs).validate()
+        assert all(j.region(i) == sets[i] for i in range(4))
+
+
+def _sets_with(region, **changes):
+    """Three valid sets, one field of one region's set replaced."""
+    sets = [JointActions.uniform(3, 1, 2, 3, 5, 7).region(i) for i in range(3)]
+    sets[region] = dataclasses.replace(sets[region], **changes)
+    return sets
+
+
+BAD_SETS = {
+    "savings below range": _sets_with(1, savings_level=-1),
+    "savings above range": _sets_with(1, savings_level=10),
+    "mitigation above range": _sets_with(0, mitigation_level=10),
+    "export below range": _sets_with(2, max_export_level=-1),
+    "imports too short": _sets_with(1, import_levels=(5, 0)),
+    "tariffs too long": _sets_with(1, tariff_levels=(7, 0, 7, 7)),
+    "imports entry above range": _sets_with(0, import_levels=(0, 10, 5)),
+    "tariffs entry below range": _sets_with(2, tariff_levels=(-1, 7, 0)),
+    "imports self entry": _sets_with(1, import_levels=(5, 1, 5)),
+    "tariffs self entry": _sets_with(2, tariff_levels=(7, 7, 7)),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_SETS))
+def test_from_action_sets_rejects_bad_sets(case):
+    with pytest.raises(InvalidActionError):
+        JointActions.from_action_sets(BAD_SETS[case])

@@ -134,6 +134,11 @@ class TestErrors:
             ({"experiment": "pariah", "options": {"tariff_levels": [12]}}, "options.tariff_levels"),
             ({"experiment": "episode", "options": {"mitigation": 12}}, "options.mitigation"),
             ({"experiment": "sweep", "seed": -1}, "seed"),
+            ({"sim": {"n_regions": 3.5}}, "sim.n_regions"),
+            ({"sim": {"n_regions": "27"}}, "sim.n_regions"),
+            ({"sim": {"n_regions": True}}, "sim.n_regions"),
+            ({"sim": {"region_seed": -1}}, "region_seed"),
+            ({"sim": {"dt_years": 25}}, "dt_years"),
         ],
     )
     def test_bad_option_or_seed_is_a_config_error(self, tmp_path, capsys, doc, key):

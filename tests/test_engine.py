@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from ricensim.engine import (
     step,
 )
 from ricensim.errors import MaskViolationError
+from ricensim.policies import IDEAL_TRADE_POLICY, PariahOverridePolicy
 
 
 def world_fingerprint(w):
@@ -203,3 +205,54 @@ class TestNegotiation:
         rec = run_episode(params, baseline, UniformRandomPolicy(), 1)
         assert rec.commitments.shape == (params.n_steps, 4)
         assert rec.commitments.max() <= 9
+
+
+#: ``float.hex`` of (delta_t_end, y_cum, mean_total_reward, final_carbon_total)
+#: of ``run_fixed_actions_summary`` on the default 27-region world, recorded
+#: before the trade and damage kernels were rewritten for speed. Any change
+#: that moves a bit of the engine's arithmetic fails here.
+GOLDEN_SUMMARIES = {
+    ((3, 0, 0, 0, 0), 0): ("0x1.535db50ae48b6p+4", "0x1.5e12fbfd8da9ep+20",
+                           "0x1.b92f38c97b0cep+12", "0x1.11b2bb9efc2dcp+18"),
+    ((3, 0, 0, 0, 0), 7): ("0x1.5dd2f4c1f9b8fp+4", "0x1.7058fb7195f3ap+20",
+                           "0x1.ce4246e617882p+12", "0x1.4e860b4811c5ep+18"),
+    ((3, 9, 9, 9, 0), 0): ("0x1.8f7f0af941fc4p+3", "0x1.5e2d0d038e5d4p+20",
+                           "0x1.ab1de2050345bp+12", "0x1.e0ad1055302b5p+14"),
+    ((3, 9, 9, 9, 0), 7): ("0x1.a3409d229b619p+3", "0x1.712332538f621p+20",
+                           "0x1.c278f39016de9p+12", "0x1.215ebf0b78958p+15"),
+    ((9, 4, 2, 7, 5), 0): ("0x1.4e89e9d9ee36fp+4", "0x1.151224d0f551dp+21",
+                           "0x1.9e61cdf450074p+9", "0x1.02f00b3f962abp+18"),
+    ((9, 4, 2, 7, 5), 7): ("0x1.591114c723230p+4", "0x1.23e170ec6f86cp+21",
+                           "0x1.b14eba2e10988p+9", "0x1.3cf5e61a14fbfp+18"),
+}
+
+#: SHA-256 over every array of the ``run_episode`` record of a pariah-style
+#: policy (everyone at the high-trade levels, all tariffing region 0 at level
+#: 9) at seed 3, recorded together with ``GOLDEN_SUMMARIES``.
+GOLDEN_PARIAH_RECORD_SHA256 = "c583a4df513e570c98c9a7db0be0076fb629087bc5e57836c65ffc41ad0a3cee"
+
+
+class TestGoldenBits:
+    @pytest.mark.parametrize("levels, seed", list(GOLDEN_SUMMARIES))
+    def test_fixed_action_summary_bits(self, default_params, baseline, levels, seed):
+        s = run_fixed_actions_summary(
+            default_params, baseline, JointActions.uniform(27, *levels), seed
+        )
+        got = tuple(
+            float.hex(getattr(s, name))
+            for name in ("delta_t_end", "y_cum", "mean_total_reward", "final_carbon_total")
+        )
+        assert got == GOLDEN_SUMMARIES[levels, seed]
+
+    def test_pariah_record_bits(self, default_params, baseline):
+        policy = PariahOverridePolicy(IDEAL_TRADE_POLICY, target=0, tariff_level=9)
+        rec = run_episode(default_params, baseline, policy, 3)
+        digest = hashlib.sha256()
+        for field in dataclasses.fields(rec):
+            value = getattr(rec, field.name)
+            if isinstance(value, np.ndarray):
+                digest.update(field.name.encode())
+                digest.update(value.dtype.str.encode())
+                digest.update(repr(value.shape).encode())
+                digest.update(value.tobytes())
+        assert digest.hexdigest() == GOLDEN_PARIAH_RECORD_SHA256

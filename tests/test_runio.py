@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -72,6 +73,37 @@ class TestParseConfig:
     def test_type_error_named(self):
         with pytest.raises(ConfigError):
             parse_config('{"sim": {"dt_years": "five"}}')
+
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            ({"sim": {"theta2": "2.6"}}, "sim.theta2"),
+            ({"sim": {"theta3": False}}, "sim.theta3"),
+            ({"sim": {"theta3": float("inf")}}, "sim.theta3"),
+            ({"sim": {"depreciation": float("nan")}}, "sim.depreciation"),
+            ({"sim": {"horizon_years": 100.0}}, "sim.horizon_years"),
+            ({"sim": {"climate": {"initial_carbon_gtc": [850, 460]}}},
+             "sim.climate.initial_carbon_gtc"),
+            ({"sim": {"climate": {"initial_carbon_gtc": [850, 460, "x"]}}},
+             "sim.climate.initial_carbon_gtc[2]"),
+            ({"sim": {"negotiation": {"dimensions": "mitigation"}}}, "sim.negotiation.dimensions"),
+            ({"sim": {"negotiation": {"enabled": 1}}}, "sim.negotiation.enabled"),
+            ({"variant": {"damage_kind": 3}}, "variant.damage_kind"),
+            ({"variant": {"disaster": [2.0, 1.0]}}, "variant.disaster"),
+            ({"variant": {"disaster": {"threshold_degc": "2", "penalty": 1.0}}},
+             "variant.disaster.threshold_degc"),
+        ],
+    )
+    def test_field_types_follow_the_annotations(self, doc, key):
+        with pytest.raises(ConfigError, match=re.escape(key + ":")):
+            parse_config(json.dumps(doc))
+
+    def test_integers_accepted_for_floats_and_kept_as_given(self):
+        config = parse_config(json.dumps(
+            {"sim": {"theta3": 2, "climate": {"initial_carbon_gtc": [850, 460, 1740]}}}
+        ))
+        assert config.sim.theta3 == 2 and config.sim.climate.initial_carbon_gtc == (850, 460, 1740)
+        assert parse_config('{"variant": {"disaster": null}}').variant.disaster is None
 
 
 class TestCsv:

@@ -2,10 +2,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ricensim.stats import pearson, zscore_by_group
+
+
+def well_resolved(values) -> bool:
+    """The spread of ``values`` is a million ulps of their magnitude or more,
+    and its square is a normal float, so float64 resolves every deviation
+    from the mean to about 1e-6."""
+    v = np.asarray(values, dtype=np.float64)
+    spread = float(np.ptp(v))
+    return spread > 1e-150 and spread > 1e6 * np.finfo(np.float64).eps * float(np.abs(v).max())
 
 
 class TestPearson:
@@ -39,9 +48,22 @@ class TestPearson:
     @settings(max_examples=100)
     def test_affine_invariance(self, xs, scale, shift):
         ys = [scale * x + shift for x in xs]
+        # ``scale * x + shift`` rounds each y to float64; where the spread of
+        # ys is only a few ulps of their magnitude (xs=[0, 0, 7.4e-107],
+        # shift=5.7e-92) that rounding, not pearson, decides the correlation.
+        assume(well_resolved(xs) and well_resolved(ys))
         r = pearson(xs, ys)
         if r is not None:
             assert r == pytest.approx(1.0, abs=1e-6)
+
+    def test_affine_invariance_precondition(self):
+        # The draw that once failed: ys differ from ``shift`` by a few ulps,
+        # so their correlation with xs is 0.998, and the property skips it.
+        xs = [0.0, 0.0, 7.395239102886132e-107]
+        ys = [x + 5.665712317520721e-92 for x in xs]
+        assert pearson(xs, ys) < 0.999
+        assert well_resolved(xs) and not well_resolved(ys)
+        assert well_resolved([1.0, 2.0, 4.0]) and not well_resolved([1.0, 1.0 + 2**-52])
 
 
 class TestZScoreByGroup:
