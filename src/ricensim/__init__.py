@@ -2,7 +2,7 @@
 trade, tariffs, and a negotiation/masking protocol, plus the experiment
 harness that probes their reward structure."""
 
-from .actions import ACTION_DIMENSIONS, NUM_LEVELS, ActionSet, JointActions, level_to_rate
+from .actions import ACTION_DIMENSIONS, NUM_LEVELS, ActionSet, JointActions
 from .config import (
     ClimateParams,
     DisasterPenalty,
@@ -64,7 +64,6 @@ __all__ = [
     "VariantConfig",
     "World",
     "generate_regions",
-    "level_to_rate",
     "reset",
     "run_episode",
     "run_episode_summary",

@@ -14,16 +14,12 @@ NUM_LEVELS = 10
 ACTION_DIMENSIONS = ("savings", "mitigation", "export", "imports", "tariffs")
 
 
-def level_to_rate(level: int) -> float:
-    """Map a discrete action level in {0..9} to the rate level/10.
-
-    Level 9 is the maximum; a rate of 1.0 is not reachable.
-    """
+def check_level(name: str, level: int) -> None:
+    """Reject anything but an integer level in 0..9."""
     if not isinstance(level, (int, np.integer)) or isinstance(level, bool):
-        raise InvalidActionError(f"action level must be an integer, got {level!r}")
+        raise InvalidActionError(f"{name} level must be an integer, got {level!r}")
     if not 0 <= level < NUM_LEVELS:
-        raise InvalidActionError(f"action level {level} outside 0..{NUM_LEVELS - 1}")
-    return level / 10.0
+        raise InvalidActionError(f"{name} level {level} outside 0..{NUM_LEVELS - 1}")
 
 
 def levels_to_rates(levels: np.ndarray) -> np.ndarray:
@@ -46,24 +42,21 @@ class ActionSet:
     tariff_levels: tuple[int, ...]
 
     def validate(self, region: int, n_regions: int) -> None:
-        for name, lvl in (
-            ("savings", self.savings_level),
-            ("mitigation", self.mitigation_level),
-            ("export", self.max_export_level),
-        ):
-            if not 0 <= lvl < NUM_LEVELS:
-                raise InvalidActionError(f"region {region}: {name} level {lvl} out of range")
-        for name, vec in (("imports", self.import_levels), ("tariffs", self.tariff_levels)):
-            if len(vec) != n_regions:
-                raise InvalidActionError(
-                    f"region {region}: {name} vector has length {len(vec)}, expected {n_regions}"
-                )
-            if min(vec) < 0 or max(vec) >= NUM_LEVELS:
-                raise InvalidActionError(f"region {region}: {name} level out of range")
-            if vec[region] != 0:
-                raise InvalidActionError(
-                    f"region {region}: self entry of {name} vector must be 0"
-                )
+        try:
+            check_level("savings", self.savings_level)
+            check_level("mitigation", self.mitigation_level)
+            check_level("export", self.max_export_level)
+            for name, vec in (("imports", self.import_levels), ("tariffs", self.tariff_levels)):
+                if len(vec) != n_regions:
+                    raise InvalidActionError(
+                        f"{name} vector has length {len(vec)}, expected {n_regions}"
+                    )
+                check_level(name, min(vec))
+                check_level(name, max(vec))
+                if vec[region] != 0:
+                    raise InvalidActionError(f"self entry of {name} vector must be 0")
+        except InvalidActionError as exc:
+            raise InvalidActionError(f"region {region}: {exc}") from None
 
 
 class JointActions:
@@ -135,15 +128,8 @@ class JointActions:
         tariffs: int,
     ) -> "JointActions":
         """Identical levels for every region (diagonals forced to zero)."""
-        for name, lvl in (
-            ("savings", savings),
-            ("mitigation", mitigation),
-            ("export", export),
-            ("imports", imports),
-            ("tariffs", tariffs),
-        ):
-            if not 0 <= lvl < NUM_LEVELS:
-                raise InvalidActionError(f"{name} level {lvl} out of range")
+        for name, lvl in zip(ACTION_DIMENSIONS, (savings, mitigation, export, imports, tariffs)):
+            check_level(name, lvl)
         off_diag = 1 - np.eye(n_regions, dtype=np.int64)
         return cls(
             savings=np.full(n_regions, savings),
@@ -151,15 +137,6 @@ class JointActions:
             export=np.full(n_regions, export),
             imports=imports * off_diag,
             tariffs=tariffs * off_diag,
-        )
-
-    def region(self, i: int) -> ActionSet:
-        return ActionSet(
-            savings_level=int(self.savings[i]),
-            mitigation_level=int(self.mitigation[i]),
-            max_export_level=int(self.export[i]),
-            import_levels=tuple(int(v) for v in self.imports[i]),
-            tariff_levels=tuple(int(v) for v in self.tariffs[i]),
         )
 
     def validate(self) -> None:

@@ -88,4 +88,6 @@ def step_temperature(
         forcing - feedback * t_atmosphere - c3 * (t_atmosphere - t_ocean)
     )
     t_lo = t_ocean + c4 * (t_atmosphere - t_ocean)
+    if not (math.isfinite(t_at) and math.isfinite(t_lo)):
+        raise DomainError(f"temperature step left the finite range: ({t_at}, {t_lo})")
     return t_at, t_lo

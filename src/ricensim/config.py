@@ -5,6 +5,7 @@ time; anything invalid raises :class:`ConfigError` naming the offending key.
 """
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, DomainError
@@ -82,6 +83,22 @@ class ClimateParams:
             "all reservoirs must be > 0",
         )
         _require(self.forcing_ramp_years > 0, "climate.forcing_ramp_years", "must be > 0")
+        # One step of the two-box model maps the temperatures (T_at, T_lo)
+        # through the matrix [[a, b], [c, d]] (plus forcing); unless the
+        # larger modulus of its eigenvalues is below 1 they oscillate or grow
+        # without bound.
+        c1, c3, c4 = self.heat_capacity_c1, self.atm_ocean_exchange_c3, self.ocean_uptake_c4
+        (a, b), (c, d) = [[1 - c1 * (self.temperature_feedback + c3), c1 * c3], [c4, 1 - c4]]
+        half_trace = (a + d) / 2
+        root = cmath.sqrt(half_trace * half_trace - (a * d - b * c))
+        radius = max(abs(half_trace + root), abs(half_trace - root))
+        _require(
+            radius < 1,
+            "climate.heat_capacity_c1",
+            f"the two-box temperature step has spectral radius {radius:.3g}, not below 1, "
+            "with atm_ocean_exchange_c3, ocean_uptake_c4 and temperature_feedback; "
+            "temperatures would diverge",
+        )
 
 
 @dataclass(frozen=True)

@@ -38,15 +38,6 @@ class Observation:
 
     region: int
     n_regions: int
-    step: int
-    year: float
-    t_atmosphere: float
-    capital: float
-    labor: float
-    productivity: float
-    emission_intensity: float
-    balance: float
-    mean_other_mitigation_prev: float
 
 
 @dataclass
@@ -81,21 +72,7 @@ class World:
         return self.params.n_regions
 
     def observation(self, region: int) -> Observation:
-        n = self.n_regions
-        others = (self.mitigation_prev.sum() - self.mitigation_prev[region]) / (n - 1)
-        return Observation(
-            region=region,
-            n_regions=n,
-            step=self.t,
-            year=self.t * self.params.dt_years,
-            t_atmosphere=self.t_atmosphere,
-            capital=float(self.capital[region]),
-            labor=float(self.labor[region]),
-            productivity=float(self.productivity[region]),
-            emission_intensity=float(self.intensity[region]),
-            balance=float(self.balance[region]),
-            mean_other_mitigation_prev=float(others),
-        )
+        return Observation(region=region, n_regions=self.n_regions)
 
     def masks(self) -> list[ActionMask] | None:
         """Binding masks for the upcoming step, or None when unconstrained.
@@ -103,10 +80,16 @@ class World:
         With mask enforcement switched off, commitments are still recorded
         but nothing constrains the actions, so policies see no mask.
         """
-        neg = self.params.negotiation
-        if not (neg.enabled and neg.enforce_masks) or self.commitments is None:
+        if not _masks_bind(self):
             return None
-        return [build_mask(int(c), neg.dimensions) for c in self.commitments]
+        dims = self.params.negotiation.dimensions
+        return [build_mask(int(c), dims) for c in self.commitments]
+
+
+def _masks_bind(world: World) -> bool:
+    """Whether the world's commitments constrain the upcoming step."""
+    neg = world.params.negotiation
+    return neg.enabled and neg.enforce_masks and world.commitments is not None
 
 
 def _draw_commitments(params: SimParams, episode_seed: int, t: int) -> np.ndarray:
@@ -115,7 +98,7 @@ def _draw_commitments(params: SimParams, episode_seed: int, t: int) -> np.ndarra
         np.random.SeedSequence([int(episode_seed), _NEGOTIATION_STREAM, int(t)])
     )
     proposals = rng.integers(0, 10, size=params.n_regions)
-    return commitments_from_arrays(proposals, None)
+    return commitments_from_arrays(proposals)
 
 
 def reset(params: SimParams, variant: VariantConfig, seed: int | None = None) -> World:
@@ -175,11 +158,10 @@ class StepResult:
 
 
 def _enforce_masks(world: World, actions: JointActions) -> None:
-    neg = world.params.negotiation
-    if not (neg.enabled and neg.enforce_masks) or world.commitments is None:
+    if not _masks_bind(world):
         return
     dim_levels = {"mitigation": actions.mitigation, "savings": actions.savings}
-    for dim in neg.dimensions:
+    for dim in world.params.negotiation.dimensions:
         levels = dim_levels[dim]
         below = np.flatnonzero(levels < world.commitments)
         if below.size:

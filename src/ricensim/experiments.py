@@ -29,8 +29,6 @@ _MASKING_STREAM = 0x4D44
 
 SWEEP_METRICS = ("climate_index", "economic_index", "reward")
 
-PARIAH_CONDITIONS = ("pariah@5", "pariah@7", "pariah@9", "control", "free_trade")
-
 
 def sweep_grid_levels(grid: int) -> tuple[int, ...]:
     """Evenly spaced levels for a grid of the given size (4 -> 0,3,6,9)."""
@@ -189,16 +187,6 @@ class PariahResult:
     seed: int
 
 
-def _condition_override(condition: str) -> int | None:
-    if condition.startswith("pariah@"):
-        return int(condition.split("@", 1)[1])
-    if condition == "control":
-        return None
-    if condition == "free_trade":
-        return 0
-    raise ConfigError(f"unknown pariah condition {condition!r}")
-
-
 def pariah_experiment(
     params: SimParams,
     variant: VariantConfig,
@@ -216,7 +204,10 @@ def pariah_experiment(
     """
     if runs < 1:
         raise ConfigError(f"runs: must be >= 1, got {runs}")
-    conditions = tuple(f"pariah@{k}" for k in tariff_levels) + ("control", "free_trade")
+    # Each condition's name and the tariff level it forces toward the subject.
+    overrides = [(f"pariah@{k}", k) for k in tariff_levels]
+    overrides += [("control", None), ("free_trade", 0)]
+    conditions = tuple(c for c, _ in overrides)
 
     run_subjects = np.zeros(runs, dtype=np.int64)
     run_seeds = np.zeros(runs, dtype=np.int64)
@@ -227,8 +218,7 @@ def pariah_experiment(
 
     rewards = {c: np.zeros(runs) for c in conditions}
     realized_levels = {c: np.zeros(runs) for c in conditions}
-    for c in conditions:
-        override = _condition_override(c)
+    for c, override in overrides:
         for r in range(runs):
             subject = int(run_subjects[r])
             policy = PariahOverridePolicy(IDEAL_TRADE_POLICY, subject, override)
@@ -387,7 +377,7 @@ def commitment_statistics(
         raise ConfigError(f"episodes: must be >= 1, got {episodes}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, _MASKING_STREAM]))
     proposals = rng.integers(0, NUM_LEVELS, size=(episodes, steps, n_regions))
-    commitments = commitments_from_arrays(proposals, None)[..., 0]  # same for every region
+    commitments = commitments_from_arrays(proposals)[..., 0]  # same for every region
     realized = commitments[..., None] + np.floor(
         rng.random(size=(episodes, steps, n_regions))
         * (NUM_LEVELS - commitments)[..., None]

@@ -1,115 +1,49 @@
-"""Proposal/evaluation protocol, commitments, and action masking.
+"""Commitments and action masking.
 
-Each step every region broadcasts one proposed mitigation level and an
-accept/reject vector over all proposals. A region commits to the maximum
-level among the proposals it accepted (zero if it accepted none), and masks
-then forbid all levels below the commitment in the negotiated dimensions.
-Committing to the maximum of many near-random draws is what drives
-commitments toward the top of the level range as the region count grows.
+Each step every region proposes a mitigation level and accepts every
+proposal, so every region commits to the maximum proposal. A commitment
+forbids the levels below it in the negotiated dimensions and nothing else,
+so a mask is one integer floor per action dimension. Committing to the
+maximum of many near-random draws is what drives commitments toward the top
+of the level range as the region count grows.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .actions import NUM_LEVELS
-from .errors import InvalidActionError, ProtocolError
-
-
-@dataclass(frozen=True)
-class Proposal:
-    """One region's proposed mitigation level for the current step."""
-
-    proposer: int
-    level: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.level < NUM_LEVELS:
-            raise InvalidActionError(f"proposal level {self.level} outside 0..9")
-
-
-@dataclass(frozen=True)
-class Evaluation:
-    """One region's accept/reject vector over all proposals (own included)."""
-
-    evaluator: int
-    accept: tuple[bool, ...]
-
-
-def _full_mask() -> np.ndarray:
-    return np.ones(NUM_LEVELS, dtype=bool)
+from .actions import NUM_LEVELS, check_level
+from .errors import ProtocolError
 
 
 @dataclass(frozen=True)
 class ActionMask:
-    """Permitted levels per action dimension; True means allowed."""
+    """Lowest permitted level per action dimension; 0 permits every level."""
 
-    savings: np.ndarray = field(default_factory=_full_mask)
-    mitigation: np.ndarray = field(default_factory=_full_mask)
-    export: np.ndarray = field(default_factory=_full_mask)
-    imports: np.ndarray = field(default_factory=_full_mask)
-    tariffs: np.ndarray = field(default_factory=_full_mask)
-
-    def __post_init__(self) -> None:
-        for name in ("savings", "mitigation", "export", "imports", "tariffs"):
-            vec = getattr(self, name)
-            if vec.shape != (NUM_LEVELS,):
-                raise ProtocolError(f"{name} mask must have {NUM_LEVELS} entries")
-            if not vec.any():
-                raise ProtocolError(f"{name} mask permits no level")
-
-    def dimension(self, name: str) -> np.ndarray:
-        return getattr(self, name)
+    savings: int = 0
+    mitigation: int = 0
+    export: int = 0
+    imports: int = 0
+    tariffs: int = 0
 
 
-def commitments_from_arrays(
-    proposal_levels: np.ndarray, accept: np.ndarray | None
-) -> np.ndarray:
-    """Vectorized commitment computation.
-
-    ``accept[i, j]`` says region i accepts region j's proposal; ``None``
-    means everyone accepts everything. Returns per-region committed levels.
-    """
+def commitments_from_arrays(proposal_levels: np.ndarray) -> np.ndarray:
+    """Per-region committed levels under all-accept evaluations: every region
+    commits to the overall maximum. Supports batched proposals of shape
+    (..., n)."""
     p = np.asarray(proposal_levels)
-    if accept is None:
-        # All-accept: every region commits to the overall maximum. Supports
-        # batched proposals of shape (..., n).
-        return np.broadcast_to(p.max(axis=-1, keepdims=True), p.shape).copy()
-    masked = np.where(accept, p[None, :], -1)
-    return np.maximum(masked.max(axis=1), 0)
-
-
-def commitments(proposals: list[Proposal], evaluations: list[Evaluation]) -> list[int]:
-    """Committed level per region: the maximum accepted proposal, else 0."""
-    n = len(proposals)
-    if len(evaluations) != n:
-        raise ProtocolError(
-            f"got {len(evaluations)} evaluations for {n} proposals"
-        )
-    levels = np.array([p.level for p in proposals])
-    accept = np.zeros((n, n), dtype=bool)
-    for ev in evaluations:
-        if len(ev.accept) != n:
-            raise ProtocolError(
-                f"evaluation of region {ev.evaluator} has length {len(ev.accept)}, expected {n}"
-            )
-        accept[ev.evaluator] = ev.accept
-    return [int(c) for c in commitments_from_arrays(levels, accept)]
+    return np.broadcast_to(p.max(axis=-1, keepdims=True), p.shape).copy()
 
 
 def build_mask(committed_level: int, dimensions: tuple[str, ...] = ("mitigation",)) -> ActionMask:
-    """Mask forbidding levels below the commitment in the negotiated dimensions."""
-    if not 0 <= committed_level < NUM_LEVELS:
-        raise InvalidActionError(f"commitment level {committed_level} outside 0..9")
-    floor_vec = np.arange(NUM_LEVELS) >= committed_level
-    parts = {dim: floor_vec.copy() for dim in dimensions}
-    return ActionMask(**parts)
+    """Mask whose floor is the commitment in the negotiated dimensions."""
+    check_level("commitment", committed_level)
+    return ActionMask(**dict.fromkeys(dimensions, committed_level))
 
 
-def masked_sample(mask_vector: np.ndarray, rng: np.random.Generator) -> int:
-    """Uniform draw over the permitted levels of one dimension."""
-    permitted = np.flatnonzero(mask_vector)
-    if permitted.size == 0:
-        raise ProtocolError("mask permits no level to sample from")
-    return int(permitted[rng.integers(permitted.size)])
+def masked_sample(floor: int, rng: np.random.Generator) -> int:
+    """Uniform draw over the levels from ``floor`` up to the top one."""
+    if not 0 <= floor < NUM_LEVELS:
+        raise ProtocolError(f"floor {floor} permits no level to sample from")
+    return floor + int(rng.integers(NUM_LEVELS - floor))

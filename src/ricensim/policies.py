@@ -1,29 +1,25 @@
 """Scripted policies used by the experiments.
 
-Policies are immutable values. ``act`` always honors the supplied mask:
-fixed policies snap a forbidden level up to the nearest permitted one
-(masking overrides intent), random policies sample uniformly over what is
-permitted.
+Policies are immutable values. ``act`` always honors the supplied mask, a
+floor per action dimension: fixed policies raise a level below its floor to
+the floor (masking overrides intent), random policies draw uniformly from
+the floor up.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-import numpy as np
-
-from .actions import NUM_LEVELS, ActionSet
-from .errors import InvalidActionError
+from .actions import ACTION_DIMENSIONS, ActionSet, check_level
 from .negotiation import ActionMask, masked_sample
 
+#: The mask of an unconstrained step: every floor at 0.
+_NO_MASK = ActionMask()
 
-def snap_to_mask(level: int, mask_vector: np.ndarray) -> int:
-    """Desired level if permitted, else the nearest permitted level above
-    (falling back to the highest permitted one)."""
-    if mask_vector[level]:
-        return level
-    permitted = np.flatnonzero(mask_vector)
-    above = permitted[permitted > level]
-    return int(above[0]) if above.size else int(permitted[-1])
+
+def _partner_vector(observation, level: int) -> tuple[int, ...]:
+    """``level`` toward every other region, 0 toward the region itself."""
+    region = observation.region
+    return tuple(0 if j == region else level for j in range(observation.n_regions))
 
 
 @dataclass(frozen=True)
@@ -41,35 +37,17 @@ class FixedLevelsPolicy:
     is_static = True
 
     def __post_init__(self) -> None:
-        for name in ("savings", "mitigation", "export", "imports", "tariffs"):
-            lvl = getattr(self, name)
-            if not 0 <= lvl < NUM_LEVELS:
-                raise InvalidActionError(f"{name} level {lvl} outside 0..9")
+        for name in ACTION_DIMENSIONS:
+            check_level(name, getattr(self, name))
 
     def act(self, observation, mask: ActionMask | None, rng) -> ActionSet:
-        region = observation.region
-        n = observation.n_regions
-        levels = {
-            "savings": self.savings,
-            "mitigation": self.mitigation,
-            "export": self.export,
-            "imports": self.imports,
-            "tariffs": self.tariffs,
-        }
-        if mask is not None:
-            levels = {
-                name: snap_to_mask(lvl, mask.dimension(name)) for name, lvl in levels.items()
-            }
-
-        def vector(lvl: int) -> tuple[int, ...]:
-            return tuple(0 if j == region else lvl for j in range(n))
-
+        floor = _NO_MASK if mask is None else mask
         return ActionSet(
-            savings_level=levels["savings"],
-            mitigation_level=levels["mitigation"],
-            max_export_level=levels["export"],
-            import_levels=vector(levels["imports"]),
-            tariff_levels=vector(levels["tariffs"]),
+            savings_level=max(self.savings, floor.savings),
+            mitigation_level=max(self.mitigation, floor.mitigation),
+            max_export_level=max(self.export, floor.export),
+            import_levels=_partner_vector(observation, max(self.imports, floor.imports)),
+            tariff_levels=_partner_vector(observation, max(self.tariffs, floor.tariffs)),
         )
 
 
@@ -85,27 +63,14 @@ class UniformRandomPolicy:
 
     is_static = False
 
-    def act(self, observation, mask: ActionMask | None, rng: np.random.Generator) -> ActionSet:
-        region = observation.region
-        n = observation.n_regions
-
-        def draw(name: str) -> int:
-            if mask is None:
-                return int(rng.integers(NUM_LEVELS))
-            return masked_sample(mask.dimension(name), rng)
-
-        def vector(lvl: int) -> tuple[int, ...]:
-            return tuple(0 if j == region else lvl for j in range(n))
-
-        savings = draw("savings")
-        mitigation = draw("mitigation")
-        export = draw("export")
+    def act(self, observation, mask: ActionMask | None, rng) -> ActionSet:
+        floor = _NO_MASK if mask is None else mask
         return ActionSet(
-            savings_level=savings,
-            mitigation_level=mitigation,
-            max_export_level=export,
-            import_levels=vector(draw("imports")),
-            tariff_levels=vector(draw("tariffs")),
+            savings_level=masked_sample(floor.savings, rng),
+            mitigation_level=masked_sample(floor.mitigation, rng),
+            max_export_level=masked_sample(floor.export, rng),
+            import_levels=_partner_vector(observation, masked_sample(floor.imports, rng)),
+            tariff_levels=_partner_vector(observation, masked_sample(floor.tariffs, rng)),
         )
 
 
@@ -120,8 +85,8 @@ class PariahOverridePolicy:
     tariff_level: int | None
 
     def __post_init__(self) -> None:
-        if self.tariff_level is not None and not 0 <= self.tariff_level < NUM_LEVELS:
-            raise InvalidActionError(f"override tariff level {self.tariff_level} outside 0..9")
+        if self.tariff_level is not None:
+            check_level("override tariff", self.tariff_level)
 
     @property
     def is_static(self) -> bool:
@@ -129,15 +94,8 @@ class PariahOverridePolicy:
 
     def act(self, observation, mask: ActionMask | None, rng) -> ActionSet:
         base_action = self.base.act(observation, mask, rng)
-        region = observation.region
-        if self.tariff_level is None or region == self.target:
+        if self.tariff_level is None or observation.region == self.target:
             return base_action
         tariffs = list(base_action.tariff_levels)
         tariffs[self.target] = self.tariff_level
-        return ActionSet(
-            savings_level=base_action.savings_level,
-            mitigation_level=base_action.mitigation_level,
-            max_export_level=base_action.max_export_level,
-            import_levels=base_action.import_levels,
-            tariff_levels=tuple(tariffs),
-        )
+        return replace(base_action, tariff_levels=tuple(tariffs))

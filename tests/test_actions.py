@@ -8,38 +8,50 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ricensim import SimParams, VariantConfig
-from ricensim.actions import ActionSet, JointActions, level_to_rate
-from ricensim.engine import reset, step
+from ricensim.actions import ActionSet, JointActions, check_level, levels_to_rates
+from ricensim.engine import Observation, reset, step
 from ricensim.errors import InvalidActionError
+from ricensim.policies import FixedLevelsPolicy
 
 
 class TestLevelToRate:
+    """The level -> rate map ``levels_to_rates`` and the level check."""
+
     def test_maximum_level_is_point_nine(self):
-        assert level_to_rate(9) == 0.9
+        assert levels_to_rates(np.array([9]))[0] == 0.9
 
     def test_zero_level(self):
-        assert level_to_rate(0) == 0.0
+        assert levels_to_rates(np.array([0]))[0] == 0.0
 
     def test_savings_style_level(self):
-        assert level_to_rate(3) == 0.3
+        assert levels_to_rates(np.array([3]))[0] == 0.3
 
     @pytest.mark.parametrize("bad", [-1, 10, 42])
     def test_out_of_range_rejected(self, bad):
-        with pytest.raises(InvalidActionError):
-            level_to_rate(bad)
+        with pytest.raises(InvalidActionError, match=f"savings level {bad} outside 0..9"):
+            check_level("savings", bad)
 
     def test_non_integer_rejected(self):
-        with pytest.raises(InvalidActionError):
-            level_to_rate(0.5)
+        for bad in (0.5, 3.0, True, "3", None):
+            with pytest.raises(InvalidActionError, match="must be an integer"):
+                check_level("savings", bad)
+        check_level("savings", np.int64(3))
 
     def test_injective_and_monotone(self):
-        rates = [level_to_rate(k) for k in range(10)]
+        rates = levels_to_rates(np.arange(10)).tolist()
         assert len(set(rates)) == 10
         assert rates == sorted(rates)
 
     @given(st.integers(min_value=0, max_value=9))
     def test_rate_is_level_over_ten(self, level):
-        assert level_to_rate(level) == level / 10
+        check_level("savings", level)
+        assert levels_to_rates(np.array([level]))[0] == level / 10
+
+
+def policy_sets(n: int, *levels: int) -> list[ActionSet]:
+    """Every region's set under one fixed policy."""
+    policy = FixedLevelsPolicy(*levels)
+    return [policy.act(Observation(region=i, n_regions=n), None, None) for i in range(n)]
 
 
 class TestActionSet:
@@ -65,12 +77,18 @@ class TestJointActions:
         assert np.all(np.diag(j.tariffs) == 0)
         assert np.all(j.imports[0, 1:] == 5)
         j.validate()
+        for bad in (-1, 10, 2.5):
+            with pytest.raises(InvalidActionError, match="tariffs level"):
+                JointActions.uniform(4, savings=1, mitigation=2, export=3, imports=5, tariffs=bad)
 
     def test_round_trip_region_view(self):
         j = JointActions.uniform(3, savings=1, mitigation=2, export=3, imports=5, tariffs=7)
-        a = j.region(1)
-        assert a.savings_level == 1
-        assert a.import_levels == (5, 0, 5)
+        sets = policy_sets(3, 1, 2, 3, 5, 7)
+        assert sets[1].savings_level == 1
+        assert sets[1].import_levels == (5, 0, 5)
+        joint = JointActions.from_action_sets(sets)
+        for name in ("savings", "mitigation", "export", "imports", "tariffs"):
+            assert np.array_equal(getattr(joint, name), getattr(j, name)), name
 
     def test_from_action_sets_validates(self):
         sets = [
@@ -135,17 +153,21 @@ class TestJointActions:
             clone.validate()
 
     def test_from_action_sets_result_passes_validate(self):
-        sets = [JointActions.uniform(4, 1, 2, 3, 5, 7).region(i) for i in range(4)]
+        sets = policy_sets(4, 1, 2, 3, 5, 7)
         j = JointActions.from_action_sets(sets)
         j.validate()
         # The checks it skips would pass on a copy that runs them.
         JointActions(j.savings, j.mitigation, j.export, j.imports, j.tariffs).validate()
-        assert all(j.region(i) == sets[i] for i in range(4))
+        for i, a in enumerate(sets):
+            assert j.savings[i] == a.savings_level and j.mitigation[i] == a.mitigation_level
+            assert j.export[i] == a.max_export_level
+            assert tuple(j.imports[i]) == a.import_levels
+            assert tuple(j.tariffs[i]) == a.tariff_levels
 
 
 def _sets_with(region, **changes):
     """Three valid sets, one field of one region's set replaced."""
-    sets = [JointActions.uniform(3, 1, 2, 3, 5, 7).region(i) for i in range(3)]
+    sets = policy_sets(3, 1, 2, 3, 5, 7)
     sets[region] = dataclasses.replace(sets[region], **changes)
     return sets
 

@@ -139,6 +139,11 @@ class TestErrors:
             ({"sim": {"n_regions": True}}, "sim.n_regions"),
             ({"sim": {"region_seed": -1}}, "region_seed"),
             ({"sim": {"dt_years": 25}}, "dt_years"),
+            (
+                {"sim": {"horizon_years": 500, "climate": {"heat_capacity_c1": 50}},
+                 "experiment": "episode"},
+                "climate.heat_capacity_c1",
+            ),
         ],
     )
     def test_bad_option_or_seed_is_a_config_error(self, tmp_path, capsys, doc, key):
@@ -148,8 +153,19 @@ class TestErrors:
         cfg = tmp_path / "bad.json"
         cfg.write_text(text)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
-        assert key in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
+
+    def test_non_finite_temperature_exits_two(self, tmp_path, capsys):
+        # Stable two-box parameters, but the forcing overflows to infinity.
+        cfg = tmp_path / "hot.json"
+        cfg.write_text(json.dumps(
+            {"sim": {"climate": {"forcing_per_doubling": 1e308}}, "experiment": "episode"}
+        ))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "temperature" in err and "Traceback" not in err
 
     def test_negative_seed_flag_is_a_config_error(self, tmp_path, capsys):
         assert main(["calibrate", "--seed", "-1", "--out", str(tmp_path / "o")]) == 1

@@ -13,7 +13,7 @@ from ricensim.climate import (
     step_temperature,
 )
 from ricensim.config import ClimateParams
-from ricensim.errors import DomainError
+from ricensim.errors import ConfigError, DomainError
 
 CP = ClimateParams()
 PHI = carbon_transfer_matrix(CP, 5)
@@ -97,6 +97,21 @@ class TestForcing:
 
 class TestTemperature:
     C = dict(c1=0.1005, c3=0.088, c4=0.025, feedback=1.1875)
+
+    def test_non_finite_step_rejected(self):
+        with pytest.raises(DomainError, match="finite"):
+            step_temperature(1.0, 0.3, math.inf, **self.C)
+        with pytest.raises(DomainError, match="finite"):
+            step_temperature(1e308, 0.3, 0.0, c1=50.0, c3=0.088, c4=0.025, feedback=1.1875)
+
+    def test_unstable_two_box_parameters_rejected(self):
+        # The default step contracts (spectral radius 0.977), and so does
+        # c1 = 1.55 (0.979); c1 = 1.6 gives 1.04 and c1 = 50 gives 62.8.
+        for c1 in (0.1005, 1.55):
+            ClimateParams(heat_capacity_c1=c1)
+        for c1 in (1.6, 50.0, math.inf, math.nan):
+            with pytest.raises(ConfigError, match="climate.heat_capacity_c1"):
+                ClimateParams(heat_capacity_c1=c1)
 
     def test_cold_dark_fixed_point(self):
         assert step_temperature(0.0, 0.0, 0.0, **self.C) == (0.0, 0.0)

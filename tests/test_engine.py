@@ -232,6 +232,49 @@ GOLDEN_SUMMARIES = {
 GOLDEN_PARIAH_RECORD_SHA256 = "c583a4df513e570c98c9a7db0be0076fb629087bc5e57836c65ffc41ad0a3cee"
 
 
+#: SHA-256 of the ``run_episode`` record of each negotiated episode on the
+#: default world at seed 3, keyed by (policy, negotiated dimensions,
+#: ``enforce_masks``). The fixed policy's mitigation (2) and savings (1) sit
+#: below most commitments, so the floor moves its levels whenever masks bind.
+#: Recorded before masks became integer floors.
+GOLDEN_NEGOTIATED_RECORD_SHA256 = {
+    ("random", ("mitigation",), True):
+        "95e279a26065216be1209c301f2aaa9af16a489093b36d9341c5a9df156f4dda",
+    ("random", ("mitigation",), False):
+        "fd72be9a5efc3ead8711fc68b84fbbe3faee0344683d6e0eba6eaaab764b75bd",
+    ("random", ("savings", "mitigation"), True):
+        "59d834d741076d2ccc194966665cbb7750683d339f0b68273b903bc9d322ecc4",
+    ("random", ("savings", "mitigation"), False):
+        "fd72be9a5efc3ead8711fc68b84fbbe3faee0344683d6e0eba6eaaab764b75bd",
+    ("fixed", ("mitigation",), True):
+        "4ac49911cc24d89df80a0e06d4f8fe1a63dda199a3a87563ba45394c7b560382",
+    ("fixed", ("mitigation",), False):
+        "a69de70dc7d94c761de18fb220d08f67efc17758c49a9b5bc806af9a69bccf8e",
+    ("fixed", ("savings", "mitigation"), True):
+        "1fa5a7927cd08506aef643f084f24ea52bc438a10582ac4b209ab3f29a2ed1f5",
+    ("fixed", ("savings", "mitigation"), False):
+        "a69de70dc7d94c761de18fb220d08f67efc17758c49a9b5bc806af9a69bccf8e",
+}
+
+NEGOTIATED_POLICIES = {
+    "random": UniformRandomPolicy(),
+    "fixed": FixedLevelsPolicy(savings=1, mitigation=2, export=9, imports=9, tariffs=0),
+}
+
+
+def record_digest(rec) -> str:
+    """SHA-256 over the name, dtype, shape and bytes of every array field."""
+    digest = hashlib.sha256()
+    for field in dataclasses.fields(rec):
+        value = getattr(rec, field.name)
+        if isinstance(value, np.ndarray):
+            digest.update(field.name.encode())
+            digest.update(value.dtype.str.encode())
+            digest.update(repr(value.shape).encode())
+            digest.update(value.tobytes())
+    return digest.hexdigest()
+
+
 class TestGoldenBits:
     @pytest.mark.parametrize("levels, seed", list(GOLDEN_SUMMARIES))
     def test_fixed_action_summary_bits(self, default_params, baseline, levels, seed):
@@ -247,12 +290,16 @@ class TestGoldenBits:
     def test_pariah_record_bits(self, default_params, baseline):
         policy = PariahOverridePolicy(IDEAL_TRADE_POLICY, target=0, tariff_level=9)
         rec = run_episode(default_params, baseline, policy, 3)
-        digest = hashlib.sha256()
-        for field in dataclasses.fields(rec):
-            value = getattr(rec, field.name)
-            if isinstance(value, np.ndarray):
-                digest.update(field.name.encode())
-                digest.update(value.dtype.str.encode())
-                digest.update(repr(value.shape).encode())
-                digest.update(value.tobytes())
-        assert digest.hexdigest() == GOLDEN_PARIAH_RECORD_SHA256
+        assert record_digest(rec) == GOLDEN_PARIAH_RECORD_SHA256
+
+    @pytest.mark.parametrize("case", list(GOLDEN_NEGOTIATED_RECORD_SHA256))
+    def test_negotiated_record_bits(self, default_params, baseline, case):
+        policy, dimensions, enforce = case
+        params = dataclasses.replace(
+            default_params,
+            negotiation=NegotiationConfig(
+                enabled=True, dimensions=dimensions, enforce_masks=enforce
+            ),
+        )
+        rec = run_episode(params, baseline, NEGOTIATED_POLICIES[policy], 3)
+        assert record_digest(rec) == GOLDEN_NEGOTIATED_RECORD_SHA256[case]

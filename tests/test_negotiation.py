@@ -5,13 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ricensim.actions import NUM_LEVELS
 from ricensim.errors import InvalidActionError, ProtocolError
 from ricensim.negotiation import (
     ActionMask,
-    Evaluation,
-    Proposal,
     build_mask,
-    commitments,
     commitments_from_arrays,
     masked_sample,
 )
@@ -24,105 +22,92 @@ def max_level_oracle_mean(n: int, levels: int = 10) -> float:
     )
 
 
-def proposals(levels):
-    return [Proposal(i, lvl) for i, lvl in enumerate(levels)]
-
-
 class TestCommitments:
-    def test_all_reject_commits_to_zero(self):
-        evs = [Evaluation(i, (False, False, False)) for i in range(3)]
-        assert commitments(proposals([3, 9, 5]), evs) == [0, 0, 0]
-
     def test_max_of_accepted(self):
-        evs = [
-            Evaluation(0, (False, True, True)),
-            Evaluation(1, (True, True, True)),
-            Evaluation(2, (False, False, False)),
-        ]
-        assert commitments(proposals([3, 9, 5]), evs) == [9, 9, 0]
-
-    def test_singleton_acceptance(self):
-        evs = [
-            Evaluation(0, (False, False, True)),
-            Evaluation(1, (False, False, False)),
-            Evaluation(2, (False, False, False)),
-        ]
-        assert commitments(proposals([3, 9, 5]), evs)[0] == 5
-
-    def test_mismatched_lengths_rejected(self):
-        with pytest.raises(ProtocolError):
-            commitments(proposals([1, 2]), [Evaluation(0, (True, True))])
-        with pytest.raises(ProtocolError):
-            commitments(
-                proposals([1, 2]),
-                [Evaluation(0, (True,)), Evaluation(1, (True, False))],
-            )
+        # Every region accepts every proposal, so all commit to the maximum.
+        assert commitments_from_arrays(np.array([3, 9, 5])).tolist() == [9, 9, 9]
 
     def test_all_accept_fast_path_matches_matrix_path(self):
+        # Region i commits to the maximum proposal it accepts; with an
+        # all-ones acceptance matrix that is the overall maximum.
         rng = np.random.default_rng(0)
         levels = rng.integers(0, 10, size=8)
-        fast = commitments_from_arrays(levels, None)
-        full = commitments_from_arrays(levels, np.ones((8, 8), dtype=bool))
-        assert np.array_equal(fast, full)
+        accept = np.ones((8, 8), dtype=bool)
+        by_matrix = np.maximum(np.where(accept, levels[None, :], -1).max(axis=1), 0)
+        assert np.array_equal(commitments_from_arrays(levels), by_matrix)
 
-    def test_proposal_level_validated(self):
-        with pytest.raises(InvalidActionError):
-            Proposal(0, 10)
+    def test_batched_proposals_commit_per_row(self):
+        proposals = np.random.default_rng(1).integers(0, 10, size=(3, 5, 4))
+        batched = commitments_from_arrays(proposals)
+        assert batched.shape == proposals.shape
+        for index in np.ndindex(3, 5):
+            assert np.array_equal(batched[index], commitments_from_arrays(proposals[index]))
 
 
 class TestBuildMask:
     def test_commitment_floor(self):
         mask = build_mask(7, ("mitigation",))
-        assert list(mask.mitigation) == [False] * 7 + [True] * 3
-        assert mask.savings.all()
-        assert mask.tariffs.all()
+        assert mask.mitigation == 7
+        assert mask.savings == 0
+        assert mask.tariffs == 0
 
     def test_zero_commitment_unconstrained(self):
-        mask = build_mask(0)
-        assert mask.mitigation.all()
+        assert build_mask(0) == ActionMask()
 
     def test_top_commitment_single_level(self):
-        mask = build_mask(9)
-        assert list(mask.mitigation) == [False] * 9 + [True]
+        assert build_mask(9).mitigation == NUM_LEVELS - 1
 
     def test_dimension_selection(self):
         mask = build_mask(4, ("savings", "mitigation"))
-        assert not mask.savings[:4].any()
-        assert not mask.mitigation[:4].any()
-        assert mask.export.all()
+        assert (mask.savings, mask.mitigation) == (4, 4)
+        assert (mask.export, mask.imports, mask.tariffs) == (0, 0, 0)
 
     def test_empty_mask_rejected(self):
-        with pytest.raises(ProtocolError):
-            ActionMask(mitigation=np.zeros(10, dtype=bool))
+        # A commitment outside the level range would leave no level permitted.
+        for bad in (-1, NUM_LEVELS):
+            with pytest.raises(InvalidActionError):
+                build_mask(bad)
 
 
 class TestMaskedSample:
     def test_single_permitted_level(self):
-        mask = build_mask(9).mitigation
         rng = np.random.default_rng(1)
-        assert masked_sample(mask, rng) == 9
+        assert masked_sample(build_mask(9).mitigation, rng) == 9
 
     def test_deterministic_given_state(self):
-        draws1 = [masked_sample(np.ones(10, dtype=bool), np.random.default_rng(42)) for _ in range(5)]
-        draws2 = [masked_sample(np.ones(10, dtype=bool), np.random.default_rng(42)) for _ in range(5)]
+        draws1 = [masked_sample(0, np.random.default_rng(42)) for _ in range(5)]
+        draws2 = [masked_sample(0, np.random.default_rng(42)) for _ in range(5)]
         assert draws1 == draws2
 
     def test_uniform_over_permitted(self):
-        mask = build_mask(7).mitigation  # permits 7, 8, 9
+        floor = build_mask(7).mitigation  # permits 7, 8, 9
         rng = np.random.default_rng(123)
-        draws = np.array([masked_sample(mask, rng) for _ in range(30_000)])
+        draws = np.array([masked_sample(floor, rng) for _ in range(30_000)])
         for lvl in (7, 8, 9):
             assert abs((draws == lvl).mean() - 1 / 3) < 0.01
 
     def test_unsatisfiable_mask_rejected(self):
-        with pytest.raises(ProtocolError):
-            masked_sample(np.zeros(10, dtype=bool), np.random.default_rng(0))
+        for bad in (-1, NUM_LEVELS):
+            with pytest.raises(ProtocolError):
+                masked_sample(bad, np.random.default_rng(0))
 
     @given(st.integers(min_value=0, max_value=9), st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=100)
     def test_never_samples_forbidden_level(self, commitment, seed):
-        mask = build_mask(commitment).mitigation
-        assert masked_sample(mask, np.random.default_rng(seed)) >= commitment
+        floor = build_mask(commitment).mitigation
+        assert masked_sample(floor, np.random.default_rng(seed)) >= commitment
+
+    def test_same_draws_as_indexing_the_permitted_levels(self):
+        # The floor draw consumes the generator exactly like picking a
+        # uniform index into the permitted levels, so episodes recorded
+        # with boolean masks replay bit for bit.
+        floors = np.random.default_rng(5).integers(0, NUM_LEVELS, size=2_000)
+        ours, indexed = np.random.default_rng(6), np.random.default_rng(6)
+        for floor in floors.tolist():
+            permitted = np.flatnonzero(np.arange(NUM_LEVELS) >= floor)
+            expected = int(permitted[indexed.integers(permitted.size)])
+            got = masked_sample(floor, ours)
+            assert type(got) is int and got == expected
 
 
 class TestMaxOfDrawsInflation:
@@ -138,6 +123,6 @@ class TestMaxOfDrawsInflation:
     def test_empirical_max_matches_oracle(self):
         rng = np.random.default_rng(7)
         draws = rng.integers(0, 10, size=(20_000, 27))
-        committed = commitments_from_arrays(draws, None)[:, 0]
+        committed = commitments_from_arrays(draws)[:, 0]
         assert abs(committed.mean() - max_level_oracle_mean(27)) < 0.05
         assert abs((committed == 9).mean() - (1 - 0.9**27)) < 0.01

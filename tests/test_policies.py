@@ -5,13 +5,13 @@ from hypothesis import strategies as st
 
 from ricensim.engine import reset
 from ricensim.config import SimParams, VariantConfig
-from ricensim.negotiation import ActionMask, build_mask
+from ricensim.errors import InvalidActionError
+from ricensim.negotiation import build_mask
 from ricensim.policies import (
     IDEAL_TRADE_POLICY,
     FixedLevelsPolicy,
     PariahOverridePolicy,
     UniformRandomPolicy,
-    snap_to_mask,
 )
 
 
@@ -40,12 +40,18 @@ class TestFixedLevels:
         a = policy.act(obs(), build_mask(7, ("mitigation",)), None)
         assert a.mitigation_level == 8
 
-    def test_snap_falls_back_to_highest_permitted(self):
-        vec = np.zeros(10, dtype=bool)
-        vec[2:5] = True
-        assert snap_to_mask(7, vec) == 4
-        assert snap_to_mask(3, vec) == 3
-        assert snap_to_mask(0, vec) == 2
+    def test_floor_binds_each_negotiated_dimension(self):
+        policy = FixedLevelsPolicy(savings=1, mitigation=2, export=0, imports=0, tariffs=0)
+        a = policy.act(obs(), build_mask(5, ("savings", "mitigation")), None)
+        assert (a.savings_level, a.mitigation_level) == (5, 5)
+        assert a.max_export_level == 0
+
+    @pytest.mark.parametrize("bad", [-1, 10, 2.5, True])
+    def test_levels_outside_the_action_space_rejected(self, bad):
+        with pytest.raises(InvalidActionError):
+            FixedLevelsPolicy(savings=3, mitigation=bad, export=0, imports=0, tariffs=0)
+        with pytest.raises(InvalidActionError):
+            PariahOverridePolicy(IDEAL_TRADE_POLICY, target=0, tariff_level=bad)
 
 
 class TestUniformRandom:
