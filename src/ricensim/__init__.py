@@ -17,7 +17,6 @@ from .engine import (
     World,
     reset,
     run_episode,
-    run_episode_summary,
     run_fixed_actions_summary,
     step,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "generate_regions",
     "reset",
     "run_episode",
-    "run_episode_summary",
     "run_fixed_actions_summary",
     "step",
     "__version__",

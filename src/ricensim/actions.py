@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -29,11 +30,8 @@ def levels_to_rates(levels: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ActionSet:
-    """One region's action for one step.
-
-    ``import_levels`` and ``tariff_levels`` have one entry per region;
-    the self entry must be zero and is ignored by the trade step.
-    """
+    """One region's action for one step, as a policy returns it. The partner
+    vectors have one entry per region (self entry 0); checked when stacked."""
 
     savings_level: int
     mitigation_level: int
@@ -41,22 +39,39 @@ class ActionSet:
     import_levels: tuple[int, ...]
     tariff_levels: tuple[int, ...]
 
-    def validate(self, region: int, n_regions: int) -> None:
-        try:
-            check_level("savings", self.savings_level)
-            check_level("mitigation", self.mitigation_level)
-            check_level("export", self.max_export_level)
-            for name, vec in (("imports", self.import_levels), ("tariffs", self.tariff_levels)):
-                if len(vec) != n_regions:
-                    raise InvalidActionError(
-                        f"{name} vector has length {len(vec)}, expected {n_regions}"
-                    )
-                check_level(name, min(vec))
-                check_level(name, max(vec))
-                if vec[region] != 0:
-                    raise InvalidActionError(f"self entry of {name} vector must be 0")
-        except InvalidActionError as exc:
-            raise InvalidActionError(f"region {region}: {exc}") from None
+
+def _elements(value, ndim: int):
+    """The scalars of ``value``, nested ``ndim`` deep, in row-major order."""
+    elements = [value]
+    for _ in range(ndim):
+        elements = chain.from_iterable(elements)
+    return elements
+
+
+def _check_levels(name: str, levels, per_region: int) -> None:
+    """``check_level`` on each of the row-major ``levels``; the error names
+    the region of the first bad one."""
+    for i, level in enumerate(levels):
+        check_level(f"region {i // per_region}: {name}", level)
+
+
+def _integer_copy(name: str, value) -> np.ndarray:
+    """Read-only ``int64`` copy of ``value``, whose elements must be integers;
+    numpy stacks ``True`` among integers as 1, so a sequence's are looked at."""
+    try:
+        arr = np.array(value)
+    except ValueError:
+        raise InvalidActionError(f"{name} rows differ in length") from None
+    integral = arr.dtype.kind in "iu" and (
+        isinstance(value, np.ndarray)
+        or {bool, np.bool_}.isdisjoint(map(type, _elements(value, arr.ndim)))
+    )
+    if arr.size and not integral:
+        _check_levels(name, _elements(value, arr.ndim), arr.size // len(arr) if arr.ndim else 1)
+        raise InvalidActionError(f"{name} levels must be integers, got {arr.dtype}")
+    arr = arr.astype(np.int64, copy=False)
+    arr.setflags(write=False)
+    return arr
 
 
 class JointActions:
@@ -65,10 +80,10 @@ class JointActions:
     ``imports[i, j]`` / ``tariffs[i, j]`` refer to region i importing from /
     tariffing region j. Diagonals are zero.
 
-    Immutable and validated once: ``__init__`` stores read-only ``int64``
-    copies of the five arrays, rebinding an attribute raises, and
-    ``validate`` runs its checks on the first call only, so a rollout that
-    reuses one object for every step pays for the checks once.
+    Immutable and checked once: ``__init__`` stores read-only ``int64``
+    copies of the five arrays (non-integer elements raise), rebinding an
+    attribute raises, and ``validate`` runs its checks on the first call
+    only, so a rollout that reuses one object for every step pays once.
     """
 
     __slots__ = (*ACTION_DIMENSIONS, "_validated")
@@ -82,9 +97,7 @@ class JointActions:
         tariffs: np.ndarray,
     ):
         for name, value in zip(ACTION_DIMENSIONS, (savings, mitigation, export, imports, tariffs)):
-            arr = np.array(value, dtype=np.int64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _integer_copy(name, value))
         object.__setattr__(self, "_validated", False)
 
     def __setattr__(self, name, value):
@@ -102,11 +115,7 @@ class JointActions:
 
     @classmethod
     def from_action_sets(cls, sets: list[ActionSet]) -> "JointActions":
-        """Stack per-region sets; each set's checks imply the joint ones, so
-        the result is marked validated."""
-        n = len(sets)
-        for i, a in enumerate(sets):
-            a.validate(i, n)
+        """Stack per-region sets and check the result."""
         joint = cls(
             savings=[a.savings_level for a in sets],
             mitigation=[a.mitigation_level for a in sets],
@@ -114,7 +123,7 @@ class JointActions:
             imports=[a.import_levels for a in sets],
             tariffs=[a.tariff_levels for a in sets],
         )
-        object.__setattr__(joint, "_validated", True)
+        joint._check()
         return joint
 
     @classmethod
@@ -140,23 +149,22 @@ class JointActions:
         )
 
     def validate(self) -> None:
-        if self._validated:
-            return
+        if not self._validated:
+            self._check()
+
+    def _check(self) -> None:
+        """Shapes, levels in 0..9, zero diagonals; errors name the region."""
+        if self.savings.ndim != 1 or not self.savings.size:
+            raise InvalidActionError(f"savings array has shape {self.savings.shape}")
         n = self.n_regions
-        for name, arr in (
-            ("savings", self.savings),
-            ("mitigation", self.mitigation),
-            ("export", self.export),
-        ):
-            if arr.shape != (n,):
-                raise InvalidActionError(f"{name} array has shape {arr.shape}")
+        for name in ACTION_DIMENSIONS:
+            arr = getattr(self, name)
+            shape = (n, n) if name in ("imports", "tariffs") else (n,)
+            if arr.shape != shape:
+                raise InvalidActionError(f"{name} array has shape {arr.shape}, expected {shape}")
             if arr.min() < 0 or arr.max() >= NUM_LEVELS:
-                raise InvalidActionError(f"{name} level out of range")
-        for name, mat in (("imports", self.imports), ("tariffs", self.tariffs)):
-            if mat.shape != (n, n):
-                raise InvalidActionError(f"{name} matrix has shape {mat.shape}")
-            if mat.min() < 0 or mat.max() >= NUM_LEVELS:
-                raise InvalidActionError(f"{name} level out of range")
-            if np.any(np.diag(mat) != 0):
-                raise InvalidActionError(f"{name} matrix has nonzero diagonal")
+                _check_levels(name, arr.flat, arr.size // n)
+            if arr.ndim == 2 and arr.trace():
+                region = int(np.flatnonzero(np.diagonal(arr))[0])
+                raise InvalidActionError(f"region {region}: self entry of {name} must be 0")
         object.__setattr__(self, "_validated", True)

@@ -12,20 +12,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from .actions import JointActions
 from .config import SimParams, VariantConfig
 from .economy import calibrate_damage_coefficient, damage_fraction
-from .engine import run_episode_summary
+from .engine import run_fixed_actions_summary
 from .errors import DomainError
-from .policies import FixedLevelsPolicy
 
 #: Anchor: fraction of gross output lost at the end of the no-mitigation
 #: calibration rollout.
 ANCHOR_DAMAGE = 0.085
 ANCHOR_HORIZON_YEARS = 100
 
-#: The calibration rollout's fixed policy: no mitigation, savings 0.3,
-#: no trade (trade cannot influence temperature or output anyway).
-NO_MITIGATION_POLICY = FixedLevelsPolicy(savings=3, mitigation=0, export=0, imports=0, tariffs=0)
+#: The no-mitigation rollout's levels in ``ACTION_DIMENSIONS`` order: savings
+#: 0.3, no mitigation, no trade (trade cannot move temperature or output).
+NO_MITIGATION_LEVELS = (3, 0, 0, 0, 0)
 
 
 @dataclass(frozen=True)
@@ -51,12 +51,11 @@ def calibrate_damage_to_anchor(
         raise DomainError("calibration targets the quadratic damage function")
     base = replace(params, horizon_years=horizon_years, damage_pi1=0.0)
 
+    actions = JointActions.uniform(params.n_regions, *NO_MITIGATION_LEVELS)
     pi2 = 0.0
     t_ref = 0.0
     for iteration in range(1, max_iterations + 1):
-        summary = run_episode_summary(
-            replace(base, damage_pi2=pi2), variant, NO_MITIGATION_POLICY, seed
-        )
+        summary = run_fixed_actions_summary(replace(base, damage_pi2=pi2), variant, actions, seed)
         t_ref = summary.delta_t_end
         new_pi2 = calibrate_damage_coefficient(t_ref, anchor_damage)
         if pi2 > 0.0 and abs(new_pi2 - pi2) <= rel_tol * pi2:

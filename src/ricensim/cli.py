@@ -44,7 +44,7 @@ def _build_parser() -> _ArgumentParser:
         p.add_argument("--config", type=str, default=None, help="JSON config file")
         p.add_argument("--seed", type=int, default=None, help="seed override")
         p.add_argument("--out", type=str, default=None, help="output directory")
-        p.add_argument("--workers", type=int, default=1, help="worker processes")
+        p.add_argument("--workers", type=int, default=1, help="worker processes, 1..nproc")
         p.add_argument(
             "--full-scale",
             action="store_true",
@@ -101,8 +101,12 @@ def main(argv: list[str] | None = None) -> int:
             parser.print_usage(sys.stderr)
             print("error: a subcommand is required", file=sys.stderr)
             return 1
+        # Checked before any pool starts: a pool forks every worker at its first submit.
+        cpus = os.cpu_count() or 1
+        if not 1 <= args.workers <= cpus:
+            raise ConfigError(f"workers: must be in 1..{cpus}, got {args.workers}")
         config = _resolve_config(args)
-        _execute(config, workers=max(1, int(args.workers)))
+        _execute(config, args.workers)
         return 0
     except SystemExit as exc:  # --help
         return 0 if exc.code in (0, None) else 1

@@ -9,6 +9,7 @@ import cmath
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, DomainError
+from .negotiation import NEGOTIABLE_DIMENSIONS
 
 #: Per-5-year carbon transfer fractions between (atmosphere, upper ocean,
 #: lower ocean). Column-stochastic: column j holds the destination split of
@@ -70,7 +71,13 @@ class ClimateParams:
                 "climate.carbon_transfer_5y",
                 "entries must be nonnegative",
             )
-        _require(self.forcing_per_doubling > 0, "climate.forcing_per_doubling", "must be > 0")
+        _require(
+            0 < self.forcing_per_doubling <= 10,
+            "climate.forcing_per_doubling",
+            "must be in (0, 10] W/m^2",
+        )
+        for key in ("forcing_exogenous_start", "forcing_exogenous_end"):
+            _require(abs(getattr(self, key)) <= 10, f"climate.{key}", "must be in [-10, 10] W/m^2")
         _require(
             self.reference_atmosphere_gtc > 0,
             "climate.reference_atmosphere_gtc",
@@ -116,11 +123,10 @@ class NegotiationConfig:
     enforce_masks: bool = True
 
     def __post_init__(self) -> None:
-        allowed = {"mitigation", "savings"}
         _require(
-            all(d in allowed for d in self.dimensions),
+            all(d in NEGOTIABLE_DIMENSIONS for d in self.dimensions),
             "negotiation.dimensions",
-            f"entries must be in {sorted(allowed)}",
+            f"entries must be in {sorted(NEGOTIABLE_DIMENSIONS)}",
         )
         _require(len(self.dimensions) >= 1, "negotiation.dimensions", "must not be empty")
 

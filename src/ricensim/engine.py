@@ -160,9 +160,8 @@ class StepResult:
 def _enforce_masks(world: World, actions: JointActions) -> None:
     if not _masks_bind(world):
         return
-    dim_levels = {"mitigation": actions.mitigation, "savings": actions.savings}
     for dim in world.params.negotiation.dimensions:
-        levels = dim_levels[dim]
+        levels = getattr(actions, dim)  # a negotiable dimension, checked by the config
         below = np.flatnonzero(levels < world.commitments)
         if below.size:
             r = int(below[0])
@@ -454,22 +453,14 @@ def run_episode(
     )
 
 
-def run_episode_summary(
-    params: SimParams,
-    variant: VariantConfig,
-    policy,
-    seed: int | None = None,
-) -> EpisodeSummary:
-    """Roll one episode keeping only endpoints (used by large sweeps)."""
-    world = reset(params, variant, seed)
-    return _rollout(world, _policy_actions(world, policy))
-
-
 def run_fixed_actions_summary(
     params: SimParams,
     variant: VariantConfig,
     actions: JointActions,
     seed: int | None = None,
 ) -> EpisodeSummary:
-    """Roll one episode applying the same joint actions every step."""
+    """Roll one episode applying the same joint actions every step, which
+    cannot follow commitment masks, so enforced masks are a config error."""
+    if params.negotiation.enabled and params.negotiation.enforce_masks:
+        raise ConfigError("sim.negotiation.enforce_masks: fixed actions cannot follow masks")
     return _rollout(reset(params, variant, seed), lambda w: actions)

@@ -12,11 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .actions import ACTION_DIMENSIONS, NUM_LEVELS, JointActions, levels_to_rates
-from .calibration import (
-    NO_MITIGATION_POLICY,
-    CalibrationResult,
-    calibrate_damage_to_anchor,
-)
+from .calibration import NO_MITIGATION_LEVELS, CalibrationResult, calibrate_damage_to_anchor
 from .config import SimParams, VariantConfig
 from .engine import run_episode, run_fixed_actions_summary
 from .errors import ConfigError
@@ -62,13 +58,13 @@ class SweepResult:
         return self.levels.shape[0]
 
 
-def _sweep_chunk(args) -> list[tuple[int, float, float, float]]:
+def _sweep_chunk(args) -> list[tuple[float, float, float]]:
     params, variant, seed, combos = args
     out = []
-    for index, levels in combos:
+    for levels in combos:
         actions = JointActions.uniform(params.n_regions, *levels)
         summary = run_fixed_actions_summary(params, variant, actions, seed)
-        out.append((index, summary.delta_t_end, summary.y_cum, summary.mean_total_reward))
+        out.append((summary.delta_t_end, summary.y_cum, summary.mean_total_reward))
     return out
 
 
@@ -115,30 +111,23 @@ def action_sweep(
     if seed is None:
         seed = params.region_seed
     grid_levels = sweep_grid_levels(grid)
-    combos = list(
-        enumerate(itertools.product(*(grid_levels for _ in ACTION_DIMENSIONS)))
-    )
+    combos = list(itertools.product(*(grid_levels for _ in ACTION_DIMENSIONS)))
     n_rollouts = len(combos)
 
-    results: list[tuple[int, float, float, float] | None] = [None] * n_rollouts
     if workers > 1:
         chunk_size = max(1, (n_rollouts + workers * 8 - 1) // (workers * 8))
         chunks = [
             (params, variant, seed, combos[i : i + chunk_size])
             for i in range(0, n_rollouts, chunk_size)
         ]
+        # ``map`` yields the chunks in submission order.
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for chunk_result in pool.map(_sweep_chunk, chunks):
-                for row in chunk_result:
-                    results[row[0]] = row
+            rows = [row for chunk in pool.map(_sweep_chunk, chunks) for row in chunk]
     else:
-        for row in _sweep_chunk((params, variant, seed, combos)):
-            results[row[0]] = row
+        rows = _sweep_chunk((params, variant, seed, combos))
 
-    levels = np.array([c[1] for c in combos], dtype=np.int64)
-    delta_t = np.array([r[1] for r in results])
-    y_cum = np.array([r[2] for r in results])
-    mean_reward = np.array([r[3] for r in results])
+    levels = np.array(combos, dtype=np.int64)
+    delta_t, y_cum, mean_reward = (np.array(column) for column in zip(*rows))
 
     climate_index = _climate_index(delta_t, y_cum)
     economic_index = _minmax(y_cum)
@@ -338,10 +327,7 @@ def horizon_experiment(
     for h in horizons:
         p = replace(params, horizon_years=h, damage_pi1=0.0, damage_pi2=cal.pi2)
         summary = run_fixed_actions_summary(
-            p,
-            variant,
-            JointActions.uniform(p.n_regions, savings=3, mitigation=0, export=0, imports=0, tariffs=0),
-            seed,
+            p, variant, JointActions.uniform(p.n_regions, *NO_MITIGATION_LEVELS), seed
         )
         t_end[h] = summary.delta_t_end
         d_end[h] = summary.d_end

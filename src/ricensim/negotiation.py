@@ -3,13 +3,13 @@
 Each step every region proposes a mitigation level and accepts every
 proposal, so every region commits to the maximum proposal. A commitment
 forbids the levels below it in the negotiated dimensions and nothing else,
-so a mask is one integer floor per action dimension. Committing to the
+so a mask is one integer floor per negotiable dimension. Committing to the
 maximum of many near-random draws is what drives commitments toward the top
 of the level range as the region count grows.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -19,13 +19,14 @@ from .errors import ProtocolError
 
 @dataclass(frozen=True)
 class ActionMask:
-    """Lowest permitted level per action dimension; 0 permits every level."""
+    """Lowest permitted level per negotiable dimension; 0 permits every level."""
 
     savings: int = 0
     mitigation: int = 0
-    export: int = 0
-    imports: int = 0
-    tariffs: int = 0
+
+
+#: The action dimensions a commitment can constrain (``JointActions`` names).
+NEGOTIABLE_DIMENSIONS = tuple(f.name for f in fields(ActionMask))
 
 
 def commitments_from_arrays(proposal_levels: np.ndarray) -> np.ndarray:

@@ -1,9 +1,9 @@
 """Scripted policies used by the experiments.
 
 Policies are immutable values. ``act`` always honors the supplied mask, a
-floor per action dimension: fixed policies raise a level below its floor to
-the floor (masking overrides intent), random policies draw uniformly from
-the floor up.
+floor per negotiable dimension: fixed policies raise a level below its
+floor to the floor (masking overrides intent), random policies draw
+uniformly from the floor up.
 """
 from __future__ import annotations
 
@@ -45,9 +45,9 @@ class FixedLevelsPolicy:
         return ActionSet(
             savings_level=max(self.savings, floor.savings),
             mitigation_level=max(self.mitigation, floor.mitigation),
-            max_export_level=max(self.export, floor.export),
-            import_levels=_partner_vector(observation, max(self.imports, floor.imports)),
-            tariff_levels=_partner_vector(observation, max(self.tariffs, floor.tariffs)),
+            max_export_level=self.export,
+            import_levels=_partner_vector(observation, self.imports),
+            tariff_levels=_partner_vector(observation, self.tariffs),
         )
 
 
@@ -59,7 +59,7 @@ IDEAL_TRADE_POLICY = FixedLevelsPolicy(savings=3, mitigation=9, export=9, import
 
 @dataclass(frozen=True)
 class UniformRandomPolicy:
-    """Uniform draw over the permitted levels of every dimension."""
+    """Uniform draw from each floor up; unmasked dimensions start at 0."""
 
     is_static = False
 
@@ -68,9 +68,9 @@ class UniformRandomPolicy:
         return ActionSet(
             savings_level=masked_sample(floor.savings, rng),
             mitigation_level=masked_sample(floor.mitigation, rng),
-            max_export_level=masked_sample(floor.export, rng),
-            import_levels=_partner_vector(observation, masked_sample(floor.imports, rng)),
-            tariff_levels=_partner_vector(observation, masked_sample(floor.tariffs, rng)),
+            max_export_level=masked_sample(0, rng),
+            import_levels=_partner_vector(observation, masked_sample(0, rng)),
+            tariff_levels=_partner_vector(observation, masked_sample(0, rng)),
         )
 
 

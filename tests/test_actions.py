@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ricensim import SimParams, VariantConfig
-from ricensim.actions import ActionSet, JointActions, check_level, levels_to_rates
+from ricensim.actions import (
+    ACTION_DIMENSIONS,
+    ActionSet,
+    JointActions,
+    check_level,
+    levels_to_rates,
+)
 from ricensim.engine import Observation, reset, step
 from ricensim.errors import InvalidActionError
 from ricensim.policies import FixedLevelsPolicy
@@ -54,22 +61,6 @@ def policy_sets(n: int, *levels: int) -> list[ActionSet]:
     return [policy.act(Observation(region=i, n_regions=n), None, None) for i in range(n)]
 
 
-class TestActionSet:
-    def test_self_entries_must_be_zero(self):
-        a = ActionSet(1, 2, 3, import_levels=(0, 5), tariff_levels=(4, 0))
-        with pytest.raises(InvalidActionError):
-            a.validate(region=0, n_regions=2)
-
-    def test_valid_set_passes(self):
-        a = ActionSet(1, 2, 3, import_levels=(0, 5), tariff_levels=(0, 4))
-        a.validate(region=0, n_regions=2)
-
-    def test_wrong_vector_length(self):
-        a = ActionSet(1, 2, 3, import_levels=(0,), tariff_levels=(0, 4))
-        with pytest.raises(InvalidActionError):
-            a.validate(region=0, n_regions=2)
-
-
 class TestJointActions:
     def test_uniform_zeroes_diagonal(self):
         j = JointActions.uniform(4, savings=1, mitigation=2, export=3, imports=5, tariffs=7)
@@ -110,7 +101,9 @@ class TestJointActions:
         for make in (
             lambda: JointActions(j.savings, j.mitigation, j.export, bad_imports, j.tariffs),
             lambda: JointActions(j.savings, j.mitigation, j.export, j.imports, j.tariffs - 1),
-            lambda: JointActions(j.savings, j.mitigation, j.export, np.ones((3, 3)), j.tariffs),
+            lambda: JointActions(
+                j.savings, j.mitigation, j.export, np.ones((3, 3), dtype=np.int64), j.tariffs
+            ),
             lambda: JointActions(j.savings[:2], j.mitigation, j.export, j.imports, j.tariffs),
         ):
             with pytest.raises(InvalidActionError):
@@ -120,10 +113,35 @@ class TestJointActions:
 
     def test_constructor_copies_its_inputs(self):
         imports = 5 * (1 - np.eye(3, dtype=np.int64))
-        j = JointActions(np.ones(3), np.ones(3), np.ones(3), imports, imports)
+        ones = np.ones(3, dtype=np.int64)
+        j = JointActions(ones, ones, ones, imports, imports)
         imports[0, 1] = 11
         assert j.imports[0, 1] == 5 and j.tariffs[0, 1] == 5
         assert j.savings.dtype == np.int64 and not j.savings.flags.writeable
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.bool_, np.str_])
+    def test_non_integer_arrays_rejected(self, dtype):
+        # numpy would cast each of these to int64 without a word.
+        j = JointActions.uniform(3, savings=1, mitigation=2, export=3, imports=5, tariffs=7)
+        for name in ACTION_DIMENSIONS:
+            arrays = {n: getattr(j, n) for n in ACTION_DIMENSIONS}
+            arrays[name] = arrays[name].astype(dtype)
+            with pytest.raises(InvalidActionError, match=f"region 0: {name} level must be an integer"):
+                JointActions(**arrays)
+
+    def test_non_integer_sequences_rejected(self):
+        j = JointActions.uniform(4, savings=1, mitigation=2, export=3, imports=5, tariffs=7)
+        for name, bad in [
+            ("savings", [2.5] * 4),
+            ("mitigation", [True] * 4),
+            ("export", ["3"] * 4),
+            ("savings", [1, 2, True, 3]),
+            ("tariffs", [[0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, None], [1, 1, 1, 0]]),
+        ]:
+            arrays = {n: getattr(j, n) for n in ACTION_DIMENSIONS}
+            arrays[name] = bad
+            with pytest.raises(InvalidActionError, match=f"{name} level must be an integer"):
+                JointActions(**arrays)
 
     def test_attributes_cannot_be_rebound(self):
         j = JointActions.uniform(3, savings=1, mitigation=2, export=3, imports=5, tariffs=7)
@@ -172,21 +190,51 @@ def _sets_with(region, **changes):
     return sets
 
 
+#: Each bad case and the message it is rejected with.
 BAD_SETS = {
-    "savings below range": _sets_with(1, savings_level=-1),
-    "savings above range": _sets_with(1, savings_level=10),
-    "mitigation above range": _sets_with(0, mitigation_level=10),
-    "export below range": _sets_with(2, max_export_level=-1),
-    "imports too short": _sets_with(1, import_levels=(5, 0)),
-    "tariffs too long": _sets_with(1, tariff_levels=(7, 0, 7, 7)),
-    "imports entry above range": _sets_with(0, import_levels=(0, 10, 5)),
-    "tariffs entry below range": _sets_with(2, tariff_levels=(-1, 7, 0)),
-    "imports self entry": _sets_with(1, import_levels=(5, 1, 5)),
-    "tariffs self entry": _sets_with(2, tariff_levels=(7, 7, 7)),
+    "savings below range": (_sets_with(1, savings_level=-1), "region 1: savings level -1 outside"),
+    "savings above range": (_sets_with(1, savings_level=10), "region 1: savings level 10 outside"),
+    "mitigation above range": (
+        _sets_with(0, mitigation_level=10), "region 0: mitigation level 10 outside"
+    ),
+    "export below range": (_sets_with(2, max_export_level=-1), "region 2: export level -1 outside"),
+    "imports too short": (_sets_with(1, import_levels=(5, 0)), "imports rows differ in length"),
+    "tariffs too long": (_sets_with(1, tariff_levels=(7, 0, 7, 7)), "tariffs rows differ in length"),
+    "imports entry above range": (
+        _sets_with(0, import_levels=(0, 10, 5)), "region 0: imports level 10 outside"
+    ),
+    "tariffs entry below range": (
+        _sets_with(2, tariff_levels=(-1, 7, 0)), "region 2: tariffs level -1 outside"
+    ),
+    "imports self entry": (
+        _sets_with(1, import_levels=(5, 1, 5)), "region 1: self entry of imports must be 0"
+    ),
+    "tariffs self entry": (
+        _sets_with(2, tariff_levels=(7, 7, 7)), "region 2: self entry of tariffs must be 0"
+    ),
+    "savings float": (
+        _sets_with(1, savings_level=2.5), "region 1: savings level must be an integer, got 2.5"
+    ),
+    "mitigation bool": (
+        _sets_with(2, mitigation_level=True),
+        "region 2: mitigation level must be an integer, got True",
+    ),
+    "export string": (
+        _sets_with(0, max_export_level="3"), "region 0: export level must be an integer, got '3'"
+    ),
+    "imports float inside vector": (
+        _sets_with(0, import_levels=(0, 2.5, 5)),
+        "region 0: imports level must be an integer, got 2.5",
+    ),
+    "tariffs bool inside vector": (
+        _sets_with(1, tariff_levels=(5, 0, True)),
+        "region 1: tariffs level must be an integer, got True",
+    ),
 }
 
 
 @pytest.mark.parametrize("case", list(BAD_SETS))
 def test_from_action_sets_rejects_bad_sets(case):
-    with pytest.raises(InvalidActionError):
-        JointActions.from_action_sets(BAD_SETS[case])
+    sets, message = BAD_SETS[case]
+    with pytest.raises(InvalidActionError, match=re.escape(message)):
+        JointActions.from_action_sets(sets)

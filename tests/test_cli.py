@@ -1,9 +1,11 @@
 import json
+import os
 import re
 from pathlib import Path
 
 import pytest
 
+from ricensim import experiments
 from ricensim.cli import main
 from ricensim.errors import ConfigError
 from ricensim.runio import EXPERIMENTS, parse_config
@@ -144,6 +146,23 @@ class TestErrors:
                  "experiment": "episode"},
                 "climate.heat_capacity_c1",
             ),
+            # Stable two-box parameters, but forcings no climate has.
+            (
+                {"sim": {"climate": {"forcing_per_doubling": 1e308}}, "experiment": "episode"},
+                "climate.forcing_per_doubling",
+            ),
+            (
+                {"sim": {"climate": {"forcing_per_doubling": 1e300}}, "experiment": "episode"},
+                "climate.forcing_per_doubling",
+            ),
+            (
+                {"sim": {"climate": {"forcing_exogenous_end": 1e308}}, "experiment": "episode"},
+                "climate.forcing_exogenous_end",
+            ),
+            (
+                {"sim": {"climate": {"forcing_exogenous_start": -11}}, "experiment": "episode"},
+                "climate.forcing_exogenous_start",
+            ),
         ],
     )
     def test_bad_option_or_seed_is_a_config_error(self, tmp_path, capsys, doc, key):
@@ -157,15 +176,29 @@ class TestErrors:
         assert key in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
-    def test_non_finite_temperature_exits_two(self, tmp_path, capsys):
-        # Stable two-box parameters, but the forcing overflows to infinity.
-        cfg = tmp_path / "hot.json"
-        cfg.write_text(json.dumps(
-            {"sim": {"climate": {"forcing_per_doubling": 1e308}}, "experiment": "episode"}
-        ))
-        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    @pytest.mark.parametrize("command", ["sweep", "horizon", "calibrate"])
+    def test_fixed_actions_under_enforced_masks_exit_one(self, tmp_path, capsys, command):
+        # Fixed actions cannot follow commitment masks, which would raise
+        # their "zero" mitigation.
+        cfg = tmp_path / "masked.json"
+        cfg.write_text(json.dumps({"sim": {"negotiation": {"enabled": True}}}))
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "o")]
+        assert main(argv + (["--grid", "1"] if command == "sweep" else [])) == 1
         err = capsys.readouterr().err
-        assert "temperature" in err and "Traceback" not in err
+        assert "sim.negotiation.enforce_masks" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "workers", [0, -1, (os.cpu_count() or 1) + 1], ids=["zero", "negative", "above_cpu_count"]
+    )
+    def test_workers_outside_the_cpu_count_exit_one(self, tmp_path, capsys, monkeypatch, workers):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
+        argv = ["sweep", "--grid", "2", "--workers", str(workers), "--out", str(tmp_path / "o")]
+        assert main(argv) == 1
+        assert "workers: must be in 1.." in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_negative_seed_flag_is_a_config_error(self, tmp_path, capsys):
         assert main(["calibrate", "--seed", "-1", "--out", str(tmp_path / "o")]) == 1

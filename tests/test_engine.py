@@ -18,11 +18,10 @@ from ricensim import (
 from ricensim.engine import (
     reset,
     run_episode,
-    run_episode_summary,
     run_fixed_actions_summary,
     step,
 )
-from ricensim.errors import MaskViolationError
+from ricensim.errors import ConfigError, MaskViolationError
 from ricensim.policies import IDEAL_TRADE_POLICY, PariahOverridePolicy
 
 
@@ -112,15 +111,6 @@ class TestEpisodes:
         assert np.array_equal(a.carbon, b.carbon)
         assert a.delta_t_end == b.delta_t_end
 
-    def test_summary_matches_full_record(self, small_params, baseline):
-        policy = FixedLevelsPolicy(3, 4, 5, 6, 2)
-        rec = run_episode(small_params, baseline, policy, 8)
-        summary = run_episode_summary(small_params, baseline, policy, 8)
-        assert summary.delta_t_end == rec.delta_t_end
-        assert summary.y_cum == rec.y_cum
-        assert np.allclose(summary.total_reward, rec.total_reward, rtol=1e-12)
-        assert summary.d_end == rec.d_end
-
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_record_and_fixed_action_summary_agree_bitwise(self, default_params, baseline, seed):
         """The full record and the endpoints-only rollout share one loop, so
@@ -141,9 +131,9 @@ class TestEpisodes:
         bitwise-identical warming and cumulative output."""
         outcomes = set()
         for export, imports, tariffs in [(0, 0, 0), (9, 9, 0), (9, 9, 9), (2, 7, 4)]:
-            s = run_episode_summary(
+            s = run_fixed_actions_summary(
                 default_params, baseline,
-                FixedLevelsPolicy(3, 5, export, imports, tariffs), 4,
+                JointActions.uniform(27, 3, 5, export, imports, tariffs), 4,
             )
             outcomes.add((s.delta_t_end, s.y_cum))
         assert len(outcomes) == 1
@@ -151,15 +141,17 @@ class TestEpisodes:
     def test_trade_actions_do_change_rewards(self, default_params, baseline):
         rewards = set()
         for export, imports, tariffs in [(0, 0, 0), (9, 9, 0), (9, 9, 9)]:
-            s = run_episode_summary(
+            s = run_fixed_actions_summary(
                 default_params, baseline,
-                FixedLevelsPolicy(3, 5, export, imports, tariffs), 4,
+                JointActions.uniform(27, 3, 5, export, imports, tariffs), 4,
             )
             rewards.add(round(s.mean_total_reward, 9))
         assert len(rewards) == 3
 
     def test_carbon_conservation_over_episode(self, default_params, baseline):
-        s = run_episode_summary(default_params, baseline, FixedLevelsPolicy(3, 0, 9, 9, 0), 2)
+        s = run_fixed_actions_summary(
+            default_params, baseline, JointActions.uniform(27, 3, 0, 9, 9, 0), 2
+        )
         drift = abs(
             s.final_carbon_total - s.initial_carbon_total - s.cumulative_emissions
         )
@@ -199,6 +191,19 @@ class TestNegotiation:
         low = JointActions.uniform(4, 3, 0, 0, 0, 0)
         result = step(w, low)  # no violation raised
         assert result.detail.commitments is not None
+
+    def test_fixed_actions_reject_enforced_masks(self, small_params, baseline):
+        actions = JointActions.uniform(4, 3, 0, 0, 0, 0)
+        with pytest.raises(ConfigError, match="sim.negotiation.enforce_masks"):
+            run_fixed_actions_summary(self.negotiating(small_params), baseline, actions, 6)
+        # Unenforced commitments leave the rollout's arithmetic alone.
+        unenforced = dataclasses.replace(
+            small_params, negotiation=NegotiationConfig(enabled=True, enforce_masks=False)
+        )
+        a = run_fixed_actions_summary(unenforced, baseline, actions, 6)
+        b = run_fixed_actions_summary(small_params, baseline, actions, 6)
+        assert (a.delta_t_end, a.y_cum) == (b.delta_t_end, b.y_cum)
+        assert a.total_reward.tobytes() == b.total_reward.tobytes()
 
     def test_commitments_recorded_per_step(self, small_params, baseline):
         params = self.negotiating(small_params)
