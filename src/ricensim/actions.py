@@ -14,6 +14,9 @@ NUM_LEVELS = 10
 #: CSV columns, and correlation tables.
 ACTION_DIMENSIONS = ("savings", "mitigation", "export", "imports", "tariffs")
 
+#: The ``JointActions`` attribute holding each dimension's rates.
+RATE_NAMES = tuple(f"{name}_rate" for name in ACTION_DIMENSIONS)
+
 
 def check_level(name: str, level: int) -> None:
     """Reject anything but an integer level in 0..9."""
@@ -81,12 +84,14 @@ class JointActions:
     tariffing region j. Diagonals are zero.
 
     Immutable and checked once: ``__init__`` stores read-only ``int64``
-    copies of the five arrays (non-integer elements raise), rebinding an
-    attribute raises, and ``validate`` runs its checks on the first call
-    only, so a rollout that reuses one object for every step pays once.
+    copies of the five arrays (non-integer elements raise) and, under the
+    ``RATE_NAMES`` (``savings_rate``, ...), their read-only rates
+    ``levels_to_rates(levels)``; rebinding an attribute raises, and
+    ``validate`` runs its checks on the first call only, so a rollout that
+    reuses one object for every step pays once.
     """
 
-    __slots__ = (*ACTION_DIMENSIONS, "_validated")
+    __slots__ = (*ACTION_DIMENSIONS, *RATE_NAMES, "_validated")
 
     def __init__(
         self,
@@ -96,8 +101,14 @@ class JointActions:
         imports: np.ndarray,
         tariffs: np.ndarray,
     ):
-        for name, value in zip(ACTION_DIMENSIONS, (savings, mitigation, export, imports, tariffs)):
-            object.__setattr__(self, name, _integer_copy(name, value))
+        for name, rate_name, value in zip(
+            ACTION_DIMENSIONS, RATE_NAMES, (savings, mitigation, export, imports, tariffs)
+        ):
+            levels = _integer_copy(name, value)
+            rates = levels_to_rates(levels)
+            rates.setflags(write=False)
+            object.__setattr__(self, name, levels)
+            object.__setattr__(self, rate_name, rates)
         object.__setattr__(self, "_validated", False)
 
     def __setattr__(self, name, value):

@@ -13,7 +13,7 @@ import os
 import sys
 from pathlib import Path
 
-from .config import SimParams, VariantConfig
+from .config import SimParams, VariantConfig, check_workers
 from .errors import ConfigError, RicensimError
 from .runio import EXPERIMENTS, RunConfig, load_config, write_manifest
 
@@ -101,10 +101,7 @@ def main(argv: list[str] | None = None) -> int:
             parser.print_usage(sys.stderr)
             print("error: a subcommand is required", file=sys.stderr)
             return 1
-        # Checked before any pool starts: a pool forks every worker at its first submit.
-        cpus = os.cpu_count() or 1
-        if not 1 <= args.workers <= cpus:
-            raise ConfigError(f"workers: must be in 1..{cpus}, got {args.workers}")
+        check_workers(args.workers)
         config = _resolve_config(args)
         _execute(config, args.workers)
         return 0

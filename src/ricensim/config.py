@@ -6,6 +6,7 @@ time; anything invalid raises :class:`ConfigError` naming the offending key.
 from __future__ import annotations
 
 import cmath
+import os
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, DomainError
@@ -24,6 +25,13 @@ CARBON_TRANSFER_5Y = (
 def _require(condition: bool, key: str, message: str) -> None:
     if not condition:
         raise ConfigError(f"{key}: {message}")
+
+
+def check_workers(workers: int) -> None:
+    """Reject a worker-process count outside ``1..os.cpu_count()``. Call it
+    before any pool starts: a pool forks every worker at its first submit."""
+    cpus = os.cpu_count() or 1
+    _require(1 <= workers <= cpus, "workers", f"must be in 1..{cpus}, got {workers}")
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ shared mutable generators.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -22,7 +22,7 @@ import numpy as np
 from . import climate as climate_mod
 from . import economy as economy_mod
 from . import trade as trade_mod
-from .actions import JointActions, levels_to_rates
+from .actions import JointActions
 from .config import SimParams, VariantConfig
 from .errors import ConfigError, MaskViolationError
 from .negotiation import ActionMask, build_mask, commitments_from_arrays
@@ -40,14 +40,62 @@ class Observation:
     n_regions: int
 
 
-@dataclass
-class World:
-    """Full simulation state between steps. Treated as a value: ``step``
-    returns a new instance and never mutates its input."""
+#: The generated per-region quantities that stay fixed for an episode.
+_REGION_RATES = ("theta1", "productivity_growth", "labor_growth", "intensity_decline")
+
+
+@dataclass(frozen=True)
+class EpisodeConstants:
+    """What stays fixed for a whole episode: its configuration, seed and
+    per-region structural rates, and the per-step factors derived from them.
+
+    The derived fields are computed by the constructor alone (so
+    ``dataclasses.replace`` recomputes them), from read-only copies of the
+    rates, so a factor never disagrees with the rate it came from.
+    """
 
     params: SimParams
     variant: VariantConfig
-    episode_seed: int
+    seed: int
+    theta1: np.ndarray
+    productivity_growth: np.ndarray
+    labor_growth: np.ndarray
+    intensity_decline: np.ndarray
+    #: One step's growth over ``dt_years``, e.g. ``(1 + labor_growth) ** dt``.
+    capital_factor: float = field(init=False)
+    labor_factor: np.ndarray = field(init=False)
+    productivity_factor: np.ndarray = field(init=False)
+    intensity_factor: np.ndarray = field(init=False)
+    transfer: np.ndarray = field(init=False)
+    initial_carbon_total: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        def put(name, value):
+            object.__setattr__(self, name, value)
+
+        for name in _REGION_RATES:
+            rates = np.array(getattr(self, name), dtype=np.float64)
+            rates.setflags(write=False)
+            put(name, rates)
+        p = self.params
+        dt = p.dt_years
+        put("seed", int(self.seed))
+        put("capital_factor", (1.0 - p.depreciation) ** dt)
+        put("labor_factor", (1.0 + self.labor_growth) ** dt)
+        put("productivity_factor", (1.0 + self.productivity_growth) ** dt)
+        put("intensity_factor", (1.0 - self.intensity_decline) ** dt)
+        put("transfer", climate_mod.carbon_transfer_matrix(p.climate, dt))
+        carbon = np.array(p.climate.initial_carbon_gtc, dtype=np.float64)
+        put("initial_carbon_total", float(carbon.sum()))
+
+
+@dataclass(slots=True)
+class World:
+    """Simulation state between steps, beside its episode's constants.
+    Treated as a value: ``step`` returns a new instance and never mutates
+    its input."""
+
+    constants: EpisodeConstants
     t: int
     capital: np.ndarray
     labor: np.ndarray
@@ -55,21 +103,15 @@ class World:
     intensity: np.ndarray
     mitigation_prev: np.ndarray
     balance: np.ndarray
-    theta1: np.ndarray
-    productivity_growth: np.ndarray
-    labor_growth: np.ndarray
-    intensity_decline: np.ndarray
     carbon: np.ndarray
     t_atmosphere: float
     t_ocean: float
-    transfer: np.ndarray
     commitments: np.ndarray | None
-    initial_carbon_total: float
     cumulative_emissions: float
 
     @property
     def n_regions(self) -> int:
-        return self.params.n_regions
+        return self.constants.params.n_regions
 
     def observation(self, region: int) -> Observation:
         return Observation(region=region, n_regions=self.n_regions)
@@ -78,17 +120,20 @@ class World:
         """Binding masks for the upcoming step, or None when unconstrained.
 
         With mask enforcement switched off, commitments are still recorded
-        but nothing constrains the actions, so policies see no mask.
+        but nothing constrains the actions, so policies see no mask. Regions
+        with equal commitments share one mask.
         """
         if not _masks_bind(self):
             return None
-        dims = self.params.negotiation.dimensions
-        return [build_mask(int(c), dims) for c in self.commitments]
+        dims = self.constants.params.negotiation.dimensions
+        levels = self.commitments.tolist()
+        by_level = {c: build_mask(c, dims) for c in dict.fromkeys(levels)}
+        return [by_level[c] for c in levels]
 
 
 def _masks_bind(world: World) -> bool:
     """Whether the world's commitments constrain the upcoming step."""
-    neg = world.params.negotiation
+    neg = world.constants.params.negotiation
     return neg.enabled and neg.enforce_masks and world.commitments is not None
 
 
@@ -102,35 +147,36 @@ def _draw_commitments(params: SimParams, episode_seed: int, t: int) -> np.ndarra
 
 
 def reset(params: SimParams, variant: VariantConfig, seed: int | None = None) -> World:
-    """Fresh world: generated regions, initial climate, first-step masks."""
+    """Fresh world: the episode's constants (generated regions' rates and the
+    factors derived from them), the regions' initial state, the initial
+    climate and the first step's commitments."""
     if seed is None:
         seed = params.region_seed
     regions = generate_regions(params.n_regions, seed)
-    cp = params.climate
-    carbon = np.array(cp.initial_carbon_gtc, dtype=np.float64)
-    commitments = (
-        _draw_commitments(params, seed, 0) if params.negotiation.enabled else None
+    constants = EpisodeConstants(
+        params,
+        variant,
+        seed,
+        **{name: regions.pop(name) for name in _REGION_RATES},
     )
+    cp = params.climate
     return World(
-        params=params,
-        variant=variant,
-        episode_seed=int(seed),
+        constants=constants,
         t=0,
+        **regions,
         mitigation_prev=np.zeros(params.n_regions),
         balance=np.zeros(params.n_regions),
-        **regions,
-        carbon=carbon,
+        carbon=np.array(cp.initial_carbon_gtc, dtype=np.float64),
         t_atmosphere=cp.initial_t_atmosphere,
         t_ocean=cp.initial_t_ocean,
-        transfer=climate_mod.carbon_transfer_matrix(cp, params.dt_years),
-        commitments=commitments,
-        initial_carbon_total=float(carbon.sum()),
+        commitments=(
+            _draw_commitments(params, seed, 0) if params.negotiation.enabled else None
+        ),
         cumulative_emissions=0.0,
     )
 
 
-@dataclass(frozen=True)
-class StepDetail:
+class StepDetail(NamedTuple):
     """Everything computed during one step, for records and diagnostics."""
 
     gross_output: np.ndarray
@@ -150,8 +196,7 @@ class StepDetail:
     commitments: np.ndarray | None
 
 
-@dataclass(frozen=True)
-class StepResult:
+class StepResult(NamedTuple):
     world: World
     rewards: np.ndarray
     detail: StepDetail
@@ -160,7 +205,7 @@ class StepResult:
 def _enforce_masks(world: World, actions: JointActions) -> None:
     if not _masks_bind(world):
         return
-    for dim in world.params.negotiation.dimensions:
+    for dim in world.constants.params.negotiation.dimensions:
         levels = getattr(actions, dim)  # a negotiable dimension, checked by the config
         below = np.flatnonzero(levels < world.commitments)
         if below.size:
@@ -169,7 +214,11 @@ def _enforce_masks(world: World, actions: JointActions) -> None:
 
 
 def step(world: World, actions: JointActions) -> StepResult:
-    """Advance one step. Pure: identical inputs give identical outputs."""
+    """Advance one step. Pure: identical inputs give identical outputs.
+
+    Uses the rates ``actions`` converted from its levels when it was built,
+    and grows the state by the factors ``world.constants`` derived at reset.
+    """
     actions.validate()
     if actions.n_regions != world.n_regions:
         raise ConfigError(
@@ -177,13 +226,13 @@ def step(world: World, actions: JointActions) -> StepResult:
         )
     _enforce_masks(world, actions)
 
-    p = world.params
-    v = world.variant
+    c = world.constants
+    p = c.params
+    v = c.variant
     dt = p.dt_years
 
     # Production, damages at the step's starting temperature, abatement.
-    savings_rate = levels_to_rates(actions.savings)
-    mitigation_rate = levels_to_rates(actions.mitigation)
+    mitigation_rate = actions.mitigation_rate
     y_gross = economy_mod.gross_output(
         world.productivity, world.capital, world.labor, p.output_elasticity
     )
@@ -191,21 +240,21 @@ def step(world: World, actions: JointActions) -> StepResult:
         max(world.t_atmosphere, 0.0), v.damage_kind, p.damage_pi1, p.damage_pi2
     )
     abat = economy_mod.abatement_fraction(
-        mitigation_rate, world.mitigation_prev, v.abatement_kind, world.theta1, p.theta2, p.theta3
+        mitigation_rate, world.mitigation_prev, v.abatement_kind, c.theta1, p.theta2, p.theta3
     )
     y_net = (1.0 - dmg) * (1.0 - abat) * y_gross
-    investment = savings_rate * y_net
+    investment = actions.savings_rate * y_net
     emissions = world.intensity * (1.0 - mitigation_rate) * y_gross
     emissions_global = float(emissions.sum())
 
     # Trade matching and the consumption split.
     budget = p.import_budget * trade_mod.import_budget_multiplier(world.balance, y_gross)
-    demanded = trade_mod.build_demand(actions.imports, y_gross, budget)
-    capacity = levels_to_rates(actions.export) * y_gross
+    demanded = trade_mod.build_demand(actions.imports_rate, y_gross, budget)
+    capacity = actions.export_rate * y_gross
     scaled = trade_mod.ration_exports(demanded, capacity)
-    tariffed, revenue = trade_mod.apply_tariffs(scaled, actions.tariffs)
-    flows = trade_mod.TradeFlows(demanded=demanded, scaled=scaled, tariffed=tariffed, revenue=revenue)
-    cons = trade_mod.consumption(y_net, investment, scaled, tariffed, p.foreign_weight, v)
+    tariffed, revenue = trade_mod.apply_tariffs(scaled, actions.tariffs_rate)
+    flows = trade_mod.TradeFlows(demanded, scaled, tariffed, revenue)
+    cons = trade_mod.consumption(y_net, investment, flows, p.foreign_weight, v)
 
     # Reward, with the optional disaster penalty at the same temperature the
     # damages saw.
@@ -220,7 +269,7 @@ def step(world: World, actions: JointActions) -> StepResult:
     # Carbon, forcing, temperature.
     cp = p.climate
     carbon_after = climate_mod.step_carbon(
-        world.carbon, emissions_global, dt, world.transfer, cp.emissions_floor
+        world.carbon, emissions_global, dt, c.transfer, cp.emissions_floor
     )
     forcing = climate_mod.radiative_forcing(
         float(carbon_after[0]),
@@ -240,30 +289,20 @@ def step(world: World, actions: JointActions) -> StepResult:
 
     # Exogenous growth and capital accumulation.
     new_world = World(
-        params=p,
-        variant=v,
-        episode_seed=world.episode_seed,
+        constants=c,
         t=world.t + 1,
-        capital=world.capital * (1.0 - p.depreciation) ** dt + dt * investment,
-        labor=world.labor * (1.0 + world.labor_growth) ** dt,
-        productivity=world.productivity * (1.0 + world.productivity_growth) ** dt,
-        intensity=world.intensity * (1.0 - world.intensity_decline) ** dt,
-        mitigation_prev=mitigation_rate.copy(),
+        capital=world.capital * c.capital_factor + dt * investment,
+        labor=world.labor * c.labor_factor,
+        productivity=world.productivity * c.productivity_factor,
+        intensity=world.intensity * c.intensity_factor,
+        mitigation_prev=mitigation_rate,
         balance=balance_after,
-        theta1=world.theta1,
-        productivity_growth=world.productivity_growth,
-        labor_growth=world.labor_growth,
-        intensity_decline=world.intensity_decline,
         carbon=carbon_after,
         t_atmosphere=t_at,
         t_ocean=t_lo,
-        transfer=world.transfer,
         commitments=(
-            _draw_commitments(p, world.episode_seed, world.t + 1)
-            if p.negotiation.enabled
-            else None
+            _draw_commitments(p, c.seed, world.t + 1) if p.negotiation.enabled else None
         ),
-        initial_carbon_total=world.initial_carbon_total,
         cumulative_emissions=world.cumulative_emissions + dt * emissions_global,
     )
     detail = StepDetail(
@@ -374,7 +413,8 @@ class _Step(NamedTuple):
 def _rollout(world: World, next_actions, history: list | None = None) -> EpisodeSummary:
     """The one loop over ``step``. It accumulates the episode endpoints and,
     when given a ``history`` list, appends every step's actions and detail."""
-    params, variant = world.params, world.variant
+    constants = world.constants
+    params, variant = constants.params, constants.variant
     y_cum = 0.0
     total_reward = np.zeros(params.n_regions)
     any_floored = False
@@ -393,13 +433,13 @@ def _rollout(world: World, next_actions, history: list | None = None) -> Episode
         max(world.t_atmosphere, 0.0), variant.damage_kind, params.damage_pi1, params.damage_pi2
     )
     return EpisodeSummary(
-        seed=world.episode_seed,
+        seed=constants.seed,
         delta_t_end=float(world.t_atmosphere),
         y_cum=float(params.dt_years * y_cum),
         total_reward=total_reward,
         mean_total_reward=float(total_reward.mean()),
         d_end=float(d_end),
-        initial_carbon_total=world.initial_carbon_total,
+        initial_carbon_total=constants.initial_carbon_total,
         cumulative_emissions=world.cumulative_emissions,
         final_carbon_total=float(world.carbon.sum()),
         any_domestic_floored=any_floored,
@@ -416,12 +456,13 @@ def _episode_actions(world: World, policy, policy_rng: np.random.Generator) -> J
 
 
 def _policy_actions(world: World, policy):
-    """Per-step action source for ``policy``: a static policy without
-    negotiation acts once at reset, any other policy acts every step."""
+    """Per-step action source for ``policy``: a static policy acts once at
+    reset when no mask binds its actions (masks bind for the whole episode
+    or never), any other policy acts every step."""
     policy_rng = np.random.default_rng(
-        np.random.SeedSequence([world.episode_seed, _POLICY_STREAM])
+        np.random.SeedSequence([world.constants.seed, _POLICY_STREAM])
     )
-    if getattr(policy, "is_static", False) and not world.params.negotiation.enabled:
+    if getattr(policy, "is_static", False) and not _masks_bind(world):
         actions = _episode_actions(world, policy, policy_rng)
         return lambda w: actions
     return lambda w: _episode_actions(w, policy, policy_rng)

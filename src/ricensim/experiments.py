@@ -11,9 +11,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .actions import ACTION_DIMENSIONS, NUM_LEVELS, JointActions, levels_to_rates
+from .actions import ACTION_DIMENSIONS, NUM_LEVELS, JointActions
 from .calibration import NO_MITIGATION_LEVELS, CalibrationResult, calibrate_damage_to_anchor
-from .config import SimParams, VariantConfig
+from .config import SimParams, VariantConfig, check_workers
 from .engine import run_episode, run_fixed_actions_summary
 from .errors import ConfigError
 from .negotiation import commitments_from_arrays
@@ -106,8 +106,9 @@ def action_sweep(
     (see ``_climate_index``); the economic index rises with cumulative
     gross output; both are min-max normalized within the sweep. Also
     counts distinct (warming, output) outcome pairs at 1e-9 relative
-    rounding.
+    rounding. ``workers`` must be in ``1..os.cpu_count()``.
     """
+    check_workers(workers)
     if seed is None:
         seed = params.region_seed
     grid_levels = sweep_grid_levels(grid)

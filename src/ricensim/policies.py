@@ -18,8 +18,9 @@ _NO_MASK = ActionMask()
 
 def _partner_vector(observation, level: int) -> tuple[int, ...]:
     """``level`` toward every other region, 0 toward the region itself."""
-    region = observation.region
-    return tuple(0 if j == region else level for j in range(observation.n_regions))
+    vector = [level] * observation.n_regions
+    vector[observation.region] = 0
+    return tuple(vector)
 
 
 @dataclass(frozen=True)

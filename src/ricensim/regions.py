@@ -31,10 +31,11 @@ def _within(lo: float, hi: float, values: np.ndarray) -> np.ndarray:
 def generate_regions(n: int, seed: int) -> dict[str, np.ndarray]:
     """Generate ``n`` heterogeneous regions deterministically from ``seed``.
 
-    Returns one ``[n]`` array per generated quantity, keyed by the ``World``
-    field that stores it. Productivity and labor growth compound upward,
-    intensity decline compounds downward, and ``theta1`` is the region's
-    linear abatement-cost coefficient.
+    Returns one ``[n]`` array per generated quantity, keyed by the field of
+    ``engine.World`` or ``engine.EpisodeConstants`` that stores it.
+    Productivity and labor growth compound upward, intensity decline
+    compounds downward, and ``theta1`` is the region's linear
+    abatement-cost coefficient.
     """
     if n < 2:
         raise ConfigError(f"n_regions: must be >= 2, got {n}")

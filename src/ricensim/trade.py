@@ -11,11 +11,10 @@ bilateral flows stay balanced up to heterogeneity in trade actions.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .actions import levels_to_rates
 from .config import VariantConfig
 
 #: The balance-driven multiplier on the import budget is clamped here to
@@ -26,26 +25,29 @@ BUDGET_MULTIPLIER_BOUNDS = (0.5, 1.5)
 TINY = 1e-300
 
 
-@dataclass(frozen=True)
 class TradeFlows:
-    """Demand, rationed, and tariffed import matrices plus tariff revenue."""
+    """Demand, rationed, and tariffed import matrices plus tariff revenue,
+    with the rationed matrix's column sums (``exports_scaled``) and row sums
+    (``imports_scaled``) taken once, by the constructor."""
 
-    demanded: np.ndarray  # [importer, exporter]
-    scaled: np.ndarray
-    tariffed: np.ndarray
-    revenue: np.ndarray  # per importer
+    __slots__ = ("demanded", "scaled", "tariffed", "revenue", "exports_scaled", "imports_scaled")
 
-    @property
-    def exports_scaled(self) -> np.ndarray:
-        return self.scaled.sum(axis=0)
+    def __init__(
+        self,
+        demanded: np.ndarray,  # [importer, exporter]
+        scaled: np.ndarray,
+        tariffed: np.ndarray,
+        revenue: np.ndarray,  # per importer
+    ):
+        self.demanded = demanded
+        self.scaled = scaled
+        self.tariffed = tariffed
+        self.revenue = revenue
+        self.exports_scaled = scaled.sum(axis=0)
+        self.imports_scaled = scaled.sum(axis=1)
 
-    @property
-    def imports_scaled(self) -> np.ndarray:
-        return self.scaled.sum(axis=1)
 
-
-@dataclass(frozen=True)
-class ConsumptionBreakdown:
+class ConsumptionBreakdown(NamedTuple):
     """Domestic/foreign consumption split and the aggregate reward basis."""
 
     domestic: np.ndarray
@@ -55,13 +57,13 @@ class ConsumptionBreakdown:
 
 
 def build_demand(
-    import_levels: np.ndarray,
+    import_rates: np.ndarray,
     gross_output: np.ndarray,
     budget_fraction: np.ndarray | float,
 ) -> np.ndarray:
-    """Demand matrix from import levels, budgets, and partner sizes.
+    """Demand matrix from import rates, budgets, and partner sizes.
 
-    ``demand[i, j] = rate(level[i, j]) * (budget[i] * Y[i]) * (Y[j] / P[i])``
+    ``demand[i, j] = rate[i, j] * (budget[i] * Y[i]) * (Y[j] / P[i])``
     with partner total ``P[i] = sum(Y) - Y[i]``, evaluated in that order.
 
     With two regions the partner weight is 1 and the entry reduces to
@@ -78,7 +80,7 @@ def build_demand(
         shares = np.where(
             partner_total[:, None] > 0.0, y / np.maximum(partner_total[:, None], TINY), 0.0
         )
-    demand = levels_to_rates(import_levels) * (budget_fraction * y)[:, None] * shares
+    demand = import_rates * (budget_fraction * y)[:, None] * shares
     demand.flat[:: n + 1] = 0.0
     return demand
 
@@ -105,24 +107,22 @@ def ration_exports(demanded: np.ndarray, export_capacity: np.ndarray) -> np.ndar
 
 
 def apply_tariffs(
-    scaled: np.ndarray, tariff_levels: np.ndarray
+    scaled: np.ndarray, tariff_rates: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Tariffed imports and per-importer tariff revenue.
 
-    ``tariffed[i, j] = scaled[i, j] * (1 - rate(level[i, j]))``; the wedge
-    accrues to the importer as revenue.
+    ``tariffed[i, j] = scaled[i, j] * (1 - rate[i, j])``; the wedge
+    ``scaled[i, j] * rate[i, j]`` accrues to the importer as revenue.
     """
-    rates = levels_to_rates(tariff_levels)
-    tariffed = scaled * (1.0 - rates)
-    revenue = (scaled * rates).sum(axis=1)
+    tariffed = scaled * (1.0 - tariff_rates)
+    revenue = (scaled * tariff_rates).sum(axis=1)
     return tariffed, revenue
 
 
 def consumption(
     net_output: np.ndarray,
     investment: np.ndarray,
-    scaled: np.ndarray,
-    tariffed: np.ndarray,
+    flows: TradeFlows,
     foreign_weight: float,
     variant: VariantConfig,
 ) -> ConsumptionBreakdown:
@@ -133,13 +133,12 @@ def consumption(
     overproduction penalty on, the exporter also loses the part of its
     shipped output that the importers tariffed away.
     """
-    exports = scaled.sum(axis=0)
-    domestic = net_output - investment - exports
+    domestic = net_output - investment - flows.exports_scaled
     if variant.overproduction_penalty:
-        domestic = domestic - (scaled - tariffed).sum(axis=0)
+        domestic = domestic - (flows.scaled - flows.tariffed).sum(axis=0)
     floored = domestic < 0.0
     domestic = np.maximum(domestic, 0.0)
-    foreign = tariffed.sum(axis=1)
+    foreign = flows.tariffed.sum(axis=1)
     return ConsumptionBreakdown(
         domestic=domestic,
         foreign=foreign,

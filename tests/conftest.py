@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,8 @@ def small_params() -> SimParams:
 
 def symmetric_world(world, capital=80.0, labor=10.0, productivity=3.0, intensity=0.3):
     """Overwrite a freshly reset world with identical regions, for tests of
-    symmetry properties."""
+    symmetry properties. The rates go through the constants' constructor,
+    which derives the growth factors from them."""
     n = world.n_regions
     world.capital = np.full(n, capital)
     world.labor = np.full(n, labor)
@@ -30,8 +33,11 @@ def symmetric_world(world, capital=80.0, labor=10.0, productivity=3.0, intensity
     world.intensity = np.full(n, intensity)
     world.mitigation_prev = np.zeros(n)
     world.balance = np.zeros(n)
-    world.theta1 = np.full(n, 0.03)
-    world.productivity_growth = np.full(n, 0.01)
-    world.labor_growth = np.full(n, 0.005)
-    world.intensity_decline = np.full(n, 0.007)
+    world.constants = dataclasses.replace(
+        world.constants,
+        theta1=np.full(n, 0.03),
+        productivity_growth=np.full(n, 0.01),
+        labor_growth=np.full(n, 0.005),
+        intensity_decline=np.full(n, 0.007),
+    )
     return world

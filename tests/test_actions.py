@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from ricensim import SimParams, VariantConfig
 from ricensim.actions import (
     ACTION_DIMENSIONS,
+    RATE_NAMES,
     ActionSet,
     JointActions,
     check_level,
@@ -145,7 +146,7 @@ class TestJointActions:
 
     def test_attributes_cannot_be_rebound(self):
         j = JointActions.uniform(3, savings=1, mitigation=2, export=3, imports=5, tariffs=7)
-        for name in ("savings", "mitigation", "export", "imports", "tariffs", "_validated"):
+        for name in (*ACTION_DIMENSIONS, *RATE_NAMES, "_validated"):
             with pytest.raises(AttributeError):
                 setattr(j, name, getattr(j, name))
             with pytest.raises(AttributeError):
@@ -163,10 +164,19 @@ class TestJointActions:
         with pytest.raises(ZeroDivisionError):
             fresh.validate()
 
+    def test_rates_are_read_only_levels_over_ten(self):
+        j = JointActions.uniform(3, savings=1, mitigation=2, export=3, imports=5, tariffs=7)
+        for name, rate_name in zip(ACTION_DIMENSIONS, RATE_NAMES):
+            rates = getattr(j, rate_name)
+            assert rates.dtype == np.float64 and not rates.flags.writeable, rate_name
+            assert rates.tobytes() == (getattr(j, name) / 10.0).tobytes(), rate_name
+            with pytest.raises(ValueError):
+                rates[0] = 0.5
+
     def test_copies_survive_pickle_and_deepcopy(self):
         j = JointActions.uniform(3, savings=1, mitigation=2, export=3, imports=5, tariffs=7)
         for clone in (pickle.loads(pickle.dumps(j)), copy.deepcopy(j)):
-            for name in ("savings", "mitigation", "export", "imports", "tariffs"):
+            for name in (*ACTION_DIMENSIONS, *RATE_NAMES):
                 assert np.array_equal(getattr(clone, name), getattr(j, name))
             clone.validate()
 

@@ -15,6 +15,7 @@ from ricensim import (
     UniformRandomPolicy,
     VariantConfig,
 )
+from ricensim import economy
 from ricensim.engine import (
     reset,
     run_episode,
@@ -86,6 +87,38 @@ class TestStep:
         with_penalty = step(reset(hot, variant, 1), actions)
         without = step(reset(hot, base, 1), actions)
         assert np.array_equal(without.rewards - with_penalty.rewards, np.full(4, 1e6))
+
+    def test_replaced_rates_step_like_the_in_step_formula(self, small_params, baseline):
+        """The growth factors come from the constants' constructor, so rates
+        swapped in after ``reset`` are the ones the step grows by."""
+        w = reset(small_params, baseline, 1)
+        n, dt, p = w.n_regions, small_params.dt_years, small_params
+        rates = {
+            "theta1": np.full(n, 0.05),
+            "productivity_growth": np.linspace(0.0, 0.03, n),
+            "labor_growth": np.full(n, 0.02),
+            "intensity_decline": np.linspace(0.01, 0.04, n),
+        }
+        w.constants = dataclasses.replace(w.constants, **rates)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            w.constants.labor_growth = np.zeros(n)
+        assert not w.constants.labor_growth.flags.writeable
+        actions = JointActions.uniform(n, 3, 5, 2, 4, 1)
+        result = step(w, actions)
+        new, d = result.world, result.detail
+        expected = {
+            "labor": w.labor * (1.0 + rates["labor_growth"]) ** dt,
+            "productivity": w.productivity * (1.0 + rates["productivity_growth"]) ** dt,
+            "intensity": w.intensity * (1.0 - rates["intensity_decline"]) ** dt,
+            "capital": w.capital * (1.0 - p.depreciation) ** dt + dt * d.investment,
+        }
+        for name, value in expected.items():
+            assert getattr(new, name).tobytes() == value.tobytes(), name
+        abatement = economy.abatement_fraction(
+            actions.mitigation / 10.0, w.mitigation_prev, baseline.abatement_kind,
+            rates["theta1"], p.theta2, p.theta3,
+        )
+        assert d.abatement_fraction.tobytes() == abatement.tobytes()
 
     def test_emissions_identity_every_step(self, small_params, baseline):
         rec = run_episode(small_params, baseline, FixedLevelsPolicy(4, 6, 3, 5, 2), 3)
@@ -205,6 +238,44 @@ class TestNegotiation:
         assert (a.delta_t_end, a.y_cum) == (b.delta_t_end, b.y_cum)
         assert a.total_reward.tobytes() == b.total_reward.tobytes()
 
+    @pytest.mark.parametrize(
+        "negotiation, acts_every_step",
+        [
+            (NegotiationConfig(), False),
+            (NegotiationConfig(enabled=True, enforce_masks=False), False),
+            (NegotiationConfig(enabled=True), True),
+        ],
+        ids=["off", "unenforced", "enforced"],
+    )
+    def test_static_policy_acts_every_step_only_under_binding_masks(
+        self, small_params, baseline, monkeypatch, negotiation, acts_every_step
+    ):
+        calls = []
+        act = FixedLevelsPolicy.act
+
+        def counting_act(policy, observation, mask, rng):
+            calls.append(observation.region)
+            return act(policy, observation, mask, rng)
+
+        monkeypatch.setattr(FixedLevelsPolicy, "act", counting_act)
+        params = dataclasses.replace(small_params, negotiation=negotiation)
+        run_episode(params, baseline, FixedLevelsPolicy(1, 2, 9, 9, 0), 6)
+        steps = params.n_steps if acts_every_step else 1
+        assert calls == list(range(4)) * steps
+
+    def test_equal_commitments_share_one_mask(self, small_params, baseline, monkeypatch):
+        from ricensim import engine
+
+        built = []
+        build = engine.build_mask
+        monkeypatch.setattr(
+            engine, "build_mask", lambda level, dims: built.append(level) or build(level, dims)
+        )
+        w = reset(self.negotiating(small_params), baseline, 6)
+        masks = w.masks()
+        assert built == [int(w.commitments[0])]  # all-accept: one commitment for all
+        assert masks == [build(built[0], ("mitigation",))] * 4
+
     def test_commitments_recorded_per_step(self, small_params, baseline):
         params = self.negotiating(small_params)
         rec = run_episode(params, baseline, UniformRandomPolicy(), 1)
@@ -259,11 +330,15 @@ GOLDEN_NEGOTIATED_RECORD_SHA256 = {
         "1fa5a7927cd08506aef643f084f24ea52bc438a10582ac4b209ab3f29a2ed1f5",
     ("fixed", ("savings", "mitigation"), False):
         "a69de70dc7d94c761de18fb220d08f67efc17758c49a9b5bc806af9a69bccf8e",
+    # Recorded when a static policy acted every step under any negotiation.
+    ("pariah", ("mitigation",), False):
+        "a52871246b6ff65f710cfdccd9efb1bc6aa35e22cd730591649c7b0ed26a280e",
 }
 
 NEGOTIATED_POLICIES = {
     "random": UniformRandomPolicy(),
     "fixed": FixedLevelsPolicy(savings=1, mitigation=2, export=9, imports=9, tariffs=0),
+    "pariah": PariahOverridePolicy(IDEAL_TRADE_POLICY, target=0, tariff_level=9),
 }
 
 

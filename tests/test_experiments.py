@@ -1,11 +1,13 @@
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
 
 from ricensim import FixedLevelsPolicy, JointActions, SimParams, VariantConfig
 from ricensim.engine import reset, step
+from ricensim import experiments
 from ricensim.errors import ConfigError
 from ricensim.experiments import (
     action_sweep,
@@ -89,6 +91,18 @@ class TestActionSweep:
         assert s.climate_index[0] == 0.0 and s.economic_index[0] == 0.0
         assert s.correlations["savings"]["reward"] is None
 
+    @pytest.mark.parametrize("workers", [0, -1, 10**6])
+    def test_workers_outside_the_cpu_count_rejected_before_any_pool(
+        self, baseline, monkeypatch, workers
+    ):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
+        with pytest.raises(ConfigError, match=r"workers: must be in 1\.\."):
+            action_sweep(SimParams(n_regions=4), baseline, grid=1, workers=workers)
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs 2 CPUs for workers=2")
     def test_worker_counts_agree(self, baseline):
         small = SimParams(n_regions=4, region_seed=2)
         one = action_sweep(small, baseline, grid=2, seed=2, workers=1)

@@ -44,22 +44,22 @@ def same_bits(got, expected) -> bool:
 def demand_inputs(draw):
     n = draw(st.integers(min_value=2, max_value=6))
     y = np.array(draw(st.lists(outputs, min_size=n, max_size=n)))
-    # Diagonal levels included: the kernel zeroes the diagonal whatever they are.
+    # Diagonal rates included: the kernel zeroes the diagonal whatever they are.
     levels = np.array(draw(st.lists(st.integers(0, 9), min_size=n * n, max_size=n * n)))
-    levels = levels.reshape(n, n)
+    rates = levels.reshape(n, n) / 10.0
     if draw(st.booleans()):
         budget = draw(st.floats(min_value=0.01, max_value=0.5))
     else:
         budget = np.array(draw(st.lists(
             st.floats(min_value=0.01, max_value=0.5), min_size=n, max_size=n
         )))
-    return levels, y, budget
+    return rates, y, budget
 
 
 @given(demand_inputs())
 @settings(max_examples=300, deadline=None)
 def test_build_demand_is_its_formula(inputs):
-    levels, y, budget = inputs
+    rates, y, budget = inputs
     n = y.shape[0]
     b = np.broadcast_to(budget, (n,))
     total = float(y.sum())
@@ -69,8 +69,8 @@ def test_build_demand_is_its_formula(inputs):
         for j in range(n):
             if i != j:
                 share = float(y[j]) / max(partner, TINY) if partner > 0.0 else 0.0
-                expected[i, j] = int(levels[i, j]) / 10.0 * (float(b[i]) * float(y[i])) * share
-    assert same_bits(build_demand(levels, y, budget), expected)
+                expected[i, j] = float(rates[i, j]) * (float(b[i]) * float(y[i])) * share
+    assert same_bits(build_demand(rates, y, budget), expected)
 
 
 @st.composite

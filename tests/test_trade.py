@@ -21,36 +21,41 @@ OVERPRODUCTION = VariantConfig(overproduction_penalty=True)
 REVENUE = VariantConfig(use_tariff_revenue=True)
 
 
-def off_diag(n, level):
-    return level * (1 - np.eye(n, dtype=np.int64))
+def off_diag(n, rate):
+    return rate * (1 - np.eye(n))
+
+
+def flows_of(scaled, tariffed):
+    """Trade flows with the given rationed and tariffed matrices."""
+    return TradeFlows(scaled, scaled, tariffed, (scaled - tariffed).sum(axis=1))
 
 
 class TestBuildDemand:
     def test_zero_levels_zero_matrix(self):
-        d = build_demand(np.zeros((3, 3), dtype=int), np.array([10.0, 20.0, 30.0]), 0.1)
+        d = build_demand(np.zeros((3, 3)), np.array([10.0, 20.0, 30.0]), 0.1)
         assert np.all(d == 0)
 
     def test_two_region_pair_budget(self):
         # With a single partner the partner weight is 1:
         # demand = 0.9 * 0.1 * 100 = 9.0 exactly.
-        d = build_demand(off_diag(2, 9), np.array([100.0, 100.0]), 0.1)
+        d = build_demand(off_diag(2, 0.9), np.array([100.0, 100.0]), 0.1)
         assert d[0, 1] == 9.0
         assert d[1, 0] == 9.0
 
     def test_zero_output_zero_row(self):
-        d = build_demand(off_diag(3, 9), np.array([0.0, 50.0, 70.0]), 0.1)
+        d = build_demand(off_diag(3, 0.9), np.array([0.0, 50.0, 70.0]), 0.1)
         assert np.all(d[0] == 0)
 
     def test_partner_share_composition(self):
         y = np.array([100.0, 40.0, 60.0, 80.0])
-        d = build_demand(off_diag(4, 9), y, 0.1)
+        d = build_demand(off_diag(4, 0.9), y, 0.1)
         # composition of row 0 follows partner output shares
         assert math.isclose(d[0, 1] / d[0, 2], 40.0 / 60.0, rel_tol=1e-12)
         # row total never exceeds the rate-weighted import budget
         assert d[0].sum() <= 0.9 * 0.1 * 100.0 + 1e-12
 
     def test_diagonal_zero(self):
-        d = build_demand(off_diag(3, 9), np.array([10.0, 20.0, 30.0]), 0.1)
+        d = build_demand(off_diag(3, 0.9), np.array([10.0, 20.0, 30.0]), 0.1)
         assert np.all(np.diag(d) == 0)
 
 
@@ -81,25 +86,25 @@ class TestRationExports:
 class TestApplyTariffs:
     def test_no_tariffs_identity(self):
         ms = np.array([[0.0, 2.0], [3.0, 0.0]])
-        mt, r = apply_tariffs(ms, np.zeros((2, 2), dtype=int))
+        mt, r = apply_tariffs(ms, np.zeros((2, 2)))
         assert np.array_equal(mt, ms)
         assert np.all(r == 0)
 
     def test_half_tariff_splits_flow(self):
         ms = np.zeros((2, 2))
         ms[0, 1] = 8.0
-        levels = np.zeros((2, 2), dtype=int)
-        levels[0, 1] = 5
-        mt, r = apply_tariffs(ms, levels)
+        rates = np.zeros((2, 2))
+        rates[0, 1] = 0.5
+        mt, r = apply_tariffs(ms, rates)
         assert mt[0, 1] == 4.0
         assert r[0] == 4.0
 
     def test_max_tariff_leaves_a_tenth(self):
         ms = np.zeros((2, 2))
         ms[0, 1] = 10.0
-        levels = np.zeros((2, 2), dtype=int)
-        levels[0, 1] = 9
-        mt, _ = apply_tariffs(ms, levels)
+        rates = np.zeros((2, 2))
+        rates[0, 1] = 0.9
+        mt, _ = apply_tariffs(ms, rates)
         assert math.isclose(mt[0, 1], 1.0, rel_tol=1e-12)
 
 
@@ -113,20 +118,20 @@ class TestConsumption:
         mt = np.zeros((2, 2))
         mt[1, 0] = 10.0
         mt[0, 1] = 4.0
-        c = consumption(np.array([100.0, 50.0]), np.array([30.0, 0.0]), ms, mt, 0.7, BASE)
+        c = consumption(np.array([100.0, 50.0]), np.array([30.0, 0.0]), flows_of(ms, mt), 0.7, BASE)
         assert c.domestic[0] == 60.0
         assert c.foreign[0] == 4.0
         assert math.isclose(c.aggregate[0], 62.8, rel_tol=1e-12)
 
     def test_no_trade_reduces_to_net_minus_investment(self):
         c = consumption(np.array([10.0, 8.0]), np.array([3.0, 2.0]),
-                        np.zeros((2, 2)), np.zeros((2, 2)), 0.7, BASE)
+                        flows_of(np.zeros((2, 2)), np.zeros((2, 2))), 0.7, BASE)
         assert np.array_equal(c.aggregate, np.array([7.0, 6.0]))
 
     def test_negative_domestic_floored_and_flagged(self):
         ms = np.zeros((2, 2))
         ms[1, 0] = 50.0
-        c = consumption(np.array([40.0, 40.0]), np.array([0.0, 0.0]), ms, ms, 0.7, BASE)
+        c = consumption(np.array([40.0, 40.0]), np.array([0.0, 0.0]), flows_of(ms, ms), 0.7, BASE)
         assert c.domestic[0] == 0.0
         assert c.domestic_floored[0]
         assert not c.domestic_floored[1]
@@ -139,8 +144,8 @@ class TestConsumption:
         for tariffed_away in (0.0, 5.0):
             mt = ms.copy()
             mt[1, 0] -= tariffed_away
-            base = consumption(y_n, inv, ms, mt, 0.7, BASE)
-            over = consumption(y_n, inv, ms, mt, 0.7, OVERPRODUCTION)
+            base = consumption(y_n, inv, flows_of(ms, mt), 0.7, BASE)
+            over = consumption(y_n, inv, flows_of(ms, mt), 0.7, OVERPRODUCTION)
             assert base.aggregate[0] == 90.0  # untouched by the tariff on it
             assert math.isclose(over.aggregate[0], 90.0 - tariffed_away, rel_tol=1e-12)
 
@@ -151,10 +156,10 @@ class TestConsumption:
         ms[0, 1] = 10.0
         aggregates = []
         for level in range(10):
-            levels = np.zeros((2, 2), dtype=int)
-            levels[0, 1] = level
-            mt, _ = apply_tariffs(ms, levels)
-            aggregates.append(consumption(y_n, inv, ms, mt, 0.7, BASE).aggregate[0])
+            rates = np.zeros((2, 2))
+            rates[0, 1] = level / 10.0
+            mt, _ = apply_tariffs(ms, rates)
+            aggregates.append(consumption(y_n, inv, flows_of(ms, mt), 0.7, BASE).aggregate[0])
         assert all(b < a for a, b in zip(aggregates, aggregates[1:]))
 
 
@@ -202,10 +207,10 @@ class TestFlowInvariants:
     @settings(max_examples=200, deadline=None)
     def test_matrix_ordering_and_bounds(self, scenario):
         y, import_levels, export_levels, tariff_levels = scenario
-        dm = build_demand(import_levels, y, 0.1)
+        dm = build_demand(import_levels / 10.0, y, 0.1)
         capacity = export_levels / 10.0 * y
         ms = ration_exports(dm, capacity)
-        mt, revenue = apply_tariffs(ms, tariff_levels)
+        mt, revenue = apply_tariffs(ms, tariff_levels / 10.0)
         flows = TradeFlows(dm, ms, mt, revenue)
 
         assert (mt >= -1e-15).all()
@@ -219,3 +224,6 @@ class TestFlowInvariants:
         # material bound: total foreign consumption never exceeds total exports
         assert mt.sum() <= ms.sum() + 1e-9
         assert flows.exports_scaled.sum() == pytest.approx(flows.imports_scaled.sum())
+        # Each reduction is taken once, by the constructor, with numpy's own sum.
+        assert flows.exports_scaled.tobytes() == ms.sum(axis=0).tobytes()
+        assert flows.imports_scaled.tobytes() == ms.sum(axis=1).tobytes()
