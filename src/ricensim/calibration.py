@@ -22,6 +22,10 @@ from .errors import DomainError
 #: calibration rollout.
 ANCHOR_DAMAGE = 0.085
 ANCHOR_HORIZON_YEARS = 100
+#: The fixed point is reached when an iteration moves pi2 by at most this
+#: fraction of itself, within this many rollouts.
+REL_TOL = 1e-12
+MAX_ITERATIONS = 50
 
 #: The no-mitigation rollout's levels in ``ACTION_DIMENSIONS`` order: savings
 #: 0.3, no mitigation, no trade (trade cannot move temperature or output).
@@ -32,44 +36,35 @@ NO_MITIGATION_LEVELS = (3, 0, 0, 0, 0)
 class CalibrationResult:
     pi2: float
     t_ref: float
-    anchor_damage: float
     iterations: int
 
 
 def calibrate_damage_to_anchor(
-    params: SimParams,
-    variant: VariantConfig | None = None,
-    anchor_damage: float = ANCHOR_DAMAGE,
-    horizon_years: int = ANCHOR_HORIZON_YEARS,
-    seed: int | None = None,
-    rel_tol: float = 1e-12,
-    max_iterations: int = 50,
+    params: SimParams, variant: VariantConfig, seed: int
 ) -> CalibrationResult:
-    """Solve for pi2 so the horizon-end damage equals the anchor exactly."""
-    variant = variant or VariantConfig()
+    """Solve for pi2 so the damage at the end of the ``ANCHOR_HORIZON_YEARS``
+    rollout equals ``ANCHOR_DAMAGE`` exactly."""
     if variant.damage_kind != "dice_quadratic":
         raise DomainError("calibration targets the quadratic damage function")
-    base = replace(params, horizon_years=horizon_years, damage_pi1=0.0)
+    base = replace(params, horizon_years=ANCHOR_HORIZON_YEARS, damage_pi1=0.0)
 
     actions = JointActions.uniform(params.n_regions, *NO_MITIGATION_LEVELS)
     pi2 = 0.0
     t_ref = 0.0
-    for iteration in range(1, max_iterations + 1):
+    for iteration in range(1, MAX_ITERATIONS + 1):
         summary = run_fixed_actions_summary(replace(base, damage_pi2=pi2), variant, actions, seed)
         t_ref = summary.delta_t_end
-        new_pi2 = calibrate_damage_coefficient(t_ref, anchor_damage)
-        if pi2 > 0.0 and abs(new_pi2 - pi2) <= rel_tol * pi2:
+        new_pi2 = calibrate_damage_coefficient(t_ref, ANCHOR_DAMAGE)
+        if pi2 > 0.0 and abs(new_pi2 - pi2) <= REL_TOL * pi2:
             pi2 = new_pi2
             break
         pi2 = new_pi2
     else:
-        iteration = max_iterations
+        iteration = MAX_ITERATIONS
 
     achieved = damage_fraction(t_ref, "dice_quadratic", 0.0, pi2)
-    if abs(achieved - anchor_damage) > 1e-9:
+    if abs(achieved - ANCHOR_DAMAGE) > 1e-9:
         raise DomainError(
-            f"calibration failed to converge: damage {achieved} vs anchor {anchor_damage}"
+            f"calibration failed to converge: damage {achieved} vs anchor {ANCHOR_DAMAGE}"
         )
-    return CalibrationResult(
-        pi2=float(pi2), t_ref=float(t_ref), anchor_damage=anchor_damage, iterations=iteration
-    )
+    return CalibrationResult(pi2=float(pi2), t_ref=float(t_ref), iterations=iteration)

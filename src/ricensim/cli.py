@@ -67,22 +67,13 @@ def _resolve_config(args) -> RunConfig:
     else:
         config = RunConfig(sim=SimParams(), variant=VariantConfig())
     command = args.command if args.command != "run" else config.experiment
-    options = EXPERIMENTS[command].resolve_options(config.options, vars(args), args.full_scale)
-
-    seed = args.seed if args.seed is not None else config.seed
-    if seed is None:
-        seed = config.sim.region_seed
-    out_dir = args.out or config.out_dir or os.environ.get(OUT_DIR_ENV) or "ricensim_out"
-    # Built before the seed reaches ``sim``, so a bad ``--seed`` is named ``seed``.
-    resolved = RunConfig(
-        sim=config.sim,
-        variant=config.variant,
+    return dataclasses.replace(
+        config,
         experiment=command,
-        options=options,
-        seed=seed,
-        out_dir=out_dir,
+        options=EXPERIMENTS[command].resolve_options(config.options, vars(args), args.full_scale),
+        seed=args.seed if args.seed is not None else config.seed,
+        out_dir=args.out or config.out_dir or os.environ.get(OUT_DIR_ENV) or "ricensim_out",
     )
-    return dataclasses.replace(resolved, sim=dataclasses.replace(config.sim, region_seed=seed))
 
 
 def _execute(config: RunConfig, workers: int) -> None:

@@ -192,7 +192,6 @@ class SimParams:
     n_regions: int = 27
     dt_years: int = 5
     horizon_years: int = 100
-    region_seed: int = 0
     output_elasticity: float = 0.3  # capital share in production
     depreciation: float = 0.1  # per-year capital depreciation
     foreign_weight: float = 0.7  # weight of foreign consumption in the reward
@@ -206,7 +205,6 @@ class SimParams:
 
     def __post_init__(self) -> None:
         _require(self.n_regions >= 2, "n_regions", "must be >= 2")
-        _require(self.region_seed >= 0, "region_seed", "must be >= 0")
         _require(self.dt_years >= 1, "dt_years", "must be >= 1")
         from .climate import carbon_transfer_matrix  # climate imports this module
 

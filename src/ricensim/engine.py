@@ -146,12 +146,14 @@ def _draw_commitments(params: SimParams, episode_seed: int, t: int) -> np.ndarra
     return commitments_from_arrays(proposals)
 
 
-def reset(params: SimParams, variant: VariantConfig, seed: int | None = None) -> World:
+def reset(params: SimParams, variant: VariantConfig, seed: int = 0) -> World:
     """Fresh world: the episode's constants (generated regions' rates and the
     factors derived from them), the regions' initial state, the initial
-    climate and the first step's commitments."""
-    if seed is None:
-        seed = params.region_seed
+    climate and the first step's commitments.
+
+    ``seed`` has a default only because ``perfbench/run.py`` times
+    ``reset(SimParams(), VariantConfig())``; every caller in the package
+    passes it."""
     regions = generate_regions(params.n_regions, seed)
     constants = EpisodeConstants(
         params,
@@ -198,7 +200,6 @@ class StepDetail(NamedTuple):
 
 class StepResult(NamedTuple):
     world: World
-    rewards: np.ndarray
     detail: StepDetail
 
 
@@ -322,7 +323,7 @@ def step(world: World, actions: JointActions) -> StepResult:
         t_ocean_after=t_lo,
         commitments=world.commitments,
     )
-    return StepResult(world=new_world, rewards=rewards, detail=detail)
+    return StepResult(world=new_world, detail=detail)
 
 
 @dataclass(frozen=True)
@@ -468,12 +469,7 @@ def _policy_actions(world: World, policy):
     return lambda w: _episode_actions(w, policy, policy_rng)
 
 
-def run_episode(
-    params: SimParams,
-    variant: VariantConfig,
-    policy,
-    seed: int | None = None,
-) -> EpisodeRecord:
+def run_episode(params: SimParams, variant: VariantConfig, policy, seed: int) -> EpisodeRecord:
     """Roll one full episode under ``policy`` and record everything."""
     world = reset(params, variant, seed)
     history: list[_Step] = []
@@ -495,10 +491,7 @@ def run_episode(
 
 
 def run_fixed_actions_summary(
-    params: SimParams,
-    variant: VariantConfig,
-    actions: JointActions,
-    seed: int | None = None,
+    params: SimParams, variant: VariantConfig, actions: JointActions, seed: int
 ) -> EpisodeSummary:
     """Roll one episode applying the same joint actions every step, which
     cannot follow commitment masks, so enforced masks are a config error."""

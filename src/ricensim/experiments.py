@@ -94,11 +94,7 @@ def _climate_index(delta_t: np.ndarray, y_cum: np.ndarray) -> np.ndarray:
 
 
 def action_sweep(
-    params: SimParams,
-    variant: VariantConfig,
-    grid: int = 4,
-    seed: int | None = None,
-    workers: int = 1,
+    params: SimParams, variant: VariantConfig, grid: int, seed: int, workers: int = 1
 ) -> SweepResult:
     """Fixed identical actions for all regions, one rollout per grid point.
 
@@ -109,8 +105,6 @@ def action_sweep(
     rounding. ``workers`` must be in ``1..os.cpu_count()``.
     """
     check_workers(workers)
-    if seed is None:
-        seed = params.region_seed
     grid_levels = sweep_grid_levels(grid)
     combos = list(itertools.product(*(grid_levels for _ in ACTION_DIMENSIONS)))
     n_rollouts = len(combos)
@@ -166,7 +160,7 @@ class PariahResult:
     """Z-normalized subject rewards per condition, with the realized tariff."""
 
     conditions: tuple[str, ...]
-    subjects: dict[str, np.ndarray]  # [run] subject region ids
+    subjects: np.ndarray  # [run] subject region ids, shared by every condition
     rewards: dict[str, np.ndarray]  # [run] raw subject total rewards
     z_rewards: dict[str, np.ndarray]  # [run] z-normalized by subject id
     realized_tariff: dict[str, np.ndarray]  # [run] mean tariff rate toward subject
@@ -180,9 +174,9 @@ class PariahResult:
 def pariah_experiment(
     params: SimParams,
     variant: VariantConfig,
-    runs: int = 100,
-    tariff_levels: tuple[int, ...] = (5, 7, 9),
-    seed: int = 0,
+    runs: int,
+    tariff_levels: tuple[int, ...],
+    seed: int,
 ) -> PariahResult:
     """Fixed tariffs from everyone toward a random subject region.
 
@@ -227,7 +221,7 @@ def pariah_experiment(
     }
     return PariahResult(
         conditions=conditions,
-        subjects={c: run_subjects.copy() for c in conditions},
+        subjects=run_subjects,
         rewards=rewards,
         z_rewards=z_rewards,
         realized_tariff={c: realized_levels[c] / 10.0 for c in conditions},
@@ -252,12 +246,10 @@ class TradeEffectResult:
 
 
 def trade_effect_experiment(
-    params: SimParams, variant: VariantConfig, seed: int | None = None
+    params: SimParams, variant: VariantConfig, seed: int
 ) -> TradeEffectResult:
     """Compare zero trade against maximal trade at mitigation 0.9,
     savings 0.3, and no tariffs."""
-    if seed is None:
-        seed = params.region_seed
     no_trade = FixedLevelsPolicy(savings=3, mitigation=9, export=0, imports=0, tariffs=0)
     max_trade = FixedLevelsPolicy(savings=3, mitigation=9, export=9, imports=9, tariffs=0)
     r_none = run_episode(params, variant, no_trade, seed).total_reward
@@ -284,10 +276,8 @@ class TariffEffectResult:
 
 
 def tariff_effect_experiment(
-    params: SimParams, variant: VariantConfig, seed: int | None = None
+    params: SimParams, variant: VariantConfig, seed: int
 ) -> TariffEffectResult:
-    if seed is None:
-        seed = params.region_seed
     with_tariffs = FixedLevelsPolicy(savings=3, mitigation=9, export=9, imports=9, tariffs=9)
     rec0 = run_episode(params, variant, IDEAL_TRADE_POLICY, seed)
     rec9 = run_episode(params, variant, with_tariffs, seed)
@@ -311,18 +301,13 @@ class HorizonResult:
 
 
 def horizon_experiment(
-    params: SimParams,
-    variant: VariantConfig,
-    horizons: tuple[int, ...] = (100, 200, 300),
-    seed: int | None = None,
+    params: SimParams, variant: VariantConfig, horizons: tuple[int, ...], seed: int
 ) -> HorizonResult:
     """Calibrate damages on the 100-year no-mitigation run, then extend."""
-    if seed is None:
-        seed = params.region_seed
     for h in horizons:
         if h % params.dt_years != 0:
             raise ConfigError(f"horizons: {h} is not a multiple of dt_years")
-    cal = calibrate_damage_to_anchor(params, variant, seed=seed)
+    cal = calibrate_damage_to_anchor(params, variant, seed)
     t_end: dict[int, float] = {}
     d_end: dict[int, float] = {}
     for h in horizons:
@@ -358,7 +343,8 @@ def commitment_statistics(
     """Monte-Carlo commitment statistics for any region count.
 
     Uniform proposals, all-accept evaluations; realized mitigation is the
-    uniform draw over each step's permitted levels.
+    uniform draw over each step's permitted levels. Commitments depend only
+    on proposals and evaluations, so the rollout economy is not simulated.
     """
     if episodes < 1:
         raise ConfigError(f"episodes: must be >= 1, got {episodes}")
@@ -380,12 +366,3 @@ def commitment_statistics(
         mean_realized_mitigation=float(realized.mean() / 10.0),
         seed=seed,
     )
-
-
-def masking_demo(params: SimParams, episodes: int = 10_000, seed: int = 0) -> MaskingDemoResult:
-    """Commitment statistics of the negotiation layer itself.
-
-    Commitments depend only on proposals and evaluations, so the rollout
-    economy is not simulated here.
-    """
-    return commitment_statistics(params.n_regions, params.n_steps, episodes, seed)

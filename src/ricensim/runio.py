@@ -23,15 +23,15 @@ from typing import Any, get_args, get_origin, get_type_hints
 import numpy as np
 
 from .actions import ACTION_DIMENSIONS, NUM_LEVELS
-from .calibration import calibrate_damage_to_anchor
+from .calibration import ANCHOR_DAMAGE, calibrate_damage_to_anchor
 from .config import SimParams, VariantConfig
 from .engine import run_episode
 from .errors import ConfigError
 from .experiments import (
     SWEEP_METRICS,
     action_sweep,
+    commitment_statistics,
     horizon_experiment,
-    masking_demo,
     pariah_experiment,
     tariff_effect_experiment,
     trade_effect_experiment,
@@ -197,7 +197,7 @@ def _write_pariah(out: Path, config: RunConfig, result) -> str:
         out / "pariah_runs.csv",
         ["condition", "run", "subject", "total_reward", "z_reward", "realized_tariff"],
         [
-            [c, r, result.subjects[c][r], result.rewards[c][r], result.z_rewards[c][r], result.realized_tariff[c][r]]
+            [c, r, result.subjects[r], result.rewards[c][r], result.z_rewards[c][r], result.realized_tariff[c][r]]
             for c in result.conditions
             for r in range(result.runs)
         ],
@@ -272,7 +272,7 @@ def _write_calibration(out: Path, config: RunConfig, result) -> str:
     doc = {
         "pi2": result.pi2,
         "t_ref_degc": result.t_ref,
-        "anchor_damage": result.anchor_damage,
+        "anchor_damage": ANCHOR_DAMAGE,
         "iterations": result.iterations,
         "seed": config.seed,
     }
@@ -356,14 +356,16 @@ EXPERIMENTS = {
         Experiment(
             "masking-demo",
             "commitment statistics under random proposals",
-            run=lambda c, workers: masking_demo(c.sim, episodes=c.options["episodes"], seed=c.seed),
+            run=lambda c, workers: commitment_statistics(
+                c.sim.n_regions, c.sim.n_steps, c.options["episodes"], c.seed
+            ),
             write=_write_masking,
             options={"episodes": Option(10_000, 1, flag_help="episode count")},
         ),
         Experiment(
             "calibrate",
             "solve the damage coefficient for the current config",
-            run=lambda c, workers: calibrate_damage_to_anchor(c.sim, c.variant, seed=c.seed),
+            run=lambda c, workers: calibrate_damage_to_anchor(c.sim, c.variant, c.seed),
             write=_write_calibration,
         ),
     )
@@ -381,7 +383,7 @@ class RunConfig:
     variant: VariantConfig
     experiment: str = DEFAULT_EXPERIMENT
     options: dict[str, Any] = dataclasses.field(default_factory=dict)
-    seed: int | None = None
+    seed: int = 0
     out_dir: str | None = None
 
     def __post_init__(self) -> None:
@@ -390,7 +392,7 @@ class RunConfig:
                 f"experiment: unknown experiment {self.experiment!r}; "
                 f"expected one of {tuple(EXPERIMENTS)}"
             )
-        if self.seed is not None and not (_is_int(self.seed) and self.seed >= 0):
+        if not (_is_int(self.seed) and self.seed >= 0):
             raise ConfigError(f"seed: expected a non-negative integer, got {self.seed!r}")
         EXPERIMENTS[self.experiment].check_options(self.options)
 
@@ -448,27 +450,13 @@ def _typed(value, hint, path: str):
     return value
 
 
-def _plain(value):
-    """JSON-compatible representation of dataclasses/tuples/numpy scalars."""
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {f.name: _plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
-    if isinstance(value, (tuple, list)):
-        return [_plain(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    return value
-
-
 def config_to_dict(config: RunConfig) -> dict:
+    """The config as JSON-ready values (``json`` writes tuples as lists)."""
     return {
-        "sim": _plain(config.sim),
-        "variant": _plain(config.variant),
+        "sim": dataclasses.asdict(config.sim),
+        "variant": dataclasses.asdict(config.variant),
         "experiment": config.experiment,
-        "options": _plain(config.options),
+        "options": config.options,
         "seed": config.seed,
         "out_dir": config.out_dir,
     }
@@ -495,7 +483,7 @@ def parse_config(text: str) -> RunConfig:
         variant=_dataclass_from_dict(VariantConfig, data.get("variant", {}), "variant"),
         experiment=data.get("experiment", DEFAULT_EXPERIMENT),
         options=options,
-        seed=data.get("seed"),
+        seed=data.get("seed", 0),
         out_dir=data.get("out_dir"),
     )
 

@@ -19,7 +19,7 @@ def baseline() -> VariantConfig:
 @pytest.fixture
 def small_params() -> SimParams:
     """A 4-region world for fast engine tests."""
-    return SimParams(n_regions=4, region_seed=11)
+    return SimParams(n_regions=4)
 
 
 def symmetric_world(world, capital=80.0, labor=10.0, productivity=3.0, intensity=0.3):

@@ -22,8 +22,8 @@ from ricensim import (
 from ricensim.cli import main as cli_main
 from ricensim.experiments import (
     action_sweep,
+    commitment_statistics,
     horizon_experiment,
-    masking_demo,
     pariah_experiment,
     tariff_effect_experiment,
     trade_effect_experiment,
@@ -57,7 +57,7 @@ def sweep():
 
 @pytest.fixture(scope="module")
 def pariah_baseline():
-    return pariah_experiment(PARAMS, BASELINE, runs=100, seed=1)
+    return pariah_experiment(PARAMS, BASELINE, runs=100, tariff_levels=(5, 7, 9), seed=1)
 
 
 def test_c01_tariff_invariance_is_exact():
@@ -74,8 +74,8 @@ def test_c01_tariff_invariance_is_exact():
 
 def test_c02_tariffer_self_harm():
     """Maximal tariffs strictly lower the tariffing region's own reward."""
-    result = tariff_effect_experiment(PARAMS, BASELINE)
-    rec = run_episode(PARAMS, BASELINE, IDEAL_TRADE_POLICY, PARAMS.region_seed)
+    result = tariff_effect_experiment(PARAMS, BASELINE, 0)
+    rec = run_episode(PARAMS, BASELINE, IDEAL_TRADE_POLICY, 0)
     audited(rec)
     trades = rec.imports_scaled.sum(axis=0)
     passed = bool((trades > 0).all() and (result.delta_total < 0).all())
@@ -84,7 +84,7 @@ def test_c02_tariffer_self_harm():
 
 def test_c03_trade_limitation_inversion():
     """No-trade beats max-trade for every region at mitigation 0.9, savings 0.3."""
-    result = trade_effect_experiment(PARAMS, BASELINE)
+    result = trade_effect_experiment(PARAMS, BASELINE, 0)
     report(3, "no-trade/max-trade reward ratio > 1 for every region",
            bool((result.ratio > 1.0).all()))
 
@@ -119,7 +119,7 @@ def test_c05_correlation_structure(sweep):
 
 def test_c06_damage_anchors():
     """8.5% at 100y by construction; 200y/300y are structural predictions."""
-    result = horizon_experiment(PARAMS, BASELINE)
+    result = horizon_experiment(PARAMS, BASELINE, (100, 200, 300), 0)
     d = result.damage_end
     ok100 = math.isclose(d[100], 0.085, abs_tol=0.005)
     ok200 = math.isclose(d[200], 0.13, abs_tol=0.05)
@@ -132,7 +132,7 @@ def test_c06_damage_anchors():
 def test_c07_masking_inflation():
     """Committing to the max of 27 uniform proposals almost always commits
     to the top level; Monte-Carlo matches the exact order-statistic oracle."""
-    result = masking_demo(PARAMS, episodes=10_000, seed=1)
+    result = commitment_statistics(PARAMS.n_regions, PARAMS.n_steps, 10_000, seed=1)
     oracle_mean = sum(k * (((k + 1) / 10) ** 27 - (k / 10) ** 27) for k in range(10))
     oracle_p9 = 1 - 0.9**27
     mean_ok = abs(result.mean_commitment - oracle_mean) < 0.05

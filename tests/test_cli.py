@@ -139,7 +139,7 @@ class TestErrors:
             ({"sim": {"n_regions": 3.5}}, "sim.n_regions"),
             ({"sim": {"n_regions": "27"}}, "sim.n_regions"),
             ({"sim": {"n_regions": True}}, "sim.n_regions"),
-            ({"sim": {"region_seed": -1}}, "region_seed"),
+            ({"sim": {"region_seed": -1}}, "unknown key: sim.region_seed"),
             ({"sim": {"dt_years": 25}}, "dt_years"),
             (
                 {"sim": {"horizon_years": 500, "climate": {"heat_capacity_c1": 50}},
@@ -163,6 +163,9 @@ class TestErrors:
                 {"sim": {"climate": {"forcing_exogenous_start": -11}}, "experiment": "episode"},
                 "climate.forcing_exogenous_start",
             ),
+            # The top-level seed is the only seed; a second one is not ignored.
+            ({"sim": {"region_seed": 5}, "seed": 7}, "unknown key: sim.region_seed"),
+            ({"seed": None}, "seed"),
         ],
     )
     def test_bad_option_or_seed_is_a_config_error(self, tmp_path, capsys, doc, key):

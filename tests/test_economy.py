@@ -94,7 +94,7 @@ class TestCalibrateCoefficient:
     def test_default_coefficient_is_the_calibrated_fixed_point(self):
         # A trajectory change must recompute DEFAULT_DAMAGE_PI2 (and the
         # README's horizon damages) rather than leave it stale.
-        assert calibrate_damage_to_anchor(SimParams()).pi2 == DEFAULT_DAMAGE_PI2
+        assert calibrate_damage_to_anchor(SimParams(), VariantConfig(), 0).pi2 == DEFAULT_DAMAGE_PI2
 
 
 class TestAbatement:

@@ -59,13 +59,13 @@ class TestStep:
         actions = JointActions.uniform(4, 3, 5, 2, 4, 1)
         r1 = step(w, actions)
         r2 = step(w, actions)
-        assert np.array_equal(r1.rewards, r2.rewards)
+        assert np.array_equal(r1.detail.rewards, r2.detail.rewards)
         assert world_fingerprint(r1.world) == world_fingerprint(r2.world)
 
     def test_all_zero_actions_reward_is_net_output(self, small_params, baseline):
         w = reset(small_params, baseline, 1)
         result = step(w, JointActions.uniform(4, 0, 0, 0, 0, 0))
-        assert np.array_equal(result.rewards, result.detail.net_output)
+        assert np.array_equal(result.detail.rewards, result.detail.net_output)
         assert np.all(result.detail.investment == 0)
         assert np.allclose(
             result.world.capital, w.capital * 0.9**5, rtol=1e-12, atol=0
@@ -74,7 +74,7 @@ class TestStep:
     def test_reward_is_aggregate_consumption_without_disaster(self, small_params, baseline):
         w = reset(small_params, baseline, 1)
         result = step(w, JointActions.uniform(4, 3, 2, 5, 6, 2))
-        assert np.array_equal(result.rewards, result.detail.consumption.aggregate)
+        assert np.array_equal(result.detail.rewards, result.detail.consumption.aggregate)
 
     def test_disaster_penalty_applied_beyond_threshold(self, small_params):
         hot = dataclasses.replace(
@@ -86,7 +86,7 @@ class TestStep:
         actions = JointActions.uniform(4, 3, 2, 5, 6, 2)
         with_penalty = step(reset(hot, variant, 1), actions)
         without = step(reset(hot, base, 1), actions)
-        assert np.array_equal(without.rewards - with_penalty.rewards, np.full(4, 1e6))
+        assert np.array_equal(without.detail.rewards - with_penalty.detail.rewards, np.full(4, 1e6))
 
     def test_replaced_rates_step_like_the_in_step_formula(self, small_params, baseline):
         """The growth factors come from the constants' constructor, so rates

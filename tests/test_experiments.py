@@ -13,7 +13,6 @@ from ricensim.experiments import (
     action_sweep,
     commitment_statistics,
     horizon_experiment,
-    masking_demo,
     pariah_experiment,
     sweep_grid_levels,
     tariff_effect_experiment,
@@ -55,17 +54,17 @@ def sweep2(params, baseline):
 
 @pytest.fixture(scope="module")
 def tariff_result(params, baseline):
-    return tariff_effect_experiment(params, baseline)
+    return tariff_effect_experiment(params, baseline, 0)
 
 
 @pytest.fixture(scope="module")
 def pariah_result(params, baseline):
-    return pariah_experiment(params, baseline, runs=25, seed=13)
+    return pariah_experiment(params, baseline, runs=25, tariff_levels=(5, 7, 9), seed=13)
 
 
 @pytest.fixture(scope="module")
 def horizon_result(params, baseline):
-    return horizon_experiment(params, baseline)
+    return horizon_experiment(params, baseline, (100, 200, 300), 0)
 
 
 class TestActionSweep:
@@ -100,11 +99,11 @@ class TestActionSweep:
 
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
         with pytest.raises(ConfigError, match=r"workers: must be in 1\.\."):
-            action_sweep(SimParams(n_regions=4), baseline, grid=1, workers=workers)
+            action_sweep(SimParams(n_regions=4), baseline, grid=1, seed=0, workers=workers)
 
     @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs 2 CPUs for workers=2")
     def test_worker_counts_agree(self, baseline):
-        small = SimParams(n_regions=4, region_seed=2)
+        small = SimParams(n_regions=4)
         one = action_sweep(small, baseline, grid=2, seed=2, workers=1)
         two = action_sweep(small, baseline, grid=2, seed=2, workers=2)
         assert np.array_equal(one.levels, two.levels)
@@ -118,7 +117,7 @@ class TestActionSweep:
 
 class TestTradeEffect:
     def test_every_region_prefers_no_trade(self, params, baseline):
-        result = trade_effect_experiment(params, baseline)
+        result = trade_effect_experiment(params, baseline, 0)
         assert (result.ratio > 1.0).all()
 
     def test_symmetric_two_region_world_is_neutral_at_full_weight(self):
@@ -134,7 +133,7 @@ class TestTradeEffect:
             total = np.zeros(2)
             for _ in range(p.n_steps):
                 result = step(w, actions)
-                total += result.rewards
+                total += result.detail.rewards
                 w = result.world
             totals[label] = total
         assert np.allclose(totals["none"], totals["max"], rtol=1e-9)
@@ -150,7 +149,7 @@ class TestTradeEffect:
             total = np.zeros(2)
             for _ in range(p.n_steps):
                 result = step(w, actions)
-                total += result.rewards
+                total += result.detail.rewards
                 w = result.world
             totals[label] = total
         assert (totals["free"] > totals["walled"]).all()
@@ -167,7 +166,7 @@ class TestTariffEffect:
         assert (tariff_result.delta_total < 0).all()
 
     def test_overproduction_variant_hits_exporters(self, params):
-        over = tariff_effect_experiment(params, VariantConfig(overproduction_penalty=True))
+        over = tariff_effect_experiment(params, VariantConfig(overproduction_penalty=True), 0)
         assert (over.delta_domestic < 0).all()
 
 
@@ -184,15 +183,18 @@ class TestPariah:
         assert pariah_result.mean_realized_tariff["control"] == 0.0
 
     def test_deterministic_given_seed(self, params, baseline):
-        a = pariah_experiment(params, baseline, runs=5, seed=21)
-        b = pariah_experiment(params, baseline, runs=5, seed=21)
+        a = pariah_experiment(params, baseline, runs=5, tariff_levels=(5, 7, 9), seed=21)
+        b = pariah_experiment(params, baseline, runs=5, tariff_levels=(5, 7, 9), seed=21)
         assert {c: list(a.rewards[c]) for c in a.conditions} == {
             c: list(b.rewards[c]) for c in b.conditions
         }
+        # Every condition runs on the same [run] subjects.
+        assert a.subjects.shape == (5,) and np.array_equal(a.subjects, b.subjects)
 
     def test_overproduction_penalizes_the_pariah(self, params):
         over = pariah_experiment(
-            params, VariantConfig(overproduction_penalty=True), runs=25, seed=13
+            params, VariantConfig(overproduction_penalty=True), runs=25,
+            tariff_levels=(5, 7, 9), seed=13,
         )
         gap = over.mean_z["free_trade"] - over.mean_z["pariah@9"]
         assert gap > 0.1
@@ -208,12 +210,12 @@ class TestHorizon:
 
     def test_rejects_misaligned_horizon(self, params, baseline):
         with pytest.raises(ConfigError):
-            horizon_experiment(params, baseline, horizons=(100, 123))
+            horizon_experiment(params, baseline, horizons=(100, 123), seed=0)
 
 
 class TestMaskingDemo:
     def test_matches_exact_oracle(self, params):
-        result = masking_demo(params, episodes=4000, seed=5)
+        result = commitment_statistics(params.n_regions, params.n_steps, episodes=4000, seed=5)
         assert abs(result.mean_commitment - max_level_oracle_mean(27)) < 0.05
         assert abs(result.p_max_level - (1 - 0.9**27)) < 0.01
 
@@ -222,9 +224,9 @@ class TestMaskingDemo:
         assert abs(result.mean_commitment - 4.5) < 0.05
 
     def test_realized_mitigation_at_least_commitment_mean(self, params):
-        result = masking_demo(params, episodes=1000, seed=5)
+        result = commitment_statistics(params.n_regions, params.n_steps, episodes=1000, seed=5)
         assert result.mean_realized_mitigation * 10 >= result.mean_commitment
 
     def test_histogram_counts_episode_steps(self, params):
-        result = masking_demo(params, episodes=100, seed=0)
+        result = commitment_statistics(params.n_regions, params.n_steps, episodes=100, seed=0)
         assert result.level_counts.sum() == 100 * params.n_steps

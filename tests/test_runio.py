@@ -36,7 +36,7 @@ class TestParseConfig:
     def test_round_trip_is_lossless(self):
         text = json.dumps(
             {
-                "sim": {"n_regions": 5, "horizon_years": 200, "region_seed": 9},
+                "sim": {"n_regions": 5, "horizon_years": 200},
                 "variant": {
                     "use_tariff_revenue": True,
                     "disaster": {"threshold_degc": 3.0, "penalty": 1e5},
