@@ -16,7 +16,7 @@ from .actions import JointActions
 from .config import SimParams, VariantConfig
 from .economy import calibrate_damage_coefficient, damage_fraction
 from .engine import run_fixed_actions_summary
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 
 #: Anchor: fraction of gross output lost at the end of the no-mitigation
 #: calibration rollout.
@@ -45,7 +45,10 @@ def calibrate_damage_to_anchor(
     """Solve for pi2 so the damage at the end of the ``ANCHOR_HORIZON_YEARS``
     rollout equals ``ANCHOR_DAMAGE`` exactly."""
     if variant.damage_kind != "dice_quadratic":
-        raise DomainError("calibration targets the quadratic damage function")
+        raise ConfigError(
+            "variant.damage_kind: calibration targets the quadratic damage function, "
+            f"got {variant.damage_kind!r}"
+        )
     base = replace(params, horizon_years=ANCHOR_HORIZON_YEARS, damage_pi1=0.0)
 
     actions = JointActions.uniform(params.n_regions, *NO_MITIGATION_LEVELS)

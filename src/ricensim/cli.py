@@ -2,8 +2,10 @@
 
 Every command writes CSV results plus a ``manifest.json`` holding the fully
 resolved configuration; re-running with ``--config manifest.json``
-reproduces the outputs byte for byte. Exit codes: 0 success, 1
-configuration error, 2 runtime error.
+reproduces the outputs byte for byte, into any directory: that is not part
+of the configuration, but ``--out``, else ``$RICENSIM_OUT``, else
+``ricensim_out``. Exit codes: 0 success, 1 configuration error, 2 runtime
+error.
 """
 from __future__ import annotations
 
@@ -72,12 +74,10 @@ def _resolve_config(args) -> RunConfig:
         experiment=command,
         options=EXPERIMENTS[command].resolve_options(config.options, vars(args), args.full_scale),
         seed=args.seed if args.seed is not None else config.seed,
-        out_dir=args.out or config.out_dir or os.environ.get(OUT_DIR_ENV) or "ricensim_out",
     )
 
 
-def _execute(config: RunConfig, workers: int) -> None:
-    out = Path(config.out_dir)
+def _execute(config: RunConfig, out: Path, workers: int) -> None:
     experiment = EXPERIMENTS[config.experiment]
     print(experiment.write(out, config, experiment.run(config, workers)))
     write_manifest(out, config)
@@ -94,7 +94,8 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         check_workers(args.workers)
         config = _resolve_config(args)
-        _execute(config, args.workers)
+        out = Path(args.out or os.environ.get(OUT_DIR_ENV) or "ricensim_out")
+        _execute(config, out, args.workers)
         return 0
     except SystemExit as exc:  # --help
         return 0 if exc.code in (0, None) else 1

@@ -6,6 +6,7 @@ time; anything invalid raises :class:`ConfigError` naming the offending key.
 from __future__ import annotations
 
 import cmath
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -97,6 +98,16 @@ class ClimateParams:
             "climate.initial_carbon_gtc",
             "all reservoirs must be > 0",
         )
+        # The difference of logs stays finite for any two positive floats.
+        co2_forcing = self.forcing_per_doubling * (
+            math.log2(self.initial_carbon_gtc[0]) - math.log2(self.reference_atmosphere_gtc)
+        )
+        _require(
+            abs(co2_forcing) <= 10,
+            "climate.reference_atmosphere_gtc",
+            "the initial CO2 forcing forcing_per_doubling * log2(initial_carbon_gtc[0] / "
+            f"reference_atmosphere_gtc) is {co2_forcing:.3g} W/m^2, must be in [-10, 10]",
+        )
         _require(self.forcing_ramp_years > 0, "climate.forcing_ramp_years", "must be > 0")
         # One step of the two-box model maps the temperatures (T_at, T_lo)
         # through the matrix [[a, b], [c, d]] (plus forcing); unless the
@@ -148,7 +159,9 @@ class DisasterPenalty:
 
     def __post_init__(self) -> None:
         _require(self.threshold_degc > 0, "variant.disaster.threshold_degc", "must be > 0")
-        _require(self.penalty >= 0, "variant.disaster.penalty", "must be >= 0")
+        # Rewards are O(1e3) per region and step; a larger penalty only
+        # risks an overflow to -inf in the episode totals.
+        _require(0 <= self.penalty <= 1e9, "variant.disaster.penalty", "must be in [0, 1e9]")
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ shared mutable generators.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -22,7 +21,7 @@ import numpy as np
 from . import climate as climate_mod
 from . import economy as economy_mod
 from . import trade as trade_mod
-from .actions import JointActions
+from .actions import ACTION_DIMENSIONS, JointActions
 from .config import SimParams, VariantConfig
 from .errors import ConfigError, MaskViolationError
 from .negotiation import ActionMask, build_mask, commitments_from_arrays
@@ -179,7 +178,9 @@ def reset(params: SimParams, variant: VariantConfig, seed: int = 0) -> World:
 
 
 class StepDetail(NamedTuple):
-    """Everything computed during one step, for records and diagnostics."""
+    """Everything computed during one step, under the names ``EpisodeRecord``
+    stacks it by. ``balance``, ``carbon``, ``t_atmosphere`` and ``t_ocean``
+    are the state the step leaves; ``commitments`` are those that bound it."""
 
     gross_output: np.ndarray
     damage_fraction: float
@@ -188,13 +189,18 @@ class StepDetail(NamedTuple):
     investment: np.ndarray
     emissions: np.ndarray
     emissions_global: float
-    flows: trade_mod.TradeFlows
-    consumption: trade_mod.ConsumptionBreakdown
+    domestic: np.ndarray
+    foreign: np.ndarray
+    aggregate: np.ndarray
+    domestic_floored: np.ndarray
+    exports_scaled: np.ndarray
+    imports_scaled: np.ndarray
+    revenue: np.ndarray
     rewards: np.ndarray
-    balance_after: np.ndarray
-    carbon_after: np.ndarray
-    t_atmosphere_after: float
-    t_ocean_after: float
+    balance: np.ndarray
+    carbon: np.ndarray
+    t_atmosphere: float
+    t_ocean: float
     commitments: np.ndarray | None
 
 
@@ -314,13 +320,15 @@ def step(world: World, actions: JointActions) -> StepResult:
         investment=investment,
         emissions=emissions,
         emissions_global=emissions_global,
-        flows=flows,
-        consumption=cons,
+        **cons._asdict(),
+        exports_scaled=flows.exports_scaled,
+        imports_scaled=flows.imports_scaled,
+        revenue=revenue,
         rewards=rewards,
-        balance_after=balance_after,
-        carbon_after=carbon_after,
-        t_atmosphere_after=t_at,
-        t_ocean_after=t_lo,
+        balance=balance_after,
+        carbon=carbon_after,
+        t_atmosphere=t_at,
+        t_ocean=t_lo,
         commitments=world.commitments,
     )
     return StepResult(world=new_world, detail=detail)
@@ -344,7 +352,8 @@ class EpisodeSummary:
 
 @dataclass(frozen=True)
 class EpisodeRecord(EpisodeSummary):
-    """Per-step, per-region history of one episode plus its endpoints."""
+    """Per-step, per-region history of one episode plus its endpoints. The
+    history is each step's action levels and ``StepDetail``, stacked by name."""
 
     n_regions: int
     n_steps: int
@@ -376,44 +385,15 @@ class EpisodeRecord(EpisodeSummary):
     commitments: np.ndarray | None  # [t, region] when negotiation is on
 
 
-#: Each per-step array of ``EpisodeRecord`` and its getter on the
-#: (actions, detail) pair of every step.
-_HISTORY = {
-    "savings_levels": attrgetter("actions.savings"),
-    "mitigation_levels": attrgetter("actions.mitigation"),
-    "export_levels": attrgetter("actions.export"),
-    "import_levels": attrgetter("actions.imports"),
-    "tariff_levels": attrgetter("actions.tariffs"),
-    "gross_output": attrgetter("detail.gross_output"),
-    "damage_fraction": attrgetter("detail.damage_fraction"),
-    "abatement_fraction": attrgetter("detail.abatement_fraction"),
-    "net_output": attrgetter("detail.net_output"),
-    "investment": attrgetter("detail.investment"),
-    "emissions": attrgetter("detail.emissions"),
-    "emissions_global": attrgetter("detail.emissions_global"),
-    "domestic": attrgetter("detail.consumption.domestic"),
-    "foreign": attrgetter("detail.consumption.foreign"),
-    "aggregate": attrgetter("detail.consumption.aggregate"),
-    "domestic_floored": attrgetter("detail.consumption.domestic_floored"),
-    "exports_scaled": attrgetter("detail.flows.exports_scaled"),
-    "imports_scaled": attrgetter("detail.flows.imports_scaled"),
-    "revenue": attrgetter("detail.flows.revenue"),
-    "rewards": attrgetter("detail.rewards"),
-    "balance": attrgetter("detail.balance_after"),
-    "carbon": attrgetter("detail.carbon_after"),
-    "t_atmosphere": attrgetter("detail.t_atmosphere_after"),
-    "t_ocean": attrgetter("detail.t_ocean_after"),
-}
-
-
-class _Step(NamedTuple):
-    actions: JointActions
-    detail: StepDetail
+#: The record names of the five ``ACTION_DIMENSIONS``' levels.
+_LEVEL_FIELDS = (
+    "savings_levels", "mitigation_levels", "export_levels", "import_levels", "tariff_levels"
+)
 
 
 def _rollout(world: World, next_actions, history: list | None = None) -> EpisodeSummary:
     """The one loop over ``step``. It accumulates the episode endpoints and,
-    when given a ``history`` list, appends every step's actions and detail."""
+    when given a ``history`` list, appends every step's (actions, detail)."""
     constants = world.constants
     params, variant = constants.params, constants.variant
     y_cum = 0.0
@@ -425,9 +405,9 @@ def _rollout(world: World, next_actions, history: list | None = None) -> Episode
         d = result.detail
         y_cum += float(d.gross_output.sum())
         total_reward += d.rewards
-        any_floored = any_floored or bool(d.consumption.domestic_floored.any())
+        any_floored = any_floored or bool(d.domestic_floored.any())
         if history is not None:
-            history.append(_Step(actions, d))
+            history.append((actions, d))
         world = result.world
 
     d_end = economy_mod.damage_fraction(
@@ -470,23 +450,26 @@ def _policy_actions(world: World, policy):
 
 
 def run_episode(params: SimParams, variant: VariantConfig, policy, seed: int) -> EpisodeRecord:
-    """Roll one full episode under ``policy`` and record everything."""
+    """Roll one full episode under ``policy`` and record everything: every
+    ``StepDetail`` field and the action levels, each stacked over the steps
+    (``commitments`` is None when no step had any)."""
     world = reset(params, variant, seed)
-    history: list[_Step] = []
+    history: list[tuple[JointActions, StepDetail]] = []
     summary = _rollout(world, _policy_actions(world, policy), history)
+    actions, details = zip(*history)
     return EpisodeRecord(
         **vars(summary),
         n_regions=params.n_regions,
         n_steps=params.n_steps,
         dt_years=params.dt_years,
         **{
-            name: np.array([get(s) for s in history]) for name, get in _HISTORY.items()
+            name: np.array([getattr(a, dim) for a in actions])
+            for name, dim in zip(_LEVEL_FIELDS, ACTION_DIMENSIONS)
         },
-        commitments=(
-            np.array([s.detail.commitments for s in history])
-            if params.negotiation.enabled
-            else None
-        ),
+        **{
+            name: None if values[0] is None else np.array(values)
+            for name, values in zip(StepDetail._fields, zip(*details))
+        },
     )
 
 

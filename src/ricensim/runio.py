@@ -50,7 +50,7 @@ def _is_number(value) -> bool:
 @dataclasses.dataclass(frozen=True)
 class Option:
     """One key of an experiment's ``options``: an integer in ``lo..hi``, or
-    a non-empty list of them when the default is a tuple."""
+    a non-empty list of distinct ones when the default is a tuple."""
 
     default: int | tuple[int, ...]  # CI scale
     lo: int
@@ -69,8 +69,8 @@ class Option:
         span = f"{self.lo}..{self.hi}" if self.hi is not None else f">= {self.lo}"
         if self.is_list:
             ok = isinstance(value, (list, tuple)) and len(value) > 0
-            ok = ok and all(self._fits(v) for v in value)
-            want = f"a non-empty list of integers {span}"
+            ok = ok and all(self._fits(v) for v in value) and len(set(value)) == len(value)
+            want = f"a non-empty list of distinct integers {span}"
         else:
             ok, want = self._fits(value), f"an integer {span}"
         if not ok:
@@ -384,7 +384,6 @@ class RunConfig:
     experiment: str = DEFAULT_EXPERIMENT
     options: dict[str, Any] = dataclasses.field(default_factory=dict)
     seed: int = 0
-    out_dir: str | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.experiment, str) or self.experiment not in EXPERIMENTS:
@@ -458,7 +457,6 @@ def config_to_dict(config: RunConfig) -> dict:
         "experiment": config.experiment,
         "options": config.options,
         "seed": config.seed,
-        "out_dir": config.out_dir,
     }
 
 
@@ -471,7 +469,7 @@ def parse_config(text: str) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError("config: top level must be an object")
 
-    known = {"sim", "variant", "experiment", "options", "seed", "out_dir", "versions"}
+    known = {"sim", "variant", "experiment", "options", "seed", "versions"}
     for key in data:
         if key not in known:
             raise ConfigError(f"unknown key: {key}")
@@ -484,7 +482,6 @@ def parse_config(text: str) -> RunConfig:
         experiment=data.get("experiment", DEFAULT_EXPERIMENT),
         options=options,
         seed=data.get("seed", 0),
-        out_dir=data.get("out_dir"),
     )
 
 

@@ -28,17 +28,13 @@ class TestSweepCommand:
         assert len(correlations) == 6
 
     def test_byte_identical_reruns(self, tmp_path):
-        # Across different output directories the CSVs are byte-identical;
-        # the manifest differs only in its out_dir entry, so the same-dir
-        # rerun must reproduce it exactly too.
-        a, b = tmp_path / "a", tmp_path / "b"
+        # The manifest does not hold the output directory, so every file is
+        # byte-identical across directories whose paths differ in length.
+        a, b = tmp_path / "a", tmp_path / "longer" / "b"
         for out in (a, b):
             assert main(["sweep", "--grid", "2", "--seed", "3", "--out", str(out)]) == 0
-        for name in ("sweep.csv", "correlations.csv", "sweep_summary.csv"):
+        for name in ("sweep.csv", "correlations.csv", "sweep_summary.csv", "manifest.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
-        manifest_before = (a / "manifest.json").read_bytes()
-        assert main(["sweep", "--grid", "2", "--seed", "3", "--out", str(a)]) == 0
-        assert (a / "manifest.json").read_bytes() == manifest_before
 
 
 #: Tiny options per experiment; every other option keeps its default.
@@ -59,13 +55,9 @@ def test_manifest_reproduces_run(tmp_path, name):
     assert written == sorted(f.name for f in replay.iterdir())
     assert len(written) >= 2
     for fname in written:
-        if fname != "manifest.json":
-            assert (first / fname).read_bytes() == (replay / fname).read_bytes(), fname
-    manifests = [json.loads((d / "manifest.json").read_text()) for d in (first, replay)]
-    for m in manifests:
-        del m["out_dir"]
-    assert manifests[0] == manifests[1]
-    assert manifests[0]["options"].keys() == EXPERIMENTS[name].options.keys()
+        assert (first / fname).read_bytes() == (replay / fname).read_bytes(), fname
+    manifest = json.loads((first / "manifest.json").read_text())
+    assert manifest["options"].keys() == EXPERIMENTS[name].options.keys()
 
 
 class TestOtherCommands:
@@ -166,6 +158,17 @@ class TestErrors:
             # The top-level seed is the only seed; a second one is not ignored.
             ({"sim": {"region_seed": 5}, "seed": 7}, "unknown key: sim.region_seed"),
             ({"seed": None}, "seed"),
+            # The output directory is chosen by --out, never by the document.
+            ({"out_dir": "elsewhere"}, "unknown key: out_dir"),
+            # A repeated entry would write the same row twice.
+            ({"experiment": "pariah", "options": {"tariff_levels": [5, 5]}},
+             "options.tariff_levels"),
+            ({"experiment": "horizon", "options": {"horizons": [100, 100]}}, "options.horizons"),
+            # Each would otherwise fail only during the run.
+            ({"sim": {"climate": {"reference_atmosphere_gtc": 1e-320}}},
+             "climate.reference_atmosphere_gtc"),
+            ({"variant": {"disaster": {"threshold_degc": 0.5, "penalty": 1e308}}},
+             "variant.disaster.penalty"),
         ],
     )
     def test_bad_option_or_seed_is_a_config_error(self, tmp_path, capsys, doc, key):
@@ -189,6 +192,15 @@ class TestErrors:
         assert main(argv + (["--grid", "1"] if command == "sweep" else [])) == 1
         err = capsys.readouterr().err
         assert "sim.negotiation.enforce_masks" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["calibrate", "horizon"])
+    def test_calibrating_weitzman_damages_exits_one(self, tmp_path, capsys, command):
+        cfg = tmp_path / "weitzman.json"
+        cfg.write_text(json.dumps({"variant": {"damage_kind": "weitzman"}}))
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "variant.damage_kind" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "workers", [0, -1, (os.cpu_count() or 1) + 1], ids=["zero", "negative", "above_cpu_count"]

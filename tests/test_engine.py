@@ -74,7 +74,7 @@ class TestStep:
     def test_reward_is_aggregate_consumption_without_disaster(self, small_params, baseline):
         w = reset(small_params, baseline, 1)
         result = step(w, JointActions.uniform(4, 3, 2, 5, 6, 2))
-        assert np.array_equal(result.detail.rewards, result.detail.consumption.aggregate)
+        assert np.array_equal(result.detail.rewards, result.detail.aggregate)
 
     def test_disaster_penalty_applied_beyond_threshold(self, small_params):
         hot = dataclasses.replace(
@@ -143,6 +143,21 @@ class TestEpisodes:
         assert np.array_equal(a.rewards, b.rewards)
         assert np.array_equal(a.carbon, b.carbon)
         assert a.delta_t_end == b.delta_t_end
+
+    def test_record_stacks_each_step_detail_by_name(self, small_params, baseline):
+        actions = JointActions.uniform(4, 3, 9, 9, 9, 2)
+        rec = run_episode(small_params, baseline, FixedLevelsPolicy(3, 9, 9, 9, 2), 5)
+        w = reset(small_params, baseline, 5)
+        for t in range(small_params.n_steps):
+            w, detail = step(w, actions)
+            for name, value in detail._asdict().items():
+                if value is None:
+                    assert getattr(rec, name) is None, name
+                else:
+                    assert np.asarray(value).tobytes() == getattr(rec, name)[t].tobytes(), name
+            assert rec.t_atmosphere[t] == w.t_atmosphere  # post-step state
+            assert rec.carbon[t].tobytes() == w.carbon.tobytes()
+        assert np.all(rec.tariff_levels == actions.tariffs)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_record_and_fixed_action_summary_agree_bitwise(self, default_params, baseline, seed):

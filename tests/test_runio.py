@@ -44,7 +44,6 @@ class TestParseConfig:
                 "experiment": "sweep",
                 "options": {"grid": 3},
                 "seed": 4,
-                "out_dir": "somewhere",
             }
         )
         config = parse_config(text)
