@@ -6,7 +6,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import InvalidActionError
+from .errors import ConfigError, InvalidActionError
 
 NUM_LEVELS = 10
 
@@ -83,15 +83,14 @@ class JointActions:
     ``imports[i, j]`` / ``tariffs[i, j]`` refer to region i importing from /
     tariffing region j. Diagonals are zero.
 
-    Immutable and checked once: ``__init__`` stores read-only ``int64``
-    copies of the five arrays (non-integer elements raise) and, under the
-    ``RATE_NAMES`` (``savings_rate``, ...), their read-only rates
-    ``levels_to_rates(levels)``; rebinding an attribute raises, and
-    ``validate`` runs its checks on the first call only, so a rollout that
-    reuses one object for every step pays once.
+    Immutable and checked when built: ``__init__`` stores read-only
+    ``int64`` copies of the five arrays (non-integer elements raise) and,
+    under the ``RATE_NAMES`` (``savings_rate``, ...), their read-only rates
+    ``levels_to_rates(levels)``, then runs ``_check``; rebinding an
+    attribute raises. So an invalid ``JointActions`` cannot exist.
     """
 
-    __slots__ = (*ACTION_DIMENSIONS, *RATE_NAMES, "_validated")
+    __slots__ = (*ACTION_DIMENSIONS, *RATE_NAMES)
 
     def __init__(
         self,
@@ -109,7 +108,7 @@ class JointActions:
             rates.setflags(write=False)
             object.__setattr__(self, name, levels)
             object.__setattr__(self, rate_name, rates)
-        object.__setattr__(self, "_validated", False)
+        self._check()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"JointActions is immutable; cannot set {name!r}")
@@ -126,16 +125,14 @@ class JointActions:
 
     @classmethod
     def from_action_sets(cls, sets: list[ActionSet]) -> "JointActions":
-        """Stack per-region sets and check the result."""
-        joint = cls(
+        """Stack per-region sets into one checked ``JointActions``."""
+        return cls(
             savings=[a.savings_level for a in sets],
             mitigation=[a.mitigation_level for a in sets],
             export=[a.max_export_level for a in sets],
             imports=[a.import_levels for a in sets],
             tariffs=[a.tariff_levels for a in sets],
         )
-        joint._check()
-        return joint
 
     @classmethod
     def uniform(
@@ -159,9 +156,10 @@ class JointActions:
             tariffs=tariffs * off_diag,
         )
 
-    def validate(self) -> None:
-        if not self._validated:
-            self._check()
+    def validate(self, n_regions: int) -> None:
+        """Reject actions that do not cover a world of ``n_regions``."""
+        if self.n_regions != n_regions:
+            raise ConfigError(f"actions cover {self.n_regions} regions, world has {n_regions}")
 
     def _check(self) -> None:
         """Shapes, levels in 0..9, zero diagonals; errors name the region."""
@@ -178,4 +176,3 @@ class JointActions:
             if arr.ndim == 2 and arr.trace():
                 region = int(np.flatnonzero(np.diagonal(arr))[0])
                 raise InvalidActionError(f"region {region}: self entry of {name} must be 0")
-        object.__setattr__(self, "_validated", True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 from pathlib import Path
@@ -36,7 +37,9 @@ def _int_list(text: str) -> list[int]:
         ) from None
 
 
+@functools.cache
 def _build_parser() -> _ArgumentParser:
+    """The parser, built on the first call; parsing leaves it unchanged."""
     parser = _ArgumentParser(prog="ricensim", description=__doc__)
     sub = parser.add_subparsers(dest="command")
     commands = [("run", "run the experiment selected by the config file", {})]

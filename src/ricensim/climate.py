@@ -35,7 +35,6 @@ def step_carbon(
     emissions_gtc_per_year: float,
     dt_years: float,
     transfer: np.ndarray,
-    emissions_floor: float = 0.0,
 ) -> np.ndarray:
     """Advance the 3-reservoir carbon stocks by one step.
 
@@ -45,10 +44,8 @@ def step_carbon(
     m = np.asarray(carbon, dtype=np.float64)
     if m.shape != (3,) or np.any(m <= 0):
         raise DomainError(f"carbon stocks must be a positive 3-vector, got {carbon}")
-    if emissions_gtc_per_year < emissions_floor:
-        raise DomainError(
-            f"emissions {emissions_gtc_per_year} below the configured floor {emissions_floor}"
-        )
+    if emissions_gtc_per_year < 0.0:
+        raise DomainError(f"emissions {emissions_gtc_per_year} are negative")
     out = transfer @ m
     out[0] += dt_years * emissions_gtc_per_year
     return out

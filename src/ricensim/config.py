@@ -59,7 +59,6 @@ class ClimateParams:
     initial_carbon_gtc: tuple[float, float, float] = (850.0, 460.0, 1740.0)
     initial_t_atmosphere: float = 1.1
     initial_t_ocean: float = 0.3
-    emissions_floor: float = 0.0
 
     def __post_init__(self) -> None:
         _require(
@@ -94,10 +93,12 @@ class ClimateParams:
         )
         _require(self.temperature_feedback > 0, "climate.temperature_feedback", "must be > 0")
         _require(
-            all(m > 0 for m in self.initial_carbon_gtc),
+            all(0 < m <= 1e5 for m in self.initial_carbon_gtc),
             "climate.initial_carbon_gtc",
-            "all reservoirs must be > 0",
+            "all reservoirs must be in (0, 1e5] GtC",
         )
+        for key in ("initial_t_atmosphere", "initial_t_ocean"):
+            _require(abs(getattr(self, key)) <= 10, f"climate.{key}", "must be in [-10, 10] degC")
         # The difference of logs stays finite for any two positive floats.
         co2_forcing = self.forcing_per_doubling * (
             math.log2(self.initial_carbon_gtc[0]) - math.log2(self.reference_atmosphere_gtc)

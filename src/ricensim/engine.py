@@ -226,11 +226,7 @@ def step(world: World, actions: JointActions) -> StepResult:
     Uses the rates ``actions`` converted from its levels when it was built,
     and grows the state by the factors ``world.constants`` derived at reset.
     """
-    actions.validate()
-    if actions.n_regions != world.n_regions:
-        raise ConfigError(
-            f"actions cover {actions.n_regions} regions, world has {world.n_regions}"
-        )
+    actions.validate(world.n_regions)
     _enforce_masks(world, actions)
 
     c = world.constants
@@ -260,7 +256,7 @@ def step(world: World, actions: JointActions) -> StepResult:
     capacity = actions.export_rate * y_gross
     scaled = trade_mod.ration_exports(demanded, capacity)
     tariffed, revenue = trade_mod.apply_tariffs(scaled, actions.tariffs_rate)
-    flows = trade_mod.TradeFlows(demanded, scaled, tariffed, revenue)
+    flows = trade_mod.TradeFlows(scaled, tariffed)
     cons = trade_mod.consumption(y_net, investment, flows, p.foreign_weight, v)
 
     # Reward, with the optional disaster penalty at the same temperature the
@@ -275,9 +271,7 @@ def step(world: World, actions: JointActions) -> StepResult:
 
     # Carbon, forcing, temperature.
     cp = p.climate
-    carbon_after = climate_mod.step_carbon(
-        world.carbon, emissions_global, dt, c.transfer, cp.emissions_floor
-    )
+    carbon_after = climate_mod.step_carbon(world.carbon, emissions_global, dt, c.transfer)
     forcing = climate_mod.radiative_forcing(
         float(carbon_after[0]),
         cp.forcing_per_doubling,
@@ -347,7 +341,6 @@ class EpisodeSummary:
     initial_carbon_total: float
     cumulative_emissions: float
     final_carbon_total: float
-    any_domestic_floored: bool
 
 
 @dataclass(frozen=True)
@@ -398,14 +391,12 @@ def _rollout(world: World, next_actions, history: list | None = None) -> Episode
     params, variant = constants.params, constants.variant
     y_cum = 0.0
     total_reward = np.zeros(params.n_regions)
-    any_floored = False
     for _ in range(params.n_steps):
         actions = next_actions(world)
         result = step(world, actions)
         d = result.detail
         y_cum += float(d.gross_output.sum())
         total_reward += d.rewards
-        any_floored = any_floored or bool(d.domestic_floored.any())
         if history is not None:
             history.append((actions, d))
         world = result.world
@@ -423,7 +414,6 @@ def _rollout(world: World, next_actions, history: list | None = None) -> Episode
         initial_carbon_total=constants.initial_carbon_total,
         cumulative_emissions=world.cumulative_emissions,
         final_carbon_total=float(world.carbon.sum()),
-        any_domestic_floored=any_floored,
     )
 
 

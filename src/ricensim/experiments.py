@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .actions import ACTION_DIMENSIONS, NUM_LEVELS, JointActions
-from .calibration import NO_MITIGATION_LEVELS, CalibrationResult, calibrate_damage_to_anchor
+from .calibration import NO_MITIGATION_LEVELS, calibrate_damage_to_anchor
 from .config import SimParams, VariantConfig, check_workers
 from .engine import run_episode, run_fixed_actions_summary
 from .errors import ConfigError
@@ -296,7 +296,6 @@ class HorizonResult:
     horizons: tuple[int, ...]
     t_end: dict[int, float]
     damage_end: dict[int, float]
-    calibration: CalibrationResult
     seed: int
 
 
@@ -317,9 +316,7 @@ def horizon_experiment(
         )
         t_end[h] = summary.delta_t_end
         d_end[h] = summary.d_end
-    return HorizonResult(
-        horizons=tuple(horizons), t_end=t_end, damage_end=d_end, calibration=cal, seed=int(seed)
-    )
+    return HorizonResult(horizons=tuple(horizons), t_end=t_end, damage_end=d_end, seed=int(seed))
 
 
 @dataclass(frozen=True)

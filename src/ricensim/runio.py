@@ -485,10 +485,6 @@ def parse_config(text: str) -> RunConfig:
     )
 
 
-def dump_config(config: RunConfig) -> str:
-    return json.dumps(config_to_dict(config), indent=2, sort_keys=True) + "\n"
-
-
 def load_config(path: str | Path) -> RunConfig:
     return parse_config(Path(path).read_text(encoding="utf-8"))
 

@@ -26,23 +26,15 @@ TINY = 1e-300
 
 
 class TradeFlows:
-    """Demand, rationed, and tariffed import matrices plus tariff revenue,
-    with the rationed matrix's column sums (``exports_scaled``) and row sums
-    (``imports_scaled``) taken once, by the constructor."""
+    """Rationed and tariffed import matrices, with the rationed matrix's
+    column sums (``exports_scaled``) and row sums (``imports_scaled``) taken
+    once, by the constructor."""
 
-    __slots__ = ("demanded", "scaled", "tariffed", "revenue", "exports_scaled", "imports_scaled")
+    __slots__ = ("scaled", "tariffed", "exports_scaled", "imports_scaled")
 
-    def __init__(
-        self,
-        demanded: np.ndarray,  # [importer, exporter]
-        scaled: np.ndarray,
-        tariffed: np.ndarray,
-        revenue: np.ndarray,  # per importer
-    ):
-        self.demanded = demanded
+    def __init__(self, scaled: np.ndarray, tariffed: np.ndarray):  # [importer, exporter]
         self.scaled = scaled
         self.tariffed = tariffed
-        self.revenue = revenue
         self.exports_scaled = scaled.sum(axis=0)
         self.imports_scaled = scaled.sum(axis=1)
 

@@ -18,7 +18,7 @@ from ricensim.actions import (
     levels_to_rates,
 )
 from ricensim.engine import Observation, reset, step
-from ricensim.errors import InvalidActionError
+from ricensim.errors import ConfigError, InvalidActionError
 from ricensim.policies import FixedLevelsPolicy
 
 
@@ -68,7 +68,7 @@ class TestJointActions:
         assert np.all(np.diag(j.imports) == 0)
         assert np.all(np.diag(j.tariffs) == 0)
         assert np.all(j.imports[0, 1:] == 5)
-        j.validate()
+        j.validate(4)
         for bad in (-1, 10, 2.5):
             with pytest.raises(InvalidActionError, match="tariffs level"):
                 JointActions.uniform(4, savings=1, mitigation=2, export=3, imports=5, tariffs=bad)
@@ -92,7 +92,7 @@ class TestJointActions:
 
     def test_out_of_range_matrix_rejected(self):
         # The arrays are read-only, so the out-of-range matrix has to come in
-        # through the constructor; it is still caught by validate and by step.
+        # through the constructor, which rejects it.
         j = JointActions.uniform(3, savings=1, mitigation=2, export=3, imports=5, tariffs=7)
         with pytest.raises(ValueError, match="read-only"):
             j.imports[0, 1] = 11
@@ -108,9 +108,7 @@ class TestJointActions:
             lambda: JointActions(j.savings[:2], j.mitigation, j.export, j.imports, j.tariffs),
         ):
             with pytest.raises(InvalidActionError):
-                make().validate()
-            with pytest.raises(InvalidActionError):
-                step(reset(SimParams(n_regions=3), VariantConfig(), 0), make())
+                make()
 
     def test_constructor_copies_its_inputs(self):
         imports = 5 * (1 - np.eye(3, dtype=np.int64))
@@ -146,7 +144,7 @@ class TestJointActions:
 
     def test_attributes_cannot_be_rebound(self):
         j = JointActions.uniform(3, savings=1, mitigation=2, export=3, imports=5, tariffs=7)
-        for name in (*ACTION_DIMENSIONS, *RATE_NAMES, "_validated"):
+        for name in (*ACTION_DIMENSIONS, *RATE_NAMES):
             with pytest.raises(AttributeError):
                 setattr(j, name, getattr(j, name))
             with pytest.raises(AttributeError):
@@ -154,15 +152,13 @@ class TestJointActions:
         with pytest.raises(AttributeError):
             j.extra = 1
 
-    def test_second_validate_is_a_no_op(self, monkeypatch):
+    def test_actions_must_cover_the_world(self):
         j = JointActions.uniform(3, savings=1, mitigation=2, export=3, imports=5, tariffs=7)
-        j.validate()
-        # A validated object never looks at its arrays again.
-        monkeypatch.setattr(JointActions, "n_regions", property(lambda self: 1 / 0))
-        j.validate()
-        fresh = JointActions.uniform(3, savings=1, mitigation=2, export=3, imports=5, tariffs=7)
-        with pytest.raises(ZeroDivisionError):
-            fresh.validate()
+        j.validate(3)
+        with pytest.raises(ConfigError, match="actions cover 3 regions, world has 4"):
+            j.validate(4)
+        with pytest.raises(ConfigError, match="actions cover 3 regions, world has 4"):
+            step(reset(SimParams(n_regions=4), VariantConfig(), 0), j)
 
     def test_rates_are_read_only_levels_over_ten(self):
         j = JointActions.uniform(3, savings=1, mitigation=2, export=3, imports=5, tariffs=7)
@@ -178,14 +174,12 @@ class TestJointActions:
         for clone in (pickle.loads(pickle.dumps(j)), copy.deepcopy(j)):
             for name in (*ACTION_DIMENSIONS, *RATE_NAMES):
                 assert np.array_equal(getattr(clone, name), getattr(j, name))
-            clone.validate()
+            clone.validate(3)
 
     def test_from_action_sets_result_passes_validate(self):
         sets = policy_sets(4, 1, 2, 3, 5, 7)
         j = JointActions.from_action_sets(sets)
-        j.validate()
-        # The checks it skips would pass on a copy that runs them.
-        JointActions(j.savings, j.mitigation, j.export, j.imports, j.tariffs).validate()
+        j.validate(4)
         for i, a in enumerate(sets):
             assert j.savings[i] == a.savings_level and j.mitigation[i] == a.mitigation_level
             assert j.export[i] == a.max_export_level

@@ -1,10 +1,14 @@
 import json
 import os
 import re
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import ricensim
 from ricensim import experiments
 from ricensim.cli import main
 from ricensim.errors import ConfigError
@@ -169,6 +173,15 @@ class TestErrors:
              "climate.reference_atmosphere_gtc"),
             ({"variant": {"disaster": {"threshold_degc": 0.5, "penalty": 1e308}}},
              "variant.disaster.penalty"),
+            # Each would otherwise run to absurd temperatures.
+            ({"sim": {"climate": {"initial_t_atmosphere": 1e300}}},
+             "climate.initial_t_atmosphere"),
+            ({"sim": {"climate": {"initial_t_ocean": -1e300}}}, "climate.initial_t_ocean"),
+            ({"sim": {"climate": {"initial_carbon_gtc": [850, 1e308, 1e308]}}},
+             "climate.initial_carbon_gtc"),
+            # Manifests written while the option existed hold this line.
+            ({"sim": {"climate": {"emissions_floor": 0.0}}},
+             "unknown key: sim.climate.emissions_floor"),
         ],
     )
     def test_bad_option_or_seed_is_a_config_error(self, tmp_path, capsys, doc, key):
@@ -218,6 +231,31 @@ class TestErrors:
     def test_negative_seed_flag_is_a_config_error(self, tmp_path, capsys):
         assert main(["calibrate", "--seed", "-1", "--out", str(tmp_path / "o")]) == 1
         assert "seed" in capsys.readouterr().err
+
+
+def test_one_process_serves_a_rejected_then_a_good_call(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"sim": {"n_regions": 1}}')
+    calls = [
+        ["run", "--config", str(bad), "--out", str(tmp_path / "bad")],
+        ["masking-demo", "--episodes", "200", "--out", str(tmp_path / "good")],
+    ]
+    env = {**os.environ, "PYTHONPATH": str(Path(ricensim.__file__).parents[1])}
+    separate = []
+    for argv in calls:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ricensim.cli", *argv], env=env, capture_output=True, text=True
+        )
+        separate.append((proc.returncode, proc.stdout, proc.stderr))
+    expected = (tmp_path / "good" / "masking_summary.csv").read_bytes()
+    shutil.rmtree(tmp_path / "good")
+    in_process = []
+    for argv in calls:
+        code = main(argv)
+        in_process.append((code, *capsys.readouterr()))
+    assert in_process == separate
+    assert [code for code, _, _ in separate] == [1, 0]
+    assert (tmp_path / "good" / "masking_summary.csv").read_bytes() == expected
 
 
 def test_env_var_default_out_dir(tmp_path, monkeypatch):

@@ -7,11 +7,11 @@ from ricensim.config import SimParams, VariantConfig
 from ricensim.errors import ConfigError
 from ricensim.runio import (
     RunConfig,
-    dump_config,
     format_value,
     load_config,
     parse_config,
     write_csv,
+    write_manifest,
 )
 
 
@@ -33,7 +33,7 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="unknown key: wat"):
             parse_config('{"wat": 1}')
 
-    def test_round_trip_is_lossless(self):
+    def test_round_trip_is_lossless(self, tmp_path):
         text = json.dumps(
             {
                 "sim": {"n_regions": 5, "horizon_years": 200},
@@ -47,7 +47,7 @@ class TestParseConfig:
             }
         )
         config = parse_config(text)
-        again = parse_config(dump_config(config))
+        again = load_config(write_manifest(tmp_path, config))
         assert again == config
 
     def test_nested_negotiation_block(self):

@@ -27,7 +27,7 @@ def off_diag(n, rate):
 
 def flows_of(scaled, tariffed):
     """Trade flows with the given rationed and tariffed matrices."""
-    return TradeFlows(scaled, scaled, tariffed, (scaled - tariffed).sum(axis=1))
+    return TradeFlows(scaled, tariffed)
 
 
 class TestBuildDemand:
@@ -211,7 +211,7 @@ class TestFlowInvariants:
         capacity = export_levels / 10.0 * y
         ms = ration_exports(dm, capacity)
         mt, revenue = apply_tariffs(ms, tariff_levels / 10.0)
-        flows = TradeFlows(dm, ms, mt, revenue)
+        flows = TradeFlows(ms, mt)
 
         assert (mt >= -1e-15).all()
         assert (mt <= ms + 1e-12).all()
