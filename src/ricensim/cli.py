@@ -106,8 +106,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_usage(sys.stderr)
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (RicensimError, OSError, ValueError) as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
+    except (RicensimError, OSError, ValueError, MemoryError) as exc:
+        print(f"runtime error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -332,7 +332,6 @@ def step(world: World, actions: JointActions) -> StepResult:
 class EpisodeSummary:
     """Episode endpoints only; what parameter sweeps keep per rollout."""
 
-    seed: int
     delta_t_end: float
     y_cum: float  # dt times the running sum of each step's world gross output
     total_reward: np.ndarray  # [region]
@@ -348,9 +347,6 @@ class EpisodeRecord(EpisodeSummary):
     """Per-step, per-region history of one episode plus its endpoints. The
     history is each step's action levels and ``StepDetail``, stacked by name."""
 
-    n_regions: int
-    n_steps: int
-    dt_years: int
     savings_levels: np.ndarray  # [t, region]
     mitigation_levels: np.ndarray
     export_levels: np.ndarray
@@ -405,7 +401,6 @@ def _rollout(world: World, next_actions, history: list | None = None) -> Episode
         max(world.t_atmosphere, 0.0), variant.damage_kind, params.damage_pi1, params.damage_pi2
     )
     return EpisodeSummary(
-        seed=constants.seed,
         delta_t_end=float(world.t_atmosphere),
         y_cum=float(params.dt_years * y_cum),
         total_reward=total_reward,
@@ -449,9 +444,6 @@ def run_episode(params: SimParams, variant: VariantConfig, policy, seed: int) ->
     actions, details = zip(*history)
     return EpisodeRecord(
         **vars(summary),
-        n_regions=params.n_regions,
-        n_steps=params.n_steps,
-        dt_years=params.dt_years,
         **{
             name: np.array([getattr(a, dim) for a in actions])
             for name, dim in zip(_LEVEL_FIELDS, ACTION_DIMENSIONS)

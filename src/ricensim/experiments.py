@@ -1,7 +1,8 @@
 """Batch experiment harness.
 
-Each experiment is deterministic given its seed, which is carried in its
-result object and in the run manifest written by the CLI.
+Each experiment is deterministic given its seed. A result holds only what
+the run computed; its seed and sizes are held by the ``RunConfig`` and the
+run manifest written by the CLI.
 """
 from __future__ import annotations
 
@@ -51,7 +52,6 @@ class SweepResult:
     correlations: dict[str, dict[str, float | None]]
     distinct_outcome_count: int
     grid_levels: tuple[int, ...]
-    seed: int
 
     @property
     def n_rollouts(self) -> int:
@@ -151,7 +151,6 @@ def action_sweep(
         correlations=correlations,
         distinct_outcome_count=distinct,
         grid_levels=grid_levels,
-        seed=int(seed),
     )
 
 
@@ -167,8 +166,6 @@ class PariahResult:
     mean_z: dict[str, float]
     std_z: dict[str, float]
     mean_realized_tariff: dict[str, float]
-    runs: int
-    seed: int
 
 
 def pariah_experiment(
@@ -230,8 +227,6 @@ def pariah_experiment(
         mean_realized_tariff={
             c: float(realized_levels[c].mean() / 10.0) for c in conditions
         },
-        runs=runs,
-        seed=seed,
     )
 
 
@@ -242,7 +237,6 @@ class TradeEffectResult:
     reward_no_trade: np.ndarray
     reward_max_trade: np.ndarray
     ratio: np.ndarray  # no-trade / max-trade
-    seed: int
 
 
 def trade_effect_experiment(
@@ -258,7 +252,6 @@ def trade_effect_experiment(
         reward_no_trade=r_none,
         reward_max_trade=r_full,
         ratio=r_none / r_full,
-        seed=int(seed),
     )
 
 
@@ -272,7 +265,6 @@ class TariffEffectResult:
     delta_total: np.ndarray
     delta_domestic: np.ndarray  # received-tariff channel
     delta_foreign: np.ndarray  # own-tariff channel, weighted into the reward
-    seed: int
 
 
 def tariff_effect_experiment(
@@ -285,7 +277,6 @@ def tariff_effect_experiment(
         delta_total=rec9.total_reward - rec0.total_reward,
         delta_domestic=(rec9.domestic - rec0.domestic).sum(axis=0),
         delta_foreign=params.foreign_weight * (rec9.foreign - rec0.foreign).sum(axis=0),
-        seed=int(seed),
     )
 
 
@@ -293,10 +284,8 @@ def tariff_effect_experiment(
 class HorizonResult:
     """Horizon-end damage under zero mitigation after anchor calibration."""
 
-    horizons: tuple[int, ...]
     t_end: dict[int, float]
     damage_end: dict[int, float]
-    seed: int
 
 
 def horizon_experiment(
@@ -316,7 +305,7 @@ def horizon_experiment(
         )
         t_end[h] = summary.delta_t_end
         d_end[h] = summary.d_end
-    return HorizonResult(horizons=tuple(horizons), t_end=t_end, damage_end=d_end, seed=int(seed))
+    return HorizonResult(t_end=t_end, damage_end=d_end)
 
 
 @dataclass(frozen=True)
@@ -324,14 +313,10 @@ class MaskingDemoResult:
     """Monte-Carlo commitment statistics under uniform proposals and
     all-accept evaluations."""
 
-    episodes: int
-    steps_per_episode: int
-    n_regions: int
     level_counts: np.ndarray  # [level] over per-step commitments
     mean_commitment: float
     p_max_level: float
     mean_realized_mitigation: float
-    seed: int
 
 
 def commitment_statistics(
@@ -354,12 +339,8 @@ def commitment_statistics(
     )
     counts = np.bincount(commitments.ravel(), minlength=NUM_LEVELS)
     return MaskingDemoResult(
-        episodes=episodes,
-        steps_per_episode=steps,
-        n_regions=n_regions,
         level_counts=counts,
         mean_commitment=float(commitments.mean()),
         p_max_level=float((commitments == NUM_LEVELS - 1).mean()),
         mean_realized_mitigation=float(realized.mean() / 10.0),
-        seed=seed,
     )

@@ -113,17 +113,18 @@ class Experiment:
 
 
 def _write_episode(out: Path, config: RunConfig, rec) -> str:
+    sim = config.sim
     rows = [
         [
-            t, (t + 1) * rec.dt_years, i,
+            t, (t + 1) * sim.dt_years, i,
             rec.savings_levels[t, i], rec.mitigation_levels[t, i], rec.export_levels[t, i],
             rec.gross_output[t, i], rec.net_output[t, i], rec.investment[t, i],
             rec.damage_fraction[t], rec.abatement_fraction[t, i],
             rec.domestic[t, i], rec.foreign[t, i], rec.aggregate[t, i],
             rec.rewards[t, i], rec.balance[t, i], rec.emissions[t, i], rec.t_atmosphere[t],
         ]
-        for t in range(rec.n_steps)
-        for i in range(rec.n_regions)
+        for t in range(sim.n_steps)
+        for i in range(sim.n_regions)
     ]
     write_csv(
         out / "episode.csv",
@@ -140,11 +141,11 @@ def _write_episode(out: Path, config: RunConfig, rec) -> str:
         out / "episode_summary.csv",
         ["region", "total_reward", "delta_t_end_degc", "y_cum", "d_end", "seed"],
         [
-            [i, rec.total_reward[i], rec.delta_t_end, rec.y_cum, rec.d_end, rec.seed]
-            for i in range(rec.n_regions)
+            [i, rec.total_reward[i], rec.delta_t_end, rec.y_cum, rec.d_end, config.seed]
+            for i in range(sim.n_regions)
         ],
     )
-    return f"episode: {rec.n_steps} steps, delta_t_end={rec.delta_t_end:.3f} degC"
+    return f"episode: {sim.n_steps} steps, delta_t_end={rec.delta_t_end:.3f} degC"
 
 
 def _write_sweep(out: Path, config: RunConfig, result) -> str:
@@ -176,7 +177,7 @@ def _write_sweep(out: Path, config: RunConfig, result) -> str:
     write_csv(
         out / "sweep_summary.csv",
         ["rollouts", "distinct_outcome_pairs", "seed"],
-        [[result.n_rollouts, result.distinct_outcome_count, result.seed]],
+        [[result.n_rollouts, result.distinct_outcome_count, config.seed]],
     )
     return (
         f"sweep: {result.n_rollouts} rollouts, "
@@ -185,11 +186,12 @@ def _write_sweep(out: Path, config: RunConfig, result) -> str:
 
 
 def _write_pariah(out: Path, config: RunConfig, result) -> str:
+    runs = config.options["runs"]
     write_csv(
         out / "pariah.csv",
         ["condition", "runs", "mean_z_reward", "std_z_reward", "mean_tariff_toward_subject"],
         [
-            [c, result.runs, result.mean_z[c], result.std_z[c], result.mean_realized_tariff[c]]
+            [c, runs, result.mean_z[c], result.std_z[c], result.mean_realized_tariff[c]]
             for c in result.conditions
         ],
     )
@@ -199,10 +201,10 @@ def _write_pariah(out: Path, config: RunConfig, result) -> str:
         [
             [c, r, result.subjects[r], result.rewards[c][r], result.z_rewards[c][r], result.realized_tariff[c][r]]
             for c in result.conditions
-            for r in range(result.runs)
+            for r in range(runs)
         ],
     )
-    return f"pariah: {result.runs} runs/condition, mean z by condition: " + ", ".join(
+    return f"pariah: {runs} runs/condition, mean z by condition: " + ", ".join(
         f"{c}={result.mean_z[c]:+.4f}" for c in result.conditions
     )
 
@@ -236,13 +238,14 @@ def _write_tariff_effect(out: Path, config: RunConfig, result) -> str:
 
 
 def _write_horizon(out: Path, config: RunConfig, result) -> str:
+    horizons = config.options["horizons"]
     write_csv(
         out / "horizon.csv",
         ["horizon_years", "t_end_degc", "damage_fraction_end"],
-        [[h, result.t_end[h], result.damage_end[h]] for h in result.horizons],
+        [[h, result.t_end[h], result.damage_end[h]] for h in horizons],
     )
     return "horizon: " + ", ".join(
-        f"{h}y -> D={result.damage_end[h]:.4f}" for h in result.horizons
+        f"{h}y -> D={result.damage_end[h]:.4f}" for h in horizons
     )
 
 
@@ -258,8 +261,8 @@ def _write_masking(out: Path, config: RunConfig, result) -> str:
     write_csv(
         out / "masking_summary.csv",
         ["episodes", "steps_per_episode", "n_regions", "mean_commitment", "p_max_level", "mean_realized_mitigation", "seed"],
-        [[result.episodes, result.steps_per_episode, result.n_regions,
-          result.mean_commitment, result.p_max_level, result.mean_realized_mitigation, result.seed]],
+        [[config.options["episodes"], config.sim.n_steps, config.sim.n_regions,
+          result.mean_commitment, result.p_max_level, result.mean_realized_mitigation, config.seed]],
     )
     return (
         f"masking-demo: mean commitment {result.mean_commitment:.4f}, "

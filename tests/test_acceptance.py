@@ -165,7 +165,7 @@ def test_c08_variant_efficacy():
     # Bitwise replay: the recorded balances follow B' = B + dt*(X - M) + dt*r.
     balance = np.zeros(PARAMS.n_regions)
     replay_exact = True
-    for t in range(on.n_steps):
+    for t in range(PARAMS.n_steps):
         balance = step_balance(
             balance, on.exports_scaled[t], on.imports_scaled[t], on.revenue[t],
             revenue_variant, PARAMS.dt_years,

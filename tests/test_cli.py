@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import ricensim
-from ricensim import experiments
+from ricensim import experiments, runio
 from ricensim.cli import main
 from ricensim.errors import ConfigError
 from ricensim.runio import EXPERIMENTS, parse_config
@@ -45,6 +46,43 @@ class TestSweepCommand:
 TINY_OPTIONS = {"sweep": {"grid": 2}, "pariah": {"runs": 2}, "masking-demo": {"episodes": 200}}
 
 
+#: SHA-256 of each file ``test_manifest_reproduces_run`` writes, except
+#: ``manifest.json``, which records the python and numpy versions. Like
+#: ``TestGoldenBits`` in tests/test_engine.py, these were recorded under
+#: numpy 2.4.6 and may differ under another numpy.
+GOLDEN_OUTPUT_SHA256 = {
+    "episode": {
+        "episode.csv": "261674148259ee907a0711287798ddf62da435737cb6df9c318b83d87ba1da71",
+        "episode_summary.csv": "68837e131f9627e1f5fa401da04e063f4b26b86d385f5b89927b3c9abfeaa238",
+    },
+    "sweep": {
+        "correlations.csv": "035284675ca9a48ec4aaf72a13d3545918b88d715977da2fb94f05b711f4b703",
+        "sweep.csv": "bf0a712eaa84628366b77ad7477245d8d5932d0168edfab17b73360750c3957a",
+        "sweep_summary.csv": "13890263153fca7cc164ed21ab5436d5b4b8a56b47d20c6b04fae5d3d6307432",
+    },
+    "pariah": {
+        "pariah.csv": "030d7a531aa4f50ba47026de97eb1c670b7945bacc0e27c37c0151c1473178e3",
+        "pariah_runs.csv": "2c441ffd3e08a9fdb621d468d1868d2ce82c87f36ce1ec8e7a0e1d1d63d4a112",
+    },
+    "trade-effect": {
+        "trade_effect.csv": "29ae8c3e280efc765f1b6dc468c486bfcf823e87d789b7addf481090b1f8b46e",
+    },
+    "tariff-effect": {
+        "tariff_effect.csv": "ff8535f57666b41fd2eebe11ed69a5629f11a253e74160dbb7ee6045d1f0d2f8",
+    },
+    "horizon": {
+        "horizon.csv": "7acc04f92d152e6ab1994c0bc861750ee0c0d1d765ef34dec956df17e96ed055",
+    },
+    "masking-demo": {
+        "masking.csv": "94e1b7cca20e394103b040fe3c243ad25f4deeacdd50bbabaf526f9ff1004596",
+        "masking_summary.csv": "e059a77f407a3603092aa947a419e8975004578cbb21af3b75f0a444a17f839b",
+    },
+    "calibrate": {
+        "calibration.json": "094d21743e7e0fddb3a66dafe02389cb02890c05c264886de864203059257a7f",
+    },
+}
+
+
 @pytest.mark.parametrize("name", list(EXPERIMENTS))
 def test_manifest_reproduces_run(tmp_path, name):
     doc = {"experiment": name, "options": TINY_OPTIONS.get(name, {}), "seed": 5}
@@ -60,6 +98,12 @@ def test_manifest_reproduces_run(tmp_path, name):
     assert len(written) >= 2
     for fname in written:
         assert (first / fname).read_bytes() == (replay / fname).read_bytes(), fname
+    digests = {
+        fname: hashlib.sha256((first / fname).read_bytes()).hexdigest()
+        for fname in written
+        if fname != "manifest.json"
+    }
+    assert digests == GOLDEN_OUTPUT_SHA256[name]
     manifest = json.loads((first / "manifest.json").read_text())
     assert manifest["options"].keys() == EXPERIMENTS[name].options.keys()
 
@@ -117,6 +161,18 @@ class TestErrors:
     def test_unreadable_config_exits_two(self, tmp_path):
         assert main(["sweep", "--config", str(tmp_path / "missing.json"),
                      "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("message", ["Unable to allocate 393. TiB", ""])
+    def test_allocation_failure_exits_two(self, tmp_path, monkeypatch, capsys, message):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(runio, "commitment_statistics", out_of_memory)
+        argv = ["masking-demo", "--episodes", "100000000000", "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"runtime error: {message or 'MemoryError'}\n"
+        assert "Traceback" not in err
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0

@@ -122,7 +122,7 @@ class TestStep:
 
     def test_emissions_identity_every_step(self, small_params, baseline):
         rec = run_episode(small_params, baseline, FixedLevelsPolicy(4, 6, 3, 5, 2), 3)
-        for t in range(rec.n_steps):
+        for t in range(small_params.n_steps):
             mu = rec.mitigation_levels[t] / 10.0
             # sigma at step t is not recorded, so verify via the identity chain:
             # emissions / ((1 - mu) * gross_output) must be constant across a

@@ -111,9 +111,6 @@ class TestActionSweep:
         assert np.array_equal(one.y_cum, two.y_cum)
         assert np.array_equal(one.mean_reward, two.mean_reward)
 
-    def test_seed_carried_in_result(self, sweep2):
-        assert sweep2.seed == 0
-
 
 class TestTradeEffect:
     def test_every_region_prefers_no_trade(self, params, baseline):
