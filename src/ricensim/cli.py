@@ -16,8 +16,9 @@ import os
 import sys
 from pathlib import Path
 
-from .config import SimParams, VariantConfig, check_workers
+from .config import SimParams, VariantConfig
 from .errors import ConfigError, RicensimError
+from .experiments import check_workers
 from .runio import EXPERIMENTS, RunConfig, load_config, write_manifest
 
 OUT_DIR_ENV = "RICENSIM_OUT"

@@ -1,14 +1,15 @@
 """Configuration dataclasses for the simulator.
 
 All configuration is held in frozen dataclasses validated at construction
-time; anything invalid raises :class:`ConfigError` naming the offending key.
+time; anything invalid raises :class:`ConfigError` naming the offending key
+by its config document path. A numeric field declares its :class:`Range`
+as field metadata; ``__post_init__`` adds only the cross-field checks.
 """
 from __future__ import annotations
 
 import cmath
 import math
-import os
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 from .errors import ConfigError, DomainError
 from .negotiation import NEGOTIABLE_DIMENSIONS
@@ -28,11 +29,64 @@ def _require(condition: bool, key: str, message: str) -> None:
         raise ConfigError(f"{key}: {message}")
 
 
-def check_workers(workers: int) -> None:
-    """Reject a worker-process count outside ``1..os.cpu_count()``. Call it
-    before any pool starts: a pool forks every worker at its first submit."""
-    cpus = os.cpu_count() or 1
-    _require(1 <= workers <= cpus, "workers", f"must be in 1..{cpus}, got {workers}")
+@dataclass(frozen=True)
+class Range:
+    """The values one numeric key admits, from ``lo`` to ``hi``: with
+    ``ends=".."`` the integers ``lo..hi``, else the numbers of the interval
+    whose ends are closed ``[ ]`` or open ``( )`` as ``ends`` brackets them."""
+
+    lo: float
+    hi: float
+    ends: str = "[]"
+
+    def __str__(self) -> str:
+        if self.ends == "..":
+            return f"{self.lo}..{self.hi}"
+        return f"{self.ends[0]}{self.lo:g}, {self.hi:g}{self.ends[1]}"
+
+    def admits(self, value) -> bool:
+        kind = int if self.ends == ".." else (int, float)
+        if isinstance(value, bool) or not isinstance(value, kind):
+            return False
+        above = value > self.lo if self.ends[0] == "(" else value >= self.lo
+        below = value < self.hi if self.ends[1] == ")" else value <= self.hi
+        return bool(above and below)  # NaN fails both
+
+    def check(self, path: str, value) -> None:
+        """Raise a ``ConfigError`` naming ``path`` unless ``value`` is in range."""
+        if not self.admits(value):
+            kind = "an integer" if self.ends == ".." else "a number"
+            raise ConfigError(f"{path}: expected {kind} in {self}, got {value!r}")
+
+
+def ranged(bounds: Range, default=MISSING):
+    """A dataclass field that declares the ``Range`` of its values or entries."""
+    return field(default=default, metadata={"range": bounds})
+
+
+def _check_ranges(obj, prefix: str) -> None:
+    """Check each ranged field of ``obj``, naming it by its path under ``prefix``."""
+    for f in fields(obj):
+        if "range" in f.metadata:
+            _check_entries(f.metadata["range"], f"{prefix}.{f.name}", getattr(obj, f.name))
+
+
+def _check_entries(bounds: Range, path: str, value) -> None:
+    if isinstance(value, tuple):
+        for k, entry in enumerate(value):
+            _check_entries(bounds, f"{path}[{k}]", entry)
+    else:
+        bounds.check(path, value)
+
+
+#: Ranges that a library entry point taking a raw value checks as well.
+N_REGIONS = Range(2, 100, "..")
+HORIZON_YEARS = Range(1, 1000, "..")
+
+
+def check_whole_steps(path: str, years: int, dt_years: int) -> None:
+    """Reject a horizon that is not a whole number of ``dt_years`` steps."""
+    _require(years % dt_years == 0, path, f"{years} is not a multiple of dt_years ({dt_years})")
 
 
 @dataclass(frozen=True)
@@ -46,70 +100,37 @@ class ClimateParams:
     afterwards.
     """
 
-    carbon_transfer_5y: tuple[tuple[float, float, float], ...] = CARBON_TRANSFER_5Y
-    forcing_per_doubling: float = 3.6813  # W/m^2
-    reference_atmosphere_gtc: float = 588.0
-    temperature_feedback: float = 1.1875  # W/m^2 per degC
-    heat_capacity_c1: float = 0.1005
-    atm_ocean_exchange_c3: float = 0.088
-    ocean_uptake_c4: float = 0.025
-    forcing_exogenous_start: float = 0.5
-    forcing_exogenous_end: float = 1.0
-    forcing_ramp_years: float = 100.0
-    initial_carbon_gtc: tuple[float, float, float] = (850.0, 460.0, 1740.0)
-    initial_t_atmosphere: float = 1.1
-    initial_t_ocean: float = 0.3
+    carbon_transfer_5y: tuple[tuple[float, float, float], ...] = ranged(
+        Range(0, 1), CARBON_TRANSFER_5Y)
+    forcing_per_doubling: float = ranged(Range(0, 10, "(]"), 3.6813)  # W/m^2
+    reference_atmosphere_gtc: float = ranged(Range(1, 1e5), 588.0)
+    temperature_feedback: float = ranged(Range(0, 10, "(]"), 1.1875)  # W/m^2 per degC
+    heat_capacity_c1: float = ranged(Range(0, 2, "(]"), 0.1005)
+    atm_ocean_exchange_c3: float = ranged(Range(0, 1, "(]"), 0.088)
+    ocean_uptake_c4: float = ranged(Range(0, 1, "(]"), 0.025)
+    forcing_exogenous_start: float = ranged(Range(-10, 10), 0.5)  # W/m^2
+    forcing_exogenous_end: float = ranged(Range(-10, 10), 1.0)
+    forcing_ramp_years: float = ranged(Range(0, 1000, "(]"), 100.0)
+    initial_carbon_gtc: tuple[float, float, float] = ranged(
+        Range(1, 1e5), (850.0, 460.0, 1740.0))
+    initial_t_atmosphere: float = ranged(Range(-10, 10), 1.1)  # degC
+    initial_t_ocean: float = ranged(Range(-10, 10), 0.3)
 
     def __post_init__(self) -> None:
-        _require(
-            len(self.carbon_transfer_5y) == 3
-            and all(len(row) == 3 for row in self.carbon_transfer_5y),
-            "climate.carbon_transfer_5y",
-            "must be a 3x3 matrix",
-        )
+        _check_ranges(self, "sim.climate")
+        matrix, key = self.carbon_transfer_5y, "sim.climate.carbon_transfer_5y"
+        _require(len(matrix) == 3 and all(len(row) == 3 for row in matrix), key, "must be a 3x3 matrix")
         for j in range(3):
-            col = sum(self.carbon_transfer_5y[i][j] for i in range(3))
-            _require(
-                abs(col - 1.0) <= 1e-9,
-                "climate.carbon_transfer_5y",
-                f"column {j} sums to {col}, breaking carbon conservation",
-            )
-            _require(
-                all(self.carbon_transfer_5y[i][j] >= 0.0 for i in range(3)),
-                "climate.carbon_transfer_5y",
-                "entries must be nonnegative",
-            )
-        _require(
-            0 < self.forcing_per_doubling <= 10,
-            "climate.forcing_per_doubling",
-            "must be in (0, 10] W/m^2",
-        )
-        for key in ("forcing_exogenous_start", "forcing_exogenous_end"):
-            _require(abs(getattr(self, key)) <= 10, f"climate.{key}", "must be in [-10, 10] W/m^2")
-        _require(
-            self.reference_atmosphere_gtc > 0,
-            "climate.reference_atmosphere_gtc",
-            "must be > 0",
-        )
-        _require(self.temperature_feedback > 0, "climate.temperature_feedback", "must be > 0")
-        _require(
-            all(0 < m <= 1e5 for m in self.initial_carbon_gtc),
-            "climate.initial_carbon_gtc",
-            "all reservoirs must be in (0, 1e5] GtC",
-        )
-        for key in ("initial_t_atmosphere", "initial_t_ocean"):
-            _require(abs(getattr(self, key)) <= 10, f"climate.{key}", "must be in [-10, 10] degC")
+            col = sum(matrix[i][j] for i in range(3))
+            _require(abs(col - 1.0) <= 1e-9, key,
+                     f"column {j} sums to {col}, breaking carbon conservation")
         # The difference of logs stays finite for any two positive floats.
         co2_forcing = self.forcing_per_doubling * (
             math.log2(self.initial_carbon_gtc[0]) - math.log2(self.reference_atmosphere_gtc)
         )
-        _require(
-            abs(co2_forcing) <= 10,
-            "climate.reference_atmosphere_gtc",
-            "the initial CO2 forcing forcing_per_doubling * log2(initial_carbon_gtc[0] / "
-            f"reference_atmosphere_gtc) is {co2_forcing:.3g} W/m^2, must be in [-10, 10]",
-        )
-        _require(self.forcing_ramp_years > 0, "climate.forcing_ramp_years", "must be > 0")
+        _require(abs(co2_forcing) <= 10, "sim.climate.reference_atmosphere_gtc",
+                 "the initial CO2 forcing forcing_per_doubling * log2(initial_carbon_gtc[0] / "
+                 f"reference_atmosphere_gtc) is {co2_forcing:.3g} W/m^2, must be in [-10, 10]")
         # One step of the two-box model maps the temperatures (T_at, T_lo)
         # through the matrix [[a, b], [c, d]] (plus forcing); unless the
         # larger modulus of its eigenvalues is below 1 they oscillate or grow
@@ -119,13 +140,10 @@ class ClimateParams:
         half_trace = (a + d) / 2
         root = cmath.sqrt(half_trace * half_trace - (a * d - b * c))
         radius = max(abs(half_trace + root), abs(half_trace - root))
-        _require(
-            radius < 1,
-            "climate.heat_capacity_c1",
-            f"the two-box temperature step has spectral radius {radius:.3g}, not below 1, "
-            "with atm_ocean_exchange_c3, ocean_uptake_c4 and temperature_feedback; "
-            "temperatures would diverge",
-        )
+        _require(radius < 1, "sim.climate.heat_capacity_c1",
+                 f"the two-box temperature step has spectral radius {radius:.3g}, not below 1, "
+                 "with atm_ocean_exchange_c3, ocean_uptake_c4 and temperature_feedback; "
+                 "temperatures would diverge")
 
 
 @dataclass(frozen=True)
@@ -143,26 +161,22 @@ class NegotiationConfig:
     enforce_masks: bool = True
 
     def __post_init__(self) -> None:
-        _require(
-            all(d in NEGOTIABLE_DIMENSIONS for d in self.dimensions),
-            "negotiation.dimensions",
-            f"entries must be in {sorted(NEGOTIABLE_DIMENSIONS)}",
-        )
-        _require(len(self.dimensions) >= 1, "negotiation.dimensions", "must not be empty")
+        key, allowed = "sim.negotiation.dimensions", sorted(NEGOTIABLE_DIMENSIONS)
+        _require(all(d in allowed for d in self.dimensions), key, f"entries must be in {allowed}")
+        _require(len(self.dimensions) >= 1, key, "must not be empty")
 
 
 @dataclass(frozen=True)
 class DisasterPenalty:
     """Flat per-step reward penalty once warming passes a threshold."""
 
-    threshold_degc: float
-    penalty: float
+    threshold_degc: float = ranged(Range(0, 20, "(]"))
+    # Rewards are O(1e3) per region and step; a larger penalty only risks
+    # an overflow to -inf in the episode totals.
+    penalty: float = ranged(Range(0, 1e9))
 
     def __post_init__(self) -> None:
-        _require(self.threshold_degc > 0, "variant.disaster.threshold_degc", "must be > 0")
-        # Rewards are O(1e3) per region and step; a larger penalty only
-        # risks an overflow to -inf in the episode totals.
-        _require(0 <= self.penalty <= 1e9, "variant.disaster.penalty", "must be in [0, 1e9]")
+        _check_ranges(self, "variant.disaster")
 
 
 @dataclass(frozen=True)
@@ -203,43 +217,29 @@ class SimParams:
     abatement coefficient is heterogeneous and drawn per region.
     """
 
-    n_regions: int = 27
-    dt_years: int = 5
-    horizon_years: int = 100
-    output_elasticity: float = 0.3  # capital share in production
-    depreciation: float = 0.1  # per-year capital depreciation
-    foreign_weight: float = 0.7  # weight of foreign consumption in the reward
-    import_budget: float = 0.1  # fraction of gross output available for imports
-    theta2: float = 2.6
-    theta3: float = 1.0
-    damage_pi1: float = 0.0
-    damage_pi2: float = DEFAULT_DAMAGE_PI2
+    n_regions: int = ranged(N_REGIONS, 27)
+    dt_years: int = ranged(Range(1, 20, ".."), 5)
+    horizon_years: int = ranged(HORIZON_YEARS, 100)
+    output_elasticity: float = ranged(Range(0, 0.9, "(]"), 0.3)  # capital share in production
+    depreciation: float = ranged(Range(0, 1, "()"), 0.1)  # per-year capital depreciation
+    foreign_weight: float = ranged(Range(0, 1, "(]"), 0.7)  # weight of foreign consumption in the reward
+    import_budget: float = ranged(Range(1e-6, 1, "[)"), 0.1)  # fraction of gross output available for imports
+    theta2: float = ranged(Range(1, 10, "(]"), 2.6)
+    theta3: float = ranged(Range(0, 10), 1.0)
+    damage_pi1: float = ranged(Range(0, 1), 0.0)
+    damage_pi2: float = ranged(Range(0, 1), DEFAULT_DAMAGE_PI2)
     climate: ClimateParams = field(default_factory=ClimateParams)
     negotiation: NegotiationConfig = field(default_factory=NegotiationConfig)
 
     def __post_init__(self) -> None:
-        _require(self.n_regions >= 2, "n_regions", "must be >= 2")
-        _require(self.dt_years >= 1, "dt_years", "must be >= 1")
+        _check_ranges(self, "sim")
         from .climate import carbon_transfer_matrix  # climate imports this module
 
         try:
             carbon_transfer_matrix(self.climate, self.dt_years)
         except DomainError as exc:
-            raise ConfigError(f"dt_years: {exc}") from None
-        _require(
-            self.horizon_years >= self.dt_years
-            and self.horizon_years % self.dt_years == 0,
-            "horizon_years",
-            "must be a positive multiple of dt_years",
-        )
-        _require(0 < self.output_elasticity < 1, "output_elasticity", "must be in (0,1)")
-        _require(0 < self.depreciation < 1, "depreciation", "must be in (0,1)")
-        _require(0 < self.foreign_weight <= 1, "foreign_weight", "must be in (0,1]")
-        _require(0 < self.import_budget < 1, "import_budget", "must be in (0,1)")
-        _require(self.theta2 > 1, "theta2", "must be > 1")
-        _require(self.theta3 >= 0, "theta3", "must be >= 0")
-        _require(self.damage_pi1 >= 0, "damage_pi1", "must be >= 0")
-        _require(self.damage_pi2 >= 0, "damage_pi2", "must be >= 0")
+            raise ConfigError(f"sim.dt_years: {exc}") from None
+        check_whole_steps("sim.horizon_years", self.horizon_years, self.dt_years)
 
     @property
     def n_steps(self) -> int:

@@ -7,6 +7,7 @@ run manifest written by the CLI.
 from __future__ import annotations
 
 import itertools
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -14,7 +15,7 @@ import numpy as np
 
 from .actions import ACTION_DIMENSIONS, NUM_LEVELS, JointActions
 from .calibration import NO_MITIGATION_LEVELS, calibrate_damage_to_anchor
-from .config import SimParams, VariantConfig, check_workers
+from .config import HORIZON_YEARS, Range, SimParams, VariantConfig, check_whole_steps
 from .engine import run_episode, run_fixed_actions_summary
 from .errors import ConfigError
 from .negotiation import commitments_from_arrays
@@ -26,11 +27,25 @@ _MASKING_STREAM = 0x4D44
 
 SWEEP_METRICS = ("climate_index", "economic_index", "reward")
 
+#: The ranges of the run sizes the experiment functions take; the options
+#: of ``runio.EXPERIMENTS`` declare the same objects.
+GRID = Range(1, NUM_LEVELS, "..")
+RUNS = Range(1, 10_000, "..")
+EPISODES = Range(1, 1_000_000, "..")
+#: The most (episode, step, region) draws ``commitment_statistics`` holds;
+#: it peaks at about 32 bytes each.
+MASKING_DRAWS = 20_000_000
+
+
+def check_workers(workers: int) -> None:
+    """Reject a worker-process count outside ``1..os.cpu_count()``. Call it
+    before any pool starts: a pool forks every worker at its first submit."""
+    Range(1, os.cpu_count() or 1, "..").check("workers", workers)
+
 
 def sweep_grid_levels(grid: int) -> tuple[int, ...]:
     """Evenly spaced levels for a grid of the given size (4 -> 0,3,6,9)."""
-    if not 1 <= grid <= NUM_LEVELS:
-        raise ConfigError(f"grid: must be in 1..{NUM_LEVELS}, got {grid}")
+    GRID.check("options.grid", grid)
     return tuple(int(round(x)) for x in np.linspace(0, NUM_LEVELS - 1, grid))
 
 
@@ -183,8 +198,7 @@ def pariah_experiment(
     ideal-trade policy, and rewards are z-normalized by subject region id
     across the pooled conditions.
     """
-    if runs < 1:
-        raise ConfigError(f"runs: must be >= 1, got {runs}")
+    RUNS.check("options.runs", runs)
     # Each condition's name and the tariff level it forces toward the subject.
     overrides = [(f"pariah@{k}", k) for k in tariff_levels]
     overrides += [("control", None), ("free_trade", 0)]
@@ -292,9 +306,9 @@ def horizon_experiment(
     params: SimParams, variant: VariantConfig, horizons: tuple[int, ...], seed: int
 ) -> HorizonResult:
     """Calibrate damages on the 100-year no-mitigation run, then extend."""
-    for h in horizons:
-        if h % params.dt_years != 0:
-            raise ConfigError(f"horizons: {h} is not a multiple of dt_years")
+    for k, h in enumerate(horizons):
+        HORIZON_YEARS.check(f"options.horizons[{k}]", h)
+        check_whole_steps(f"options.horizons[{k}]", h, params.dt_years)
     cal = calibrate_damage_to_anchor(params, variant, seed)
     t_end: dict[int, float] = {}
     d_end: dict[int, float] = {}
@@ -328,8 +342,10 @@ def commitment_statistics(
     uniform draw over each step's permitted levels. Commitments depend only
     on proposals and evaluations, so the rollout economy is not simulated.
     """
-    if episodes < 1:
-        raise ConfigError(f"episodes: must be >= 1, got {episodes}")
+    EPISODES.check("options.episodes", episodes)
+    if episodes * steps * n_regions > MASKING_DRAWS:
+        raise ConfigError(f"options.episodes: {episodes} episodes x {steps} steps x "
+                          f"{n_regions} regions are more than {MASKING_DRAWS} draws")
     rng = np.random.default_rng(np.random.SeedSequence([seed, _MASKING_STREAM]))
     proposals = rng.integers(0, NUM_LEVELS, size=(episodes, steps, n_regions))
     commitments = commitments_from_arrays(proposals)[..., 0]  # same for every region

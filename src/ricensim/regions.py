@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError
+from .config import N_REGIONS
 
 # Documented generation ranges. Draws always stay inside these bounds.
 PRODUCTIVITY_RANGE = (1.0, 6.0)
@@ -37,8 +37,7 @@ def generate_regions(n: int, seed: int) -> dict[str, np.ndarray]:
     compounds downward, and ``theta1`` is the region's linear
     abatement-cost coefficient.
     """
-    if n < 2:
-        raise ConfigError(f"n_regions: must be >= 2, got {n}")
+    N_REGIONS.check("sim.n_regions", n)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x5247]))
     size = rng.uniform(0.0, 1.0, size=n)
 

@@ -24,10 +24,13 @@ import numpy as np
 
 from .actions import ACTION_DIMENSIONS, NUM_LEVELS
 from .calibration import ANCHOR_DAMAGE, calibrate_damage_to_anchor
-from .config import SimParams, VariantConfig
+from .config import HORIZON_YEARS, Range, SimParams, VariantConfig
 from .engine import run_episode
 from .errors import ConfigError
 from .experiments import (
+    EPISODES,
+    GRID,
+    RUNS,
     SWEEP_METRICS,
     action_sweep,
     commitment_statistics,
@@ -39,22 +42,13 @@ from .experiments import (
 from .policies import FixedLevelsPolicy
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 @dataclasses.dataclass(frozen=True)
 class Option:
-    """One key of an experiment's ``options``: an integer in ``lo..hi``, or
+    """One key of an experiment's ``options``: an integer in ``bounds``, or
     a non-empty list of distinct ones when the default is a tuple."""
 
     default: int | tuple[int, ...]  # CI scale
-    lo: int
-    hi: int | None = None
+    bounds: Range
     full_scale: int | None = None  # default under --full-scale, when it differs
     flag_help: str | None = None  # the option is also the CLI flag --<key>
 
@@ -62,19 +56,16 @@ class Option:
     def is_list(self) -> bool:
         return isinstance(self.default, tuple)
 
-    def _fits(self, value) -> bool:
-        return _is_int(value) and self.lo <= value and (self.hi is None or value <= self.hi)
-
     def check(self, path: str, value) -> None:
-        span = f"{self.lo}..{self.hi}" if self.hi is not None else f">= {self.lo}"
-        if self.is_list:
-            ok = isinstance(value, (list, tuple)) and len(value) > 0
-            ok = ok and all(self._fits(v) for v in value) and len(set(value)) == len(value)
-            want = f"a non-empty list of distinct integers {span}"
-        else:
-            ok, want = self._fits(value), f"an integer {span}"
-        if not ok:
-            raise ConfigError(f"{path}: expected {want}, got {value!r}")
+        if not self.is_list:
+            self.bounds.check(path, value)
+            return
+        if not isinstance(value, (list, tuple)) or not value:
+            raise ConfigError(f"{path}: expected a non-empty list, got {value!r}")
+        for k, entry in enumerate(value):
+            self.bounds.check(f"{path}[{k}]", entry)
+        if len(set(value)) < len(value):
+            raise ConfigError(f"{path}: expected distinct entries, got {value!r}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -285,7 +276,7 @@ def _write_calibration(out: Path, config: RunConfig, result) -> str:
     return f"calibrate: pi2={result.pi2:.6e} at t_ref={result.t_ref:.4f} degC"
 
 
-_ACTION_LEVEL = NUM_LEVELS - 1
+_LEVELS = Range(0, NUM_LEVELS - 1, "..")
 
 #: Every experiment, by name. Run functions look the experiment functions up
 #: when called, never when the registry is built.
@@ -300,7 +291,7 @@ EXPERIMENTS = {
             ),
             write=_write_episode,
             options={
-                dim: Option(level, 0, _ACTION_LEVEL)
+                dim: Option(level, _LEVELS)
                 for dim, level in zip(ACTION_DIMENSIONS, (3, 0, 0, 0, 0))
             },
         ),
@@ -312,7 +303,7 @@ EXPERIMENTS = {
             ),
             write=_write_sweep,
             options={
-                "grid": Option(4, 1, NUM_LEVELS, full_scale=10, flag_help="levels per action dimension"),
+                "grid": Option(4, GRID, full_scale=10, flag_help="levels per action dimension"),
             },
         ),
         Experiment(
@@ -327,8 +318,8 @@ EXPERIMENTS = {
             ),
             write=_write_pariah,
             options={
-                "runs": Option(100, 1, full_scale=1000, flag_help="runs per condition"),
-                "tariff_levels": Option((5, 7, 9), 0, _ACTION_LEVEL),
+                "runs": Option(100, RUNS, full_scale=1000, flag_help="runs per condition"),
+                "tariff_levels": Option((5, 7, 9), _LEVELS),
             },
         ),
         Experiment(
@@ -352,7 +343,7 @@ EXPERIMENTS = {
             write=_write_horizon,
             options={
                 "horizons": Option(
-                    (100, 200, 300), 1, flag_help="comma-separated horizons in years"
+                    (100, 200, 300), HORIZON_YEARS, flag_help="comma-separated horizons in years"
                 ),
             },
         ),
@@ -363,7 +354,7 @@ EXPERIMENTS = {
                 c.sim.n_regions, c.sim.n_steps, c.options["episodes"], c.seed
             ),
             write=_write_masking,
-            options={"episodes": Option(10_000, 1, flag_help="episode count")},
+            options={"episodes": Option(10_000, EPISODES, flag_help="episode count")},
         ),
         Experiment(
             "calibrate",
@@ -394,7 +385,7 @@ class RunConfig:
                 f"experiment: unknown experiment {self.experiment!r}; "
                 f"expected one of {tuple(EXPERIMENTS)}"
             )
-        if not (_is_int(self.seed) and self.seed >= 0):
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
             raise ConfigError(f"seed: expected a non-negative integer, got {self.seed!r}")
         EXPERIMENTS[self.experiment].check_options(self.options)
 
@@ -421,7 +412,8 @@ def _dataclass_from_dict(cls, data: dict, key_prefix: str):
 def _typed(value, hint, path: str):
     """``value`` checked against the field annotation ``hint``: nested
     objects become dataclasses and lists become tuples; anything else of
-    the wrong type is a ``ConfigError`` naming ``path``."""
+    the wrong type is a ``ConfigError`` naming ``path``. A number passes as
+    given: its field's declared ``Range`` checks its type and bounds."""
     if dataclasses.is_dataclass(hint):
         return _dataclass_from_dict(hint, value, path)
     args = get_args(hint)
@@ -438,17 +430,8 @@ def _typed(value, hint, path: str):
         elif len(value) != len(args):
             raise ConfigError(f"{path}: expected {len(args)} entries, got {len(value)}")
         return tuple(_typed(v, a, f"{path}[{k}]") for k, (v, a) in enumerate(zip(value, args)))
-    if hint is float:
-        ok = _is_number(value) and abs(value) <= sys.float_info.max
-        expected = "a finite number"
-    elif hint is int:
-        ok = _is_int(value)
-        expected = "an integer"
-    else:
-        ok = isinstance(value, hint)
-        expected = f"a {hint.__name__}"
-    if not ok:
-        raise ConfigError(f"{path}: expected {expected}, got {value!r}")
+    if hint not in (int, float) and not isinstance(value, hint):
+        raise ConfigError(f"{path}: expected a {hint.__name__}, got {value!r}")
     return value
 
 

@@ -168,7 +168,7 @@ class TestErrors:
             raise MemoryError(message)
 
         monkeypatch.setattr(runio, "commitment_statistics", out_of_memory)
-        argv = ["masking-demo", "--episodes", "100000000000", "--out", str(tmp_path / "o")]
+        argv = ["masking-demo", "--episodes", "200", "--out", str(tmp_path / "o")]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err == f"runtime error: {message or 'MemoryError'}\n"
@@ -238,6 +238,14 @@ class TestErrors:
             # Manifests written while the option existed hold this line.
             ({"sim": {"climate": {"emissions_floor": 0.0}}},
              "unknown key: sim.climate.emissions_floor"),
+            # Each ran before its key declared a range: to absurd or overflowing
+            # temperatures, with an ocean that gives heat back, or out of memory.
+            ({"sim": {"horizon_years": 50000}}, "sim.horizon_years"),
+            ({"sim": {"climate": {"atm_ocean_exchange_c3": -0.05}}},
+             "sim.climate.atm_ocean_exchange_c3"),
+            ({"sim": {"climate": {"ocean_uptake_c4": -0.01}}}, "sim.climate.ocean_uptake_c4"),
+            ({"experiment": "masking-demo", "options": {"episodes": 100000000000}},
+             "options.episodes"),
         ],
     )
     def test_bad_option_or_seed_is_a_config_error(self, tmp_path, capsys, doc, key):
@@ -249,6 +257,20 @@ class TestErrors:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert key in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            # Inside its range, but the draws would not fit the memory budget.
+            (["masking-demo", "--episodes", "1000000"], "options.episodes: 1000000 episodes"),
+            (["horizon", "--horizons", "100,7"], "options.horizons[1]: 7 is not a multiple"),
+        ],
+    )
+    def test_option_checked_against_sim_exits_one_before_any_work(self, tmp_path, capsys, argv, key):
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {key}" in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["sweep", "horizon", "calibrate"])
@@ -281,7 +303,7 @@ class TestErrors:
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
         argv = ["sweep", "--grid", "2", "--workers", str(workers), "--out", str(tmp_path / "o")]
         assert main(argv) == 1
-        assert "workers: must be in 1.." in capsys.readouterr().err
+        assert "workers: expected an integer in 1.." in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_negative_seed_flag_is_a_config_error(self, tmp_path, capsys):

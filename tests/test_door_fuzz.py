@@ -1,22 +1,34 @@
-"""Property test of the input door: mutated config documents and argument
+"""Property tests of the input door: mutated config documents and argument
 lists either run to finite outputs or are turned away cleanly.
 
-Each example starts from a valid, tiny config document (at most 4 regions,
-a 10-year horizon, a sweep grid of 2) and mutates it: one number of the
-``sim`` or the ``sim.climate`` section at or past its bounds, or, anywhere,
-a few wrong types, nulls, non-finite, huge and negative numbers, unknown
-and nested keys, and odd command-line flags. The CLI must then exit 0, 1 or 2; 2 only
-for a ``DomainError`` or ``MaskViolationError`` raised by the run; never
-with a traceback; and on exit 0 every number it wrote must be finite.
+Every numeric config key and experiment option declares its range once
+(``config.Range``). The tests read those declarations: each declared key
+rejects a wrong type and a value just outside either end with exit 1 and
+its document path, and a Hypothesis property draws from every key's ends,
+the nearest values inside and outside them, and odd multiples of valid
+values. Each example starts from a valid, tiny config document (at most 4
+regions, a 10-year horizon, a sweep grid of 2) and mutates one declared key
+of one section, or, in the "anywhere" section, a few positions with wrong
+types, nulls, non-finite, huge and negative numbers, unknown and nested
+keys, and odd command-line flags. A value outside its key's range must exit
+1 naming that key; otherwise the CLI must exit 0, 1 or 2; 2 only for a
+``DomainError`` or ``MaskViolationError`` raised by the run; never with a
+traceback; and on exit 0 every number it wrote must be finite.
+
+The example budget per section comes from a Hypothesis profile: "door" by
+default, "ci" (1000 examples) when ``HYPOTHESIS_PROFILE=ci``.
 """
 import contextlib
+import dataclasses
 import io
 import json
 import math
 import os
+import re
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from typing import NamedTuple
 from unittest import mock
 
 import pytest
@@ -24,20 +36,97 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ricensim import cli, experiments
-from ricensim.config import DisasterPenalty, NegotiationConfig, SimParams, VariantConfig
+from ricensim.config import (
+    HORIZON_YEARS,
+    N_REGIONS,
+    ClimateParams,
+    DisasterPenalty,
+    NegotiationConfig,
+    Range,
+    SimParams,
+    VariantConfig,
+)
 from ricensim.errors import DomainError, MaskViolationError
+from ricensim.experiments import EPISODES, GRID, RUNS
 from ricensim.runio import DEFAULT_EXPERIMENT, EXPERIMENTS, RunConfig, config_to_dict
 
-#: Integer keys that set how much work a run does, and the largest value a
-#: mutation may give them (a list's entries are capped alike).
+settings.register_profile("door", max_examples=48, deadline=None)
+settings.register_profile("ci", max_examples=1000, deadline=None)
+BUDGET = settings.get_profile(os.environ.get("HYPOTHESIS_PROFILE", "door"))
+
+#: The config dataclasses whose fields declare ranges, by document path.
+RANGED_SECTIONS = {
+    "sim": SimParams, "sim.climate": ClimateParams, "variant.disaster": DisasterPenalty,
+}
+
+
+class Key(NamedTuple):
+    """One declared key: where a document holds it (a tuple or list key by
+    its first entry), its range, and the experiment that takes it, if an
+    option."""
+
+    location: tuple
+    bounds: Range
+    experiment: str | None = None
+
+    @property
+    def path(self) -> str:
+        """The path an error names: ``sim.climate.initial_carbon_gtc[0]``."""
+        text = ".".join(str(k) for k in self.location if isinstance(k, str))
+        return text + "".join(f"[{k}]" for k in self.location if isinstance(k, int))
+
+    @property
+    def section(self) -> str:
+        return "climate" if self.location[:2] == ("sim", "climate") else self.location[0]
+
+
+def declared_keys() -> list[Key]:
+    keys = []
+    for prefix, cls in RANGED_SECTIONS.items():
+        for f in dataclasses.fields(cls):
+            if "range" in f.metadata:
+                entry = (0,) * f.type.count("tuple[")
+                keys.append(Key((*prefix.split("."), f.name, *entry), f.metadata["range"]))
+    for name, experiment in EXPERIMENTS.items():
+        for key, opt in experiment.options.items():
+            entry = (0,) if opt.is_list else ()
+            keys.append(Key(("options", key, *entry), opt.bounds, name))
+    return keys
+
+
+KEYS = declared_keys()
+
+
+def inside(bounds: Range, value) -> bool:
+    """Whether ``value`` lies in ``bounds``, worked out apart from the
+    library's own check."""
+    integer = bounds.ends == ".."
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        return False
+    above = value > bounds.lo if bounds.ends[0] == "(" else value >= bounds.lo
+    below = value < bounds.hi if bounds.ends[1] == ")" else value <= bounds.hi
+    return above and below
+
+
+def near_ends(bounds: Range) -> list:
+    """Both ends, the nearest values inside them and the nearest outside."""
+    lo, hi = bounds.lo, bounds.hi
+    if bounds.ends == "..":
+        return [lo - 1, lo, lo + 1, hi - 1, hi, hi + 1]
+    down, up = (lambda x: math.nextafter(x, -math.inf)), (lambda x: math.nextafter(x, math.inf))
+    return [down(lo), lo, up(lo), down(hi), hi, up(hi)]
+
+
+#: Integer keys that set how much work a run does, their range, and the
+#: largest value a draw inside that range may give them (a list's entries
+#: are capped alike). A draw outside the range is never capped.
 SIZE_CAPS = {
-    "n_regions": 4,
-    "horizon_years": 20,
-    "dt_years": 20,
-    "grid": 2,
-    "runs": 2,
-    "episodes": 20,
-    "horizons": 20,
+    "n_regions": (N_REGIONS, 4),
+    "horizon_years": (HORIZON_YEARS, 20),
+    "grid": (GRID, 2),
+    "runs": (RUNS, 2),
+    "episodes": (EPISODES, 20),
+    "horizons": (HORIZON_YEARS, 20),
 }
 
 TINY_OPTIONS = {
@@ -106,24 +195,21 @@ def put(doc, path, value):
     return doc
 
 
-def cap_sizes(node, cap=None):
-    """``node`` with every integer under a ``SIZE_CAPS`` key at most its cap."""
+def cap_sizes(node, size=None):
+    """``node`` with every integer inside a ``SIZE_CAPS`` key's range at
+    most its cap."""
     if isinstance(node, dict):
-        return {k: cap_sizes(v, SIZE_CAPS.get(k, cap)) for k, v in node.items()}
+        return {k: cap_sizes(v, SIZE_CAPS.get(k, size)) for k, v in node.items()}
     if isinstance(node, list):
-        return [cap_sizes(v, cap) for v in node]
-    if cap is not None and isinstance(node, int) and not isinstance(node, bool):
-        return min(node, cap)
+        return [cap_sizes(v, size) for v in node]
+    if size is not None and inside(size[0], node):
+        return min(node, size[1])
     return node
 
 
-#: The sections whose numbers a case may mutate one at a time, by path;
-#: "anywhere" mutates any position, a few at a time, and adds odd flags.
-SECTIONS = {
-    "sim": lambda path: len(path) == 2 and path[0] == "sim",
-    "climate": lambda path: path[:2] == ("sim", "climate"),
-    "anywhere": None,
-}
+#: One section per declared key group, plus "anywhere", which mutates any
+#: position, a few at a time, and adds odd flags.
+SECTIONS = ["sim", "climate", "variant", "options", "anywhere"]
 
 
 def odd_value(draw, target, anything: bool):
@@ -139,34 +225,50 @@ def odd_value(draw, target, anything: bool):
     return draw(FLOAT_EDGES | SCALES.map(target.__mul__))
 
 
-@st.composite
-def inputs(draw, section: str):
-    """A config document mutated in ``section``, its command, and the
-    arguments after the config and output paths."""
-    name = draw(st.sampled_from(list(EXPERIMENTS)))
-    disaster = draw(st.sampled_from([None, DisasterPenalty(threshold_degc=1.5, penalty=100.0)]))
-    negotiation = NegotiationConfig(enabled=draw(st.booleans()), enforce_masks=draw(st.booleans()))
+def base_document(name: str, disaster: bool, negotiation=NegotiationConfig()) -> dict:
+    """A valid, tiny document running experiment ``name``, every option set."""
+    options = {key: opt.default for key, opt in EXPERIMENTS[name].options.items()}
+    penalty = DisasterPenalty(threshold_degc=1.5, penalty=100.0) if disaster else None
     config = RunConfig(
         SimParams(n_regions=4, horizon_years=10, negotiation=negotiation),
-        VariantConfig(disaster=disaster),
+        VariantConfig(disaster=penalty),
         name,
-        options=dict(TINY_OPTIONS.get(name, {})),
+        options={**options, **TINY_OPTIONS.get(name, {})},
         seed=1,
     )
-    doc = json.loads(json.dumps(config_to_dict(config)))  # tuples become lists, as in a file
-    anywhere = SECTIONS[section] is None
-    for _ in range(draw(st.sampled_from([0, 1, 1, 2])) if anywhere else 1):
-        every = list(paths(doc))
-        numbers = [p for p in every if is_number(get(doc, p))]
-        if not anywhere:
-            numbers = [p for p in numbers if SECTIONS[section](p)]
-        path = draw(st.sampled_from(numbers if not anywhere or draw(st.booleans()) else every))
-        target = get(doc, path)
-        value = odd_value(draw, target, anywhere)
-        if isinstance(target, dict) and draw(st.booleans()):
-            target[draw(st.sampled_from(["zz_unknown", "seed", "n_regions", "climate"]))] = value
+    return json.loads(json.dumps(config_to_dict(config)))  # tuples become lists, as in a file
+
+
+@st.composite
+def inputs(draw, section: str):
+    """A config document mutated in ``section``, its command, the arguments
+    after the config and output paths, and the key whose range the mutation
+    left (None when it left none)."""
+    outside = None
+    negotiation = NegotiationConfig(enabled=draw(st.booleans()), enforce_masks=draw(st.booleans()))
+    if section == "anywhere":
+        name = draw(st.sampled_from(list(EXPERIMENTS)))
+        doc = base_document(name, draw(st.booleans()), negotiation)
+        for _ in range(draw(st.sampled_from([0, 1, 1, 2]))):
+            every = list(paths(doc))
+            numbers = [p for p in every if is_number(get(doc, p))]
+            path = draw(st.sampled_from(numbers if numbers and draw(st.booleans()) else every))
+            target = get(doc, path)
+            value = odd_value(draw, target, anything=True)
+            if isinstance(target, dict) and draw(st.booleans()):
+                target[draw(st.sampled_from(["zz_unknown", "seed", "n_regions", "climate"]))] = value
+            else:
+                doc = put(doc, path, value)
+    else:
+        key = draw(st.sampled_from([k for k in KEYS if k.section == section]))
+        name = key.experiment or draw(st.sampled_from(list(EXPERIMENTS)))
+        doc = base_document(name, section == "variant" or draw(st.booleans()), negotiation)
+        if draw(st.booleans()):
+            value = draw(st.sampled_from(near_ends(key.bounds)))
         else:
-            doc = put(doc, path, value)
+            value = odd_value(draw, get(doc, key.location), anything=False)
+        doc = put(doc, key.location, value)
+        outside = None if inside(key.bounds, value) else key
 
     command = name if EXPERIMENTS[name].help and draw(st.booleans()) else "run"
     if isinstance(doc, dict):
@@ -181,8 +283,8 @@ def inputs(draw, section: str):
         for key, opt in own.items() if opt.flag_help
         for value in OPTION_FLAG_VALUES
     ]
-    extra = draw(st.sampled_from(flags)) if anywhere and draw(st.booleans()) else []
-    return cap_sizes(doc), command, extra
+    extra = draw(st.sampled_from(flags)) if section == "anywhere" and draw(st.booleans()) else []
+    return cap_sizes(doc), command, extra, outside
 
 
 def assert_written_numbers_finite(out: Path) -> None:
@@ -207,11 +309,9 @@ def assert_written_numbers_finite(out: Path) -> None:
             json.loads(path.read_text(), parse_constant=no_constant)
 
 
-@pytest.mark.parametrize("section", list(SECTIONS))
-@given(data=st.data())
-@settings(max_examples=80, deadline=None)
-def test_mutated_inputs_exit_cleanly(section, data):
-    doc, command, extra = data.draw(inputs(section))
+def run_cli(doc, command: str, extra: list, tmp: str):
+    """Run the CLI on ``doc`` in-process; returns the exit code, stderr, the
+    exceptions the run raised and the output directory."""
     raised = []
     execute = cli._execute
 
@@ -222,20 +322,64 @@ def test_mutated_inputs_exit_cleanly(section, data):
             raised.append(exc)
             raise
 
+    cfg, out = Path(tmp) / "cfg.json", Path(tmp) / "out"
+    cfg.write_text(json.dumps(doc))
+    argv = [command, "--config", str(cfg), "--out", str(out)] + extra
+    stderr = io.StringIO()
+    # Threads stand in for the sweep's worker processes: nothing forks.
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr), \
+            mock.patch.object(experiments, "ProcessPoolExecutor", ThreadPoolExecutor), \
+            mock.patch.object(cli, "_execute", recording_execute):
+        code = cli.main(argv)
+    return code, stderr.getvalue(), raised, out
+
+
+@pytest.mark.parametrize("section", SECTIONS)
+@given(data=st.data())
+@settings(BUDGET)
+def test_mutated_inputs_exit_cleanly(section, data):
+    doc, command, extra, outside = data.draw(inputs(section))
     with tempfile.TemporaryDirectory() as tmp:
-        cfg, out = Path(tmp) / "cfg.json", Path(tmp) / "out"
-        cfg.write_text(json.dumps(doc))
-        argv = [command, "--config", str(cfg), "--out", str(out)] + extra
-        stderr = io.StringIO()
-        # Threads stand in for the sweep's worker processes: nothing forks.
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr), \
-                mock.patch.object(experiments, "ProcessPoolExecutor", ThreadPoolExecutor), \
-                mock.patch.object(cli, "_execute", recording_execute):
-            code = cli.main(argv)
-        err = stderr.getvalue()
+        code, err, raised, out = run_cli(doc, command, extra, tmp)
         assert code in (0, 1, 2), err
         assert "Traceback" not in err
+        if outside is not None:
+            assert code == 1 and f"error: {outside.path}: expected" in err, err
+            assert not out.exists()
         if code == 2:
             assert raised and isinstance(raised[-1], (DomainError, MaskViolationError)), err
         if code == 0:
             assert_written_numbers_finite(out)
+
+
+@pytest.mark.parametrize("key", KEYS, ids=lambda k: f"{k.experiment or 'config'}:{k.path}")
+def test_declared_key_names_its_path_for_a_wrong_type_and_either_side(key, tmp_path):
+    below, above = near_ends(key.bounds)[0], near_ends(key.bounds)[-1]
+    for i, value in enumerate(["x", below, above]):
+        doc = put(base_document(key.experiment or DEFAULT_EXPERIMENT, True), key.location, value)
+        (tmp_path / str(i)).mkdir()
+        code, err, _, out = run_cli(doc, "run", [], str(tmp_path / str(i)))
+        assert code == 1 and f"error: {key.path}: expected" in err, (value, err)
+        assert not out.exists()
+
+
+def test_every_numeric_key_declares_both_ends():
+    """``seed`` is an identifier, not a quantity, and declares no range."""
+    for cls in RANGED_SECTIONS.values():
+        for f in dataclasses.fields(cls):
+            numeric = re.search(r"\b(int|float)\b", f.type)
+            if numeric:
+                bounds = f.metadata.get("range")
+                assert bounds is not None, f"{cls.__name__}.{f.name} declares no range"
+                assert bounds.ends in ("..", "[]", "[)", "(]", "()"), f.name
+                assert math.isfinite(bounds.lo) and math.isfinite(bounds.hi), f.name
+                assert bounds.lo < bounds.hi, f.name
+                assert (bounds.ends == "..") == (numeric.group(1) == "int"), f.name
+    for experiment in EXPERIMENTS.values():
+        for key, opt in experiment.options.items():
+            assert opt.bounds.ends == "..", key
+            assert isinstance(opt.bounds.lo, int) and isinstance(opt.bounds.hi, int), key
+            default = opt.default if opt.is_list else (opt.default,)
+            assert all(inside(opt.bounds, v) for v in default), key
+            if opt.full_scale is not None:
+                assert inside(opt.bounds, opt.full_scale), key

@@ -41,9 +41,9 @@ class TestSweepGrid:
         assert sweep_grid_levels(1) == (0,)
 
     def test_invalid_grid(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"options\.grid: expected an integer in 1\.\.10"):
             sweep_grid_levels(0)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"options\.grid: expected an integer in 1\.\.10"):
             sweep_grid_levels(11)
 
 
@@ -98,7 +98,7 @@ class TestActionSweep:
             raise AssertionError("a process pool was started")
 
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
-        with pytest.raises(ConfigError, match=r"workers: must be in 1\.\."):
+        with pytest.raises(ConfigError, match=r"workers: expected an integer in 1\.\."):
             action_sweep(SimParams(n_regions=4), baseline, grid=1, seed=0, workers=workers)
 
     @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs 2 CPUs for workers=2")

@@ -53,7 +53,7 @@ def test_different_seeds_differ_fieldwise():
 
 
 def test_rejects_single_region():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"sim\.n_regions: expected an integer in 2\.\."):
         generate_regions(1, 0)
 
 
