@@ -1,10 +1,9 @@
 #!/usr/bin/env python3
-"""Run every experiment that has a CLI subcommand into one output tree.
+"""Run every experiment into one output tree.
 
 The experiments come from the registry ``ricensim.runio.EXPERIMENTS``; each
 writes into ``OUT_DIR/<name>`` (dashes become underscores). Sizes are the
-CI-scale defaults unless ``--full-scale`` is given. The single-episode
-experiment has no subcommand and is run with ``ricensim run --config``.
+CI-scale defaults unless ``--full-scale`` is given.
 
 Usage: python scripts/run_all_experiments.py [OUT_DIR] [--seed N] [--full-scale] [--workers N]
 """
@@ -24,7 +23,7 @@ def main() -> int:
     parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args()
 
-    for name in (e.name for e in EXPERIMENTS.values() if e.help):
+    for name in EXPERIMENTS:
         argv = [
             name,
             "--seed", str(args.seed),

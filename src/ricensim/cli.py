@@ -44,7 +44,7 @@ def _build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(prog="ricensim", description=__doc__)
     sub = parser.add_subparsers(dest="command")
     commands = [("run", "run the experiment selected by the config file", {})]
-    commands += [(e.name, e.help, e.options) for e in EXPERIMENTS.values() if e.help]
+    commands += [(e.name, e.help, e.options) for e in EXPERIMENTS.values()]
     for name, help_text, options in commands:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", type=str, default=None, help="JSON config file")

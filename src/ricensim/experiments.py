@@ -6,7 +6,9 @@ run manifest written by the CLI.
 """
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -32,9 +34,11 @@ SWEEP_METRICS = ("climate_index", "economic_index", "reward")
 GRID = Range(1, NUM_LEVELS, "..")
 RUNS = Range(1, 10_000, "..")
 EPISODES = Range(1, 1_000_000, "..")
-#: The most (episode, step, region) draws ``commitment_statistics`` holds;
-#: it peaks at about 32 bytes each.
+#: The most (episode, step, region) draws ``commitment_statistics`` takes.
+#: It holds one integer per (episode, step) and draws the rest in chunks of
+#: whole episodes, about ``_MASKING_CHUNK_DRAWS`` draws each.
 MASKING_DRAWS = 20_000_000
+_MASKING_CHUNK_DRAWS = 1 << 18
 
 
 def check_workers(workers: int) -> None:
@@ -73,14 +77,12 @@ class SweepResult:
         return self.levels.shape[0]
 
 
-def _sweep_chunk(args) -> list[tuple[float, float, float]]:
-    params, variant, seed, combos = args
-    out = []
-    for levels in combos:
-        actions = JointActions.uniform(params.n_regions, *levels)
-        summary = run_fixed_actions_summary(params, variant, actions, seed)
-        out.append((summary.delta_t_end, summary.y_cum, summary.mean_total_reward))
-    return out
+def _sweep_rollout(
+    params: SimParams, variant: VariantConfig, seed: int, levels: tuple[int, ...]
+) -> tuple[float, float, float]:
+    actions = JointActions.uniform(params.n_regions, *levels)
+    summary = run_fixed_actions_summary(params, variant, actions, seed)
+    return summary.delta_t_end, summary.y_cum, summary.mean_total_reward
 
 
 def _minmax(values: np.ndarray) -> np.ndarray:
@@ -124,17 +126,14 @@ def action_sweep(
     combos = list(itertools.product(*(grid_levels for _ in ACTION_DIMENSIONS)))
     n_rollouts = len(combos)
 
+    rollout = functools.partial(_sweep_rollout, params, variant, seed)
     if workers > 1:
-        chunk_size = max(1, (n_rollouts + workers * 8 - 1) // (workers * 8))
-        chunks = [
-            (params, variant, seed, combos[i : i + chunk_size])
-            for i in range(0, n_rollouts, chunk_size)
-        ]
-        # ``map`` yields the chunks in submission order.
+        # ``map`` yields the results in submission order.
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = [row for chunk in pool.map(_sweep_chunk, chunks) for row in chunk]
+            chunksize = math.ceil(n_rollouts / (workers * 8))
+            rows = list(pool.map(rollout, combos, chunksize=chunksize))
     else:
-        rows = _sweep_chunk((params, variant, seed, combos))
+        rows = list(map(rollout, combos))
 
     levels = np.array(combos, dtype=np.int64)
     delta_t, y_cum, mean_reward = (np.array(column) for column in zip(*rows))
@@ -347,16 +346,24 @@ def commitment_statistics(
         raise ConfigError(f"options.episodes: {episodes} episodes x {steps} steps x "
                           f"{n_regions} regions are more than {MASKING_DRAWS} draws")
     rng = np.random.default_rng(np.random.SeedSequence([seed, _MASKING_STREAM]))
-    proposals = rng.integers(0, NUM_LEVELS, size=(episodes, steps, n_regions))
-    commitments = commitments_from_arrays(proposals)[..., 0]  # same for every region
-    realized = commitments[..., None] + np.floor(
-        rng.random(size=(episodes, steps, n_regions))
-        * (NUM_LEVELS - commitments)[..., None]
-    )
+    chunk = max(1, _MASKING_CHUNK_DRAWS // (steps * n_regions))  # whole episodes
+    starts = range(0, episodes, chunk)
+    # Every proposal is drawn before any uniform, as two one-shot draws of
+    # the whole [episode, step, region] arrays would.
+    commitments = np.empty((episodes, steps), dtype=np.int64)
+    for lo in starts:
+        block = commitments[lo : lo + chunk]
+        proposals = rng.integers(0, NUM_LEVELS, size=(len(block), steps, n_regions))
+        block[:] = commitments_from_arrays(proposals)[..., 0]  # same for every region
+    realized_sum = 0  # of integer levels, so exact in any chunking
+    for lo in starts:
+        c = commitments[lo : lo + chunk, :, None]
+        u = rng.random(size=(len(c), steps, n_regions))
+        realized_sum += int((c + np.floor(u * (NUM_LEVELS - c))).sum())
     counts = np.bincount(commitments.ravel(), minlength=NUM_LEVELS)
     return MaskingDemoResult(
         level_counts=counts,
         mean_commitment=float(commitments.mean()),
         p_max_level=float((commitments == NUM_LEVELS - 1).mean()),
-        mean_realized_mitigation=float(realized.mean() / 10.0),
+        mean_realized_mitigation=realized_sum / (commitments.size * n_regions) / 10.0,
     )

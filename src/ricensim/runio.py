@@ -72,11 +72,10 @@ class Option:
 class Experiment:
     """One registry entry. ``run(config, workers)`` returns the result that
     ``write(out_dir, config, result)`` turns into files, returning the
-    one-line report the CLI prints. Without ``help`` the experiment has no
-    subcommand and runs only through ``run --config``."""
+    one-line report the CLI prints; ``help`` describes its subcommand."""
 
     name: str
-    help: str | None
+    help: str
     run: Callable[[RunConfig, int], Any]
     write: Callable[[Path, RunConfig, Any], str]
     options: dict[str, Option] = dataclasses.field(default_factory=dict)
@@ -105,71 +104,57 @@ class Experiment:
 
 def _write_episode(out: Path, config: RunConfig, rec) -> str:
     sim = config.sim
-    rows = [
-        [
-            t, (t + 1) * sim.dt_years, i,
-            rec.savings_levels[t, i], rec.mitigation_levels[t, i], rec.export_levels[t, i],
-            rec.gross_output[t, i], rec.net_output[t, i], rec.investment[t, i],
-            rec.damage_fraction[t], rec.abatement_fraction[t, i],
-            rec.domestic[t, i], rec.foreign[t, i], rec.aggregate[t, i],
-            rec.rewards[t, i], rec.balance[t, i], rec.emissions[t, i], rec.t_atmosphere[t],
-        ]
-        for t in range(sim.n_steps)
-        for i in range(sim.n_regions)
-    ]
-    write_csv(
-        out / "episode.csv",
-        [
-            "step", "year", "region", "savings_level", "mitigation_level",
-            "export_level", "gross_output", "net_output", "investment",
-            "damage_fraction", "abatement_fraction", "domestic_consumption",
-            "foreign_consumption", "aggregate_consumption", "reward",
-            "balance", "emissions_gtc_per_year", "t_atmosphere_degc",
-        ],
-        rows,
-    )
-    write_csv(
-        out / "episode_summary.csv",
-        ["region", "total_reward", "delta_t_end_degc", "y_cum", "d_end", "seed"],
-        [
-            [i, rec.total_reward[i], rec.delta_t_end, rec.y_cum, rec.d_end, config.seed]
-            for i in range(sim.n_regions)
-        ],
-    )
-    return f"episode: {sim.n_steps} steps, delta_t_end={rec.delta_t_end:.3f} degC"
+    n_steps, n = sim.n_steps, sim.n_regions
+    step = np.repeat(np.arange(n_steps), n)  # rows run step by step, region by region
+    write_csv(out / "episode.csv", {
+        "step": step,
+        "year": (step + 1) * sim.dt_years,
+        "region": np.tile(np.arange(n), n_steps),
+        "savings_level": rec.savings_levels.ravel(),
+        "mitigation_level": rec.mitigation_levels.ravel(),
+        "export_level": rec.export_levels.ravel(),
+        "gross_output": rec.gross_output.ravel(),
+        "net_output": rec.net_output.ravel(),
+        "investment": rec.investment.ravel(),
+        "damage_fraction": np.repeat(rec.damage_fraction, n),
+        "abatement_fraction": rec.abatement_fraction.ravel(),
+        "domestic_consumption": rec.domestic.ravel(),
+        "foreign_consumption": rec.foreign.ravel(),
+        "aggregate_consumption": rec.aggregate.ravel(),
+        "reward": rec.rewards.ravel(),
+        "balance": rec.balance.ravel(),
+        "emissions_gtc_per_year": rec.emissions.ravel(),
+        "t_atmosphere_degc": np.repeat(rec.t_atmosphere, n),
+    })
+    write_csv(out / "episode_summary.csv", {
+        "region": range(n),
+        "total_reward": rec.total_reward,
+        "delta_t_end_degc": [rec.delta_t_end] * n,
+        "y_cum": [rec.y_cum] * n,
+        "d_end": [rec.d_end] * n,
+        "seed": [config.seed] * n,
+    })
+    return f"episode: {n_steps} steps, delta_t_end={rec.delta_t_end:.3f} degC"
 
 
 def _write_sweep(out: Path, config: RunConfig, result) -> str:
-    rows = [
-        list(result.levels[i])
-        + [
-            result.delta_t_end[i],
-            result.y_cum[i],
-            result.mean_reward[i],
-            result.climate_index[i],
-            result.economic_index[i],
-        ]
-        for i in range(result.n_rollouts)
-    ]
-    write_csv(
-        out / "sweep.csv",
-        [f"{d}_level" for d in ACTION_DIMENSIONS]
-        + ["delta_t_end_degc", "cumulative_gross_output", "mean_total_reward", "climate_index", "economic_index"],
-        rows,
-    )
-    write_csv(
-        out / "correlations.csv",
-        ["action"] + list(SWEEP_METRICS),
-        [
-            [dim] + [result.correlations[dim][m] for m in SWEEP_METRICS]
-            for dim in ACTION_DIMENSIONS
-        ],
-    )
-    write_csv(
-        out / "sweep_summary.csv",
-        ["rollouts", "distinct_outcome_pairs", "seed"],
-        [[result.n_rollouts, result.distinct_outcome_count, config.seed]],
-    )
+    write_csv(out / "sweep.csv", {
+        **{f"{d}_level": result.levels[:, k] for k, d in enumerate(ACTION_DIMENSIONS)},
+        "delta_t_end_degc": result.delta_t_end,
+        "cumulative_gross_output": result.y_cum,
+        "mean_total_reward": result.mean_reward,
+        "climate_index": result.climate_index,
+        "economic_index": result.economic_index,
+    })
+    write_csv(out / "correlations.csv", {
+        "action": ACTION_DIMENSIONS,
+        **{m: [result.correlations[d][m] for d in ACTION_DIMENSIONS] for m in SWEEP_METRICS},
+    })
+    write_csv(out / "sweep_summary.csv", {
+        "rollouts": [result.n_rollouts],
+        "distinct_outcome_pairs": [result.distinct_outcome_count],
+        "seed": [config.seed],
+    })
     return (
         f"sweep: {result.n_rollouts} rollouts, "
         f"{result.distinct_outcome_count} distinct outcome pairs"
@@ -177,50 +162,44 @@ def _write_sweep(out: Path, config: RunConfig, result) -> str:
 
 
 def _write_pariah(out: Path, config: RunConfig, result) -> str:
-    runs = config.options["runs"]
-    write_csv(
-        out / "pariah.csv",
-        ["condition", "runs", "mean_z_reward", "std_z_reward", "mean_tariff_toward_subject"],
-        [
-            [c, runs, result.mean_z[c], result.std_z[c], result.mean_realized_tariff[c]]
-            for c in result.conditions
-        ],
-    )
-    write_csv(
-        out / "pariah_runs.csv",
-        ["condition", "run", "subject", "total_reward", "z_reward", "realized_tariff"],
-        [
-            [c, r, result.subjects[r], result.rewards[c][r], result.z_rewards[c][r], result.realized_tariff[c][r]]
-            for c in result.conditions
-            for r in range(runs)
-        ],
-    )
+    runs, conditions = config.options["runs"], result.conditions
+    write_csv(out / "pariah.csv", {
+        "condition": conditions,
+        "runs": [runs] * len(conditions),
+        "mean_z_reward": [result.mean_z[c] for c in conditions],
+        "std_z_reward": [result.std_z[c] for c in conditions],
+        "mean_tariff_toward_subject": [result.mean_realized_tariff[c] for c in conditions],
+    })
+    write_csv(out / "pariah_runs.csv", {  # rows run condition by condition, run by run
+        "condition": np.repeat(conditions, runs),
+        "run": np.tile(np.arange(runs), len(conditions)),
+        "subject": np.tile(result.subjects, len(conditions)),
+        "total_reward": np.concatenate([result.rewards[c] for c in conditions]),
+        "z_reward": np.concatenate([result.z_rewards[c] for c in conditions]),
+        "realized_tariff": np.concatenate([result.realized_tariff[c] for c in conditions]),
+    })
     return f"pariah: {runs} runs/condition, mean z by condition: " + ", ".join(
-        f"{c}={result.mean_z[c]:+.4f}" for c in result.conditions
+        f"{c}={result.mean_z[c]:+.4f}" for c in conditions
     )
 
 
 def _write_trade_effect(out: Path, config: RunConfig, result) -> str:
-    write_csv(
-        out / "trade_effect.csv",
-        ["region", "reward_no_trade", "reward_max_trade", "ratio_no_over_max"],
-        [
-            [i, result.reward_no_trade[i], result.reward_max_trade[i], result.ratio[i]]
-            for i in range(len(result.ratio))
-        ],
-    )
+    write_csv(out / "trade_effect.csv", {
+        "region": range(len(result.ratio)),
+        "reward_no_trade": result.reward_no_trade,
+        "reward_max_trade": result.reward_max_trade,
+        "ratio_no_over_max": result.ratio,
+    })
     return f"trade-effect: ratio range [{result.ratio.min():.4f}, {result.ratio.max():.4f}]"
 
 
 def _write_tariff_effect(out: Path, config: RunConfig, result) -> str:
-    write_csv(
-        out / "tariff_effect.csv",
-        ["region", "delta_total_reward", "delta_domestic_channel", "delta_foreign_channel"],
-        [
-            [i, result.delta_total[i], result.delta_domestic[i], result.delta_foreign[i]]
-            for i in range(len(result.delta_total))
-        ],
-    )
+    write_csv(out / "tariff_effect.csv", {
+        "region": range(len(result.delta_total)),
+        "delta_total_reward": result.delta_total,
+        "delta_domestic_channel": result.delta_domestic,
+        "delta_foreign_channel": result.delta_foreign,
+    })
     return (
         "tariff-effect: max |domestic channel| = "
         f"{abs(result.delta_domestic).max():.6g}, "
@@ -230,31 +209,32 @@ def _write_tariff_effect(out: Path, config: RunConfig, result) -> str:
 
 def _write_horizon(out: Path, config: RunConfig, result) -> str:
     horizons = config.options["horizons"]
-    write_csv(
-        out / "horizon.csv",
-        ["horizon_years", "t_end_degc", "damage_fraction_end"],
-        [[h, result.t_end[h], result.damage_end[h]] for h in horizons],
-    )
+    write_csv(out / "horizon.csv", {
+        "horizon_years": horizons,
+        "t_end_degc": [result.t_end[h] for h in horizons],
+        "damage_fraction_end": [result.damage_end[h] for h in horizons],
+    })
     return "horizon: " + ", ".join(
         f"{h}y -> D={result.damage_end[h]:.4f}" for h in horizons
     )
 
 
 def _write_masking(out: Path, config: RunConfig, result) -> str:
-    write_csv(
-        out / "masking.csv",
-        ["commitment_level", "count", "frequency"],
-        [
-            [lvl, result.level_counts[lvl], result.level_counts[lvl] / result.level_counts.sum()]
-            for lvl in range(len(result.level_counts))
-        ],
-    )
-    write_csv(
-        out / "masking_summary.csv",
-        ["episodes", "steps_per_episode", "n_regions", "mean_commitment", "p_max_level", "mean_realized_mitigation", "seed"],
-        [[config.options["episodes"], config.sim.n_steps, config.sim.n_regions,
-          result.mean_commitment, result.p_max_level, result.mean_realized_mitigation, config.seed]],
-    )
+    counts = result.level_counts
+    write_csv(out / "masking.csv", {
+        "commitment_level": range(len(counts)),
+        "count": counts,
+        "frequency": counts / counts.sum(),
+    })
+    write_csv(out / "masking_summary.csv", {
+        "episodes": [config.options["episodes"]],
+        "steps_per_episode": [config.sim.n_steps],
+        "n_regions": [config.sim.n_regions],
+        "mean_commitment": [result.mean_commitment],
+        "p_max_level": [result.p_max_level],
+        "mean_realized_mitigation": [result.mean_realized_mitigation],
+        "seed": [config.seed],
+    })
     return (
         f"masking-demo: mean commitment {result.mean_commitment:.4f}, "
         f"P(level 9) {result.p_max_level:.4f}"
@@ -285,7 +265,7 @@ EXPERIMENTS = {
     for e in (
         Experiment(
             "episode",
-            None,
+            "one episode at fixed action levels, step by step",
             run=lambda c, workers: run_episode(
                 c.sim, c.variant, FixedLevelsPolicy(**c.options), c.seed
             ),
@@ -488,12 +468,16 @@ def format_value(value) -> str:
     return str(value)
 
 
-def write_csv(path: str | Path, header: list[str], rows) -> Path:
-    """UTF-8, LF line endings, header always present."""
+def write_csv(path: str | Path, columns: dict[str, Any]) -> Path:
+    """One column per key, in order: a header line of the names, then one
+    line per row. UTF-8, LF line endings, header always present; columns
+    of unequal length raise ``ValueError``."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(header)]
-    lines.extend(",".join(format_value(v) for v in row) for row in rows)
+    lines = [",".join(columns)]
+    lines.extend(
+        ",".join(map(format_value, row)) for row in zip(*columns.values(), strict=True)
+    )
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
     return path
 

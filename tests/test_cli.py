@@ -143,6 +143,15 @@ class TestOtherCommands:
         rows = read_lines(out / "episode.csv")
         assert len(rows) == 1 + 4 * 4  # header + steps * regions
 
+    def test_episode_subcommand_matches_run_config(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sim": {"n_regions": 4, "horizon_years": 20}, "seed": 2}))
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["episode", "--config", str(cfg), "--out", str(a)]) == 0
+        assert main(["run", "--config", str(cfg), "--out", str(b)]) == 0
+        for name in ("episode.csv", "episode_summary.csv", "manifest.json"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+
 
 class TestErrors:
     def test_unknown_subcommand_exits_one(self, capsys):

@@ -270,7 +270,7 @@ def inputs(draw, section: str):
         doc = put(doc, key.location, value)
         outside = None if inside(key.bounds, value) else key
 
-    command = name if EXPERIMENTS[name].help and draw(st.booleans()) else "run"
+    command = name if draw(st.booleans()) else "run"
     if isinstance(doc, dict):
         runs = doc.get("experiment", DEFAULT_EXPERIMENT) if command == "run" else command
         options = doc.setdefault("options", {})

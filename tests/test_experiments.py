@@ -227,3 +227,30 @@ class TestMaskingDemo:
     def test_histogram_counts_episode_steps(self, params):
         result = commitment_statistics(params.n_regions, params.n_steps, episodes=100, seed=0)
         assert result.level_counts.sum() == 100 * params.n_steps
+
+    @pytest.mark.parametrize(
+        "n_regions, steps, episodes, chunk_draws",
+        [(27, 20, 1000, None), (5, 3, 101, 7 * 15), (3, 7, 11, 2 * 21)],
+        ids=["default_chunks", "odd_chunks", "two_episode_chunks"],
+    )
+    def test_chunked_draws_equal_one_shot_draws(
+        self, monkeypatch, n_regions, steps, episodes, chunk_draws
+    ):
+        """The chunks leave a remainder of episodes; the reference draws
+        every proposal, then every uniform, as whole arrays."""
+        if chunk_draws is not None:
+            monkeypatch.setattr(experiments, "_MASKING_CHUNK_DRAWS", chunk_draws)
+        per_chunk = max(1, experiments._MASKING_CHUNK_DRAWS // (steps * n_regions))
+        assert episodes % per_chunk != 0
+        for seed in (0, 3):
+            rng = np.random.default_rng(np.random.SeedSequence([seed, experiments._MASKING_STREAM]))
+            shape = (episodes, steps, n_regions)
+            commitments = rng.integers(0, 10, size=shape).max(axis=-1)
+            realized = commitments[..., None] + np.floor(
+                rng.random(size=shape) * (10 - commitments)[..., None]
+            )
+            result = commitment_statistics(n_regions, steps, episodes, seed)
+            assert np.array_equal(result.level_counts, np.bincount(commitments.ravel(), minlength=10))
+            assert result.mean_commitment == float(commitments.mean())
+            assert result.p_max_level == float((commitments == 9).mean())
+            assert result.mean_realized_mitigation == float(realized.mean() / 10.0)

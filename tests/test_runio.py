@@ -107,13 +107,18 @@ class TestParseConfig:
 
 class TestCsv:
     def test_full_precision_floats_and_lf_endings(self, tmp_path):
-        path = write_csv(tmp_path / "x.csv", ["a", "b"], [[0.1, 2], [1 / 3, True]])
+        path = write_csv(tmp_path / "x.csv", {"a": [0.1, 1 / 3], "b": [2, True]})
         raw = path.read_bytes()
         assert b"\r" not in raw
         text = raw.decode("utf-8")
         assert text.splitlines()[0] == "a,b"
         assert "0.3333333333333333" in text
         assert "true" in text
+        assert text.splitlines()[1:] == ["0.1,2", "0.3333333333333333,true"]
+
+    def test_ragged_columns_raise(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_csv(tmp_path / "x.csv", {"a": [1, 2], "b": [3]})
 
     def test_value_formatting(self):
         assert format_value(0.5) == "0.5"
@@ -123,9 +128,9 @@ class TestCsv:
         assert format_value("x") == "x"
 
     def test_rewritten_file_is_byte_identical(self, tmp_path):
-        rows = [[1.2345678901234567, 42]]
-        a = write_csv(tmp_path / "a.csv", ["x", "y"], rows).read_bytes()
-        b = write_csv(tmp_path / "b.csv", ["x", "y"], rows).read_bytes()
+        columns = {"x": [1.2345678901234567], "y": [42]}
+        a = write_csv(tmp_path / "a.csv", columns).read_bytes()
+        b = write_csv(tmp_path / "b.csv", columns).read_bytes()
         assert a == b
 
 
