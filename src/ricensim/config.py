@@ -12,7 +12,6 @@ import math
 from dataclasses import MISSING, dataclass, field, fields
 
 from .errors import ConfigError, DomainError
-from .negotiation import NEGOTIABLE_DIMENSIONS
 
 #: Per-5-year carbon transfer fractions between (atmosphere, upper ocean,
 #: lower ocean). Column-stochastic: column j holds the destination split of
@@ -150,20 +149,14 @@ class ClimateParams:
 class NegotiationConfig:
     """Proposal/evaluation protocol switchboard.
 
-    ``dimensions`` selects which action dimensions the commitment masks
-    constrain. ``enforce_masks`` is the global switch: when False,
-    commitments are still computed and recorded but actions are never
-    constrained, which is exactly what makes commitments unenforceable.
+    Commitment masks floor the mitigation level. ``enforce_masks`` is the
+    global switch: when False, commitments are still computed and recorded
+    but actions are never constrained, which is exactly what makes
+    commitments unenforceable.
     """
 
     enabled: bool = False
-    dimensions: tuple[str, ...] = ("mitigation",)
     enforce_masks: bool = True
-
-    def __post_init__(self) -> None:
-        key, allowed = "sim.negotiation.dimensions", sorted(NEGOTIABLE_DIMENSIONS)
-        _require(all(d in allowed for d in self.dimensions), key, f"entries must be in {allowed}")
-        _require(len(self.dimensions) >= 1, key, "must not be empty")
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from . import trade as trade_mod
 from .actions import ACTION_DIMENSIONS, JointActions
 from .config import SimParams, VariantConfig
 from .errors import ConfigError, MaskViolationError
-from .negotiation import ActionMask, build_mask, commitments_from_arrays
+from .negotiation import build_mask, commitments_from_arrays
 from .regions import generate_regions
 
 _NEGOTIATION_STREAM = 0x4E47
@@ -115,18 +115,18 @@ class World:
     def observation(self, region: int) -> Observation:
         return Observation(region=region, n_regions=self.n_regions)
 
-    def masks(self) -> list[ActionMask] | None:
-        """Binding masks for the upcoming step, or None when unconstrained.
+    def masks(self) -> list[int] | None:
+        """Each region's mitigation floor for the upcoming step, or None when
+        unconstrained.
 
         With mask enforcement switched off, commitments are still recorded
-        but nothing constrains the actions, so policies see no mask. Regions
-        with equal commitments share one mask.
+        but nothing constrains the actions, so policies see no mask. Each
+        distinct commitment is checked once.
         """
         if not _masks_bind(self):
             return None
-        dims = self.constants.params.negotiation.dimensions
         levels = self.commitments.tolist()
-        by_level = {c: build_mask(c, dims) for c in dict.fromkeys(levels)}
+        by_level = {c: build_mask(c) for c in dict.fromkeys(levels)}
         return [by_level[c] for c in levels]
 
 
@@ -142,7 +142,7 @@ def _draw_commitments(params: SimParams, episode_seed: int, t: int) -> np.ndarra
         np.random.SeedSequence([int(episode_seed), _NEGOTIATION_STREAM, int(t)])
     )
     proposals = rng.integers(0, 10, size=params.n_regions)
-    return commitments_from_arrays(proposals)
+    return np.full(params.n_regions, commitments_from_arrays(proposals))
 
 
 def reset(params: SimParams, variant: VariantConfig, seed: int = 0) -> World:
@@ -212,12 +212,11 @@ class StepResult(NamedTuple):
 def _enforce_masks(world: World, actions: JointActions) -> None:
     if not _masks_bind(world):
         return
-    for dim in world.constants.params.negotiation.dimensions:
-        levels = getattr(actions, dim)  # a negotiable dimension, checked by the config
-        below = np.flatnonzero(levels < world.commitments)
-        if below.size:
-            r = int(below[0])
-            raise MaskViolationError(r, dim, int(levels[r]), int(world.commitments[r]))
+    levels = actions.mitigation
+    below = np.flatnonzero(levels < world.commitments)
+    if below.size:
+        r = int(below[0])
+        raise MaskViolationError(r, "mitigation", int(levels[r]), int(world.commitments[r]))
 
 
 def step(world: World, actions: JointActions) -> StepResult:

@@ -354,7 +354,7 @@ def commitment_statistics(
     for lo in starts:
         block = commitments[lo : lo + chunk]
         proposals = rng.integers(0, NUM_LEVELS, size=(len(block), steps, n_regions))
-        block[:] = commitments_from_arrays(proposals)[..., 0]  # same for every region
+        block[:] = commitments_from_arrays(proposals)
     realized_sum = 0  # of integer levels, so exact in any chunking
     for lo in starts:
         c = commitments[lo : lo + chunk, :, None]

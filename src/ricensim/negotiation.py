@@ -2,14 +2,12 @@
 
 Each step every region proposes a mitigation level and accepts every
 proposal, so every region commits to the maximum proposal. A commitment
-forbids the levels below it in the negotiated dimensions and nothing else,
-so a mask is one integer floor per negotiable dimension. Committing to the
-maximum of many near-random draws is what drives commitments toward the top
-of the level range as the region count grows.
+forbids the mitigation levels below it and nothing else, so a mask is one
+integer: the mitigation floor. Committing to the maximum of many
+near-random draws is what drives commitments toward the top of the level
+range as the region count grows.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -17,30 +15,17 @@ from .actions import NUM_LEVELS, check_level
 from .errors import ProtocolError
 
 
-@dataclass(frozen=True)
-class ActionMask:
-    """Lowest permitted level per negotiable dimension; 0 permits every level."""
-
-    savings: int = 0
-    mitigation: int = 0
-
-
-#: The action dimensions a commitment can constrain (``JointActions`` names).
-NEGOTIABLE_DIMENSIONS = tuple(f.name for f in fields(ActionMask))
-
-
 def commitments_from_arrays(proposal_levels: np.ndarray) -> np.ndarray:
-    """Per-region committed levels under all-accept evaluations: every region
-    commits to the overall maximum. Supports batched proposals of shape
-    (..., n)."""
-    p = np.asarray(proposal_levels)
-    return np.broadcast_to(p.max(axis=-1, keepdims=True), p.shape).copy()
+    """The level every region commits to under all-accept evaluations: the
+    maximum proposal. Proposals of shape (..., n) give commitments of
+    shape (...)."""
+    return np.asarray(proposal_levels).max(axis=-1)
 
 
-def build_mask(committed_level: int, dimensions: tuple[str, ...] = ("mitigation",)) -> ActionMask:
-    """Mask whose floor is the commitment in the negotiated dimensions."""
+def build_mask(committed_level: int) -> int:
+    """The mitigation floor a commitment sets: the commitment itself."""
     check_level("commitment", committed_level)
-    return ActionMask(**dict.fromkeys(dimensions, committed_level))
+    return committed_level
 
 
 def masked_sample(floor: int, rng: np.random.Generator) -> int:

@@ -1,19 +1,16 @@
 """Scripted policies used by the experiments.
 
-Policies are immutable values. ``act`` always honors the supplied mask, a
-floor per negotiable dimension: fixed policies raise a level below its
-floor to the floor (masking overrides intent), random policies draw
-uniformly from the floor up.
+Policies are immutable values. ``act`` always honors the supplied mask,
+the mitigation floor: fixed policies raise a mitigation level below it to
+the floor (masking overrides intent), random policies draw uniformly from
+the floor up.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
 from .actions import ACTION_DIMENSIONS, ActionSet, check_level
-from .negotiation import ActionMask, masked_sample
-
-#: The mask of an unconstrained step: every floor at 0.
-_NO_MASK = ActionMask()
+from .negotiation import masked_sample
 
 
 def _partner_vector(observation, level: int) -> tuple[int, ...]:
@@ -41,11 +38,10 @@ class FixedLevelsPolicy:
         for name in ACTION_DIMENSIONS:
             check_level(name, getattr(self, name))
 
-    def act(self, observation, mask: ActionMask | None, rng) -> ActionSet:
-        floor = _NO_MASK if mask is None else mask
+    def act(self, observation, mask: int | None, rng) -> ActionSet:
         return ActionSet(
-            savings_level=max(self.savings, floor.savings),
-            mitigation_level=max(self.mitigation, floor.mitigation),
+            savings_level=self.savings,
+            mitigation_level=max(self.mitigation, mask or 0),
             max_export_level=self.export,
             import_levels=_partner_vector(observation, self.imports),
             tariff_levels=_partner_vector(observation, self.tariffs),
@@ -60,15 +56,15 @@ IDEAL_TRADE_POLICY = FixedLevelsPolicy(savings=3, mitigation=9, export=9, import
 
 @dataclass(frozen=True)
 class UniformRandomPolicy:
-    """Uniform draw from each floor up; unmasked dimensions start at 0."""
+    """Uniform draw of every level; mitigation from its floor up, the rest
+    from 0."""
 
     is_static = False
 
-    def act(self, observation, mask: ActionMask | None, rng) -> ActionSet:
-        floor = _NO_MASK if mask is None else mask
+    def act(self, observation, mask: int | None, rng) -> ActionSet:
         return ActionSet(
-            savings_level=masked_sample(floor.savings, rng),
-            mitigation_level=masked_sample(floor.mitigation, rng),
+            savings_level=masked_sample(0, rng),
+            mitigation_level=masked_sample(mask or 0, rng),
             max_export_level=masked_sample(0, rng),
             import_levels=_partner_vector(observation, masked_sample(0, rng)),
             tariff_levels=_partner_vector(observation, masked_sample(0, rng)),
@@ -93,7 +89,7 @@ class PariahOverridePolicy:
     def is_static(self) -> bool:
         return self.base.is_static
 
-    def act(self, observation, mask: ActionMask | None, rng) -> ActionSet:
+    def act(self, observation, mask: int | None, rng) -> ActionSet:
         base_action = self.base.act(observation, mask, rng)
         if self.tariff_level is None or observation.region == self.target:
             return base_action

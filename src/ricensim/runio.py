@@ -415,17 +415,6 @@ def _typed(value, hint, path: str):
     return value
 
 
-def config_to_dict(config: RunConfig) -> dict:
-    """The config as JSON-ready values (``json`` writes tuples as lists)."""
-    return {
-        "sim": dataclasses.asdict(config.sim),
-        "variant": dataclasses.asdict(config.variant),
-        "experiment": config.experiment,
-        "options": config.options,
-        "seed": config.seed,
-    }
-
-
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a config document, applying defaults."""
     try:
@@ -435,7 +424,7 @@ def parse_config(text: str) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError("config: top level must be an object")
 
-    known = {"sim", "variant", "experiment", "options", "seed", "versions"}
+    known = {f.name for f in dataclasses.fields(RunConfig)} | {"versions"}
     for key in data:
         if key not in known:
             raise ConfigError(f"unknown key: {key}")
@@ -489,7 +478,7 @@ def write_manifest(out_dir: str | Path, config: RunConfig) -> Path:
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    doc = config_to_dict(config)
+    doc = dataclasses.asdict(config)  # ``json`` writes tuples as lists
     doc["versions"] = {
         "ricensim": ricensim.__version__,
         "python": sys.version.split()[0],

@@ -152,6 +152,15 @@ class TestOtherCommands:
         for name in ("episode.csv", "episode_summary.csv", "manifest.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    def test_readme_config_example_runs(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        (example,) = re.findall(r"^```json\n(.*?)^```", readme, re.S | re.M)
+        doc = json.loads(example)
+        doc["options"]["grid"] = 1  # the smallest sweep
+        cfg = tmp_path / "readme.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
 
 class TestErrors:
     def test_unknown_subcommand_exits_one(self, capsys):
@@ -255,6 +264,9 @@ class TestErrors:
             ({"sim": {"climate": {"ocean_uptake_c4": -0.01}}}, "sim.climate.ocean_uptake_c4"),
             ({"experiment": "masking-demo", "options": {"episodes": 100000000000}},
              "options.episodes"),
+            # Manifests written while a mask could also floor savings hold this line.
+            ({"sim": {"negotiation": {"enabled": True, "dimensions": ["mitigation"]}}},
+             "unknown key: sim.negotiation.dimensions"),
         ],
     )
     def test_bad_option_or_seed_is_a_config_error(self, tmp_path, capsys, doc, key):

@@ -48,7 +48,7 @@ from ricensim.config import (
 )
 from ricensim.errors import DomainError, MaskViolationError
 from ricensim.experiments import EPISODES, GRID, RUNS
-from ricensim.runio import DEFAULT_EXPERIMENT, EXPERIMENTS, RunConfig, config_to_dict
+from ricensim.runio import DEFAULT_EXPERIMENT, EXPERIMENTS, RunConfig
 
 settings.register_profile("door", max_examples=48, deadline=None)
 settings.register_profile("ci", max_examples=1000, deadline=None)
@@ -236,7 +236,7 @@ def base_document(name: str, disaster: bool, negotiation=NegotiationConfig()) ->
         options={**options, **TINY_OPTIONS.get(name, {})},
         seed=1,
     )
-    return json.loads(json.dumps(config_to_dict(config)))  # tuples become lists, as in a file
+    return json.loads(json.dumps(dataclasses.asdict(config)))  # tuples become lists, as in a file
 
 
 @st.composite

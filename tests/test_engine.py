@@ -208,9 +208,7 @@ class TestEpisodes:
 
 class TestNegotiation:
     def negotiating(self, params):
-        return dataclasses.replace(
-            params, negotiation=NegotiationConfig(enabled=True, dimensions=("mitigation",))
-        )
+        return dataclasses.replace(params, negotiation=NegotiationConfig(enabled=True))
 
     def test_mask_violation_identifies_region_and_dimension(self, small_params, baseline):
         params = self.negotiating(small_params)
@@ -221,6 +219,13 @@ class TestNegotiation:
             step(w, bad)
         assert err.value.dimension == "mitigation"
         assert 0 <= err.value.region < 4
+
+    def test_savings_below_the_commitment_is_no_violation(self, small_params, baseline):
+        w = reset(self.negotiating(small_params), baseline, 6)
+        top = int(w.commitments.max())
+        assert top > 0
+        result = step(w, JointActions.uniform(4, 0, top, 0, 0, 0))  # a mask floors mitigation only
+        assert result.detail.commitments is not None
 
     def test_mask_soundness_over_episodes(self, small_params, baseline):
         params = self.negotiating(small_params)
@@ -283,13 +288,11 @@ class TestNegotiation:
 
         built = []
         build = engine.build_mask
-        monkeypatch.setattr(
-            engine, "build_mask", lambda level, dims: built.append(level) or build(level, dims)
-        )
+        monkeypatch.setattr(engine, "build_mask", lambda level: built.append(level) or build(level))
         w = reset(self.negotiating(small_params), baseline, 6)
         masks = w.masks()
         assert built == [int(w.commitments[0])]  # all-accept: one commitment for all
-        assert masks == [build(built[0], ("mitigation",))] * 4
+        assert masks == built * 4 and all(type(m) is int for m in masks)
 
     def test_commitments_recorded_per_step(self, small_params, baseline):
         params = self.negotiating(small_params)
@@ -324,29 +327,20 @@ GOLDEN_PARIAH_RECORD_SHA256 = "c583a4df513e570c98c9a7db0be0076fb629087bc5e57836c
 
 
 #: SHA-256 of the ``run_episode`` record of each negotiated episode on the
-#: default world at seed 3, keyed by (policy, negotiated dimensions,
-#: ``enforce_masks``). The fixed policy's mitigation (2) and savings (1) sit
-#: below most commitments, so the floor moves its levels whenever masks bind.
-#: Recorded before masks became integer floors.
+#: default world at seed 3, keyed by (policy, ``enforce_masks``). The fixed
+#: policy's mitigation (2) sits below most commitments, so the floor moves
+#: its level whenever masks bind. Recorded before masks became integer floors.
 GOLDEN_NEGOTIATED_RECORD_SHA256 = {
-    ("random", ("mitigation",), True):
+    ("random", True):
         "95e279a26065216be1209c301f2aaa9af16a489093b36d9341c5a9df156f4dda",
-    ("random", ("mitigation",), False):
+    ("random", False):
         "fd72be9a5efc3ead8711fc68b84fbbe3faee0344683d6e0eba6eaaab764b75bd",
-    ("random", ("savings", "mitigation"), True):
-        "59d834d741076d2ccc194966665cbb7750683d339f0b68273b903bc9d322ecc4",
-    ("random", ("savings", "mitigation"), False):
-        "fd72be9a5efc3ead8711fc68b84fbbe3faee0344683d6e0eba6eaaab764b75bd",
-    ("fixed", ("mitigation",), True):
+    ("fixed", True):
         "4ac49911cc24d89df80a0e06d4f8fe1a63dda199a3a87563ba45394c7b560382",
-    ("fixed", ("mitigation",), False):
-        "a69de70dc7d94c761de18fb220d08f67efc17758c49a9b5bc806af9a69bccf8e",
-    ("fixed", ("savings", "mitigation"), True):
-        "1fa5a7927cd08506aef643f084f24ea52bc438a10582ac4b209ab3f29a2ed1f5",
-    ("fixed", ("savings", "mitigation"), False):
+    ("fixed", False):
         "a69de70dc7d94c761de18fb220d08f67efc17758c49a9b5bc806af9a69bccf8e",
     # Recorded when a static policy acted every step under any negotiation.
-    ("pariah", ("mitigation",), False):
+    ("pariah", False):
         "a52871246b6ff65f710cfdccd9efb1bc6aa35e22cd730591649c7b0ed26a280e",
 }
 
@@ -389,12 +383,9 @@ class TestGoldenBits:
 
     @pytest.mark.parametrize("case", list(GOLDEN_NEGOTIATED_RECORD_SHA256))
     def test_negotiated_record_bits(self, default_params, baseline, case):
-        policy, dimensions, enforce = case
+        policy, enforce = case
         params = dataclasses.replace(
-            default_params,
-            negotiation=NegotiationConfig(
-                enabled=True, dimensions=dimensions, enforce_masks=enforce
-            ),
+            default_params, negotiation=NegotiationConfig(enabled=True, enforce_masks=enforce)
         )
         rec = run_episode(params, baseline, NEGOTIATED_POLICIES[policy], 3)
         assert record_digest(rec) == GOLDEN_NEGOTIATED_RECORD_SHA256[case]

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -8,13 +7,7 @@ from hypothesis import strategies as st
 
 from ricensim.actions import NUM_LEVELS
 from ricensim.errors import InvalidActionError, ProtocolError
-from ricensim.negotiation import (
-    NEGOTIABLE_DIMENSIONS,
-    ActionMask,
-    build_mask,
-    commitments_from_arrays,
-    masked_sample,
-)
+from ricensim.negotiation import build_mask, commitments_from_arrays, masked_sample
 
 
 def max_level_oracle_mean(n: int, levels: int = 10) -> float:
@@ -27,7 +20,9 @@ def max_level_oracle_mean(n: int, levels: int = 10) -> float:
 class TestCommitments:
     def test_max_of_accepted(self):
         # Every region accepts every proposal, so all commit to the maximum.
-        assert commitments_from_arrays(np.array([3, 9, 5])).tolist() == [9, 9, 9]
+        proposals = np.array([3, 9, 5])
+        committed = commitments_from_arrays(proposals)
+        assert committed.shape == proposals.shape[:-1] and committed == 9
 
     def test_all_accept_fast_path_matches_matrix_path(self):
         # Region i commits to the maximum proposal it accepts; with an
@@ -36,32 +31,26 @@ class TestCommitments:
         levels = rng.integers(0, 10, size=8)
         accept = np.ones((8, 8), dtype=bool)
         by_matrix = np.maximum(np.where(accept, levels[None, :], -1).max(axis=1), 0)
-        assert np.array_equal(commitments_from_arrays(levels), by_matrix)
+        assert np.all(by_matrix == commitments_from_arrays(levels))
 
     def test_batched_proposals_commit_per_row(self):
         proposals = np.random.default_rng(1).integers(0, 10, size=(3, 5, 4))
         batched = commitments_from_arrays(proposals)
-        assert batched.shape == proposals.shape
+        assert batched.shape == proposals.shape[:-1]
         for index in np.ndindex(3, 5):
             assert np.array_equal(batched[index], commitments_from_arrays(proposals[index]))
 
 
 class TestBuildMask:
     def test_commitment_floor(self):
-        mask = build_mask(7, ("mitigation",))
-        assert dataclasses.asdict(mask) == {"savings": 0, "mitigation": 7}
+        mask = build_mask(7)
+        assert type(mask) is int and mask == 7
 
     def test_zero_commitment_unconstrained(self):
-        assert build_mask(0) == ActionMask()
+        assert build_mask(0) == 0
 
     def test_top_commitment_single_level(self):
-        assert build_mask(9).mitigation == NUM_LEVELS - 1
-
-    def test_dimension_selection(self):
-        mask = build_mask(4, ("savings", "mitigation"))
-        assert dataclasses.asdict(mask) == {"savings": 4, "mitigation": 4}
-        # A mask floors only the dimensions a commitment can constrain.
-        assert NEGOTIABLE_DIMENSIONS == ("savings", "mitigation")
+        assert build_mask(9) == NUM_LEVELS - 1
 
     def test_empty_mask_rejected(self):
         # A commitment outside the level range would leave no level permitted.
@@ -73,7 +62,7 @@ class TestBuildMask:
 class TestMaskedSample:
     def test_single_permitted_level(self):
         rng = np.random.default_rng(1)
-        assert masked_sample(build_mask(9).mitigation, rng) == 9
+        assert masked_sample(build_mask(9), rng) == 9
 
     def test_deterministic_given_state(self):
         draws1 = [masked_sample(0, np.random.default_rng(42)) for _ in range(5)]
@@ -81,7 +70,7 @@ class TestMaskedSample:
         assert draws1 == draws2
 
     def test_uniform_over_permitted(self):
-        floor = build_mask(7).mitigation  # permits 7, 8, 9
+        floor = build_mask(7)  # permits 7, 8, 9
         rng = np.random.default_rng(123)
         draws = np.array([masked_sample(floor, rng) for _ in range(30_000)])
         for lvl in (7, 8, 9):
@@ -95,7 +84,7 @@ class TestMaskedSample:
     @given(st.integers(min_value=0, max_value=9), st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=100)
     def test_never_samples_forbidden_level(self, commitment, seed):
-        floor = build_mask(commitment).mitigation
+        floor = build_mask(commitment)
         assert masked_sample(floor, np.random.default_rng(seed)) >= commitment
 
     def test_same_draws_as_indexing_the_permitted_levels(self):
@@ -124,6 +113,7 @@ class TestMaxOfDrawsInflation:
     def test_empirical_max_matches_oracle(self):
         rng = np.random.default_rng(7)
         draws = rng.integers(0, 10, size=(20_000, 27))
-        committed = commitments_from_arrays(draws)[:, 0]
+        committed = commitments_from_arrays(draws)
+        assert committed.shape == draws.shape[:-1]
         assert abs(committed.mean() - max_level_oracle_mean(27)) < 0.05
         assert abs((committed == 9).mean() - (1 - 0.9**27)) < 0.01

@@ -31,20 +31,19 @@ class TestFixedLevels:
 
     def test_masked_level_snaps_to_commitment_floor(self):
         policy = FixedLevelsPolicy(savings=3, mitigation=2, export=0, imports=0, tariffs=0)
-        a = policy.act(obs(), build_mask(7, ("mitigation",)), None)
+        a = policy.act(obs(), build_mask(7), None)
         assert a.mitigation_level == 7
-        assert a.savings_level == 3  # unnegotiated dimension untouched
+        assert a.savings_level == 3  # a mask floors mitigation only
+        assert a.max_export_level == 0
 
     def test_desired_level_above_floor_kept(self):
         policy = FixedLevelsPolicy(savings=3, mitigation=8, export=0, imports=0, tariffs=0)
-        a = policy.act(obs(), build_mask(7, ("mitigation",)), None)
+        a = policy.act(obs(), build_mask(7), None)
         assert a.mitigation_level == 8
 
-    def test_floor_binds_each_negotiated_dimension(self):
-        policy = FixedLevelsPolicy(savings=1, mitigation=2, export=0, imports=0, tariffs=0)
-        a = policy.act(obs(), build_mask(5, ("savings", "mitigation")), None)
-        assert (a.savings_level, a.mitigation_level) == (5, 5)
-        assert a.max_export_level == 0
+    def test_zero_floor_acts_as_no_mask(self):
+        policy = FixedLevelsPolicy(savings=1, mitigation=2, export=4, imports=0, tariffs=0)
+        assert policy.act(obs(), build_mask(0), None) == policy.act(obs(), None, None)
 
     @pytest.mark.parametrize("bad", [-1, 10, 2.5, True])
     def test_levels_outside_the_action_space_rejected(self, bad):
@@ -65,10 +64,17 @@ class TestUniformRandom:
     @settings(max_examples=60, deadline=None)
     def test_never_violates_mask(self, commitment, seed):
         policy = UniformRandomPolicy()
-        mask = build_mask(commitment, ("mitigation", "savings"))
-        a = policy.act(obs(), mask, np.random.default_rng(seed))
+        a = policy.act(obs(), build_mask(commitment), np.random.default_rng(seed))
         assert a.mitigation_level >= commitment
-        assert a.savings_level >= commitment
+        # Savings is drawn first, from 0, whatever the floor.
+        unmasked = policy.act(obs(), None, np.random.default_rng(seed))
+        assert a.savings_level == unmasked.savings_level
+
+
+    def test_zero_floor_draws_as_no_mask(self):
+        policy = UniformRandomPolicy()
+        masked = policy.act(obs(), build_mask(0), np.random.default_rng(5))
+        assert masked == policy.act(obs(), None, np.random.default_rng(5))
 
 
 class TestPariahOverride:

@@ -52,10 +52,19 @@ class TestParseConfig:
 
     def test_nested_negotiation_block(self):
         config = parse_config(
-            '{"sim": {"negotiation": {"enabled": true, "dimensions": ["savings"]}}}'
+            '{"sim": {"negotiation": {"enabled": true, "enforce_masks": false}}}'
         )
         assert config.sim.negotiation.enabled
-        assert config.sim.negotiation.dimensions == ("savings",)
+        assert config.sim.negotiation.enforce_masks is False
+
+    def test_manifest_holds_each_config_field_once(self, tmp_path):
+        config = parse_config(
+            '{"sim": {"negotiation": {"enabled": true}}, "experiment": "episode", "seed": 2}'
+        )
+        doc = json.loads(write_manifest(tmp_path, config).read_text(encoding="utf-8"))
+        assert set(doc) == {"sim", "variant", "experiment", "options", "seed", "versions"}
+        assert doc["sim"]["negotiation"] == {"enabled": True, "enforce_masks": True}
+        assert load_config(tmp_path / "manifest.json") == config
 
     def test_bad_experiment_name(self):
         with pytest.raises(ConfigError, match="experiment"):
@@ -85,7 +94,7 @@ class TestParseConfig:
              "sim.climate.initial_carbon_gtc"),
             ({"sim": {"climate": {"initial_carbon_gtc": [850, 460, "x"]}}},
              "sim.climate.initial_carbon_gtc[2]"),
-            ({"sim": {"negotiation": {"dimensions": "mitigation"}}}, "sim.negotiation.dimensions"),
+            ({"sim": {"negotiation": {"enforce_masks": "no"}}}, "sim.negotiation.enforce_masks"),
             ({"sim": {"negotiation": {"enabled": 1}}}, "sim.negotiation.enabled"),
             ({"variant": {"damage_kind": 3}}, "variant.damage_kind"),
             ({"variant": {"disaster": [2.0, 1.0]}}, "variant.disaster"),
