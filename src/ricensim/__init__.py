@@ -4,7 +4,6 @@ harness that probes their reward structure."""
 
 from .actions import ACTION_DIMENSIONS, NUM_LEVELS, ActionSet, JointActions
 from .config import (
-    ClimateParams,
     DisasterPenalty,
     NegotiationConfig,
     SimParams,
@@ -42,7 +41,6 @@ __all__ = [
     "ACTION_DIMENSIONS",
     "NUM_LEVELS",
     "ActionSet",
-    "ClimateParams",
     "ConfigError",
     "DisasterPenalty",
     "DomainError",

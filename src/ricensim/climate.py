@@ -1,21 +1,50 @@
-"""Carbon cycle, radiative forcing, and two-box temperature stepping."""
+"""Carbon cycle, radiative forcing, and two-box temperature stepping.
+
+The constants follow the standard published 5-year DICE calibration of a
+3-reservoir carbon cycle and two-box temperature model (Nordhaus 2017,
+PNAS 114:1518). They are fixed: the model variants switch the damage and
+abatement-cost functions, never the climate.
+"""
 from __future__ import annotations
 
 import math
 
 import numpy as np
 
-from .config import ClimateParams
 from .errors import DomainError
 
+#: Per-5-year carbon transfer fractions between (atmosphere, upper ocean,
+#: lower ocean). Column-stochastic: column j holds the destination split of
+#: reservoir j's stock, so applying the matrix conserves total carbon.
+CARBON_TRANSFER_5Y = (
+    (0.88, 0.196, 0.0),
+    (0.12, 0.797, 0.001465),
+    (0.0, 0.007, 0.998535),
+)
+FORCING_PER_DOUBLING = 3.6813  # W/m^2
+REFERENCE_ATMOSPHERE_GTC = 588.0
+TEMPERATURE_FEEDBACK = 1.1875  # W/m^2 per degC
+HEAT_CAPACITY_C1 = 0.1005
+ATM_OCEAN_EXCHANGE_C3 = 0.088
+OCEAN_UPTAKE_C4 = 0.025
+#: Non-CO2 forcing ramps linearly from its start to its end value (W/m^2)
+#: over ``FORCING_RAMP_YEARS`` and is constant afterwards.
+FORCING_EXOGENOUS_START = 0.5
+FORCING_EXOGENOUS_END = 1.0
+FORCING_RAMP_YEARS = 100.0
+#: Initial (atmosphere, upper ocean, lower ocean) carbon stocks.
+INITIAL_CARBON_GTC = (850.0, 460.0, 1740.0)
+INITIAL_T_ATMOSPHERE = 1.1  # degC
+INITIAL_T_OCEAN = 0.3
 
-def carbon_transfer_matrix(params: ClimateParams, dt_years: float) -> np.ndarray:
+
+def carbon_transfer_matrix(dt_years: float) -> np.ndarray:
     """Column-stochastic transfer matrix scaled from the native 5-year step.
 
     Off-diagonal fractions scale linearly with dt/5; diagonals absorb the
     remainder so every column still sums to 1 (exact conservation).
     """
-    base = np.array(params.carbon_transfer_5y, dtype=np.float64)
+    base = np.array(CARBON_TRANSFER_5Y, dtype=np.float64)
     scale = dt_years / 5.0
     phi = base * scale
     for j in range(3):
@@ -63,12 +92,10 @@ def radiative_forcing(
     return forcing_per_doubling * math.log2(atmosphere_gtc / reference_gtc) + exogenous
 
 
-def exogenous_forcing(params: ClimateParams, years_elapsed: float) -> float:
+def exogenous_forcing(years_elapsed: float) -> float:
     """Linear ramp of non-CO2 forcing, held constant after the ramp."""
-    frac = min(1.0, max(0.0, years_elapsed / params.forcing_ramp_years))
-    return params.forcing_exogenous_start + frac * (
-        params.forcing_exogenous_end - params.forcing_exogenous_start
-    )
+    frac = min(1.0, max(0.0, years_elapsed / FORCING_RAMP_YEARS))
+    return FORCING_EXOGENOUS_START + frac * (FORCING_EXOGENOUS_END - FORCING_EXOGENOUS_START)
 
 
 def step_temperature(

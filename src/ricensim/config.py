@@ -7,20 +7,9 @@ as field metadata; ``__post_init__`` adds only the cross-field checks.
 """
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import MISSING, dataclass, field, fields
 
-from .errors import ConfigError, DomainError
-
-#: Per-5-year carbon transfer fractions between (atmosphere, upper ocean,
-#: lower ocean). Column-stochastic: column j holds the destination split of
-#: reservoir j's stock, so applying the matrix conserves total carbon.
-CARBON_TRANSFER_5Y = (
-    (0.88, 0.196, 0.0),
-    (0.12, 0.797, 0.001465),
-    (0.0, 0.007, 0.998535),
-)
+from .errors import ConfigError
 
 
 def _require(condition: bool, key: str, message: str) -> None:
@@ -59,7 +48,7 @@ class Range:
 
 
 def ranged(bounds: Range, default=MISSING):
-    """A dataclass field that declares the ``Range`` of its values or entries."""
+    """A dataclass field that declares the ``Range`` of its values."""
     return field(default=default, metadata={"range": bounds})
 
 
@@ -67,15 +56,7 @@ def _check_ranges(obj, prefix: str) -> None:
     """Check each ranged field of ``obj``, naming it by its path under ``prefix``."""
     for f in fields(obj):
         if "range" in f.metadata:
-            _check_entries(f.metadata["range"], f"{prefix}.{f.name}", getattr(obj, f.name))
-
-
-def _check_entries(bounds: Range, path: str, value) -> None:
-    if isinstance(value, tuple):
-        for k, entry in enumerate(value):
-            _check_entries(bounds, f"{path}[{k}]", entry)
-    else:
-        bounds.check(path, value)
+            f.metadata["range"].check(f"{prefix}.{f.name}", getattr(obj, f.name))
 
 
 #: Ranges that a library entry point taking a raw value checks as well.
@@ -86,63 +67,6 @@ HORIZON_YEARS = Range(1, 1000, "..")
 def check_whole_steps(path: str, years: int, dt_years: int) -> None:
     """Reject a horizon that is not a whole number of ``dt_years`` steps."""
     _require(years % dt_years == 0, path, f"{years} is not a multiple of dt_years ({dt_years})")
-
-
-@dataclass(frozen=True)
-class ClimateParams:
-    """Carbon-cycle and two-box temperature parameters.
-
-    Defaults follow the standard published 5-year calibration for a
-    3-reservoir carbon cycle and two-box temperature model; the exogenous
-    forcing ramps linearly from ``forcing_exogenous_start`` to
-    ``forcing_exogenous_end`` over ``forcing_ramp_years`` and is constant
-    afterwards.
-    """
-
-    carbon_transfer_5y: tuple[tuple[float, float, float], ...] = ranged(
-        Range(0, 1), CARBON_TRANSFER_5Y)
-    forcing_per_doubling: float = ranged(Range(0, 10, "(]"), 3.6813)  # W/m^2
-    reference_atmosphere_gtc: float = ranged(Range(1, 1e5), 588.0)
-    temperature_feedback: float = ranged(Range(0, 10, "(]"), 1.1875)  # W/m^2 per degC
-    heat_capacity_c1: float = ranged(Range(0, 2, "(]"), 0.1005)
-    atm_ocean_exchange_c3: float = ranged(Range(0, 1, "(]"), 0.088)
-    ocean_uptake_c4: float = ranged(Range(0, 1, "(]"), 0.025)
-    forcing_exogenous_start: float = ranged(Range(-10, 10), 0.5)  # W/m^2
-    forcing_exogenous_end: float = ranged(Range(-10, 10), 1.0)
-    forcing_ramp_years: float = ranged(Range(0, 1000, "(]"), 100.0)
-    initial_carbon_gtc: tuple[float, float, float] = ranged(
-        Range(1, 1e5), (850.0, 460.0, 1740.0))
-    initial_t_atmosphere: float = ranged(Range(-10, 10), 1.1)  # degC
-    initial_t_ocean: float = ranged(Range(-10, 10), 0.3)
-
-    def __post_init__(self) -> None:
-        _check_ranges(self, "sim.climate")
-        matrix, key = self.carbon_transfer_5y, "sim.climate.carbon_transfer_5y"
-        _require(len(matrix) == 3 and all(len(row) == 3 for row in matrix), key, "must be a 3x3 matrix")
-        for j in range(3):
-            col = sum(matrix[i][j] for i in range(3))
-            _require(abs(col - 1.0) <= 1e-9, key,
-                     f"column {j} sums to {col}, breaking carbon conservation")
-        # The difference of logs stays finite for any two positive floats.
-        co2_forcing = self.forcing_per_doubling * (
-            math.log2(self.initial_carbon_gtc[0]) - math.log2(self.reference_atmosphere_gtc)
-        )
-        _require(abs(co2_forcing) <= 10, "sim.climate.reference_atmosphere_gtc",
-                 "the initial CO2 forcing forcing_per_doubling * log2(initial_carbon_gtc[0] / "
-                 f"reference_atmosphere_gtc) is {co2_forcing:.3g} W/m^2, must be in [-10, 10]")
-        # One step of the two-box model maps the temperatures (T_at, T_lo)
-        # through the matrix [[a, b], [c, d]] (plus forcing); unless the
-        # larger modulus of its eigenvalues is below 1 they oscillate or grow
-        # without bound.
-        c1, c3, c4 = self.heat_capacity_c1, self.atm_ocean_exchange_c3, self.ocean_uptake_c4
-        (a, b), (c, d) = [[1 - c1 * (self.temperature_feedback + c3), c1 * c3], [c4, 1 - c4]]
-        half_trace = (a + d) / 2
-        root = cmath.sqrt(half_trace * half_trace - (a * d - b * c))
-        radius = max(abs(half_trace + root), abs(half_trace - root))
-        _require(radius < 1, "sim.climate.heat_capacity_c1",
-                 f"the two-box temperature step has spectral radius {radius:.3g}, not below 1, "
-                 "with atm_ocean_exchange_c3, ocean_uptake_c4 and temperature_feedback; "
-                 "temperatures would diverge")
 
 
 @dataclass(frozen=True)
@@ -211,6 +135,8 @@ class SimParams:
     """
 
     n_regions: int = ranged(N_REGIONS, 27)
+    # Up to 20 years, every column of the scaled carbon transfer matrix
+    # keeps a non-negative diagonal.
     dt_years: int = ranged(Range(1, 20, ".."), 5)
     horizon_years: int = ranged(HORIZON_YEARS, 100)
     output_elasticity: float = ranged(Range(0, 0.9, "(]"), 0.3)  # capital share in production
@@ -221,17 +147,10 @@ class SimParams:
     theta3: float = ranged(Range(0, 10), 1.0)
     damage_pi1: float = ranged(Range(0, 1), 0.0)
     damage_pi2: float = ranged(Range(0, 1), DEFAULT_DAMAGE_PI2)
-    climate: ClimateParams = field(default_factory=ClimateParams)
     negotiation: NegotiationConfig = field(default_factory=NegotiationConfig)
 
     def __post_init__(self) -> None:
         _check_ranges(self, "sim")
-        from .climate import carbon_transfer_matrix  # climate imports this module
-
-        try:
-            carbon_transfer_matrix(self.climate, self.dt_years)
-        except DomainError as exc:
-            raise ConfigError(f"sim.dt_years: {exc}") from None
         check_whole_steps("sim.horizon_years", self.horizon_years, self.dt_years)
 
     @property

@@ -66,7 +66,6 @@ class EpisodeConstants:
     productivity_factor: np.ndarray = field(init=False)
     intensity_factor: np.ndarray = field(init=False)
     transfer: np.ndarray = field(init=False)
-    initial_carbon_total: float = field(init=False)
 
     def __post_init__(self) -> None:
         def put(name, value):
@@ -83,9 +82,7 @@ class EpisodeConstants:
         put("labor_factor", (1.0 + self.labor_growth) ** dt)
         put("productivity_factor", (1.0 + self.productivity_growth) ** dt)
         put("intensity_factor", (1.0 - self.intensity_decline) ** dt)
-        put("transfer", climate_mod.carbon_transfer_matrix(p.climate, dt))
-        carbon = np.array(p.climate.initial_carbon_gtc, dtype=np.float64)
-        put("initial_carbon_total", float(carbon.sum()))
+        put("transfer", climate_mod.carbon_transfer_matrix(dt))
 
 
 @dataclass(slots=True)
@@ -160,16 +157,15 @@ def reset(params: SimParams, variant: VariantConfig, seed: int = 0) -> World:
         seed,
         **{name: regions.pop(name) for name in _REGION_RATES},
     )
-    cp = params.climate
     return World(
         constants=constants,
         t=0,
         **regions,
         mitigation_prev=np.zeros(params.n_regions),
         balance=np.zeros(params.n_regions),
-        carbon=np.array(cp.initial_carbon_gtc, dtype=np.float64),
-        t_atmosphere=cp.initial_t_atmosphere,
-        t_ocean=cp.initial_t_ocean,
+        carbon=np.array(climate_mod.INITIAL_CARBON_GTC, dtype=np.float64),
+        t_atmosphere=climate_mod.INITIAL_T_ATMOSPHERE,
+        t_ocean=climate_mod.INITIAL_T_OCEAN,
         commitments=(
             _draw_commitments(params, seed, 0) if params.negotiation.enabled else None
         ),
@@ -216,7 +212,7 @@ def _enforce_masks(world: World, actions: JointActions) -> None:
     below = np.flatnonzero(levels < world.commitments)
     if below.size:
         r = int(below[0])
-        raise MaskViolationError(r, "mitigation", int(levels[r]), int(world.commitments[r]))
+        raise MaskViolationError(r, int(levels[r]), int(world.commitments[r]))
 
 
 def step(world: World, actions: JointActions) -> StepResult:
@@ -269,22 +265,21 @@ def step(world: World, actions: JointActions) -> StepResult:
     )
 
     # Carbon, forcing, temperature.
-    cp = p.climate
     carbon_after = climate_mod.step_carbon(world.carbon, emissions_global, dt, c.transfer)
     forcing = climate_mod.radiative_forcing(
         float(carbon_after[0]),
-        cp.forcing_per_doubling,
-        cp.reference_atmosphere_gtc,
-        climate_mod.exogenous_forcing(cp, (world.t + 1) * dt),
+        climate_mod.FORCING_PER_DOUBLING,
+        climate_mod.REFERENCE_ATMOSPHERE_GTC,
+        climate_mod.exogenous_forcing((world.t + 1) * dt),
     )
     t_at, t_lo = climate_mod.step_temperature(
         world.t_atmosphere,
         world.t_ocean,
         forcing,
-        cp.heat_capacity_c1,
-        cp.atm_ocean_exchange_c3,
-        cp.ocean_uptake_c4,
-        cp.temperature_feedback,
+        climate_mod.HEAT_CAPACITY_C1,
+        climate_mod.ATM_OCEAN_EXCHANGE_C3,
+        climate_mod.OCEAN_UPTAKE_C4,
+        climate_mod.TEMPERATURE_FEEDBACK,
     )
 
     # Exogenous growth and capital accumulation.
@@ -405,7 +400,7 @@ def _rollout(world: World, next_actions, history: list | None = None) -> Episode
         total_reward=total_reward,
         mean_total_reward=float(total_reward.mean()),
         d_end=float(d_end),
-        initial_carbon_total=constants.initial_carbon_total,
+        initial_carbon_total=sum(climate_mod.INITIAL_CARBON_GTC),
         cumulative_emissions=world.cumulative_emissions,
         final_carbon_total=float(world.carbon.sum()),
     )

@@ -22,13 +22,10 @@ class ProtocolError(RicensimError, RuntimeError):
 
 
 class MaskViolationError(ProtocolError):
-    """An action fell below its masked floor."""
+    """A mitigation level fell below its masked floor."""
 
-    def __init__(self, region: int, dimension: str, level: int, floor: int):
+    def __init__(self, region: int, level: int, floor: int):
         self.region = region
-        self.dimension = dimension
         self.level = level
         self.floor = floor
-        super().__init__(
-            f"region {region}: {dimension} level {level} violates mask floor {floor}"
-        )
+        super().__init__(f"region {region}: mitigation level {level} violates mask floor {floor}")

@@ -18,7 +18,7 @@ import json
 import sys
 from collections.abc import Callable
 from pathlib import Path
-from typing import Any, get_args, get_origin, get_type_hints
+from typing import Any, get_args, get_type_hints
 
 import numpy as np
 
@@ -391,9 +391,9 @@ def _dataclass_from_dict(cls, data: dict, key_prefix: str):
 
 def _typed(value, hint, path: str):
     """``value`` checked against the field annotation ``hint``: nested
-    objects become dataclasses and lists become tuples; anything else of
-    the wrong type is a ``ConfigError`` naming ``path``. A number passes as
-    given: its field's declared ``Range`` checks its type and bounds."""
+    objects become dataclasses; anything else of the wrong type is a
+    ``ConfigError`` naming ``path``. A number passes as given: its field's
+    declared ``Range`` checks its type and bounds."""
     if dataclasses.is_dataclass(hint):
         return _dataclass_from_dict(hint, value, path)
     args = get_args(hint)
@@ -402,14 +402,6 @@ def _typed(value, hint, path: str):
             return None
         (hint,) = (a for a in args if a is not type(None))
         return _typed(value, hint, path)
-    if get_origin(hint) is tuple:
-        if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"{path}: expected a list, got {value!r}")
-        if args[-1] is Ellipsis:
-            args = args[:1] * len(value)
-        elif len(value) != len(args):
-            raise ConfigError(f"{path}: expected {len(args)} entries, got {len(value)}")
-        return tuple(_typed(v, a, f"{path}[{k}]") for k, (v, a) in enumerate(zip(value, args)))
     if hint not in (int, float) and not isinstance(value, hint):
         raise ConfigError(f"{path}: expected a {hint.__name__}, got {value!r}")
     return value

@@ -211,28 +211,6 @@ class TestErrors:
             ({"sim": {"n_regions": True}}, "sim.n_regions"),
             ({"sim": {"region_seed": -1}}, "unknown key: sim.region_seed"),
             ({"sim": {"dt_years": 25}}, "dt_years"),
-            (
-                {"sim": {"horizon_years": 500, "climate": {"heat_capacity_c1": 50}},
-                 "experiment": "episode"},
-                "climate.heat_capacity_c1",
-            ),
-            # Stable two-box parameters, but forcings no climate has.
-            (
-                {"sim": {"climate": {"forcing_per_doubling": 1e308}}, "experiment": "episode"},
-                "climate.forcing_per_doubling",
-            ),
-            (
-                {"sim": {"climate": {"forcing_per_doubling": 1e300}}, "experiment": "episode"},
-                "climate.forcing_per_doubling",
-            ),
-            (
-                {"sim": {"climate": {"forcing_exogenous_end": 1e308}}, "experiment": "episode"},
-                "climate.forcing_exogenous_end",
-            ),
-            (
-                {"sim": {"climate": {"forcing_exogenous_start": -11}}, "experiment": "episode"},
-                "climate.forcing_exogenous_start",
-            ),
             # The top-level seed is the only seed; a second one is not ignored.
             ({"sim": {"region_seed": 5}, "seed": 7}, "unknown key: sim.region_seed"),
             ({"seed": None}, "seed"),
@@ -242,26 +220,16 @@ class TestErrors:
             ({"experiment": "pariah", "options": {"tariff_levels": [5, 5]}},
              "options.tariff_levels"),
             ({"experiment": "horizon", "options": {"horizons": [100, 100]}}, "options.horizons"),
-            # Each would otherwise fail only during the run.
-            ({"sim": {"climate": {"reference_atmosphere_gtc": 1e-320}}},
-             "climate.reference_atmosphere_gtc"),
+            # It would otherwise fail only during the run.
             ({"variant": {"disaster": {"threshold_degc": 0.5, "penalty": 1e308}}},
              "variant.disaster.penalty"),
-            # Each would otherwise run to absurd temperatures.
-            ({"sim": {"climate": {"initial_t_atmosphere": 1e300}}},
-             "climate.initial_t_atmosphere"),
-            ({"sim": {"climate": {"initial_t_ocean": -1e300}}}, "climate.initial_t_ocean"),
-            ({"sim": {"climate": {"initial_carbon_gtc": [850, 1e308, 1e308]}}},
-             "climate.initial_carbon_gtc"),
-            # Manifests written while the option existed hold this line.
-            ({"sim": {"climate": {"emissions_floor": 0.0}}},
-             "unknown key: sim.climate.emissions_floor"),
-            # Each ran before its key declared a range: to absurd or overflowing
-            # temperatures, with an ocean that gives heat back, or out of memory.
+            # Manifests written while the climate calibration was configurable
+            # hold this block; the calibration is now constants.
+            ({"sim": {"climate": {"initial_t_atmosphere": 1.1, "initial_t_ocean": 0.3}}},
+             "unknown key: sim.climate"),
+            # Each ran before its key declared a range: to overflowing
+            # temperatures, or out of memory.
             ({"sim": {"horizon_years": 50000}}, "sim.horizon_years"),
-            ({"sim": {"climate": {"atm_ocean_exchange_c3": -0.05}}},
-             "sim.climate.atm_ocean_exchange_c3"),
-            ({"sim": {"climate": {"ocean_uptake_c4": -0.01}}}, "sim.climate.ocean_uptake_c4"),
             ({"experiment": "masking-demo", "options": {"episodes": 100000000000}},
              "options.episodes"),
             # Manifests written while a mask could also floor savings hold this line.

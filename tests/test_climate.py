@@ -1,10 +1,12 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ricensim import climate
 from ricensim.climate import (
     carbon_transfer_matrix,
     exogenous_forcing,
@@ -12,11 +14,10 @@ from ricensim.climate import (
     step_carbon,
     step_temperature,
 )
-from ricensim.config import ClimateParams
-from ricensim.errors import ConfigError, DomainError
+from ricensim.config import SimParams
+from ricensim.errors import DomainError
 
-CP = ClimateParams()
-PHI = carbon_transfer_matrix(CP, 5)
+PHI = carbon_transfer_matrix(5)
 
 
 class TestCarbon:
@@ -59,8 +60,9 @@ class TestCarbon:
         assert math.isclose(m.sum(), total0 + cumulative, rel_tol=1e-9)
 
     def test_matrix_columns_sum_to_one_at_any_dt(self):
-        for dt in (1, 2, 5, 10):
-            phi = carbon_transfer_matrix(CP, dt)
+        dt_range = next(f for f in fields(SimParams) if f.name == "dt_years").metadata["range"]
+        for dt in range(dt_range.lo, dt_range.hi + 1):
+            phi = carbon_transfer_matrix(dt)
             assert np.allclose(phi.sum(axis=0), 1.0, rtol=0, atol=1e-12)
             assert (phi >= 0).all()
 
@@ -89,10 +91,17 @@ class TestForcing:
         assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_exogenous_ramp_holds_after_ramp_years(self):
-        assert exogenous_forcing(CP, 0.0) == 0.5
-        assert math.isclose(exogenous_forcing(CP, 50.0), 0.75, rel_tol=1e-12)
-        assert exogenous_forcing(CP, 100.0) == 1.0
-        assert exogenous_forcing(CP, 250.0) == 1.0
+        assert exogenous_forcing(0.0) == 0.5
+        assert math.isclose(exogenous_forcing(50.0), 0.75, rel_tol=1e-12)
+        assert exogenous_forcing(100.0) == 1.0
+        assert exogenous_forcing(250.0) == 1.0
+
+    def test_initial_co2_forcing_is_moderate(self):
+        co2_forcing = climate.FORCING_PER_DOUBLING * math.log2(
+            climate.INITIAL_CARBON_GTC[0] / climate.REFERENCE_ATMOSPHERE_GTC
+        )
+        assert math.isclose(co2_forcing, 1.96, abs_tol=0.005)
+        assert -10 <= co2_forcing <= 10
 
 
 class TestTemperature:
@@ -104,14 +113,15 @@ class TestTemperature:
         with pytest.raises(DomainError, match="finite"):
             step_temperature(1e308, 0.3, 0.0, c1=50.0, c3=0.088, c4=0.025, feedback=1.1875)
 
-    def test_unstable_two_box_parameters_rejected(self):
-        # The default step contracts (spectral radius 0.977), and so does
-        # c1 = 1.55 (0.979); c1 = 1.6 gives 1.04 and c1 = 50 gives 62.8.
-        for c1 in (0.1005, 1.55):
-            ClimateParams(heat_capacity_c1=c1)
-        for c1 in (1.6, 50.0, math.inf, math.nan):
-            with pytest.raises(ConfigError, match="climate.heat_capacity_c1"):
-                ClimateParams(heat_capacity_c1=c1)
+    def test_two_box_step_contracts(self):
+        # One step maps (T_at, T_lo) through this matrix plus the forcing;
+        # with every eigenvalue inside the unit circle temperatures settle
+        # rather than oscillate or grow without bound.
+        c1, c3, c4 = climate.HEAT_CAPACITY_C1, climate.ATM_OCEAN_EXCHANGE_C3, climate.OCEAN_UPTAKE_C4
+        step = np.array([[1 - c1 * (climate.TEMPERATURE_FEEDBACK + c3), c1 * c3], [c4, 1 - c4]])
+        radius = max(abs(np.linalg.eigvals(step)))
+        assert math.isclose(radius, 0.977, abs_tol=5e-4)
+        assert radius < 1
 
     def test_cold_dark_fixed_point(self):
         assert step_temperature(0.0, 0.0, 0.0, **self.C) == (0.0, 0.0)
@@ -135,13 +145,13 @@ class TestTemperature:
         # so once the exogenous ramp ends the per-step temperature change
         # shrinks monotonically.
         equilibrium = np.array([588.0, 360.0, 1720.0])
-        m = equilibrium * (sum(CP.initial_carbon_gtc) / equilibrium.sum())
-        t_at, t_lo = CP.initial_t_atmosphere, CP.initial_t_ocean
+        m = equilibrium * (sum(climate.INITIAL_CARBON_GTC) / equilibrium.sum())
+        t_at, t_lo = climate.INITIAL_T_ATMOSPHERE, climate.INITIAL_T_OCEAN
         deltas = []
         for k in range(100):
             m = step_carbon(m, 0.0, 5, PHI)
-            f = radiative_forcing(m[0], CP.forcing_per_doubling, CP.reference_atmosphere_gtc,
-                                  exogenous_forcing(CP, 5 * (k + 1)))
+            f = radiative_forcing(m[0], climate.FORCING_PER_DOUBLING,
+                                  climate.REFERENCE_ATMOSPHERE_GTC, exogenous_forcing(5 * (k + 1)))
             new_at, new_lo = step_temperature(t_at, t_lo, f, **self.C)
             deltas.append(abs(new_at - t_at))
             t_at, t_lo = new_at, new_lo
@@ -152,13 +162,13 @@ class TestTemperature:
         # From the (off-equilibrium) default stocks the atmosphere slowly
         # drains into the ocean; temperature still settles: late-step
         # changes are far smaller than the early-transient ones.
-        m = np.array(CP.initial_carbon_gtc)
-        t_at, t_lo = CP.initial_t_atmosphere, CP.initial_t_ocean
+        m = np.array(climate.INITIAL_CARBON_GTC)
+        t_at, t_lo = climate.INITIAL_T_ATMOSPHERE, climate.INITIAL_T_OCEAN
         deltas = []
         for k in range(100):
             m = step_carbon(m, 0.0, 5, PHI)
-            f = radiative_forcing(m[0], CP.forcing_per_doubling, CP.reference_atmosphere_gtc,
-                                  exogenous_forcing(CP, 5 * (k + 1)))
+            f = radiative_forcing(m[0], climate.FORCING_PER_DOUBLING,
+                                  climate.REFERENCE_ATMOSPHERE_GTC, exogenous_forcing(5 * (k + 1)))
             new_at, new_lo = step_temperature(t_at, t_lo, f, **self.C)
             deltas.append(abs(new_at - t_at))
             t_at, t_lo = new_at, new_lo

@@ -39,7 +39,6 @@ from ricensim import cli, experiments
 from ricensim.config import (
     HORIZON_YEARS,
     N_REGIONS,
-    ClimateParams,
     DisasterPenalty,
     NegotiationConfig,
     Range,
@@ -55,14 +54,12 @@ settings.register_profile("ci", max_examples=1000, deadline=None)
 BUDGET = settings.get_profile(os.environ.get("HYPOTHESIS_PROFILE", "door"))
 
 #: The config dataclasses whose fields declare ranges, by document path.
-RANGED_SECTIONS = {
-    "sim": SimParams, "sim.climate": ClimateParams, "variant.disaster": DisasterPenalty,
-}
+RANGED_SECTIONS = {"sim": SimParams, "variant.disaster": DisasterPenalty}
 
 
 class Key(NamedTuple):
-    """One declared key: where a document holds it (a tuple or list key by
-    its first entry), its range, and the experiment that takes it, if an
+    """One declared key: where a document holds it (a list option by its
+    first entry), its range, and the experiment that takes it, if an
     option."""
 
     location: tuple
@@ -71,13 +68,13 @@ class Key(NamedTuple):
 
     @property
     def path(self) -> str:
-        """The path an error names: ``sim.climate.initial_carbon_gtc[0]``."""
+        """The path an error names: ``options.tariff_levels[0]``."""
         text = ".".join(str(k) for k in self.location if isinstance(k, str))
         return text + "".join(f"[{k}]" for k in self.location if isinstance(k, int))
 
     @property
     def section(self) -> str:
-        return "climate" if self.location[:2] == ("sim", "climate") else self.location[0]
+        return self.location[0]
 
 
 def declared_keys() -> list[Key]:
@@ -85,8 +82,7 @@ def declared_keys() -> list[Key]:
     for prefix, cls in RANGED_SECTIONS.items():
         for f in dataclasses.fields(cls):
             if "range" in f.metadata:
-                entry = (0,) * f.type.count("tuple[")
-                keys.append(Key((*prefix.split("."), f.name, *entry), f.metadata["range"]))
+                keys.append(Key((*prefix.split("."), f.name), f.metadata["range"]))
     for name, experiment in EXPERIMENTS.items():
         for key, opt in experiment.options.items():
             entry = (0,) if opt.is_list else ()
@@ -170,16 +166,16 @@ def is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def paths(node, path=(), in_list=False):
-    """Every position in a JSON document: the root, each value, and each
-    entry of a list that is not itself in a list (a matrix row is one)."""
+def paths(node, path=()):
+    """Every position in a JSON document: the root, each value and each
+    list entry."""
     yield path
     if isinstance(node, dict):
         for key, value in node.items():
             yield from paths(value, path + (key,))
-    elif isinstance(node, list) and not in_list:
+    elif isinstance(node, list):
         for i, value in enumerate(node):
-            yield from paths(value, path + (i,), in_list=True)
+            yield from paths(value, path + (i,))
 
 
 def get(doc, path):
@@ -209,7 +205,7 @@ def cap_sizes(node, size=None):
 
 #: One section per declared key group, plus "anywhere", which mutates any
 #: position, a few at a time, and adds odd flags.
-SECTIONS = ["sim", "climate", "variant", "options", "anywhere"]
+SECTIONS = ["sim", "variant", "options", "anywhere"]
 
 
 def odd_value(draw, target, anything: bool):

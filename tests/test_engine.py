@@ -1,12 +1,10 @@
 import dataclasses
 import hashlib
-import math
 
 import numpy as np
 import pytest
 
 from ricensim import (
-    ClimateParams,
     DisasterPenalty,
     FixedLevelsPolicy,
     JointActions,
@@ -77,15 +75,12 @@ class TestStep:
         assert np.array_equal(result.detail.rewards, result.detail.aggregate)
 
     def test_disaster_penalty_applied_beyond_threshold(self, small_params):
-        hot = dataclasses.replace(
-            small_params,
-            climate=ClimateParams(initial_t_atmosphere=3.5),
-        )
-        variant = VariantConfig(disaster=DisasterPenalty(threshold_degc=3.0, penalty=1e6))
+        # The episode starts at 1.1 degC, past the 1.0 degC threshold.
+        variant = VariantConfig(disaster=DisasterPenalty(threshold_degc=1.0, penalty=1e6))
         base = VariantConfig()
         actions = JointActions.uniform(4, 3, 2, 5, 6, 2)
-        with_penalty = step(reset(hot, variant, 1), actions)
-        without = step(reset(hot, base, 1), actions)
+        with_penalty = step(reset(small_params, variant, 1), actions)
+        without = step(reset(small_params, base, 1), actions)
         assert np.array_equal(without.detail.rewards - with_penalty.detail.rewards, np.full(4, 1e6))
 
     def test_replaced_rates_step_like_the_in_step_formula(self, small_params, baseline):
@@ -210,15 +205,16 @@ class TestNegotiation:
     def negotiating(self, params):
         return dataclasses.replace(params, negotiation=NegotiationConfig(enabled=True))
 
-    def test_mask_violation_identifies_region_and_dimension(self, small_params, baseline):
+    def test_mask_violation_identifies_region_and_floor(self, small_params, baseline):
         params = self.negotiating(small_params)
         w = reset(params, baseline, 6)
         assert w.commitments is not None and w.commitments.max() > 0
         bad = JointActions.uniform(4, 3, 0, 0, 0, 0)
-        with pytest.raises(MaskViolationError) as err:
+        with pytest.raises(MaskViolationError, match="mitigation level 0 violates mask floor") as err:
             step(w, bad)
-        assert err.value.dimension == "mitigation"
         assert 0 <= err.value.region < 4
+        assert err.value.floor == w.commitments[err.value.region]
+        assert err.value.level < err.value.floor
 
     def test_savings_below_the_commitment_is_no_violation(self, small_params, baseline):
         w = reset(self.negotiating(small_params), baseline, 6)

@@ -1,11 +1,10 @@
-import dataclasses
 import math
 import os
 
 import numpy as np
 import pytest
 
-from ricensim import FixedLevelsPolicy, JointActions, SimParams, VariantConfig
+from ricensim import JointActions, SimParams, VariantConfig
 from ricensim.engine import reset, step
 from ricensim import experiments
 from ricensim.errors import ConfigError

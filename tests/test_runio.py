@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from ricensim.config import SimParams, VariantConfig
+from ricensim.config import DisasterPenalty, SimParams, VariantConfig
 from ricensim.errors import ConfigError
 from ricensim.runio import (
     RunConfig,
@@ -90,10 +90,7 @@ class TestParseConfig:
             ({"sim": {"theta3": float("inf")}}, "sim.theta3"),
             ({"sim": {"depreciation": float("nan")}}, "sim.depreciation"),
             ({"sim": {"horizon_years": 100.0}}, "sim.horizon_years"),
-            ({"sim": {"climate": {"initial_carbon_gtc": [850, 460]}}},
-             "sim.climate.initial_carbon_gtc"),
-            ({"sim": {"climate": {"initial_carbon_gtc": [850, 460, "x"]}}},
-             "sim.climate.initial_carbon_gtc[2]"),
+            ({"sim": {"theta3": [1.0]}}, "sim.theta3"),
             ({"sim": {"negotiation": {"enforce_masks": "no"}}}, "sim.negotiation.enforce_masks"),
             ({"sim": {"negotiation": {"enabled": 1}}}, "sim.negotiation.enabled"),
             ({"variant": {"damage_kind": 3}}, "variant.damage_kind"),
@@ -108,9 +105,11 @@ class TestParseConfig:
 
     def test_integers_accepted_for_floats_and_kept_as_given(self):
         config = parse_config(json.dumps(
-            {"sim": {"theta3": 2, "climate": {"initial_carbon_gtc": [850, 460, 1740]}}}
+            {"sim": {"theta3": 2}, "variant": {"disaster": {"threshold_degc": 2, "penalty": 100}}}
         ))
-        assert config.sim.theta3 == 2 and config.sim.climate.initial_carbon_gtc == (850, 460, 1740)
+        assert config.sim.theta3 == 2 and type(config.sim.theta3) is int
+        assert config.variant.disaster == DisasterPenalty(threshold_degc=2, penalty=100)
+        assert type(config.variant.disaster.penalty) is int
         assert parse_config('{"variant": {"disaster": null}}').variant.disaster is None
 
 
