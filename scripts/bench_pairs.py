@@ -13,9 +13,19 @@ interrupted session keeps the pairs it finished:
 
 For each workload and end-to-end metric the summary holds both sides'
 median and quartiles (``statistics.quantiles``, inclusive method), every
-run's value, and the number of pairs the change won: a win is a value
+run's value, the number of pairs the change won (a win is a value
 better in the metric's direction from ``BENCHMARK.json``; ties count for
-neither side. It also records ``nproc``, the numpy version and each side's
+neither side) and a ``verdict``, the first of these that holds:
+
+- ``gain``: the change won at least 9/10 of the pairs, and its median is
+  better than the parent's by more than the parent's interquartile range;
+- ``regression``: the change's median is worse than the parent's by more
+  than the metric's ``bound``, a fraction of the parent's median;
+- ``unresolved``: the parent's interquartile range exceeds ``bound`` times
+  its median, and not every run of the change beats every parent run;
+- ``no regression``.
+
+It also records ``nproc``, the numpy version and each side's
 ``source_sha256`` as ``perfbench/run.py`` reports them. Nothing under
 ``perfbench/`` is written except the result files the benchmark writes
 itself.
@@ -69,8 +79,36 @@ def spread(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
+def compare(parent: list[float], change: list[float], better: str, bound: float) -> dict:
+    """Both sides' spread and runs of one metric, the change of the median,
+    the parent's interquartile range, the change's wins and the verdict."""
+    sign = 1 if better == "higher" else -1
+    p, c = spread(parent), spread(change)
+    iqr = p["q3"] - p["q1"]
+    moved = sign * (c["median"] - p["median"])
+    wins = sum(sign * (b - a) > 0 for a, b in zip(parent, change))
+    if 10 * wins >= 9 * len(parent) and moved > iqr:
+        verdict = "gain"
+    elif moved < -bound * abs(p["median"]):
+        verdict = "regression"
+    elif iqr > bound * abs(p["median"]) and min(sign * b for b in change) <= max(
+        sign * a for a in parent
+    ):
+        verdict = "unresolved"
+    else:
+        verdict = "no regression"
+    return {
+        "parent": dict(p, runs=parent),
+        "change": dict(c, runs=change),
+        "change_frac": c["median"] / p["median"] - 1.0,
+        "parent_iqr": iqr,
+        "wins": wins,
+        "verdict": verdict,
+    }
+
+
 def summarize(runs: dict, spec: list[dict]) -> dict:
-    """Per workload and metric: both sides' spread, the change and the wins."""
+    """Per workload and metric: ``compare`` on the pairs both sides finished."""
     out = {}
     for workload, pairs in runs.items():
         done = [p for p in pairs if all(side in p for side in SIDES)]
@@ -82,20 +120,12 @@ def summarize(runs: dict, spec: list[dict]) -> dict:
             "attempted": {s: sum(p[s]["attempted"] for p in done) for s in SIDES},
         }
         for metric in spec:
-            name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
-            values = {s: [p[s]["metrics"][name] for p in done] for s in SIDES}
-            stats = {s: spread(values[s]) for s in SIDES}
-            parent_median = stats["parent"]["median"]
-            entry[name] = {
+            values = {s: [p[s]["metrics"][metric["name"]] for p in done] for s in SIDES}
+            entry[metric["name"]] = {
                 "unit": metric["unit"],
                 "better": metric["better"],
                 "bound": metric["bound"],
-                **{s: dict(stats[s], runs=values[s]) for s in SIDES},
-                "change_frac": stats["change"]["median"] / parent_median - 1.0,
-                "parent_iqr": stats["parent"]["q3"] - stats["parent"]["q1"],
-                "wins": sum(
-                    sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"])
-                ),
+                **compare(values["parent"], values["change"], metric["better"], metric["bound"]),
             }
         out[workload] = entry
     return out

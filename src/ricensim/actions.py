@@ -19,9 +19,11 @@ RATE_NAMES = tuple(f"{name}_rate" for name in ACTION_DIMENSIONS)
 
 
 def check_level(name: str, level: int) -> None:
-    """Reject anything but an integer level in 0..9."""
+    """Reject anything but an integer level in 0..9. A numpy scalar is shown
+    as the Python value it holds, as in a tuple."""
     if not isinstance(level, (int, np.integer)) or isinstance(level, bool):
-        raise InvalidActionError(f"{name} level must be an integer, got {level!r}")
+        shown = level.item() if isinstance(level, np.generic) else level
+        raise InvalidActionError(f"{name} level must be an integer, got {shown!r}")
     if not 0 <= level < NUM_LEVELS:
         raise InvalidActionError(f"{name} level {level} outside 0..{NUM_LEVELS - 1}")
 
@@ -31,16 +33,18 @@ def levels_to_rates(levels: np.ndarray) -> np.ndarray:
     return np.asarray(levels, dtype=np.float64) / 10.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ActionSet:
     """One region's action for one step, as a policy returns it. The partner
-    vectors have one entry per region (self entry 0); checked when stacked."""
+    vectors have one entry per region (self entry 0); checked when stacked.
+    The policies hand them as read-only ``int64`` rows, which ``==`` would
+    compare element by element, so sets compare by identity."""
 
     savings_level: int
     mitigation_level: int
     max_export_level: int
-    import_levels: tuple[int, ...]
-    tariff_levels: tuple[int, ...]
+    import_levels: np.ndarray
+    tariff_levels: np.ndarray
 
 
 def _elements(value, ndim: int):
@@ -58,15 +62,24 @@ def _check_levels(name: str, levels, per_region: int) -> None:
         check_level(f"region {i // per_region}: {name}", level)
 
 
+def _integer_arrays(value) -> bool:
+    """Whether ``value`` is an integer array or a list or tuple of them:
+    neither can hold a bool."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.kind in "iu"
+    return isinstance(value, (list, tuple)) and all(map(_integer_arrays, value))
+
+
 def _integer_copy(name: str, value) -> np.ndarray:
     """Read-only ``int64`` copy of ``value``, whose elements must be integers;
-    numpy stacks ``True`` among integers as 1, so a sequence's are looked at."""
+    numpy stacks ``True`` among integers as 1, so the elements of a sequence
+    of anything but integer arrays are looked at."""
     try:
         arr = np.array(value)
     except ValueError:
         raise InvalidActionError(f"{name} rows differ in length") from None
     integral = arr.dtype.kind in "iu" and (
-        isinstance(value, np.ndarray)
+        _integer_arrays(value)
         or {bool, np.bool_}.isdisjoint(map(type, _elements(value, arr.ndim)))
     )
     if arr.size and not integral:
@@ -171,7 +184,9 @@ class JointActions:
             shape = (n, n) if name in ("imports", "tariffs") else (n,)
             if arr.shape != shape:
                 raise InvalidActionError(f"{name} array has shape {arr.shape}, expected {shape}")
-            if arr.min() < 0 or arr.max() >= NUM_LEVELS:
+            # One reduction for both ends: a negative level reads as a huge
+            # unsigned value.
+            if arr.view(np.uint64).max() >= NUM_LEVELS:
                 _check_levels(name, arr.flat, arr.size // n)
             if arr.ndim == 2 and arr.trace():
                 region = int(np.flatnonzero(np.diagonal(arr))[0])

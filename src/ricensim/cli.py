@@ -81,6 +81,18 @@ def _resolve_config(args) -> RunConfig:
     )
 
 
+def _output_dir(arg: str | None) -> Path:
+    """The output directory, checked before any work: the nearest of it and
+    its parents that exists must be a directory."""
+    out = Path(arg or os.environ.get(OUT_DIR_ENV) or "ricensim_out")
+    for path in (out, *out.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise ConfigError(f"--out {out}: {path} exists and is not a directory")
+            break
+    return out
+
+
 def _execute(config: RunConfig, out: Path, workers: int) -> None:
     experiment = EXPERIMENTS[config.experiment]
     print(experiment.write(out, config, experiment.run(config, workers)))
@@ -98,8 +110,7 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         check_workers(args.workers)
         config = _resolve_config(args)
-        out = Path(args.out or os.environ.get(OUT_DIR_ENV) or "ricensim_out")
-        _execute(config, out, args.workers)
+        _execute(config, _output_dir(args.out), args.workers)
         return 0
     except SystemExit as exc:  # --help
         return 0 if exc.code in (0, None) else 1

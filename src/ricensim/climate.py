@@ -71,7 +71,7 @@ def step_carbon(
     matrix is column-stochastic.
     """
     m = np.asarray(carbon, dtype=np.float64)
-    if m.shape != (3,) or np.any(m <= 0):
+    if m.shape != (3,) or (m <= 0).any():
         raise DomainError(f"carbon stocks must be a positive 3-vector, got {carbon}")
     if emissions_gtc_per_year < 0.0:
         raise DomainError(f"emissions {emissions_gtc_per_year} are negative")

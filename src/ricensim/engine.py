@@ -406,11 +406,13 @@ def _rollout(world: World, next_actions, history: list | None = None) -> Episode
     )
 
 
-def _episode_actions(world: World, policy, policy_rng: np.random.Generator) -> JointActions:
+def _episode_actions(
+    world: World, policy, observations: list[Observation], policy_rng: np.random.Generator
+) -> JointActions:
     masks = world.masks()
     sets = [
-        policy.act(world.observation(i), masks[i] if masks else None, policy_rng)
-        for i in range(world.n_regions)
+        policy.act(obs, masks[i] if masks else None, policy_rng)
+        for i, obs in enumerate(observations)
     ]
     return JointActions.from_action_sets(sets)
 
@@ -418,14 +420,16 @@ def _episode_actions(world: World, policy, policy_rng: np.random.Generator) -> J
 def _policy_actions(world: World, policy):
     """Per-step action source for ``policy``: a static policy acts once at
     reset when no mask binds its actions (masks bind for the whole episode
-    or never), any other policy acts every step."""
+    or never), any other policy acts every step. Each region's observation
+    is built once per episode."""
     policy_rng = np.random.default_rng(
         np.random.SeedSequence([world.constants.seed, _POLICY_STREAM])
     )
+    observations = [world.observation(i) for i in range(world.n_regions)]
     if getattr(policy, "is_static", False) and not _masks_bind(world):
-        actions = _episode_actions(world, policy, policy_rng)
+        actions = _episode_actions(world, policy, observations, policy_rng)
         return lambda w: actions
-    return lambda w: _episode_actions(w, policy, policy_rng)
+    return lambda w: _episode_actions(w, policy, observations, policy_rng)
 
 
 def run_episode(params: SimParams, variant: VariantConfig, policy, seed: int) -> EpisodeRecord:

@@ -7,17 +7,28 @@ the floor up.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
-from .actions import ACTION_DIMENSIONS, ActionSet, check_level
+import numpy as np
+
+from .actions import ACTION_DIMENSIONS, NUM_LEVELS, ActionSet, check_level
 from .negotiation import masked_sample
 
 
-def _partner_vector(observation, level: int) -> tuple[int, ...]:
-    """``level`` toward every other region, 0 toward the region itself."""
-    vector = [level] * observation.n_regions
-    vector[observation.region] = 0
-    return tuple(vector)
+@functools.lru_cache(maxsize=4 * NUM_LEVELS)
+def _partner_matrix(n_regions: int, level: int) -> np.ndarray:
+    """Read-only ``int64`` matrix: ``level`` off the diagonal, 0 on it. One
+    per region count and level, with room for every level at a few counts."""
+    matrix = level * (1 - np.eye(n_regions, dtype=np.int64))
+    matrix.setflags(write=False)
+    return matrix
+
+
+def _partner_vector(observation, level: int) -> np.ndarray:
+    """``level`` toward every other region, 0 toward the region itself: a
+    read-only row of the cached ``_partner_matrix``."""
+    return _partner_matrix(observation.n_regions, level)[observation.region]
 
 
 @dataclass(frozen=True)
@@ -93,6 +104,7 @@ class PariahOverridePolicy:
         base_action = self.base.act(observation, mask, rng)
         if self.tariff_level is None or observation.region == self.target:
             return base_action
-        tariffs = list(base_action.tariff_levels)
+        tariffs = base_action.tariff_levels.copy()
         tariffs[self.target] = self.tariff_level
-        return replace(base_action, tariff_levels=tuple(tariffs))
+        tariffs.setflags(write=False)
+        return replace(base_action, tariff_levels=tariffs)

@@ -433,7 +433,13 @@ def parse_config(text: str) -> RunConfig:
 
 
 def load_config(path: str | Path) -> RunConfig:
-    return parse_config(Path(path).read_text(encoding="utf-8"))
+    """Parse the config file at ``path``; a file that cannot be read as
+    UTF-8 text is a configuration error naming ``--config``."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"--config {path}: {getattr(exc, 'strerror', None) or exc}") from exc
+    return parse_config(text)
 
 
 def format_value(value) -> str:

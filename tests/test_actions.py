@@ -77,7 +77,7 @@ class TestJointActions:
         j = JointActions.uniform(3, savings=1, mitigation=2, export=3, imports=5, tariffs=7)
         sets = policy_sets(3, 1, 2, 3, 5, 7)
         assert sets[1].savings_level == 1
-        assert sets[1].import_levels == (5, 0, 5)
+        assert np.array_equal(sets[1].import_levels, (5, 0, 5))
         joint = JointActions.from_action_sets(sets)
         for name in ("savings", "mitigation", "export", "imports", "tariffs"):
             assert np.array_equal(getattr(joint, name), getattr(j, name)), name
@@ -183,8 +183,8 @@ class TestJointActions:
         for i, a in enumerate(sets):
             assert j.savings[i] == a.savings_level and j.mitigation[i] == a.mitigation_level
             assert j.export[i] == a.max_export_level
-            assert tuple(j.imports[i]) == a.import_levels
-            assert tuple(j.tariffs[i]) == a.tariff_levels
+            assert np.array_equal(j.imports[i], a.import_levels)
+            assert np.array_equal(j.tariffs[i], a.tariff_levels)
 
 
 def _sets_with(region, **changes):
@@ -234,6 +234,39 @@ BAD_SETS = {
         _sets_with(1, tariff_levels=(5, 0, True)),
         "region 1: tariffs level must be an integer, got True",
     ),
+    "tariffs entry at int64 min": (
+        _sets_with(2, tariff_levels=(np.iinfo(np.int64).min, 7, 0)),
+        f"region 2: tariffs level {np.iinfo(np.int64).min} outside",
+    ),
+    "imports all floats": (
+        _sets_with(0, import_levels=(0.0, 2.5, 5.0)),
+        "region 0: imports level must be an integer, got 0.0",
+    ),
+    "tariffs all bools": (
+        _sets_with(1, tariff_levels=(False, False, True)),
+        "region 1: tariffs level must be an integer, got False",
+    ),
+}
+
+
+def _array_twin(case, region, field):
+    """``BAD_SETS[case]`` with its bad row as an array, as the policies hand
+    rows: rejected with the same message."""
+    sets, message = BAD_SETS[case]
+    return _sets_with(region, **{field: np.array(getattr(sets[region], field))}), message
+
+
+BAD_SETS |= {
+    f"{case}, array row": _array_twin(case, region, field)
+    for case, region, field in [
+        ("imports too short", 1, "import_levels"),
+        ("imports entry above range", 0, "import_levels"),
+        ("tariffs entry below range", 2, "tariff_levels"),
+        ("tariffs entry at int64 min", 2, "tariff_levels"),
+        ("imports self entry", 1, "import_levels"),
+        ("imports all floats", 0, "import_levels"),
+        ("tariffs all bools", 1, "tariff_levels"),
+    ]
 }
 
 

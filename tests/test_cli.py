@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -176,9 +177,37 @@ class TestErrors:
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert "n_regions" in capsys.readouterr().err
 
-    def test_unreadable_config_exits_two(self, tmp_path):
-        assert main(["sweep", "--config", str(tmp_path / "missing.json"),
-                     "--out", str(tmp_path / "o")]) == 2
+    @pytest.mark.parametrize(
+        "make, reason",
+        [
+            (lambda path: None, "No such file or directory"),
+            (lambda path: path.mkdir(), "Is a directory"),
+            (lambda path: path.write_bytes(b'{"seed": "\xe9"}'), "can't decode byte 0xe9"),
+        ],
+        ids=["missing", "directory", "latin1"],
+    )
+    def test_unreadable_config_exits_one(self, tmp_path, capsys, make, reason):
+        cfg = tmp_path / "config.json"
+        make(cfg)
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert f"error: --config {cfg}: " in err and reason in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("out", ["taken", "taken/sub"])
+    def test_out_naming_a_file_exits_one_before_any_work(self, tmp_path, capsys, monkeypatch, out):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the experiment ran")
+
+        experiment = EXPERIMENTS["masking-demo"]
+        monkeypatch.setitem(EXPERIMENTS, "masking-demo", dataclasses.replace(experiment, run=no_run))
+        (tmp_path / "taken").write_text("not a directory")
+        assert main(["masking-demo", "--out", str(tmp_path / out)]) == 1
+        err = capsys.readouterr().err
+        taken = tmp_path / "taken"
+        assert f"error: --out {tmp_path / out}: {taken} exists and is not a directory" in err
+        assert taken.read_text() == "not a directory"
 
     @pytest.mark.parametrize("message", ["Unable to allocate 393. TiB", ""])
     def test_allocation_failure_exits_two(self, tmp_path, monkeypatch, capsys, message):
