@@ -49,7 +49,7 @@ def calibrate_damage_to_anchor(
             "variant.damage_kind: calibration targets the quadratic damage function, "
             f"got {variant.damage_kind!r}"
         )
-    base = replace(params, horizon_years=ANCHOR_HORIZON_YEARS, damage_pi1=0.0)
+    base = replace(params, horizon_years=ANCHOR_HORIZON_YEARS)
 
     actions = JointActions.uniform(params.n_regions, *NO_MITIGATION_LEVELS)
     pi2 = 0.0

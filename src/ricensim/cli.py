@@ -3,8 +3,8 @@
 Every command writes CSV results plus a ``manifest.json`` holding the fully
 resolved configuration; re-running with ``--config manifest.json``
 reproduces the outputs byte for byte, into any directory: that is not part
-of the configuration, but ``--out``, else ``$RICENSIM_OUT``, else
-``ricensim_out``. Exit codes: 0 success, 1 configuration error, 2 runtime
+of the configuration, but ``--out``, else ``ricensim_out`` under the
+working directory. Exit codes: 0 success, 1 configuration error, 2 runtime
 error.
 """
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import os
 import sys
 from pathlib import Path
 
@@ -20,8 +19,6 @@ from .config import SimParams, VariantConfig
 from .errors import ConfigError, RicensimError
 from .experiments import check_workers
 from .runio import EXPERIMENTS, RunConfig, load_config, write_manifest
-
-OUT_DIR_ENV = "RICENSIM_OUT"
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -84,7 +81,7 @@ def _resolve_config(args) -> RunConfig:
 def _output_dir(arg: str | None) -> Path:
     """The output directory, checked before any work: the nearest of it and
     its parents that exists must be a directory."""
-    out = Path(arg or os.environ.get(OUT_DIR_ENV) or "ricensim_out")
+    out = Path(arg or "ricensim_out")
     for path in (out, *out.parents):
         if path.exists():
             if not path.is_dir():

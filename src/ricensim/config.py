@@ -127,25 +127,16 @@ DEFAULT_DAMAGE_PI2 = 0.00020649095167452923
 
 @dataclass(frozen=True)
 class SimParams:
-    """Top-level simulation parameters.
-
-    ``theta2``/``theta3`` are the abatement-cost exponent and the weight of
-    the squared mitigation increment in the transitional cost; the linear
-    abatement coefficient is heterogeneous and drawn per region.
-    """
+    """Top-level simulation parameters. The economic calibration (output
+    elasticity, depreciation, abatement-cost exponents, import budget) is
+    the constants of ``economy`` and ``trade``."""
 
     n_regions: int = ranged(N_REGIONS, 27)
     # Up to 20 years, every column of the scaled carbon transfer matrix
     # keeps a non-negative diagonal.
     dt_years: int = ranged(Range(1, 20, ".."), 5)
     horizon_years: int = ranged(HORIZON_YEARS, 100)
-    output_elasticity: float = ranged(Range(0, 0.9, "(]"), 0.3)  # capital share in production
-    depreciation: float = ranged(Range(0, 1, "()"), 0.1)  # per-year capital depreciation
     foreign_weight: float = ranged(Range(0, 1, "(]"), 0.7)  # weight of foreign consumption in the reward
-    import_budget: float = ranged(Range(1e-6, 1, "[)"), 0.1)  # fraction of gross output available for imports
-    theta2: float = ranged(Range(1, 10, "(]"), 2.6)
-    theta3: float = ranged(Range(0, 10), 1.0)
-    damage_pi1: float = ranged(Range(0, 1), 0.0)
     damage_pi2: float = ranged(Range(0, 1), DEFAULT_DAMAGE_PI2)
     negotiation: NegotiationConfig = field(default_factory=NegotiationConfig)
 

@@ -2,7 +2,9 @@
 
 All scalar functions also accept numpy arrays; the engine uses them
 vectorized across regions and applies investment and capital dynamics
-itself.
+itself. The economic calibration below is fixed, as the climate's is: the
+model variants switch the damage and abatement-cost functional forms, and
+``damage_pi2`` is the one damage coefficient a run sets.
 """
 from __future__ import annotations
 
@@ -20,9 +22,16 @@ WEITZMAN_C = 6.754
 #: entirely and downstream shares remain well defined.
 FRACTION_CAP = 0.99
 
+OUTPUT_ELASTICITY = 0.3  # capital share in production
+DEPRECIATION = 0.1  # per-year capital depreciation
+#: Exponent of the abatement cost ``theta1 * mu ** theta2``; the linear
+#: coefficient ``theta1`` is heterogeneous and drawn per region.
+ABATEMENT_THETA2 = 2.6
 #: Residual weight of the level-dependent cost in the transitional
 #: abatement variant; completed mitigation stays cheap but never free.
 TRANSITIONAL_RESIDUAL = 0.2
+#: Weight of the squared mitigation increment in the transitional cost.
+TRANSITIONAL_THETA3 = 1.0
 
 
 def gross_output(productivity, capital, labor, elasticity):

@@ -75,10 +75,9 @@ class EpisodeConstants:
             rates = np.array(getattr(self, name), dtype=np.float64)
             rates.setflags(write=False)
             put(name, rates)
-        p = self.params
-        dt = p.dt_years
+        dt = self.params.dt_years
         put("seed", int(self.seed))
-        put("capital_factor", (1.0 - p.depreciation) ** dt)
+        put("capital_factor", (1.0 - economy_mod.DEPRECIATION) ** dt)
         put("labor_factor", (1.0 + self.labor_growth) ** dt)
         put("productivity_factor", (1.0 + self.productivity_growth) ** dt)
         put("intensity_factor", (1.0 - self.intensity_decline) ** dt)
@@ -232,13 +231,14 @@ def step(world: World, actions: JointActions) -> StepResult:
     # Production, damages at the step's starting temperature, abatement.
     mitigation_rate = actions.mitigation_rate
     y_gross = economy_mod.gross_output(
-        world.productivity, world.capital, world.labor, p.output_elasticity
+        world.productivity, world.capital, world.labor, economy_mod.OUTPUT_ELASTICITY
     )
     dmg = economy_mod.damage_fraction(
-        max(world.t_atmosphere, 0.0), v.damage_kind, p.damage_pi1, p.damage_pi2
+        max(world.t_atmosphere, 0.0), v.damage_kind, 0.0, p.damage_pi2
     )
     abat = economy_mod.abatement_fraction(
-        mitigation_rate, world.mitigation_prev, v.abatement_kind, c.theta1, p.theta2, p.theta3
+        mitigation_rate, world.mitigation_prev, v.abatement_kind, c.theta1,
+        economy_mod.ABATEMENT_THETA2, economy_mod.TRANSITIONAL_THETA3,
     )
     y_net = (1.0 - dmg) * (1.0 - abat) * y_gross
     investment = actions.savings_rate * y_net
@@ -246,7 +246,7 @@ def step(world: World, actions: JointActions) -> StepResult:
     emissions_global = float(emissions.sum())
 
     # Trade matching and the consumption split.
-    budget = p.import_budget * trade_mod.import_budget_multiplier(world.balance, y_gross)
+    budget = trade_mod.IMPORT_BUDGET * trade_mod.import_budget_multiplier(world.balance, y_gross)
     demanded = trade_mod.build_demand(actions.imports_rate, y_gross, budget)
     capacity = actions.export_rate * y_gross
     scaled = trade_mod.ration_exports(demanded, capacity)
@@ -392,7 +392,7 @@ def _rollout(world: World, next_actions, history: list | None = None) -> Episode
         world = result.world
 
     d_end = economy_mod.damage_fraction(
-        max(world.t_atmosphere, 0.0), variant.damage_kind, params.damage_pi1, params.damage_pi2
+        max(world.t_atmosphere, 0.0), variant.damage_kind, 0.0, params.damage_pi2
     )
     return EpisodeSummary(
         delta_t_end=float(world.t_atmosphere),

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .actions import ACTION_DIMENSIONS, NUM_LEVELS, JointActions
+from .actions import ACTION_DIMENSIONS, NUM_LEVELS, JointActions, levels_to_rates
 from .calibration import NO_MITIGATION_LEVELS, calibrate_damage_to_anchor
 from .config import HORIZON_YEARS, Range, SimParams, VariantConfig, check_whole_steps
 from .engine import run_episode, run_fixed_actions_summary
@@ -219,8 +219,8 @@ def pariah_experiment(
             rec = run_episode(params, variant, policy, int(run_seeds[r]))
             rewards[c][r] = rec.total_reward[subject]
             others = [k for k in range(params.n_regions) if k != subject]
-            # Averaging integer levels (and dividing by 10 only at the end)
-            # keeps a constant tariff exactly at its rate.
+            # Averaging integer levels (and converting to a rate only at the
+            # end) keeps a constant tariff exactly at its rate.
             realized_levels[c][r] = rec.tariff_levels[:, others, subject].mean()
 
     pooled_values = np.concatenate([rewards[c] for c in conditions])
@@ -234,11 +234,11 @@ def pariah_experiment(
         subjects=run_subjects,
         rewards=rewards,
         z_rewards=z_rewards,
-        realized_tariff={c: realized_levels[c] / 10.0 for c in conditions},
+        realized_tariff={c: levels_to_rates(realized_levels[c]) for c in conditions},
         mean_z={c: float(z_rewards[c].mean()) for c in conditions},
         std_z={c: float(z_rewards[c].std()) for c in conditions},
         mean_realized_tariff={
-            c: float(realized_levels[c].mean() / 10.0) for c in conditions
+            c: float(levels_to_rates(realized_levels[c].mean())) for c in conditions
         },
     )
 
@@ -312,7 +312,7 @@ def horizon_experiment(
     t_end: dict[int, float] = {}
     d_end: dict[int, float] = {}
     for h in horizons:
-        p = replace(params, horizon_years=h, damage_pi1=0.0, damage_pi2=cal.pi2)
+        p = replace(params, horizon_years=h, damage_pi2=cal.pi2)
         summary = run_fixed_actions_summary(
             p, variant, JointActions.uniform(p.n_regions, *NO_MITIGATION_LEVELS), seed
         )
@@ -365,5 +365,7 @@ def commitment_statistics(
         level_counts=counts,
         mean_commitment=float(commitments.mean()),
         p_max_level=float((commitments == NUM_LEVELS - 1).mean()),
-        mean_realized_mitigation=realized_sum / (commitments.size * n_regions) / 10.0,
+        mean_realized_mitigation=float(
+            levels_to_rates(realized_sum / (commitments.size * n_regions))
+        ),
     )

@@ -21,6 +21,9 @@ from .config import VariantConfig
 #: prevent runaway feedback through the trade channel.
 BUDGET_MULTIPLIER_BOUNDS = (0.5, 1.5)
 
+#: Fraction of gross output available for imports, before the multiplier.
+IMPORT_BUDGET = 0.1
+
 #: Positive denominators below this are raised to it before dividing.
 TINY = 1e-300
 

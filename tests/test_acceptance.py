@@ -1,9 +1,11 @@
 """Acceptance suite.
 
 Each test prints one PASS/FAIL line (run with ``pytest -s`` to see them all).
-The factorial sweep runs at CI scale (4 levels per dimension, 1024 rollouts)
-by default; set ``RICENSIM_FULL_SCALE=1`` to run the full 10^5-rollout sweep
-(minutes, parallelized over all cores) with the same assertions.
+The sweep and pariah fixtures take their sizes from ``runio.EXPERIMENTS``, as
+the CLI does: CI scale by default (1024 sweep rollouts, 100 pariah runs); set
+``RICENSIM_FULL_SCALE=1`` for the ``--full-scale`` sizes (the 10^5-rollout
+sweep, parallelized over all cores, and 1000 pariah runs; minutes) with the
+same assertions.
 """
 import math
 import os
@@ -28,6 +30,7 @@ from ricensim.experiments import (
     tariff_effect_experiment,
     trade_effect_experiment,
 )
+from ricensim.runio import EXPERIMENTS
 from ricensim.trade import step_balance
 
 FULL_SCALE = os.environ.get("RICENSIM_FULL_SCALE", "") == "1"
@@ -42,6 +45,11 @@ def report(criterion: int, description: str, passed: bool) -> None:
     assert passed, f"criterion {criterion} failed: {description}"
 
 
+def registry_options(experiment: str) -> dict:
+    """The experiment's options at this run's scale, resolved as the CLI does."""
+    return EXPERIMENTS[experiment].resolve_options({}, {}, FULL_SCALE)
+
+
 def audited(record) -> None:
     _carbon_audits.append(
         (record.initial_carbon_total, record.cumulative_emissions, record.final_carbon_total)
@@ -50,14 +58,18 @@ def audited(record) -> None:
 
 @pytest.fixture(scope="module")
 def sweep():
-    if FULL_SCALE:
-        return action_sweep(PARAMS, BASELINE, grid=10, seed=0, workers=os.cpu_count() or 1)
-    return action_sweep(PARAMS, BASELINE, grid=4, seed=0)
+    workers = (os.cpu_count() or 1) if FULL_SCALE else 1
+    grid = registry_options("sweep")["grid"]
+    return action_sweep(PARAMS, BASELINE, grid=grid, seed=0, workers=workers)
 
 
 @pytest.fixture(scope="module")
 def pariah_baseline():
-    return pariah_experiment(PARAMS, BASELINE, runs=100, tariff_levels=(5, 7, 9), seed=1)
+    options = registry_options("pariah")
+    return pariah_experiment(
+        PARAMS, BASELINE, runs=options["runs"], tariff_levels=tuple(options["tariff_levels"]),
+        seed=1,
+    )
 
 
 def test_c01_tariff_invariance_is_exact():

@@ -264,6 +264,19 @@ class TestErrors:
             # Manifests written while a mask could also floor savings hold this line.
             ({"sim": {"negotiation": {"enabled": True, "dimensions": ["mitigation"]}}},
              "unknown key: sim.negotiation.dimensions"),
+            # Manifests written while the economic calibration was configurable
+            # hold these lines; it is now constants of economy and trade.
+            ({"sim": {"output_elasticity": 0.3}}, "unknown key: sim.output_elasticity"),
+            ({"sim": {"depreciation": 0.1}}, "unknown key: sim.depreciation"),
+            ({"sim": {"import_budget": 0.1}}, "unknown key: sim.import_budget"),
+            ({"sim": {"theta2": 2.6}}, "unknown key: sim.theta2"),
+            ({"sim": {"theta3": 1.0}}, "unknown key: sim.theta3"),
+            ({"sim": {"damage_pi1": 0.0}}, "unknown key: sim.damage_pi1"),
+            # Such a manifest lists its keys sorted, so the first one it names
+            # is damage_pi1.
+            ({"sim": {"damage_pi1": 0.0, "damage_pi2": 0.0002, "depreciation": 0.1,
+                      "import_budget": 0.1, "output_elasticity": 0.3, "theta2": 2.6,
+                      "theta3": 1.0}}, "unknown key: sim.damage_pi1"),
         ],
     )
     def test_bad_option_or_seed_is_a_config_error(self, tmp_path, capsys, doc, key):
@@ -354,9 +367,8 @@ def test_one_process_serves_a_rejected_then_a_good_call(tmp_path, capsys):
     assert (tmp_path / "good" / "masking_summary.csv").read_bytes() == expected
 
 
-def test_env_var_default_out_dir(tmp_path, monkeypatch):
-    target = tmp_path / "from_env"
-    monkeypatch.setenv("RICENSIM_OUT", str(target))
+def test_default_out_dir_is_under_the_working_directory(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["masking-demo", "--episodes", "200", "--seed", "1"]) == 0
-    assert (target / "masking_summary.csv").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ricensim_out"]
+    assert (tmp_path / "ricensim_out" / "masking_summary.csv").exists()

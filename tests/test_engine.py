@@ -87,7 +87,7 @@ class TestStep:
         """The growth factors come from the constants' constructor, so rates
         swapped in after ``reset`` are the ones the step grows by."""
         w = reset(small_params, baseline, 1)
-        n, dt, p = w.n_regions, small_params.dt_years, small_params
+        n, dt = w.n_regions, small_params.dt_years
         rates = {
             "theta1": np.full(n, 0.05),
             "productivity_growth": np.linspace(0.0, 0.03, n),
@@ -105,13 +105,13 @@ class TestStep:
             "labor": w.labor * (1.0 + rates["labor_growth"]) ** dt,
             "productivity": w.productivity * (1.0 + rates["productivity_growth"]) ** dt,
             "intensity": w.intensity * (1.0 - rates["intensity_decline"]) ** dt,
-            "capital": w.capital * (1.0 - p.depreciation) ** dt + dt * d.investment,
+            "capital": w.capital * (1.0 - economy.DEPRECIATION) ** dt + dt * d.investment,
         }
         for name, value in expected.items():
             assert getattr(new, name).tobytes() == value.tobytes(), name
         abatement = economy.abatement_fraction(
             actions.mitigation / 10.0, w.mitigation_prev, baseline.abatement_kind,
-            rates["theta1"], p.theta2, p.theta3,
+            rates["theta1"], economy.ABATEMENT_THETA2, economy.TRANSITIONAL_THETA3,
         )
         assert d.abatement_fraction.tobytes() == abatement.tobytes()
 

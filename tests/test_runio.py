@@ -85,12 +85,12 @@ class TestParseConfig:
     @pytest.mark.parametrize(
         "doc, key",
         [
-            ({"sim": {"theta2": "2.6"}}, "sim.theta2"),
-            ({"sim": {"theta3": False}}, "sim.theta3"),
-            ({"sim": {"theta3": float("inf")}}, "sim.theta3"),
-            ({"sim": {"depreciation": float("nan")}}, "sim.depreciation"),
+            ({"sim": {"foreign_weight": "0.7"}}, "sim.foreign_weight"),
+            ({"sim": {"damage_pi2": False}}, "sim.damage_pi2"),
+            ({"sim": {"damage_pi2": float("inf")}}, "sim.damage_pi2"),
+            ({"sim": {"foreign_weight": float("nan")}}, "sim.foreign_weight"),
             ({"sim": {"horizon_years": 100.0}}, "sim.horizon_years"),
-            ({"sim": {"theta3": [1.0]}}, "sim.theta3"),
+            ({"sim": {"damage_pi2": [1.0]}}, "sim.damage_pi2"),
             ({"sim": {"negotiation": {"enforce_masks": "no"}}}, "sim.negotiation.enforce_masks"),
             ({"sim": {"negotiation": {"enabled": 1}}}, "sim.negotiation.enabled"),
             ({"variant": {"damage_kind": 3}}, "variant.damage_kind"),
@@ -104,10 +104,11 @@ class TestParseConfig:
             parse_config(json.dumps(doc))
 
     def test_integers_accepted_for_floats_and_kept_as_given(self):
-        config = parse_config(json.dumps(
-            {"sim": {"theta3": 2}, "variant": {"disaster": {"threshold_degc": 2, "penalty": 100}}}
-        ))
-        assert config.sim.theta3 == 2 and type(config.sim.theta3) is int
+        config = parse_config(json.dumps({
+            "sim": {"foreign_weight": 1},
+            "variant": {"disaster": {"threshold_degc": 2, "penalty": 100}},
+        }))
+        assert config.sim.foreign_weight == 1 and type(config.sim.foreign_weight) is int
         assert config.variant.disaster == DisasterPenalty(threshold_degc=2, penalty=100)
         assert type(config.variant.disaster.penalty) is int
         assert parse_config('{"variant": {"disaster": null}}').variant.disaster is None
