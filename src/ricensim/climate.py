@@ -7,6 +7,7 @@ abatement-cost functions, never the climate.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -38,11 +39,13 @@ INITIAL_T_ATMOSPHERE = 1.1  # degC
 INITIAL_T_OCEAN = 0.3
 
 
+@functools.lru_cache(maxsize=8)
 def carbon_transfer_matrix(dt_years: float) -> np.ndarray:
     """Column-stochastic transfer matrix scaled from the native 5-year step.
 
     Off-diagonal fractions scale linearly with dt/5; diagonals absorb the
-    remainder so every column still sums to 1 (exact conservation).
+    remainder so every column still sums to 1 (exact conservation). Built
+    once per step length, cached and returned read-only.
     """
     base = np.array(CARBON_TRANSFER_5Y, dtype=np.float64)
     scale = dt_years / 5.0
@@ -56,6 +59,7 @@ def carbon_transfer_matrix(dt_years: float) -> np.ndarray:
                 f"at dt={dt_years}; use a smaller step"
             )
         phi[j, j] = diag
+    phi.setflags(write=False)
     return phi
 
 
@@ -71,7 +75,9 @@ def step_carbon(
     matrix is column-stochastic.
     """
     m = np.asarray(carbon, dtype=np.float64)
-    if m.shape != (3,) or (m <= 0).any():
+    # Three Python comparisons cost less than two numpy calls; as with
+    # ``(m <= 0).any()``, a NaN stock does not trip the check.
+    if m.shape != (3,) or any(stock <= 0.0 for stock in m.tolist()):
         raise DomainError(f"carbon stocks must be a positive 3-vector, got {carbon}")
     if emissions_gtc_per_year < 0.0:
         raise DomainError(f"emissions {emissions_gtc_per_year} are negative")

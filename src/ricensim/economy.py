@@ -62,7 +62,7 @@ def damage_fraction(temperature, kind: str, pi1: float, pi2: float):
     else:
         raise DomainError(f"unknown damage kind {kind!r}")
     d = np.minimum(d, FRACTION_CAP)
-    return float(d) if np.ndim(temperature) == 0 else d
+    return float(d) if d.ndim == 0 else d
 
 
 def calibrate_damage_coefficient(t_ref: float, d_ref: float) -> float:
@@ -93,5 +93,5 @@ def abatement_fraction(mitigation, mitigation_prev, kind: str, theta1, theta2, t
     else:
         raise DomainError(f"unknown abatement kind {kind!r}")
     lam = np.minimum(np.maximum(lam, 0.0), FRACTION_CAP)
-    return float(lam) if np.ndim(mitigation) == 0 else lam
+    return float(lam) if lam.ndim == 0 else lam
 

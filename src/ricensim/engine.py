@@ -72,9 +72,7 @@ class EpisodeConstants:
             object.__setattr__(self, name, value)
 
         for name in _REGION_RATES:
-            rates = np.array(getattr(self, name), dtype=np.float64)
-            rates.setflags(write=False)
-            put(name, rates)
+            put(name, _read_only(np.array(getattr(self, name), dtype=np.float64)))
         dt = self.params.dt_years
         put("seed", int(self.seed))
         put("capital_factor", (1.0 - economy_mod.DEPRECIATION) ** dt)
@@ -88,7 +86,9 @@ class EpisodeConstants:
 class World:
     """Simulation state between steps, beside its episode's constants.
     Treated as a value: ``step`` returns a new instance and never mutates
-    its input."""
+    its input. The state arrays of a world from ``reset`` are read-only, and
+    the generated ones are shared by every world reset from the same
+    ``(n_regions, seed)``."""
 
     constants: EpisodeConstants
     t: int
@@ -144,7 +144,9 @@ def _draw_commitments(params: SimParams, episode_seed: int, t: int) -> np.ndarra
 def reset(params: SimParams, variant: VariantConfig, seed: int = 0) -> World:
     """Fresh world: the episode's constants (generated regions' rates and the
     factors derived from them), the regions' initial state, the initial
-    climate and the first step's commitments.
+    climate and the first step's commitments. ``generate_regions`` caches
+    the generated regions per ``(n_regions, seed)``; every state array of
+    the world is read-only.
 
     ``seed`` has a default only because ``perfbench/run.py`` times
     ``reset(SimParams(), VariantConfig())``; every caller in the package
@@ -160,16 +162,23 @@ def reset(params: SimParams, variant: VariantConfig, seed: int = 0) -> World:
         constants=constants,
         t=0,
         **regions,
-        mitigation_prev=np.zeros(params.n_regions),
-        balance=np.zeros(params.n_regions),
-        carbon=np.array(climate_mod.INITIAL_CARBON_GTC, dtype=np.float64),
+        mitigation_prev=_read_only(np.zeros(params.n_regions)),
+        balance=_read_only(np.zeros(params.n_regions)),
+        carbon=_read_only(np.array(climate_mod.INITIAL_CARBON_GTC, dtype=np.float64)),
         t_atmosphere=climate_mod.INITIAL_T_ATMOSPHERE,
         t_ocean=climate_mod.INITIAL_T_OCEAN,
         commitments=(
-            _draw_commitments(params, seed, 0) if params.negotiation.enabled else None
+            _read_only(_draw_commitments(params, seed, 0))
+            if params.negotiation.enabled
+            else None
         ),
         cumulative_emissions=0.0,
     )
+
+
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.setflags(write=False)
+    return values
 
 
 class StepDetail(NamedTuple):
@@ -243,7 +252,7 @@ def step(world: World, actions: JointActions) -> StepResult:
     y_net = (1.0 - dmg) * (1.0 - abat) * y_gross
     investment = actions.savings_rate * y_net
     emissions = world.intensity * (1.0 - mitigation_rate) * y_gross
-    emissions_global = float(emissions.sum())
+    emissions_global = float(np.add.reduce(emissions))
 
     # Trade matching and the consumption split.
     budget = trade_mod.IMPORT_BUDGET * trade_mod.import_budget_multiplier(world.balance, y_gross)
@@ -300,24 +309,13 @@ def step(world: World, actions: JointActions) -> StepResult:
         ),
         cumulative_emissions=world.cumulative_emissions + dt * emissions_global,
     )
+    # Positional, in ``StepDetail._fields`` order; ``cons`` fills the four
+    # ``ConsumptionBreakdown`` fields from ``domestic`` to ``domestic_floored``.
     detail = StepDetail(
-        gross_output=y_gross,
-        damage_fraction=float(dmg),
-        abatement_fraction=abat,
-        net_output=y_net,
-        investment=investment,
-        emissions=emissions,
-        emissions_global=emissions_global,
-        **cons._asdict(),
-        exports_scaled=flows.exports_scaled,
-        imports_scaled=flows.imports_scaled,
-        revenue=revenue,
-        rewards=rewards,
-        balance=balance_after,
-        carbon=carbon_after,
-        t_atmosphere=t_at,
-        t_ocean=t_lo,
-        commitments=world.commitments,
+        y_gross, float(dmg), abat, y_net, investment, emissions, emissions_global,
+        *cons,
+        flows.exports_scaled, flows.imports_scaled, revenue, rewards,
+        balance_after, carbon_after, t_at, t_lo, world.commitments,
     )
     return StepResult(world=new_world, detail=detail)
 
@@ -385,7 +383,7 @@ def _rollout(world: World, next_actions, history: list | None = None) -> Episode
         actions = next_actions(world)
         result = step(world, actions)
         d = result.detail
-        y_cum += float(d.gross_output.sum())
+        y_cum += float(np.add.reduce(d.gross_output))
         total_reward += d.rewards
         if history is not None:
             history.append((actions, d))

@@ -191,7 +191,7 @@ def pariah_experiment(
 ) -> PariahResult:
     """Fixed tariffs from everyone toward a random subject region.
 
-    Every run regenerates the world from a run-specific seed and picks a
+    Every run generates its world from a run-specific seed and picks a
     fresh subject; all conditions share the run's world and subject, so
     condition contrasts are paired. The base policy is the fixed
     ideal-trade policy, and rewards are z-normalized by subject region id
@@ -212,13 +212,15 @@ def pariah_experiment(
 
     rewards = {c: np.zeros(runs) for c in conditions}
     realized_levels = {c: np.zeros(runs) for c in conditions}
-    for c, override in overrides:
-        for r in range(runs):
-            subject = int(run_subjects[r])
+    # Runs outermost: a run's conditions follow one another, so its world is
+    # generated once and the rest reuse it from ``generate_regions``' cache.
+    for r in range(runs):
+        subject = int(run_subjects[r])
+        others = [k for k in range(params.n_regions) if k != subject]
+        for c, override in overrides:
             policy = PariahOverridePolicy(IDEAL_TRADE_POLICY, subject, override)
             rec = run_episode(params, variant, policy, int(run_seeds[r]))
             rewards[c][r] = rec.total_reward[subject]
-            others = [k for k in range(params.n_regions) if k != subject]
             # Averaging integer levels (and converting to a rate only at the
             # end) keeps a constant tariff exactly at its rate.
             realized_levels[c][r] = rec.tariff_levels[:, others, subject].mean()

@@ -9,6 +9,8 @@ than an order of magnitude in emissions across regions.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .config import N_REGIONS
@@ -36,9 +38,20 @@ def generate_regions(n: int, seed: int) -> dict[str, np.ndarray]:
     Productivity and labor growth compound upward, intensity decline
     compounds downward, and ``theta1`` is the region's linear
     abatement-cost coefficient.
+
+    Each ``(n, seed)`` is generated once and cached (the 16 most recently
+    used): every call returns a new dict, whose arrays are read-only and
+    shared with every other call for the same ``(n, seed)``.
     """
     N_REGIONS.check("sim.n_regions", n)
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x5247]))
+    return dict(_generated(n, int(seed)))
+
+
+# A sweep rolls out one seed, and a pariah run its five conditions on one
+# seed, so a few entries serve every experiment.
+@functools.lru_cache(maxsize=16)
+def _generated(n: int, seed: int) -> tuple[tuple[str, np.ndarray], ...]:
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5247]))
     size = rng.uniform(0.0, 1.0, size=n)
 
     productivity = 1.5 + 3.5 * size + rng.uniform(-0.4, 0.4, size=n)
@@ -55,7 +68,7 @@ def generate_regions(n: int, seed: int) -> dict[str, np.ndarray]:
     intensity_decline = _within(*INTENSITY_DECLINE_RANGE, rng.uniform(size=n))
     theta1 = _within(*ABATEMENT_THETA1_RANGE, rng.uniform(size=n))
 
-    return {
+    generated = {
         "capital": capital,
         "labor": labor,
         "productivity": productivity,
@@ -65,3 +78,6 @@ def generate_regions(n: int, seed: int) -> dict[str, np.ndarray]:
         "intensity_decline": intensity_decline,
         "theta1": theta1,
     }
+    for values in generated.values():
+        values.setflags(write=False)
+    return tuple(generated.items())

@@ -38,8 +38,8 @@ class TradeFlows:
     def __init__(self, scaled: np.ndarray, tariffed: np.ndarray):  # [importer, exporter]
         self.scaled = scaled
         self.tariffed = tariffed
-        self.exports_scaled = scaled.sum(axis=0)
-        self.imports_scaled = scaled.sum(axis=1)
+        self.exports_scaled = np.add.reduce(scaled, 0)
+        self.imports_scaled = np.add.reduce(scaled, 1)
 
 
 class ConsumptionBreakdown(NamedTuple):
@@ -68,15 +68,17 @@ def build_demand(
     """
     y = np.asarray(gross_output, dtype=np.float64)
     n = y.shape[0]
-    partner_total = y.sum() - y  # sum over k != i, per importer i
-    if partner_total.min() >= TINY:
+    partner_total = np.add.reduce(y) - y  # sum over k != i, per importer i
+    if np.minimum.reduce(partner_total) >= TINY:
         shares = y / partner_total[:, None]
     else:
         shares = np.where(
             partner_total[:, None] > 0.0, y / np.maximum(partner_total[:, None], TINY), 0.0
         )
     demand = import_rates * (budget_fraction * y)[:, None] * shares
-    demand.flat[:: n + 1] = 0.0
+    # The product is a fresh contiguous array, so its memory-order ravel is a
+    # view, and every (n + 1)-th element of it is on the diagonal.
+    demand.ravel("K")[:: n + 1] = 0.0
     return demand
 
 
@@ -90,12 +92,12 @@ def ration_exports(demanded: np.ndarray, export_capacity: np.ndarray) -> np.ndar
     """
     demanded = np.asarray(demanded, dtype=np.float64)
     capacity = np.asarray(export_capacity, dtype=np.float64)
-    col_totals = demanded.sum(axis=0)
-    if col_totals.min() > 0.0:
+    col_totals = np.add.reduce(demanded, 0)
+    if np.minimum.reduce(col_totals) > 0.0:
         scale = np.minimum(1.0, capacity / col_totals)
     else:
         ratio = np.divide(
-            capacity, col_totals, out=np.zeros_like(col_totals), where=col_totals > 0.0
+            capacity, col_totals, out=np.zeros(col_totals.shape), where=col_totals > 0.0
         )
         scale = np.minimum(1.0, ratio)
     return demanded * scale
@@ -110,7 +112,7 @@ def apply_tariffs(
     ``scaled[i, j] * rate[i, j]`` accrues to the importer as revenue.
     """
     tariffed = scaled * (1.0 - tariff_rates)
-    revenue = (scaled * tariff_rates).sum(axis=1)
+    revenue = np.add.reduce(scaled * tariff_rates, 1)
     return tariffed, revenue
 
 
@@ -130,10 +132,10 @@ def consumption(
     """
     domestic = net_output - investment - flows.exports_scaled
     if variant.overproduction_penalty:
-        domestic = domestic - (flows.scaled - flows.tariffed).sum(axis=0)
+        domestic = domestic - np.add.reduce(flows.scaled - flows.tariffed, 0)
     floored = domestic < 0.0
     domestic = np.maximum(domestic, 0.0)
-    foreign = flows.tariffed.sum(axis=1)
+    foreign = np.add.reduce(flows.tariffed, 1)
     return ConsumptionBreakdown(
         domestic=domestic,
         foreign=foreign,
@@ -169,7 +171,7 @@ def import_budget_multiplier(balance: np.ndarray, gross_output: np.ndarray) -> n
     ``TINY`` before dividing.
     """
     lo, hi = BUDGET_MULTIPLIER_BOUNDS
-    if gross_output.min() >= TINY:
+    if np.minimum.reduce(gross_output) >= TINY:
         raw = 1.0 + balance / (10.0 * gross_output)
     else:
         raw = np.where(

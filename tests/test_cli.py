@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import ricensim
-from ricensim import experiments, runio
+from ricensim import climate, experiments, regions, runio
 from ricensim.cli import main
 from ricensim.errors import ConfigError
 from ricensim.runio import EXPERIMENTS, parse_config
@@ -107,6 +107,24 @@ def test_manifest_reproduces_run(tmp_path, name):
     assert digests == GOLDEN_OUTPUT_SHA256[name]
     manifest = json.loads((first / "manifest.json").read_text())
     assert manifest["options"].keys() == EXPERIMENTS[name].options.keys()
+
+
+@pytest.mark.parametrize("argv", [["sweep", "--grid", "2"], ["pariah", "--runs", "3"]])
+def test_cold_and_warm_generation_caches_write_the_same_bytes(tmp_path, argv):
+    """A run that generates every world afresh writes what a run that finds
+    them all in the caches of ``generate_regions`` and
+    ``carbon_transfer_matrix`` writes."""
+    cold, warm = tmp_path / "cold", tmp_path / "warm"
+    regions._generated.cache_clear()
+    climate.carbon_transfer_matrix.cache_clear()
+    assert main([*argv, "--seed", "6", "--out", str(cold)]) == 0
+    assert regions._generated.cache_info().currsize > 0
+    assert main([*argv, "--seed", "6", "--out", str(warm)]) == 0
+    assert regions._generated.cache_info().hits > 0
+    written = sorted(f.name for f in cold.iterdir())
+    assert written == sorted(f.name for f in warm.iterdir())
+    for fname in written:
+        assert (cold / fname).read_bytes() == (warm / fname).read_bytes(), fname
 
 
 class TestOtherCommands:

@@ -24,19 +24,25 @@ from ricensim.errors import ConfigError, MaskViolationError
 from ricensim.policies import IDEAL_TRADE_POLICY, PariahOverridePolicy
 
 
-def world_fingerprint(w):
-    return (
-        w.capital.tobytes(), w.labor.tobytes(), w.productivity.tobytes(),
-        w.intensity.tobytes(), w.balance.tobytes(), w.carbon.tobytes(),
-        w.t_atmosphere, w.t_ocean,
+def world_state(world) -> dict:
+    """Every field of ``world`` and of its constants, arrays as bytes."""
+    def value(v):
+        return v.tobytes() if isinstance(v, np.ndarray) else v
+
+    state = {f.name: value(getattr(world, f.name)) for f in dataclasses.fields(world)}
+    constants = state.pop("constants")
+    state.update(
+        {f"constants.{f.name}": value(getattr(constants, f.name))
+         for f in dataclasses.fields(constants)}
     )
+    return state
 
 
 class TestReset:
     def test_deterministic(self, small_params, baseline):
         a = reset(small_params, baseline, 9)
         b = reset(small_params, baseline, 9)
-        assert world_fingerprint(a) == world_fingerprint(b)
+        assert world_state(a) == world_state(b)
 
     def test_two_region_world(self, baseline):
         w = reset(SimParams(n_regions=2), baseline, 0)
@@ -58,7 +64,7 @@ class TestStep:
         r1 = step(w, actions)
         r2 = step(w, actions)
         assert np.array_equal(r1.detail.rewards, r2.detail.rewards)
-        assert world_fingerprint(r1.world) == world_fingerprint(r2.world)
+        assert world_state(r1.world) == world_state(r2.world)
 
     def test_all_zero_actions_reward_is_net_output(self, small_params, baseline):
         w = reset(small_params, baseline, 1)
@@ -340,6 +346,32 @@ GOLDEN_NEGOTIATED_RECORD_SHA256 = {
         "a52871246b6ff65f710cfdccd9efb1bc6aa35e22cd730591649c7b0ed26a280e",
 }
 
+#: The same ``float.hex`` summary as ``GOLDEN_SUMMARIES``, at levels
+#: (9, 4, 2, 7, 5) and seed 0, under each model variant that switches a
+#: branch of the step. The disaster threshold binds from the step that
+#: first starts above 1.5 degC. Recorded before the step kernels were
+#: rewritten to make fewer numpy calls.
+GOLDEN_VARIANT_SUMMARIES = {
+    "use_tariff_revenue": ("0x1.4e89e9d9ee36fp+4", "0x1.151224d0f551dp+21",
+                           "0x1.7206ef500c3a2p+9", "0x1.02f00b3f962abp+18"),
+    "overproduction_penalty": ("0x1.4e89e9d9ee36fp+4", "0x1.151224d0f551dp+21",
+                               "0x1.9beb9504b775cp+8", "0x1.02f00b3f962abp+18"),
+    "transitional": ("0x1.4e4acac397a96p+4", "0x1.14e4ef3f0dbf2p+21",
+                     "0x1.9f7618ebd1dcbp+9", "0x1.02999a72f72a6p+18"),
+    "weitzman": ("0x1.274b527f1543ep+4", "0x1.8e45a7ac6f0e4p+19",
+                 "0x1.52a95020fec95p+7", "0x1.a94c6eba07a36p+16"),
+    "disaster": ("0x1.4e89e9d9ee36fp+4", "0x1.151224d0f551dp+21",
+                 "-0x1.0bcf1905d7fc6p+10", "0x1.02f00b3f962abp+18"),
+}
+
+GOLDEN_VARIANTS = {
+    "use_tariff_revenue": VariantConfig(use_tariff_revenue=True),
+    "overproduction_penalty": VariantConfig(overproduction_penalty=True),
+    "transitional": VariantConfig(abatement_kind="transitional"),
+    "weitzman": VariantConfig(damage_kind="weitzman"),
+    "disaster": VariantConfig(disaster=DisasterPenalty(threshold_degc=1.5, penalty=100.0)),
+}
+
 NEGOTIATED_POLICIES = {
     "random": UniformRandomPolicy(),
     "fixed": FixedLevelsPolicy(savings=1, mitigation=2, export=9, imports=9, tariffs=0),
@@ -360,17 +392,24 @@ def record_digest(rec) -> str:
     return digest.hexdigest()
 
 
+def summary_bits(params, variant, levels, seed) -> tuple[str, ...]:
+    s = run_fixed_actions_summary(params, variant, JointActions.uniform(27, *levels), seed)
+    return tuple(
+        float.hex(getattr(s, name))
+        for name in ("delta_t_end", "y_cum", "mean_total_reward", "final_carbon_total")
+    )
+
+
 class TestGoldenBits:
     @pytest.mark.parametrize("levels, seed", list(GOLDEN_SUMMARIES))
     def test_fixed_action_summary_bits(self, default_params, baseline, levels, seed):
-        s = run_fixed_actions_summary(
-            default_params, baseline, JointActions.uniform(27, *levels), seed
-        )
-        got = tuple(
-            float.hex(getattr(s, name))
-            for name in ("delta_t_end", "y_cum", "mean_total_reward", "final_carbon_total")
-        )
+        got = summary_bits(default_params, baseline, levels, seed)
         assert got == GOLDEN_SUMMARIES[levels, seed]
+
+    @pytest.mark.parametrize("variant", list(GOLDEN_VARIANT_SUMMARIES))
+    def test_variant_summary_bits(self, default_params, variant):
+        got = summary_bits(default_params, GOLDEN_VARIANTS[variant], (9, 4, 2, 7, 5), 0)
+        assert got == GOLDEN_VARIANT_SUMMARIES[variant]
 
     def test_pariah_record_bits(self, default_params, baseline):
         policy = PariahOverridePolicy(IDEAL_TRADE_POLICY, target=0, tariff_level=9)
@@ -385,3 +424,17 @@ class TestGoldenBits:
         )
         rec = run_episode(params, baseline, NEGOTIATED_POLICIES[policy], 3)
         assert record_digest(rec) == GOLDEN_NEGOTIATED_RECORD_SHA256[case]
+
+
+@pytest.mark.parametrize("variant", ["baseline", *GOLDEN_VARIANTS])
+def test_step_never_writes_to_its_input_world(small_params, variant):
+    params = dataclasses.replace(
+        small_params, negotiation=NegotiationConfig(enabled=True, enforce_masks=False)
+    )
+    world = reset(params, GOLDEN_VARIANTS.get(variant, VariantConfig()), 2)
+    actions = JointActions.uniform(4, 9, 4, 2, 7, 5)
+    for _ in range(4):
+        before = world_state(world)
+        result = step(world, actions)
+        assert world_state(world) == before
+        world = result.world

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ricensim.config import SimParams, VariantConfig
+from ricensim.config import NegotiationConfig, SimParams, VariantConfig
 from ricensim.engine import reset
 from ricensim.errors import ConfigError
 from ricensim.regions import (
@@ -29,10 +29,17 @@ RANGES = {
 
 
 def test_deterministic_for_same_seed():
+    """A repeat call returns a new dict of equal, read-only arrays."""
     a = generate_regions(27, 123)
     b = generate_regions(27, 123)
+    assert a is not b
     assert a.keys() == b.keys()
-    assert all(a[k].tobytes() == b[k].tobytes() for k in a)
+    for key in a:
+        assert a[key].tobytes() == b[key].tobytes()
+        for values in (a[key], b[key]):
+            assert not values.flags.writeable, key
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 0.0
 
 
 def test_two_region_world_satisfies_invariants():
@@ -64,3 +71,30 @@ def test_invariants_and_ranges_hold_over_many_seeds():
         for key, (lo, hi) in RANGES.items():
             assert regions[key].shape == (5,)
             assert np.all((lo <= regions[key]) & (regions[key] <= hi)), key
+
+
+def test_changing_a_returned_dict_leaves_later_calls_unchanged():
+    expected = {key: values.copy() for key, values in generate_regions(27, 321).items()}
+    first = generate_regions(27, 321)
+    first.pop("capital")
+    first["labor"] = np.zeros(27)
+    first["extra"] = np.ones(27)
+    again = generate_regions(27, 321)
+    assert again.keys() == expected.keys()
+    assert all(again[key].tobytes() == expected[key].tobytes() for key in expected)
+
+
+def test_reset_world_state_is_read_only():
+    params = SimParams(negotiation=NegotiationConfig(enabled=True))
+    world = reset(params, VariantConfig(), 4)
+    state = (
+        world.capital, world.labor, world.productivity, world.intensity,
+        world.mitigation_prev, world.balance, world.carbon, world.commitments,
+    )
+    for values in state:
+        assert isinstance(values, np.ndarray)
+        assert not values.flags.writeable
+    c = world.constants
+    for values in (c.theta1, c.productivity_growth, c.labor_growth, c.intensity_decline,
+                   c.transfer):
+        assert not values.flags.writeable
