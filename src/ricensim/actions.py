@@ -1,8 +1,8 @@
 """Discrete action encoding: 5 action types, 10 levels each."""
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,22 +29,27 @@ def check_level(name: str, level: int) -> None:
 
 
 def levels_to_rates(levels: np.ndarray) -> np.ndarray:
-    """Vectorized level -> rate conversion (no validation)."""
-    return np.asarray(levels, dtype=np.float64) / 10.0
+    """Vectorized level -> rate conversion (no validation): one division,
+    with the bits of a ``float64`` copy divided by 10."""
+    return np.true_divide(levels, 10.0)
 
 
-@dataclass(frozen=True, eq=False)
-class ActionSet:
-    """One region's action for one step, as a policy returns it. The partner
-    vectors have one entry per region (self entry 0); checked when stacked.
-    The policies hand them as read-only ``int64`` rows, which ``==`` would
-    compare element by element, so sets compare by identity."""
+class ActionSet(NamedTuple):
+    """One region's action for one step, as a policy returns it: an
+    immutable tuple. The partner vectors have one entry per region (self
+    entry 0); checked when stacked. The policies hand them as read-only
+    ``int64`` rows, which ``==`` would compare element by element, so sets
+    compare and hash by identity, as objects do, not as tuples."""
 
     savings_level: int
     mitigation_level: int
     max_export_level: int
     import_levels: np.ndarray
     tariff_levels: np.ndarray
+
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
 
 
 def _elements(value, ndim: int):
@@ -67,7 +72,9 @@ def _integer_arrays(value) -> bool:
     neither can hold a bool."""
     if isinstance(value, np.ndarray):
         return value.dtype.kind in "iu"
-    return isinstance(value, (list, tuple)) and all(map(_integer_arrays, value))
+    return isinstance(value, (list, tuple)) and all(
+        isinstance(row, np.ndarray) and row.dtype.kind in "iu" for row in value
+    )
 
 
 def _integer_copy(name: str, value) -> np.ndarray:
@@ -80,7 +87,9 @@ def _integer_copy(name: str, value) -> np.ndarray:
         raise InvalidActionError(f"{name} rows differ in length") from None
     integral = arr.dtype.kind in "iu" and (
         _integer_arrays(value)
-        or {bool, np.bool_}.isdisjoint(map(type, _elements(value, arr.ndim)))
+        or {bool, np.bool_}.isdisjoint(
+            map(type, value if arr.ndim == 1 else _elements(value, arr.ndim))
+        )
     )
     if arr.size and not integral:
         _check_levels(name, _elements(value, arr.ndim), arr.size // len(arr) if arr.ndim else 1)

@@ -134,8 +134,8 @@ def _masks_bind(world: World) -> bool:
 
 def _draw_commitments(params: SimParams, episode_seed: int, t: int) -> np.ndarray:
     """Uniform proposals, all-accept evaluations, maximum-accepted commitment."""
-    rng = np.random.default_rng(
-        np.random.SeedSequence([int(episode_seed), _NEGOTIATION_STREAM, int(t)])
+    rng = np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence([int(episode_seed), _NEGOTIATION_STREAM, int(t)]))
     )
     proposals = rng.integers(0, 10, size=params.n_regions)
     return np.full(params.n_regions, commitments_from_arrays(proposals))
@@ -420,8 +420,8 @@ def _policy_actions(world: World, policy):
     reset when no mask binds its actions (masks bind for the whole episode
     or never), any other policy acts every step. Each region's observation
     is built once per episode."""
-    policy_rng = np.random.default_rng(
-        np.random.SeedSequence([world.constants.seed, _POLICY_STREAM])
+    policy_rng = np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence([world.constants.seed, _POLICY_STREAM]))
     )
     observations = [world.observation(i) for i in range(world.n_regions)]
     if getattr(policy, "is_static", False) and not _masks_bind(world):

@@ -29,7 +29,11 @@ def build_mask(committed_level: int) -> int:
 
 
 def masked_sample(floor: int, rng: np.random.Generator) -> int:
-    """Uniform draw over the levels from ``floor`` up to the top one."""
+    """Uniform draw over the levels from ``floor`` up to the top one. At the
+    top floor there is one level, and numpy's draw over a one-level range
+    consumes no generator state, so the floor is returned undrawn."""
     if not 0 <= floor < NUM_LEVELS:
         raise ProtocolError(f"floor {floor} permits no level to sample from")
+    if floor == NUM_LEVELS - 1:
+        return floor
     return floor + int(rng.integers(NUM_LEVELS - floor))

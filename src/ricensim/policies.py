@@ -8,7 +8,7 @@ the floor up.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,11 +74,11 @@ class UniformRandomPolicy:
 
     def act(self, observation, mask: int | None, rng) -> ActionSet:
         return ActionSet(
-            savings_level=masked_sample(0, rng),
-            mitigation_level=masked_sample(mask or 0, rng),
-            max_export_level=masked_sample(0, rng),
-            import_levels=_partner_vector(observation, masked_sample(0, rng)),
-            tariff_levels=_partner_vector(observation, masked_sample(0, rng)),
+            masked_sample(0, rng),
+            masked_sample(mask or 0, rng),
+            masked_sample(0, rng),
+            _partner_vector(observation, masked_sample(0, rng)),
+            _partner_vector(observation, masked_sample(0, rng)),
         )
 
 
@@ -107,4 +107,5 @@ class PariahOverridePolicy:
         tariffs = base_action.tariff_levels.copy()
         tariffs[self.target] = self.tariff_level
         tariffs.setflags(write=False)
-        return replace(base_action, tariff_levels=tariffs)
+        savings, mitigation, export, imports, _ = base_action
+        return ActionSet(savings, mitigation, export, imports, tariffs)

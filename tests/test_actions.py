@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import pickle
 import re
 
@@ -55,11 +54,41 @@ class TestLevelToRate:
         check_level("savings", level)
         assert levels_to_rates(np.array([level]))[0] == level / 10
 
+    @pytest.mark.parametrize(
+        "levels",
+        [
+            np.arange(-3, 46, dtype=np.int64).reshape(7, 7),
+            np.linspace(-2.5, 12.5, 31),
+            np.array(4.45),
+        ],
+        ids=["int64 matrix", "float array", "0-d float"],
+    )
+    def test_same_bits_as_a_float_copy_over_ten(self, levels):
+        expected = np.asarray(levels, dtype=np.float64) / 10.0
+        rates = levels_to_rates(levels)
+        assert rates.dtype == np.float64 and np.shape(rates) == np.shape(expected)
+        assert np.asarray(rates).tobytes() == np.asarray(expected).tobytes()
+
 
 def policy_sets(n: int, *levels: int) -> list[ActionSet]:
     """Every region's set under one fixed policy."""
     policy = FixedLevelsPolicy(*levels)
     return [policy.act(Observation(region=i, n_regions=n), None, None) for i in range(n)]
+
+
+class TestActionSet:
+    def test_immutable(self):
+        a = policy_sets(3, 1, 2, 3, 5, 7)[0]
+        for name in a._fields:
+            with pytest.raises(AttributeError):
+                setattr(a, name, getattr(a, name))
+
+    def test_compares_and_hashes_by_identity(self):
+        a, b = policy_sets(3, 1, 2, 3, 5, 7)[0], policy_sets(3, 1, 2, 3, 5, 7)[0]
+        assert a == a and not a != a and hash(a) == object.__hash__(a)
+        assert a != b and not a == b
+        assert a in [b, a] and b not in [a]
+        assert len({a, b, a}) == 2
 
 
 class TestJointActions:
@@ -190,7 +219,7 @@ class TestJointActions:
 def _sets_with(region, **changes):
     """Three valid sets, one field of one region's set replaced."""
     sets = policy_sets(3, 1, 2, 3, 5, 7)
-    sets[region] = dataclasses.replace(sets[region], **changes)
+    sets[region] = sets[region]._replace(**changes)
     return sets
 
 

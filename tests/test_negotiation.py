@@ -99,6 +99,19 @@ class TestMaskedSample:
             got = masked_sample(floor, ours)
             assert type(got) is int and got == expected
 
+    @pytest.mark.parametrize("buffered", [False, True], ids=["fresh", "half-word buffered"])
+    def test_leaves_the_state_of_the_plain_draw(self, buffered):
+        # The top floor returns without a draw: numpy's draw over one level
+        # consumes no state, even with a 32-bit half-word buffered.
+        for floor in range(NUM_LEVELS):
+            ours, plain = np.random.default_rng(11), np.random.default_rng(11)
+            if buffered:
+                ours.integers(NUM_LEVELS), plain.integers(NUM_LEVELS)
+                assert ours.bit_generator.state["has_uint32"] == 1
+            got = masked_sample(floor, ours)
+            assert got == floor + plain.integers(NUM_LEVELS - floor)
+            assert ours.bit_generator.state == plain.bit_generator.state
+
 
 class TestMaxOfDrawsInflation:
     def test_exact_oracle_values(self):

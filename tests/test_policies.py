@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,9 +23,7 @@ def obs(region=0, n=4):
 def same_set(a, b) -> bool:
     """Field-by-field equality of two action sets; ``==`` on sets is
     identity, as their partner vectors are arrays."""
-    return all(
-        np.array_equal(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a)
-    )
+    return all(np.array_equal(getattr(a, name), getattr(b, name)) for name in a._fields)
 
 
 class TestFixedLevels:
@@ -107,6 +103,8 @@ class TestPariahOverride:
             assert overridden.tariff_levels[2] == 9
             assert np.array_equal(overridden.import_levels, plain.import_levels)
             assert overridden.savings_level == plain.savings_level
+            assert overridden.mitigation_level == plain.mitigation_level
+            assert overridden.max_export_level == plain.max_export_level
             assert all(
                 overridden.tariff_levels[j] == plain.tariff_levels[j]
                 for j in range(4)
