@@ -109,10 +109,14 @@ class JointActions:
     ``int64`` copies of the five arrays (non-integer elements raise) and,
     under the ``RATE_NAMES`` (``savings_rate``, ...), their read-only rates
     ``levels_to_rates(levels)``, then runs ``_check``; rebinding an
-    attribute raises. So an invalid ``JointActions`` cannot exist.
+    attribute raises. So an invalid ``JointActions`` cannot exist. It also
+    stores the read-only complements the step multiplies by,
+    ``unmitigated_rate = 1.0 - mitigation_rate`` and
+    ``untariffed_rate = 1.0 - tariffs_rate``, so a rollout that reuses one
+    object derives them once.
     """
 
-    __slots__ = (*ACTION_DIMENSIONS, *RATE_NAMES)
+    __slots__ = (*ACTION_DIMENSIONS, *RATE_NAMES, "unmitigated_rate", "untariffed_rate")
 
     def __init__(
         self,
@@ -130,6 +134,12 @@ class JointActions:
             rates.setflags(write=False)
             object.__setattr__(self, name, levels)
             object.__setattr__(self, rate_name, rates)
+        for name, rates in (
+            ("unmitigated_rate", self.mitigation_rate), ("untariffed_rate", self.tariffs_rate)
+        ):
+            complement = 1.0 - rates
+            complement.setflags(write=False)
+            object.__setattr__(self, name, complement)
         self._check()
 
     def __setattr__(self, name, value):
@@ -195,8 +205,9 @@ class JointActions:
                 raise InvalidActionError(f"{name} array has shape {arr.shape}, expected {shape}")
             # One reduction for both ends: a negative level reads as a huge
             # unsigned value.
-            if arr.view(np.uint64).max() >= NUM_LEVELS:
+            if np.maximum.reduce(arr.view(np.uint64), axis=None) >= NUM_LEVELS:
                 _check_levels(name, arr.flat, arr.size // n)
-            if arr.ndim == 2 and arr.trace():
+            # Every (n + 1)-th element of the row-major ravel is on the diagonal.
+            if arr.ndim == 2 and np.count_nonzero(arr.ravel()[:: n + 1]):
                 region = int(np.flatnonzero(np.diagonal(arr))[0])
                 raise InvalidActionError(f"region {region}: self entry of {name} must be 0")

@@ -12,6 +12,18 @@ import numpy as np
 
 from .errors import DomainError
 
+
+def _float64(value) -> np.ndarray:
+    """A read-only 0-d ``float64`` twin of a scalar operand. numpy dispatches
+    a ufunc on it faster than on a Python float, and an elementwise operation
+    on ``float64`` arrays rounds to the same bits with either. (``**`` is the
+    exception: a 0-d and a 1-d power can round differently, so no ``**``
+    operand gets a twin.)"""
+    out = np.array(value, dtype=np.float64)
+    out.setflags(write=False)
+    return out
+
+
 # Published calibration of the steep high-temperature damage curve:
 # D = 1 - 1/(1 + (T/a)^2 + (T/b)^c).
 WEITZMAN_A = 20.46
@@ -21,6 +33,9 @@ WEITZMAN_C = 6.754
 #: Damage and abatement fractions are capped here so output never vanishes
 #: entirely and downstream shares remain well defined.
 FRACTION_CAP = 0.99
+_FRACTION_CAP = _float64(FRACTION_CAP)
+_ZERO = _float64(0.0)
+_ONE = _float64(1.0)
 
 OUTPUT_ELASTICITY = 0.3  # capital share in production
 DEPRECIATION = 0.1  # per-year capital depreciation
@@ -30,6 +45,7 @@ ABATEMENT_THETA2 = 2.6
 #: Residual weight of the level-dependent cost in the transitional
 #: abatement variant; completed mitigation stays cheap but never free.
 TRANSITIONAL_RESIDUAL = 0.2
+_TRANSITIONAL_RESIDUAL = _float64(TRANSITIONAL_RESIDUAL)
 #: Weight of the squared mitigation increment in the transitional cost.
 TRANSITIONAL_THETA3 = 1.0
 
@@ -88,10 +104,10 @@ def abatement_fraction(mitigation, mitigation_prev, kind: str, theta1, theta2, t
     if kind == "persistent":
         lam = theta1 * mu**theta2
     elif kind == "transitional":
-        rise = np.maximum(0.0, mu - np.asarray(mitigation_prev, dtype=np.float64))
-        lam = TRANSITIONAL_RESIDUAL * theta1 * mu**theta2 + theta3 * rise * rise
+        rise = np.maximum(_ZERO, mu - np.asarray(mitigation_prev, dtype=np.float64))
+        lam = _TRANSITIONAL_RESIDUAL * theta1 * mu**theta2 + theta3 * rise * rise
     else:
         raise DomainError(f"unknown abatement kind {kind!r}")
-    lam = np.minimum(np.maximum(lam, 0.0), FRACTION_CAP)
+    lam = np.minimum(np.maximum(lam, _ZERO), _FRACTION_CAP)
     return float(lam) if lam.ndim == 0 else lam
 

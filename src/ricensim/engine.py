@@ -23,6 +23,7 @@ from . import economy as economy_mod
 from . import trade as trade_mod
 from .actions import ACTION_DIMENSIONS, JointActions
 from .config import SimParams, VariantConfig
+from .economy import _ONE, _float64
 from .errors import ConfigError, MaskViolationError
 from .negotiation import build_mask, commitments_from_arrays
 from .regions import generate_regions
@@ -50,7 +51,9 @@ class EpisodeConstants:
 
     The derived fields are computed by the constructor alone (so
     ``dataclasses.replace`` recomputes them), from read-only copies of the
-    rates, so a factor never disagrees with the rate it came from.
+    rates, so a factor never disagrees with the rate it came from. The
+    scalar ones are read-only 0-d ``float64`` arrays, which numpy takes as
+    ufunc operands faster than Python numbers, with the same bits.
     """
 
     params: SimParams
@@ -60,8 +63,11 @@ class EpisodeConstants:
     productivity_growth: np.ndarray
     labor_growth: np.ndarray
     intensity_decline: np.ndarray
+    #: ``params.dt_years`` and ``params.foreign_weight`` as 0-d operands.
+    dt: np.ndarray = field(init=False)
+    foreign_weight: np.ndarray = field(init=False)
     #: One step's growth over ``dt_years``, e.g. ``(1 + labor_growth) ** dt``.
-    capital_factor: float = field(init=False)
+    capital_factor: np.ndarray = field(init=False)
     labor_factor: np.ndarray = field(init=False)
     productivity_factor: np.ndarray = field(init=False)
     intensity_factor: np.ndarray = field(init=False)
@@ -75,7 +81,9 @@ class EpisodeConstants:
             put(name, _read_only(np.array(getattr(self, name), dtype=np.float64)))
         dt = self.params.dt_years
         put("seed", int(self.seed))
-        put("capital_factor", (1.0 - economy_mod.DEPRECIATION) ** dt)
+        put("dt", _float64(dt))
+        put("foreign_weight", _float64(self.params.foreign_weight))
+        put("capital_factor", _float64((1.0 - economy_mod.DEPRECIATION) ** dt))
         put("labor_factor", (1.0 + self.labor_growth) ** dt)
         put("productivity_factor", (1.0 + self.productivity_growth) ** dt)
         put("intensity_factor", (1.0 - self.intensity_decline) ** dt)
@@ -249,19 +257,21 @@ def step(world: World, actions: JointActions) -> StepResult:
         mitigation_rate, world.mitigation_prev, v.abatement_kind, c.theta1,
         economy_mod.ABATEMENT_THETA2, economy_mod.TRANSITIONAL_THETA3,
     )
-    y_net = (1.0 - dmg) * (1.0 - abat) * y_gross
+    y_net = (1.0 - dmg) * (_ONE - abat) * y_gross
     investment = actions.savings_rate * y_net
-    emissions = world.intensity * (1.0 - mitigation_rate) * y_gross
+    emissions = world.intensity * actions.unmitigated_rate * y_gross
     emissions_global = float(np.add.reduce(emissions))
 
     # Trade matching and the consumption split.
-    budget = trade_mod.IMPORT_BUDGET * trade_mod.import_budget_multiplier(world.balance, y_gross)
+    budget = trade_mod._IMPORT_BUDGET * trade_mod.import_budget_multiplier(world.balance, y_gross)
     demanded = trade_mod.build_demand(actions.imports_rate, y_gross, budget)
     capacity = actions.export_rate * y_gross
     scaled = trade_mod.ration_exports(demanded, capacity)
-    tariffed, revenue = trade_mod.apply_tariffs(scaled, actions.tariffs_rate)
+    tariffed, revenue = trade_mod.apply_tariffs(
+        scaled, actions.tariffs_rate, actions.untariffed_rate
+    )
     flows = trade_mod.TradeFlows(scaled, tariffed)
-    cons = trade_mod.consumption(y_net, investment, flows, p.foreign_weight, v)
+    cons = trade_mod.consumption(y_net, investment, flows, c.foreign_weight, v)
 
     # Reward, with the optional disaster penalty at the same temperature the
     # damages saw.
@@ -270,7 +280,7 @@ def step(world: World, actions: JointActions) -> StepResult:
         rewards -= v.disaster.penalty
 
     balance_after = trade_mod.step_balance(
-        world.balance, flows.exports_scaled, flows.imports_scaled, revenue, v, dt
+        world.balance, flows.exports_scaled, flows.imports_scaled, revenue, v, c.dt
     )
 
     # Carbon, forcing, temperature.
@@ -295,7 +305,7 @@ def step(world: World, actions: JointActions) -> StepResult:
     new_world = World(
         constants=c,
         t=world.t + 1,
-        capital=world.capital * c.capital_factor + dt * investment,
+        capital=world.capital * c.capital_factor + c.dt * investment,
         labor=world.labor * c.labor_factor,
         productivity=world.productivity * c.productivity_factor,
         intensity=world.intensity * c.intensity_factor,

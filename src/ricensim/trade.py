@@ -16,16 +16,22 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import VariantConfig
+from .economy import _ONE, _ZERO, _float64
 
 #: The balance-driven multiplier on the import budget is clamped here to
 #: prevent runaway feedback through the trade channel.
 BUDGET_MULTIPLIER_BOUNDS = (0.5, 1.5)
+_BUDGET_LO, _BUDGET_HI = map(_float64, BUDGET_MULTIPLIER_BOUNDS)
 
 #: Fraction of gross output available for imports, before the multiplier.
 IMPORT_BUDGET = 0.1
+_IMPORT_BUDGET = _float64(IMPORT_BUDGET)
 
 #: Positive denominators below this are raised to it before dividing.
 TINY = 1e-300
+
+#: The ``10`` of ``import_budget_multiplier``'s ``10 * Y``.
+_TEN = _float64(10.0)
 
 
 class TradeFlows:
@@ -94,24 +100,26 @@ def ration_exports(demanded: np.ndarray, export_capacity: np.ndarray) -> np.ndar
     capacity = np.asarray(export_capacity, dtype=np.float64)
     col_totals = np.add.reduce(demanded, 0)
     if np.minimum.reduce(col_totals) > 0.0:
-        scale = np.minimum(1.0, capacity / col_totals)
+        scale = np.minimum(_ONE, capacity / col_totals)
     else:
         ratio = np.divide(
             capacity, col_totals, out=np.zeros(col_totals.shape), where=col_totals > 0.0
         )
-        scale = np.minimum(1.0, ratio)
+        scale = np.minimum(_ONE, ratio)
     return demanded * scale
 
 
 def apply_tariffs(
-    scaled: np.ndarray, tariff_rates: np.ndarray
+    scaled: np.ndarray, tariff_rates: np.ndarray, untariffed_rates: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Tariffed imports and per-importer tariff revenue.
 
-    ``tariffed[i, j] = scaled[i, j] * (1 - rate[i, j])``; the wedge
-    ``scaled[i, j] * rate[i, j]`` accrues to the importer as revenue.
+    ``tariffed[i, j] = scaled[i, j] * untariffed[i, j]``, where the caller
+    passes ``untariffed_rates`` as the ``float64`` array ``1 - tariff_rates``
+    (``JointActions.untariffed_rate``, derived once per actions object); the
+    wedge ``scaled[i, j] * rate[i, j]`` accrues to the importer as revenue.
     """
-    tariffed = scaled * (1.0 - tariff_rates)
+    tariffed = scaled * untariffed_rates
     revenue = np.add.reduce(scaled * tariff_rates, 1)
     return tariffed, revenue
 
@@ -120,21 +128,24 @@ def consumption(
     net_output: np.ndarray,
     investment: np.ndarray,
     flows: TradeFlows,
-    foreign_weight: float,
+    foreign_weight: np.ndarray | float,
     variant: VariantConfig,
 ) -> ConsumptionBreakdown:
     """Split consumption into domestic and foreign parts.
 
-    Domestic consumption is net output less investment and scaled exports;
-    foreign consumption is the region's own tariffed imports. With the
+    Domestic consumption is net output less investment and scaled exports,
+    floored at 0; foreign consumption is the region's own tariffed imports,
+    and the aggregate is ``domestic + foreign_weight * foreign``. With the
     overproduction penalty on, the exporter also loses the part of its
-    shipped output that the importers tariffed away.
+    shipped output that the importers tariffed away. ``foreign_weight`` is a
+    number or a 0-d ``float64`` array (``step`` passes
+    ``EpisodeConstants.foreign_weight``); either gives the same bits.
     """
     domestic = net_output - investment - flows.exports_scaled
     if variant.overproduction_penalty:
         domestic = domestic - np.add.reduce(flows.scaled - flows.tariffed, 0)
-    floored = domestic < 0.0
-    domestic = np.maximum(domestic, 0.0)
+    floored = domestic < _ZERO
+    domestic = np.maximum(domestic, _ZERO)
     foreign = np.add.reduce(flows.tariffed, 1)
     return ConsumptionBreakdown(
         domestic=domestic,
@@ -150,12 +161,14 @@ def step_balance(
     imports_scaled: np.ndarray,
     revenue: np.ndarray,
     variant: VariantConfig,
-    dt_years: float,
+    dt_years: np.ndarray | float,
 ) -> np.ndarray:
     """Advance trade balances; tariff revenue accrues only under the variant.
 
     The revenue term is added separately so that, given identical flows,
     switching the variant on changes the balance by exactly dt * revenue.
+    ``dt_years`` is a number or a 0-d ``float64`` array (``step`` passes
+    ``EpisodeConstants.dt``); either gives the same bits.
     """
     out = balance + dt_years * (exports_scaled - imports_scaled)
     if variant.use_tariff_revenue:
@@ -170,11 +183,10 @@ def import_budget_multiplier(balance: np.ndarray, gross_output: np.ndarray) -> n
     and 1 where ``Y[i]`` is not positive; a positive output is floored at
     ``TINY`` before dividing.
     """
-    lo, hi = BUDGET_MULTIPLIER_BOUNDS
     if np.minimum.reduce(gross_output) >= TINY:
-        raw = 1.0 + balance / (10.0 * gross_output)
+        raw = _ONE + balance / (_TEN * gross_output)
     else:
         raw = np.where(
             gross_output > 0.0, 1.0 + balance / (10.0 * np.maximum(gross_output, TINY)), 1.0
         )
-    return np.minimum(np.maximum(raw, lo), hi)
+    return np.minimum(np.maximum(raw, _BUDGET_LO), _BUDGET_HI)

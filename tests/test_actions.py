@@ -70,6 +70,10 @@ class TestLevelToRate:
         assert np.asarray(rates).tobytes() == np.asarray(expected).tobytes()
 
 
+#: The complement each ``JointActions`` derives from a rate when it is built.
+COMPLEMENTS = {"unmitigated_rate": "mitigation_rate", "untariffed_rate": "tariffs_rate"}
+
+
 def policy_sets(n: int, *levels: int) -> list[ActionSet]:
     """Every region's set under one fixed policy."""
     policy = FixedLevelsPolicy(*levels)
@@ -173,7 +177,7 @@ class TestJointActions:
 
     def test_attributes_cannot_be_rebound(self):
         j = JointActions.uniform(3, savings=1, mitigation=2, export=3, imports=5, tariffs=7)
-        for name in (*ACTION_DIMENSIONS, *RATE_NAMES):
+        for name in (*ACTION_DIMENSIONS, *RATE_NAMES, *COMPLEMENTS):
             with pytest.raises(AttributeError):
                 setattr(j, name, getattr(j, name))
             with pytest.raises(AttributeError):
@@ -198,10 +202,32 @@ class TestJointActions:
             with pytest.raises(ValueError):
                 rates[0] = 0.5
 
+    def test_complements_are_read_only_one_minus_rates(self):
+        arrays = dict(
+            savings=[1, 2, 3],
+            mitigation=np.array([0, 4, 9]),
+            export=(3, 3, 3),
+            imports=np.array([[0, 5, 1], [2, 0, 9], [7, 8, 0]]),
+            tariffs=[[0, 7, 9], [0, 0, 1], [4, 3, 0]],
+        )
+        built = (
+            JointActions.uniform(3, savings=1, mitigation=2, export=3, imports=5, tariffs=7),
+            JointActions.from_action_sets(policy_sets(4, 1, 6, 3, 5, 8)),
+            JointActions(**arrays),
+            pickle.loads(pickle.dumps(JointActions(**arrays))),
+        )
+        for j in built:
+            for name, rate_name in COMPLEMENTS.items():
+                complement = getattr(j, name)
+                assert complement.dtype == np.float64 and not complement.flags.writeable, name
+                assert complement.tobytes() == (1.0 - getattr(j, rate_name)).tobytes(), name
+                with pytest.raises(ValueError):
+                    complement[0] = 0.5
+
     def test_copies_survive_pickle_and_deepcopy(self):
         j = JointActions.uniform(3, savings=1, mitigation=2, export=3, imports=5, tariffs=7)
         for clone in (pickle.loads(pickle.dumps(j)), copy.deepcopy(j)):
-            for name in (*ACTION_DIMENSIONS, *RATE_NAMES):
+            for name in (*ACTION_DIMENSIONS, *RATE_NAMES, *COMPLEMENTS):
                 assert np.array_equal(getattr(clone, name), getattr(j, name))
             clone.validate(3)
 

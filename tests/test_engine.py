@@ -38,6 +38,11 @@ def world_state(world) -> dict:
     return state
 
 
+def actions_state(actions) -> dict:
+    """Every array of ``actions`` (levels, rates, complements) as bytes."""
+    return {name: getattr(actions, name).tobytes() for name in actions.__slots__}
+
+
 class TestReset:
     def test_deterministic(self, small_params, baseline):
         a = reset(small_params, baseline, 9)
@@ -433,8 +438,33 @@ def test_step_never_writes_to_its_input_world(small_params, variant):
     )
     world = reset(params, GOLDEN_VARIANTS.get(variant, VariantConfig()), 2)
     actions = JointActions.uniform(4, 9, 4, 2, 7, 5)
+    actions_before = actions_state(actions)
     for _ in range(4):
         before = world_state(world)
         result = step(world, actions)
         assert world_state(world) == before
+        assert actions_state(actions) == actions_before
         world = result.world
+
+
+@pytest.mark.parametrize("foreign_weight", [0.7, 1e-3, 1])
+def test_episode_scalars_are_read_only_0d_float64(small_params, baseline, foreign_weight):
+    """The scalar operands the step reads from its constants are read-only
+    0-d ``float64`` arrays equal to the values they come from, also after
+    ``dataclasses.replace``; an ``int`` weight (the config admits ``1``)
+    becomes its float."""
+    params = dataclasses.replace(small_params, foreign_weight=foreign_weight, dt_years=10)
+    constants = reset(params, baseline, 1).constants
+    expected = {
+        "dt": float(params.dt_years),
+        "foreign_weight": float(params.foreign_weight),
+        "capital_factor": (1 - economy.DEPRECIATION) ** params.dt_years,
+    }
+    for c in (constants, dataclasses.replace(constants, seed=2)):
+        for name, value in expected.items():
+            field = getattr(c, name)
+            assert isinstance(field, np.ndarray), name
+            assert field.shape == () and field.dtype == np.float64, name
+            assert field.tobytes() == np.float64(value).tobytes(), name
+            with pytest.raises(ValueError):
+                field[...] = 0.0

@@ -6,12 +6,17 @@ both paths to the same bits as the formula, over inputs that include
 regions with zero output, exporters with zero demand and negative balances.
 Reductions (``sum``) and ``**`` are taken from numpy in the oracle too: the
 kernels compute them the same way on every path, and only the operations
-around them are under test.
+around them are under test. The private read-only 0-d ``float64`` operands
+that the kernels use in place of Python floats are checked against the
+floats they mirror.
 """
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ricensim import economy, trade
+from ricensim.config import VariantConfig
 from ricensim.economy import (
     FRACTION_CAP,
     TRANSITIONAL_RESIDUAL,
@@ -24,7 +29,10 @@ from ricensim.economy import (
 from ricensim.trade import (
     BUDGET_MULTIPLIER_BOUNDS,
     TINY,
+    TradeFlows,
+    apply_tariffs,
     build_demand,
+    consumption,
     import_budget_multiplier,
     ration_exports,
 )
@@ -181,3 +189,109 @@ def test_abatement_fraction_is_its_formula(inputs, theta2, theta3):
         expected = [min(max(v, 0.0), FRACTION_CAP) for v in lam]
         got = abatement_fraction(mu, prev, kind, theta1, theta2, theta3)
         assert same_bits(got, expected), kind
+
+
+#: Each private 0-d operand of the kernels, and the Python float it mirrors.
+TWINS = {
+    "economy._FRACTION_CAP": (economy._FRACTION_CAP, FRACTION_CAP),
+    "economy._TRANSITIONAL_RESIDUAL": (economy._TRANSITIONAL_RESIDUAL, TRANSITIONAL_RESIDUAL),
+    "economy._ZERO": (economy._ZERO, 0.0),
+    "economy._ONE": (economy._ONE, 1.0),
+    "trade._BUDGET_LO": (trade._BUDGET_LO, BUDGET_MULTIPLIER_BOUNDS[0]),
+    "trade._BUDGET_HI": (trade._BUDGET_HI, BUDGET_MULTIPLIER_BOUNDS[1]),
+    "trade._IMPORT_BUDGET": (trade._IMPORT_BUDGET, trade.IMPORT_BUDGET),
+    "trade._TEN": (trade._TEN, 10.0),
+}
+
+
+@pytest.mark.parametrize("name", TWINS)
+def test_twin_is_a_read_only_0d_float64_of_its_float(name):
+    twin, public = TWINS[name]
+    assert type(public) is float
+    assert isinstance(twin, np.ndarray) and twin.shape == () and twin.dtype == np.float64
+    assert same_bits(twin, public)
+    with pytest.raises(ValueError):
+        twin[...] = 0.0
+    with pytest.raises(ValueError):
+        twin += 1.0
+
+
+def test_public_constants_stay_python_floats():
+    for value in (FRACTION_CAP, *BUDGET_MULTIPLIER_BOUNDS, trade.IMPORT_BUDGET, TINY):
+        assert type(value) is float
+
+
+@st.composite
+def tariff_inputs(draw):
+    """A rationed matrix (zero diagonal, some zero entries) and tariff rates."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    scaled = np.array(draw(st.lists(nonnegative, min_size=n * n, max_size=n * n))).reshape(n, n)
+    np.fill_diagonal(scaled, 0.0)
+    levels = np.array(draw(st.lists(st.integers(0, 9), min_size=n * n, max_size=n * n)))
+    rates = levels.reshape(n, n) / 10.0
+    np.fill_diagonal(rates, 0.0)
+    return scaled, rates
+
+
+def tariff_formula(scaled, rates):
+    """``tariffed[i, j] = scaled[i, j] * (1 - rate[i, j])`` and the row sums
+    of the wedge ``scaled[i, j] * rate[i, j]``."""
+    n = scaled.shape[0]
+    tariffed, wedge = np.zeros((n, n)), np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            tariffed[i, j] = float(scaled[i, j]) * (1.0 - float(rates[i, j]))
+            wedge[i, j] = float(scaled[i, j]) * float(rates[i, j])
+    return tariffed, np.add.reduce(wedge, 1)
+
+
+@given(tariff_inputs())
+@settings(max_examples=300, deadline=None)
+def test_apply_tariffs_is_its_formula(inputs):
+    scaled, rates = inputs
+    tariffed, revenue = apply_tariffs(scaled, rates, 1.0 - rates)
+    expected_tariffed, expected_revenue = tariff_formula(scaled, rates)
+    assert same_bits(tariffed, expected_tariffed)
+    assert same_bits(revenue, expected_revenue)
+
+
+@given(
+    tariff_inputs().flatmap(lambda inputs: st.tuples(
+        st.just(inputs),
+        *(st.lists(nonnegative, min_size=len(inputs[0]), max_size=len(inputs[0]))
+          for _ in range(2)),
+    )),
+    st.one_of(st.just(1), st.floats(min_value=1e-3, max_value=1.0)),
+    st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_consumption_is_its_formula(inputs, foreign_weight, overproduction_penalty):
+    """``domestic = max(net - investment - exports [- tariffed away], 0)``,
+    ``aggregate = domestic + foreign_weight * foreign``, whether the weight
+    is a number (an ``int`` among them) or its 0-d ``float64`` twin."""
+    (scaled, rates), net, investment = inputs
+    tariffed, _ = tariff_formula(scaled, rates)
+    n = scaled.shape[0]
+    exports = np.add.reduce(scaled, 0)
+    tariffed_away = np.add.reduce(
+        np.array([[float(scaled[i, j]) - float(tariffed[i, j]) for j in range(n)]
+                  for i in range(n)]),
+        0,
+    )
+    foreign = np.add.reduce(tariffed, 1)
+    raw = []
+    for i in range(n):
+        d = net[i] - investment[i] - float(exports[i])
+        if overproduction_penalty:
+            d = d - float(tariffed_away[i])
+        raw.append(d)
+    domestic = [max(d, 0.0) for d in raw]
+    aggregate = [d + foreign_weight * float(f) for d, f in zip(domestic, foreign.tolist())]
+    variant = VariantConfig(overproduction_penalty=overproduction_penalty)
+    flows = TradeFlows(scaled, tariffed)
+    for weight in (foreign_weight, np.array(float(foreign_weight))):
+        got = consumption(np.array(net), np.array(investment), flows, weight, variant)
+        assert same_bits(got.domestic, domestic)
+        assert same_bits(got.foreign, foreign)
+        assert same_bits(got.aggregate, aggregate)
+        assert got.domestic_floored.tolist() == [d < 0.0 for d in raw]

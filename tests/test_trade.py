@@ -86,7 +86,7 @@ class TestRationExports:
 class TestApplyTariffs:
     def test_no_tariffs_identity(self):
         ms = np.array([[0.0, 2.0], [3.0, 0.0]])
-        mt, r = apply_tariffs(ms, np.zeros((2, 2)))
+        mt, r = apply_tariffs(ms, np.zeros((2, 2)), np.ones((2, 2)))
         assert np.array_equal(mt, ms)
         assert np.all(r == 0)
 
@@ -95,7 +95,7 @@ class TestApplyTariffs:
         ms[0, 1] = 8.0
         rates = np.zeros((2, 2))
         rates[0, 1] = 0.5
-        mt, r = apply_tariffs(ms, rates)
+        mt, r = apply_tariffs(ms, rates, 1.0 - rates)
         assert mt[0, 1] == 4.0
         assert r[0] == 4.0
 
@@ -104,7 +104,7 @@ class TestApplyTariffs:
         ms[0, 1] = 10.0
         rates = np.zeros((2, 2))
         rates[0, 1] = 0.9
-        mt, _ = apply_tariffs(ms, rates)
+        mt, _ = apply_tariffs(ms, rates, 1.0 - rates)
         assert math.isclose(mt[0, 1], 1.0, rel_tol=1e-12)
 
 
@@ -158,7 +158,7 @@ class TestConsumption:
         for level in range(10):
             rates = np.zeros((2, 2))
             rates[0, 1] = level / 10.0
-            mt, _ = apply_tariffs(ms, rates)
+            mt, _ = apply_tariffs(ms, rates, 1.0 - rates)
             aggregates.append(consumption(y_n, inv, flows_of(ms, mt), 0.7, BASE).aggregate[0])
         assert all(b < a for a, b in zip(aggregates, aggregates[1:]))
 
@@ -210,7 +210,8 @@ class TestFlowInvariants:
         dm = build_demand(import_levels / 10.0, y, 0.1)
         capacity = export_levels / 10.0 * y
         ms = ration_exports(dm, capacity)
-        mt, revenue = apply_tariffs(ms, tariff_levels / 10.0)
+        tariff_rates = tariff_levels / 10.0
+        mt, revenue = apply_tariffs(ms, tariff_rates, 1.0 - tariff_rates)
         flows = TradeFlows(ms, mt)
 
         assert (mt >= -1e-15).all()
