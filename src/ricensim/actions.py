@@ -1,6 +1,7 @@
 """Discrete action encoding: 5 action types, 10 levels each."""
 from __future__ import annotations
 
+import functools
 from itertools import chain
 from typing import NamedTuple
 
@@ -77,10 +78,30 @@ def _integer_arrays(value) -> bool:
     )
 
 
+@functools.lru_cache(maxsize=4 * NUM_LEVELS)
+def _partner_matrix(n_regions: int, level: int) -> np.ndarray:
+    """Read-only ``int64`` matrix: ``level`` off the diagonal, 0 on it. One
+    per region count and level, with room for every level at a few counts.
+    ``int(level)``: numpy would promote a ``uint64`` level times an
+    ``int64`` matrix to ``float64``, and the cache shares the result with
+    every equal level."""
+    matrix = int(level) * (1 - np.eye(n_regions, dtype=np.int64))
+    matrix.setflags(write=False)
+    return matrix
+
+
 def _integer_copy(name: str, value) -> np.ndarray:
     """Read-only ``int64`` copy of ``value``, whose elements must be integers;
     numpy stacks ``True`` among integers as 1, so the elements of a sequence
-    of anything but integer arrays are looked at."""
+    of anything but integer arrays are looked at. An ``int64`` array that is
+    read-only and owns its data is kept as it is: nothing can write to it."""
+    if (
+        isinstance(value, np.ndarray)
+        and value.dtype == np.int64
+        and not value.flags.writeable
+        and value.base is None
+    ):
+        return value
     try:
         arr = np.array(value)
     except ValueError:
@@ -106,7 +127,8 @@ class JointActions:
     tariffing region j. Diagonals are zero.
 
     Immutable and checked when built: ``__init__`` stores read-only
-    ``int64`` copies of the five arrays (non-integer elements raise) and,
+    ``int64`` copies of the five arrays (non-integer elements raise; a
+    read-only ``int64`` array that owns its data is stored as is) and,
     under the ``RATE_NAMES`` (``savings_rate``, ...), their read-only rates
     ``levels_to_rates(levels)``, then runs ``_check``; rebinding an
     attribute raises. So an invalid ``JointActions`` cannot exist. It also
@@ -176,16 +198,16 @@ class JointActions:
         imports: int,
         tariffs: int,
     ) -> "JointActions":
-        """Identical levels for every region (diagonals forced to zero)."""
+        """Identical levels for every region (diagonals forced to zero). The
+        vectors are built read-only and the matrices come from the cached
+        ``_partner_matrix``, so the constructor copies none of them."""
         for name, lvl in zip(ACTION_DIMENSIONS, (savings, mitigation, export, imports, tariffs)):
             check_level(name, lvl)
-        off_diag = 1 - np.eye(n_regions, dtype=np.int64)
+        vectors = [np.full(n_regions, lvl) for lvl in (savings, mitigation, export)]
+        for vector in vectors:
+            vector.setflags(write=False)
         return cls(
-            savings=np.full(n_regions, savings),
-            mitigation=np.full(n_regions, mitigation),
-            export=np.full(n_regions, export),
-            imports=imports * off_diag,
-            tariffs=tariffs * off_diag,
+            *vectors, _partner_matrix(n_regions, imports), _partner_matrix(n_regions, tariffs)
         )
 
     def validate(self, n_regions: int) -> None:

@@ -50,9 +50,12 @@ _TRANSITIONAL_RESIDUAL = _float64(TRANSITIONAL_RESIDUAL)
 TRANSITIONAL_THETA3 = 1.0
 
 
-def gross_output(productivity, capital, labor, elasticity):
-    """Cobb-Douglas production A * K^gamma * L^(1-gamma)."""
-    return productivity * capital**elasticity * labor ** (1.0 - elasticity)
+def gross_output(productivity, capital, labor_term, elasticity):
+    """Cobb-Douglas production A * K^gamma * L^(1-gamma), evaluated as
+    ``productivity * capital**elasticity * labor_term``. The caller passes
+    the labor term ``L ** (1 - elasticity)``, which no action moves
+    (``engine.EpisodeConstants.labor_term``)."""
+    return productivity * capital**elasticity * labor_term
 
 
 def damage_fraction(temperature, kind: str, pi1: float, pi2: float):

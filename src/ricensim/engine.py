@@ -3,7 +3,9 @@
 A step runs through fixed phases: production and damages (at the step's
 starting temperature), investment, trade matching and consumption, reward,
 balance settlement, emissions into the carbon cycle, forcing and
-temperature, then exogenous growth. Commitment masks for the *next* step
+temperature, then capital accumulation. The exogenous quantities (labor,
+productivity, emission intensity) follow paths that no action moves, fixed
+when the world is reset. Commitment masks for the *next* step
 are drawn at the end of each step (and once at reset for the first step),
 so policies always see the masks that will bind their actions.
 
@@ -24,7 +26,7 @@ from . import trade as trade_mod
 from .actions import ACTION_DIMENSIONS, JointActions
 from .config import SimParams, VariantConfig
 from .economy import _ONE, _float64
-from .errors import ConfigError, MaskViolationError
+from .errors import ConfigError, DomainError, MaskViolationError
 from .negotiation import build_mask, commitments_from_arrays
 from .regions import generate_regions
 
@@ -40,20 +42,26 @@ class Observation:
     n_regions: int
 
 
-#: The generated per-region quantities that stay fixed for an episode.
+#: The generated per-region quantities that stay fixed for an episode: the
+#: structural rates, then the initial values of the exogenous quantities.
 _REGION_RATES = ("theta1", "productivity_growth", "labor_growth", "intensity_decline")
+_EXOGENOUS = ("labor", "productivity", "intensity")
 
 
 @dataclass(frozen=True)
 class EpisodeConstants:
-    """What stays fixed for a whole episode: its configuration, seed and
-    per-region structural rates, and the per-step factors derived from them.
+    """What stays fixed for a whole episode: its configuration, seed,
+    per-region structural rates and the initial values of its exogenous
+    quantities, and what is derived from them.
 
     The derived fields are computed by the constructor alone (so
     ``dataclasses.replace`` recomputes them), from read-only copies of the
-    rates, so a factor never disagrees with the rate it came from. The
-    scalar ones are read-only 0-d ``float64`` arrays, which numpy takes as
-    ufunc operands faster than Python numbers, with the same bits.
+    rates and initial values, so a path never disagrees with the values it
+    came from. The scalar ones are read-only 0-d ``float64`` arrays, which
+    numpy takes as ufunc operands faster than Python numbers, with the same
+    bits. The exogenous paths are read-only ``[n_steps + 1, n]`` arrays: no
+    action moves labor, productivity or intensity, so row ``t`` is their
+    value at step ``t``.
     """
 
     params: SimParams
@@ -63,47 +71,73 @@ class EpisodeConstants:
     productivity_growth: np.ndarray
     labor_growth: np.ndarray
     intensity_decline: np.ndarray
+    labor: np.ndarray
+    productivity: np.ndarray
+    intensity: np.ndarray
     #: ``params.dt_years`` and ``params.foreign_weight`` as 0-d operands.
     dt: np.ndarray = field(init=False)
     foreign_weight: np.ndarray = field(init=False)
-    #: One step's growth over ``dt_years``, e.g. ``(1 + labor_growth) ** dt``.
+    #: One step's capital decay over ``dt_years``, ``(1 - DEPRECIATION) ** dt``.
     capital_factor: np.ndarray = field(init=False)
-    labor_factor: np.ndarray = field(init=False)
-    productivity_factor: np.ndarray = field(init=False)
-    intensity_factor: np.ndarray = field(init=False)
     transfer: np.ndarray = field(init=False)
+    #: Row ``t + 1`` is row ``t`` times one step's growth over ``dt_years``,
+    #: e.g. ``(1 + labor_growth) ** dt``; row 0 is the initial value.
+    labor_path: np.ndarray = field(init=False)
+    productivity_path: np.ndarray = field(init=False)
+    intensity_path: np.ndarray = field(init=False)
+    #: ``L ** (1 - OUTPUT_ELASTICITY)`` of each labor row, taken on the
+    #: ``[n]`` row as the step took it: numpy's ``**`` can round a 0-d and a
+    #: 1-d operand differently, so no power changes layout.
+    labor_term: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         def put(name, value):
             object.__setattr__(self, name, value)
 
-        for name in _REGION_RATES:
+        for name in _REGION_RATES + _EXOGENOUS:
             put(name, _read_only(np.array(getattr(self, name), dtype=np.float64)))
         dt = self.params.dt_years
+        n_steps = self.params.n_steps
         put("seed", int(self.seed))
         put("dt", _float64(dt))
         put("foreign_weight", _float64(self.params.foreign_weight))
         put("capital_factor", _float64((1.0 - economy_mod.DEPRECIATION) ** dt))
-        put("labor_factor", (1.0 + self.labor_growth) ** dt)
-        put("productivity_factor", (1.0 + self.productivity_growth) ** dt)
-        put("intensity_factor", (1.0 - self.intensity_decline) ** dt)
         put("transfer", climate_mod.carbon_transfer_matrix(dt))
+        put("labor_path", _path(self.labor, (1.0 + self.labor_growth) ** dt, n_steps))
+        put("productivity_path", _path(
+            self.productivity, (1.0 + self.productivity_growth) ** dt, n_steps
+        ))
+        put("intensity_path", _path(
+            self.intensity, (1.0 - self.intensity_decline) ** dt, n_steps
+        ))
+        elasticity = economy_mod.OUTPUT_ELASTICITY
+        put("labor_term", _read_only(
+            np.array([row ** (1.0 - elasticity) for row in self.labor_path])
+        ))
+
+
+def _path(initial: np.ndarray, factor: np.ndarray, n_steps: int) -> np.ndarray:
+    """Read-only ``[n_steps + 1, n]`` rows: ``initial``, then each row times
+    ``factor``. ``multiply.accumulate`` makes the same one multiplication
+    per element and row as iterating ``row * factor``, so the bits agree."""
+    rows = np.empty((n_steps + 1, initial.shape[0]))
+    rows[0] = initial
+    rows[1:] = factor
+    return _read_only(np.multiply.accumulate(rows, axis=0, out=rows))
 
 
 @dataclass(slots=True)
 class World:
-    """Simulation state between steps, beside its episode's constants.
-    Treated as a value: ``step`` returns a new instance and never mutates
-    its input. The state arrays of a world from ``reset`` are read-only, and
-    the generated ones are shared by every world reset from the same
-    ``(n_regions, seed)``."""
+    """Simulation state between steps, beside its episode's constants: what
+    actions move. Treated as a value: ``step`` returns a new instance and
+    never mutates its input. The state arrays of a world from ``reset`` are
+    read-only, and the generated capital is shared by every world reset
+    from the same ``(n_regions, seed)``. ``labor``, ``productivity`` and
+    ``intensity`` are read-only rows ``t`` of the constants' paths."""
 
     constants: EpisodeConstants
     t: int
     capital: np.ndarray
-    labor: np.ndarray
-    productivity: np.ndarray
-    intensity: np.ndarray
     mitigation_prev: np.ndarray
     balance: np.ndarray
     carbon: np.ndarray
@@ -111,6 +145,18 @@ class World:
     t_ocean: float
     commitments: np.ndarray | None
     cumulative_emissions: float
+
+    @property
+    def labor(self) -> np.ndarray:
+        return self.constants.labor_path[self.t]
+
+    @property
+    def productivity(self) -> np.ndarray:
+        return self.constants.productivity_path[self.t]
+
+    @property
+    def intensity(self) -> np.ndarray:
+        return self.constants.intensity_path[self.t]
 
     @property
     def n_regions(self) -> int:
@@ -149,27 +195,43 @@ def _draw_commitments(params: SimParams, episode_seed: int, t: int) -> np.ndarra
     return np.full(params.n_regions, commitments_from_arrays(proposals))
 
 
+#: The constants the last ``reset`` built. A sweep resets one world for
+#: every rollout, and a pariah run one world for each of its conditions.
+_last_constants: EpisodeConstants | None = None
+
+
 def reset(params: SimParams, variant: VariantConfig, seed: int = 0) -> World:
-    """Fresh world: the episode's constants (generated regions' rates and the
-    factors derived from them), the regions' initial state, the initial
-    climate and the first step's commitments. ``generate_regions`` caches
-    the generated regions per ``(n_regions, seed)``; every state array of
-    the world is read-only.
+    """Fresh world: the episode's constants (generated regions' rates and
+    exogenous quantities, and the paths derived from them), the regions' initial capital,
+    the initial climate and the first step's commitments. ``generate_regions``
+    caches the generated regions per ``(n_regions, seed)``; every state
+    array of the world is read-only.
+
+    A reset given the very ``params`` and ``variant`` objects (both frozen)
+    and the seed of the one before it shares that reset's constants. Equal
+    but distinct configurations build their own, so a shared one never
+    mixes configurations that compare equal but differ, as ``1`` and ``1.0``.
 
     ``seed`` has a default only because ``perfbench/run.py`` times
     ``reset(SimParams(), VariantConfig())``; every caller in the package
     passes it."""
+    global _last_constants
     regions = generate_regions(params.n_regions, seed)
-    constants = EpisodeConstants(
-        params,
-        variant,
-        seed,
-        **{name: regions.pop(name) for name in _REGION_RATES},
-    )
+    constants = _last_constants
+    if (
+        constants is None
+        or constants.params is not params
+        or constants.variant is not variant
+        or constants.seed != seed
+    ):
+        constants = EpisodeConstants(
+            params, variant, seed, **{name: regions[name] for name in _REGION_RATES + _EXOGENOUS}
+        )
+        _last_constants = constants
     return World(
         constants=constants,
         t=0,
-        **regions,
+        capital=regions["capital"],
         mitigation_prev=_read_only(np.zeros(params.n_regions)),
         balance=_read_only(np.zeros(params.n_regions)),
         carbon=_read_only(np.array(climate_mod.INITIAL_CARBON_GTC, dtype=np.float64)),
@@ -235,7 +297,9 @@ def step(world: World, actions: JointActions) -> StepResult:
     """Advance one step. Pure: identical inputs give identical outputs.
 
     Uses the rates ``actions`` converted from its levels when it was built,
-    and grows the state by the factors ``world.constants`` derived at reset.
+    and reads labor, productivity and intensity from row ``t`` of the paths
+    ``world.constants`` derived at reset. A world at ``t == n_steps`` has
+    no step left: stepping it raises ``DomainError``.
     """
     actions.validate(world.n_regions)
     _enforce_masks(world, actions)
@@ -244,11 +308,14 @@ def step(world: World, actions: JointActions) -> StepResult:
     p = c.params
     v = c.variant
     dt = p.dt_years
+    t = world.t
+    if t >= p.n_steps:
+        raise DomainError(f"the world is at step {t}, the end of its {p.n_steps}-step episode")
 
     # Production, damages at the step's starting temperature, abatement.
     mitigation_rate = actions.mitigation_rate
     y_gross = economy_mod.gross_output(
-        world.productivity, world.capital, world.labor, economy_mod.OUTPUT_ELASTICITY
+        c.productivity_path[t], world.capital, c.labor_term[t], economy_mod.OUTPUT_ELASTICITY
     )
     dmg = economy_mod.damage_fraction(
         max(world.t_atmosphere, 0.0), v.damage_kind, 0.0, p.damage_pi2
@@ -259,7 +326,7 @@ def step(world: World, actions: JointActions) -> StepResult:
     )
     y_net = (1.0 - dmg) * (_ONE - abat) * y_gross
     investment = actions.savings_rate * y_net
-    emissions = world.intensity * actions.unmitigated_rate * y_gross
+    emissions = c.intensity_path[t] * actions.unmitigated_rate * y_gross
     emissions_global = float(np.add.reduce(emissions))
 
     # Trade matching and the consumption split.
@@ -289,7 +356,7 @@ def step(world: World, actions: JointActions) -> StepResult:
         float(carbon_after[0]),
         climate_mod.FORCING_PER_DOUBLING,
         climate_mod.REFERENCE_ATMOSPHERE_GTC,
-        climate_mod.exogenous_forcing((world.t + 1) * dt),
+        climate_mod.exogenous_forcing((t + 1) * dt),
     )
     t_at, t_lo = climate_mod.step_temperature(
         world.t_atmosphere,
@@ -301,21 +368,18 @@ def step(world: World, actions: JointActions) -> StepResult:
         climate_mod.TEMPERATURE_FEEDBACK,
     )
 
-    # Exogenous growth and capital accumulation.
+    # Capital accumulation; the exogenous quantities' next row is in the paths.
     new_world = World(
         constants=c,
-        t=world.t + 1,
+        t=t + 1,
         capital=world.capital * c.capital_factor + c.dt * investment,
-        labor=world.labor * c.labor_factor,
-        productivity=world.productivity * c.productivity_factor,
-        intensity=world.intensity * c.intensity_factor,
         mitigation_prev=mitigation_rate,
         balance=balance_after,
         carbon=carbon_after,
         t_atmosphere=t_at,
         t_ocean=t_lo,
         commitments=(
-            _draw_commitments(p, c.seed, world.t + 1) if p.negotiation.enabled else None
+            _draw_commitments(p, c.seed, t + 1) if p.negotiation.enabled else None
         ),
         cumulative_emissions=world.cumulative_emissions + dt * emissions_global,
     )

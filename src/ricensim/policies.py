@@ -7,22 +7,12 @@ the floor up.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .actions import ACTION_DIMENSIONS, NUM_LEVELS, ActionSet, check_level
+from .actions import ACTION_DIMENSIONS, ActionSet, _partner_matrix, check_level
 from .negotiation import masked_sample
-
-
-@functools.lru_cache(maxsize=4 * NUM_LEVELS)
-def _partner_matrix(n_regions: int, level: int) -> np.ndarray:
-    """Read-only ``int64`` matrix: ``level`` off the diagonal, 0 on it. One
-    per region count and level, with room for every level at a few counts."""
-    matrix = level * (1 - np.eye(n_regions, dtype=np.int64))
-    matrix.setflags(write=False)
-    return matrix
 
 
 def _partner_vector(observation, level: int) -> np.ndarray:

@@ -70,9 +70,10 @@ def build_demand(
     With two regions the partner weight is 1 and the entry reduces to
     rate * budget * own output. Rows whose partner total is not positive
     are zero; a positive total is floored at ``TINY`` before dividing. The
-    diagonal is zero.
+    diagonal is zero. ``import_rates`` and ``gross_output`` are ``float64``
+    ndarrays, as ``step`` passes them; they are not converted.
     """
-    y = np.asarray(gross_output, dtype=np.float64)
+    y = gross_output
     n = y.shape[0]
     partner_total = np.add.reduce(y) - y  # sum over k != i, per importer i
     if np.minimum.reduce(partner_total) >= TINY:
@@ -95,15 +96,15 @@ def ration_exports(demanded: np.ndarray, export_capacity: np.ndarray) -> np.ndar
     column total ``T[j] = sum(demanded[:, j])``, and 0 where ``T[j]`` is not
     positive. Rationing is proportional in a single pass; an unconstrained
     exporter ships exactly what is demanded, and 0/0 resolves to no trade.
+    Both operands are ``float64`` ndarrays, as ``step`` passes them; they
+    are not converted.
     """
-    demanded = np.asarray(demanded, dtype=np.float64)
-    capacity = np.asarray(export_capacity, dtype=np.float64)
     col_totals = np.add.reduce(demanded, 0)
     if np.minimum.reduce(col_totals) > 0.0:
-        scale = np.minimum(_ONE, capacity / col_totals)
+        scale = np.minimum(_ONE, export_capacity / col_totals)
     else:
         ratio = np.divide(
-            capacity, col_totals, out=np.zeros(col_totals.shape), where=col_totals > 0.0
+            export_capacity, col_totals, out=np.zeros(col_totals.shape), where=col_totals > 0.0
         )
         scale = np.minimum(_ONE, ratio)
     return demanded * scale

@@ -24,17 +24,18 @@ def small_params() -> SimParams:
 
 def symmetric_world(world, capital=80.0, labor=10.0, productivity=3.0, intensity=0.3):
     """Overwrite a freshly reset world with identical regions, for tests of
-    symmetry properties. The rates go through the constants' constructor,
-    which derives the growth factors from them."""
+    symmetry properties. The rates and the initial labor, productivity and
+    intensity go through the constants' constructor, which derives the
+    paths from them."""
     n = world.n_regions
     world.capital = np.full(n, capital)
-    world.labor = np.full(n, labor)
-    world.productivity = np.full(n, productivity)
-    world.intensity = np.full(n, intensity)
     world.mitigation_prev = np.zeros(n)
     world.balance = np.zeros(n)
     world.constants = dataclasses.replace(
         world.constants,
+        labor=np.full(n, labor),
+        productivity=np.full(n, productivity),
+        intensity=np.full(n, intensity),
         theta1=np.full(n, 0.03),
         productivity_growth=np.full(n, 0.01),
         labor_growth=np.full(n, 0.005),

@@ -13,6 +13,7 @@ from ricensim.actions import (
     RATE_NAMES,
     ActionSet,
     JointActions,
+    _partner_matrix,
     check_level,
     levels_to_rates,
 )
@@ -150,6 +151,30 @@ class TestJointActions:
         imports[0, 1] = 11
         assert j.imports[0, 1] == 5 and j.tariffs[0, 1] == 5
         assert j.savings.dtype == np.int64 and not j.savings.flags.writeable
+
+    def test_constructor_keeps_what_nothing_can_write(self):
+        """A read-only ``int64`` array that owns its data is kept; a writable
+        array, a read-only view (its base may be writable) or a list is
+        copied. ``uniform`` hands over only arrays it can keep."""
+        kept = np.array([1, 2, 3])
+        kept.setflags(write=False)
+        matrix = _partner_matrix(3, 4)
+        writable = 2 * (1 - np.eye(3, dtype=np.int64))
+        view = writable[:]
+        view.setflags(write=False)
+        j = JointActions(kept, np.array([1, 2, 3]), [1, 2, 3], matrix, view)
+        assert j.savings is kept and j.imports is matrix
+        assert j.mitigation.base is None and j.tariffs is not view
+        writable[0, 1] = 9
+        assert j.tariffs[0, 1] == 2
+        assert not j.export.flags.writeable and not j.tariffs.flags.writeable
+        u = JointActions.uniform(3, savings=1, mitigation=2, export=3, imports=5, tariffs=7)
+        assert u.imports is _partner_matrix(3, 5) and u.tariffs is _partner_matrix(3, 7)
+        assert _partner_matrix(5, np.uint64(6)).dtype == np.int64
+        for name in ACTION_DIMENSIONS:
+            levels = getattr(u, name)
+            assert levels.dtype == np.int64 and not levels.flags.writeable, name
+            assert levels.base is None, name
 
     @pytest.mark.parametrize("dtype", [np.float64, np.bool_, np.str_])
     def test_non_integer_arrays_rejected(self, dtype):

@@ -21,16 +21,18 @@ from conftest import symmetric_world
 
 
 class TestGrossOutput:
+    """``gross_output`` takes the labor term ``L ** (1 - gamma)``."""
+
     def test_zero_capital_means_zero_output(self):
-        assert gross_output(5.0, 0.0, 7.0, 0.3) == 0.0
+        assert gross_output(5.0, 0.0, 7.0**0.7, 0.3) == 0.0
 
     def test_cobb_douglas_value(self):
         # 5 * 100^0.3 * 7^0.7 = 77.72
-        assert math.isclose(gross_output(5.0, 100.0, 7.0, 0.3), 77.72, abs_tol=0.01)
+        assert math.isclose(gross_output(5.0, 100.0, 7.0**0.7, 0.3), 77.72, abs_tol=0.01)
 
     def test_linear_in_productivity(self):
-        y1 = gross_output(2.5, 80.0, 12.0, 0.3)
-        y2 = gross_output(5.0, 80.0, 12.0, 0.3)
+        y1 = gross_output(2.5, 80.0, 12.0**0.7, 0.3)
+        y2 = gross_output(5.0, 80.0, 12.0**0.7, 0.3)
         assert math.isclose(y2, 2 * y1, rel_tol=1e-12)
 
 

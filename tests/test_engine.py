@@ -20,7 +20,7 @@ from ricensim.engine import (
     run_fixed_actions_summary,
     step,
 )
-from ricensim.errors import ConfigError, MaskViolationError
+from ricensim.errors import ConfigError, DomainError, MaskViolationError
 from ricensim.policies import IDEAL_TRADE_POLICY, PariahOverridePolicy
 
 
@@ -60,6 +60,125 @@ class TestReset:
         w = reset(small_params, baseline, 0)
         assert tuple(w.carbon) == (850.0, 460.0, 1740.0)
         assert w.t_atmosphere == 1.1 and w.t_ocean == 0.3
+
+
+def iterated_paths(constants):
+    """The exogenous rows as a step-by-step rollout grows them, each a fresh
+    ``[n]`` array: ``row * factor``, and ``labor ** (1 - OUTPUT_ELASTICITY)``
+    taken on each labor row."""
+    dt = constants.params.dt_years
+    factors = {
+        "labor": (1.0 + constants.labor_growth) ** dt,
+        "productivity": (1.0 + constants.productivity_growth) ** dt,
+        "intensity": (1.0 - constants.intensity_decline) ** dt,
+    }
+    rows = {name: [np.array(getattr(constants, name))] for name in factors}
+    for _ in range(constants.params.n_steps):
+        for name, factor in factors.items():
+            rows[name].append(rows[name][-1] * factor)
+    rows["labor_term"] = [row ** (1.0 - economy.OUTPUT_ELASTICITY) for row in rows["labor"]]
+    return rows
+
+
+def summary_bytes(summary) -> dict:
+    return {k: v.tobytes() if isinstance(v, np.ndarray) else float.hex(v)
+            for k, v in vars(summary).items()}
+
+
+class TestExogenousPaths:
+    PATHS = {"labor": "labor_path", "productivity": "productivity_path",
+             "intensity": "intensity_path", "labor_term": "labor_term"}
+
+    @pytest.mark.parametrize("n_regions, seed", [(2, 0), (4, 1), (27, 0), (27, 7), (39, 3)])
+    def test_rows_are_the_iterated_products_bit_for_bit(self, baseline, n_regions, seed):
+        params = SimParams(n_regions=n_regions)
+        constants = reset(params, baseline, seed).constants
+        for name, rows in iterated_paths(constants).items():
+            path = getattr(constants, self.PATHS[name])
+            assert path.shape == (params.n_steps + 1, n_regions), name
+            for t, row in enumerate(rows):
+                assert path[t].tobytes() == row.tobytes(), (name, t)
+
+    def test_paths_are_read_only_and_the_world_reads_row_t(self, small_params, baseline):
+        world = reset(small_params, baseline, 2)
+        c = world.constants
+        actions = JointActions.uniform(4, 3, 5, 2, 4, 1)
+        for t in range(small_params.n_steps + 1):
+            assert world.t == t
+            for name in ("labor", "productivity", "intensity"):
+                value = getattr(world, name)
+                assert value.tobytes() == getattr(c, self.PATHS[name])[t].tobytes(), name
+                with pytest.raises(ValueError, match="read-only"):
+                    value[0] = 0.0
+            if t < small_params.n_steps:
+                world = step(world, actions).world
+        for name in (*self.PATHS.values(), "labor", "productivity", "intensity"):
+            assert not getattr(c, name).flags.writeable, name
+        with pytest.raises(AttributeError):
+            world.labor = np.ones(4)
+
+    def test_replace_rederives_the_paths(self, small_params, baseline):
+        c = reset(small_params, baseline, 2).constants
+        replaced = dataclasses.replace(c, labor=np.full(4, 2.0), intensity_decline=np.zeros(4))
+        assert replaced.labor_path[0].tolist() == [2.0] * 4
+        assert replaced.labor_term[0].tobytes() == (np.full(4, 2.0) ** 0.7).tobytes()
+        assert np.all(replaced.intensity_path == c.intensity)
+        assert replaced.productivity_path.tobytes() == c.productivity_path.tobytes()
+        for name, rows in iterated_paths(replaced).items():
+            assert getattr(replaced, self.PATHS[name]).tobytes() == np.stack(rows).tobytes()
+
+    def test_a_world_at_the_end_of_its_episode_has_no_step(self, small_params, baseline):
+        world = reset(small_params, baseline, 2)
+        actions = JointActions.uniform(4, 3, 5, 2, 4, 1)
+        for _ in range(small_params.n_steps):
+            world = step(world, actions).world
+        assert world.t == small_params.n_steps
+        assert world.labor.shape == (4,)
+        with pytest.raises(DomainError, match="20-step episode"):
+            step(world, actions)
+
+
+class TestResetSharesConstants:
+    ACTIONS = JointActions.uniform(27, 9, 4, 2, 7, 5)
+
+    def test_consecutive_resets_of_one_world_share_its_constants(self, default_params, baseline):
+        a = reset(default_params, baseline, 5)
+        b = reset(default_params, baseline, 5)
+        assert b.constants is a.constants
+        assert world_state(b) == world_state(a)
+
+    @pytest.mark.parametrize("change", ["seed", "variant", "equal_params"])
+    def test_any_other_reset_builds_fresh_constants(self, baseline, monkeypatch, change):
+        from ricensim import engine
+
+        params = SimParams(foreign_weight=1)
+        seed, variant, other_params = 5, baseline, params
+        if change == "seed":
+            seed = 6
+        elif change == "variant":
+            variant = VariantConfig(use_tariff_revenue=True)
+        else:
+            other_params = SimParams(foreign_weight=1.0)
+            assert other_params == params and other_params is not params
+        first = reset(params, baseline, 5).constants
+        after = reset(other_params, variant, seed).constants
+        assert after is not first
+        warm = run_fixed_actions_summary(other_params, variant, self.ACTIONS, seed)
+        monkeypatch.setattr(engine, "_last_constants", None)
+        cold = run_fixed_actions_summary(other_params, variant, self.ACTIONS, seed)
+        assert summary_bytes(warm) == summary_bytes(cold)
+
+    def test_generates_the_regions_once_per_reset(self, default_params, baseline, monkeypatch):
+        from ricensim import engine
+
+        calls = []
+        generate = engine.generate_regions
+        monkeypatch.setattr(
+            engine, "generate_regions", lambda n, seed: calls.append(seed) or generate(n, seed)
+        )
+        for seed in (5, 5, 5, 6, 5):
+            reset(default_params, baseline, seed)
+        assert calls == [5, 5, 5, 6, 5]
 
 
 class TestStep:
