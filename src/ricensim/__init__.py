@@ -11,12 +11,10 @@ from .config import (
 )
 from .engine import (
     EpisodeRecord,
-    EpisodeSummary,
     Observation,
     World,
     reset,
     run_episode,
-    run_fixed_actions_summary,
     step,
 )
 from .errors import (
@@ -45,7 +43,6 @@ __all__ = [
     "DisasterPenalty",
     "DomainError",
     "EpisodeRecord",
-    "EpisodeSummary",
     "FixedLevelsPolicy",
     "IDEAL_TRADE_POLICY",
     "InvalidActionError",
@@ -63,7 +60,6 @@ __all__ = [
     "generate_regions",
     "reset",
     "run_episode",
-    "run_fixed_actions_summary",
     "step",
     "__version__",
 ]

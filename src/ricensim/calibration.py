@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from .actions import JointActions
 from .config import SimParams, VariantConfig
 from .economy import calibrate_damage_coefficient, damage_fraction
-from .engine import run_fixed_actions_summary
+from .engine import run_episode
 from .errors import ConfigError, DomainError
 
 #: Anchor: fraction of gross output lost at the end of the no-mitigation
@@ -55,8 +55,8 @@ def calibrate_damage_to_anchor(
     pi2 = 0.0
     t_ref = 0.0
     for iteration in range(1, MAX_ITERATIONS + 1):
-        summary = run_fixed_actions_summary(replace(base, damage_pi2=pi2), variant, actions, seed)
-        t_ref = summary.delta_t_end
+        rec = run_episode(replace(base, damage_pi2=pi2), variant, actions, seed, record=())
+        t_ref = rec.delta_t_end
         new_pi2 = calibrate_damage_coefficient(t_ref, ANCHOR_DAMAGE)
         if pi2 > 0.0 and abs(new_pi2 - pi2) <= REL_TOL * pi2:
             pi2 = new_pi2

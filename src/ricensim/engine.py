@@ -9,6 +9,10 @@ when the world is reset. Commitment masks for the *next* step
 are drawn at the end of each step (and once at reset for the first step),
 so policies always see the masks that will bind their actions.
 
+``run_episode`` is the one rollout: it takes fixed ``JointActions`` or a
+policy, and returns an ``EpisodeRecord`` of the episode's endpoints plus
+the per-step history fields its caller names.
+
 Everything is deterministic given (params, variant, seed): negotiation
 draws come from counter-based streams keyed on (seed, step), never from
 shared mutable generators.
@@ -85,9 +89,7 @@ class EpisodeConstants:
     labor_path: np.ndarray = field(init=False)
     productivity_path: np.ndarray = field(init=False)
     intensity_path: np.ndarray = field(init=False)
-    #: ``L ** (1 - OUTPUT_ELASTICITY)`` of each labor row, taken on the
-    #: ``[n]`` row as the step took it: numpy's ``**`` can round a 0-d and a
-    #: 1-d operand differently, so no power changes layout.
+    #: ``L ** (1 - OUTPUT_ELASTICITY)`` of each labor row.
     labor_term: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
@@ -110,10 +112,7 @@ class EpisodeConstants:
         put("intensity_path", _path(
             self.intensity, (1.0 - self.intensity_decline) ** dt, n_steps
         ))
-        elasticity = economy_mod.OUTPUT_ELASTICITY
-        put("labor_term", _read_only(
-            np.array([row ** (1.0 - elasticity) for row in self.labor_path])
-        ))
+        put("labor_term", _read_only(self.labor_path ** (1.0 - economy_mod.OUTPUT_ELASTICITY)))
 
 
 def _path(initial: np.ndarray, factor: np.ndarray, n_steps: int) -> np.ndarray:
@@ -394,9 +393,24 @@ def step(world: World, actions: JointActions) -> StepResult:
     return StepResult(world=new_world, detail=detail)
 
 
+#: The record name of each of the five ``ACTION_DIMENSIONS``' levels.
+_LEVEL_DIMENSIONS = dict(zip(
+    ("savings_levels", "mitigation_levels", "export_levels", "import_levels", "tariff_levels"),
+    ACTION_DIMENSIONS,
+))
+#: Every history field ``run_episode`` can stack, in ``EpisodeRecord`` order:
+#: the action levels, then the ``StepDetail`` fields.
+HISTORY_FIELDS = (*_LEVEL_DIMENSIONS, *StepDetail._fields)
+
+
 @dataclass(frozen=True)
-class EpisodeSummary:
-    """Episode endpoints only; what parameter sweeps keep per rollout."""
+class EpisodeRecord:
+    """One episode's endpoints and the history fields its caller named.
+
+    A history field is a per-step array: the levels of one action
+    dimension, or one ``StepDetail`` field, stacked over the steps. A field
+    that was not recorded is None, and so is ``commitments`` when no step
+    had any."""
 
     delta_t_end: float
     y_cum: float  # dt times the running sum of each step's world gross output
@@ -406,76 +420,31 @@ class EpisodeSummary:
     initial_carbon_total: float
     cumulative_emissions: float
     final_carbon_total: float
-
-
-@dataclass(frozen=True)
-class EpisodeRecord(EpisodeSummary):
-    """Per-step, per-region history of one episode plus its endpoints. The
-    history is each step's action levels and ``StepDetail``, stacked by name."""
-
-    savings_levels: np.ndarray  # [t, region]
-    mitigation_levels: np.ndarray
-    export_levels: np.ndarray
-    import_levels: np.ndarray  # [t, importer, exporter]
-    tariff_levels: np.ndarray
-    gross_output: np.ndarray  # [t, region]
-    damage_fraction: np.ndarray  # [t]
-    abatement_fraction: np.ndarray
-    net_output: np.ndarray
-    investment: np.ndarray
-    emissions: np.ndarray
-    emissions_global: np.ndarray  # [t]
-    domestic: np.ndarray
-    foreign: np.ndarray
-    aggregate: np.ndarray
-    domestic_floored: np.ndarray
-    exports_scaled: np.ndarray
-    imports_scaled: np.ndarray
-    revenue: np.ndarray
-    rewards: np.ndarray
-    balance: np.ndarray  # [t, region], post-settlement
-    carbon: np.ndarray  # [t, 3], post-update
-    t_atmosphere: np.ndarray  # [t], post-update
-    t_ocean: np.ndarray
-    commitments: np.ndarray | None  # [t, region] when negotiation is on
-
-
-#: The record names of the five ``ACTION_DIMENSIONS``' levels.
-_LEVEL_FIELDS = (
-    "savings_levels", "mitigation_levels", "export_levels", "import_levels", "tariff_levels"
-)
-
-
-def _rollout(world: World, next_actions, history: list | None = None) -> EpisodeSummary:
-    """The one loop over ``step``. It accumulates the episode endpoints and,
-    when given a ``history`` list, appends every step's (actions, detail)."""
-    constants = world.constants
-    params, variant = constants.params, constants.variant
-    y_cum = 0.0
-    total_reward = np.zeros(params.n_regions)
-    for _ in range(params.n_steps):
-        actions = next_actions(world)
-        result = step(world, actions)
-        d = result.detail
-        y_cum += float(np.add.reduce(d.gross_output))
-        total_reward += d.rewards
-        if history is not None:
-            history.append((actions, d))
-        world = result.world
-
-    d_end = economy_mod.damage_fraction(
-        max(world.t_atmosphere, 0.0), variant.damage_kind, 0.0, params.damage_pi2
-    )
-    return EpisodeSummary(
-        delta_t_end=float(world.t_atmosphere),
-        y_cum=float(params.dt_years * y_cum),
-        total_reward=total_reward,
-        mean_total_reward=float(total_reward.mean()),
-        d_end=float(d_end),
-        initial_carbon_total=sum(climate_mod.INITIAL_CARBON_GTC),
-        cumulative_emissions=world.cumulative_emissions,
-        final_carbon_total=float(world.carbon.sum()),
-    )
+    savings_levels: np.ndarray | None = None  # [t, region]
+    mitigation_levels: np.ndarray | None = None
+    export_levels: np.ndarray | None = None
+    import_levels: np.ndarray | None = None  # [t, importer, exporter]
+    tariff_levels: np.ndarray | None = None
+    gross_output: np.ndarray | None = None  # [t, region]
+    damage_fraction: np.ndarray | None = None  # [t]
+    abatement_fraction: np.ndarray | None = None
+    net_output: np.ndarray | None = None
+    investment: np.ndarray | None = None
+    emissions: np.ndarray | None = None
+    emissions_global: np.ndarray | None = None  # [t]
+    domestic: np.ndarray | None = None
+    foreign: np.ndarray | None = None
+    aggregate: np.ndarray | None = None
+    domestic_floored: np.ndarray | None = None
+    exports_scaled: np.ndarray | None = None
+    imports_scaled: np.ndarray | None = None
+    revenue: np.ndarray | None = None
+    rewards: np.ndarray | None = None
+    balance: np.ndarray | None = None  # [t, region], post-settlement
+    carbon: np.ndarray | None = None  # [t, 3], post-update
+    t_atmosphere: np.ndarray | None = None  # [t], post-update
+    t_ocean: np.ndarray | None = None
+    commitments: np.ndarray | None = None  # [t, region] when negotiation is on
 
 
 def _episode_actions(
@@ -489,47 +458,77 @@ def _episode_actions(
     return JointActions.from_action_sets(sets)
 
 
-def _policy_actions(world: World, policy):
-    """Per-step action source for ``policy``: a static policy acts once at
-    reset when no mask binds its actions (masks bind for the whole episode
-    or never), any other policy acts every step. Each region's observation
-    is built once per episode."""
+def _next_actions(world: World, source):
+    """Per-step action source. Fixed ``JointActions`` are applied every step
+    and cannot follow commitment masks, so binding masks are a config error.
+    A static policy acts once at reset when no mask binds its actions (masks
+    bind for the whole episode or never), any other policy acts every step;
+    each region's observation is built once per episode."""
+    if isinstance(source, JointActions):
+        if _masks_bind(world):
+            raise ConfigError("sim.negotiation.enforce_masks: fixed actions cannot follow masks")
+        return lambda w: source
     policy_rng = np.random.Generator(
         np.random.PCG64(np.random.SeedSequence([world.constants.seed, _POLICY_STREAM]))
     )
     observations = [world.observation(i) for i in range(world.n_regions)]
-    if getattr(policy, "is_static", False) and not _masks_bind(world):
-        actions = _episode_actions(world, policy, observations, policy_rng)
+    if getattr(source, "is_static", False) and not _masks_bind(world):
+        actions = _episode_actions(world, source, observations, policy_rng)
         return lambda w: actions
-    return lambda w: _episode_actions(w, policy, observations, policy_rng)
+    return lambda w: _episode_actions(w, source, observations, policy_rng)
 
 
-def run_episode(params: SimParams, variant: VariantConfig, policy, seed: int) -> EpisodeRecord:
-    """Roll one full episode under ``policy`` and record everything: every
-    ``StepDetail`` field and the action levels, each stacked over the steps
-    (``commitments`` is None when no step had any)."""
+def run_episode(
+    params: SimParams,
+    variant: VariantConfig,
+    source,
+    seed: int,
+    record: tuple[str, ...] = HISTORY_FIELDS,
+) -> EpisodeRecord:
+    """Roll one full episode: the one loop over ``step``.
+
+    ``source`` is either a ``JointActions``, applied every step (no
+    observation is built and no policy called), or a policy, asked for each
+    region's actions: once per episode if it is static and no mask binds,
+    else every step. ``record`` names the ``HISTORY_FIELDS`` to stack over
+    the steps; the endpoints are always computed, and every history field
+    not named is None. An unknown name is a ``ConfigError`` that names it."""
+    for name in record:
+        if name not in HISTORY_FIELDS:
+            raise ConfigError(f"record: {name!r} is not one of {HISTORY_FIELDS}")
     world = reset(params, variant, seed)
+    next_actions = _next_actions(world, source)
     history: list[tuple[JointActions, StepDetail]] = []
-    summary = _rollout(world, _policy_actions(world, policy), history)
-    actions, details = zip(*history)
-    return EpisodeRecord(
-        **vars(summary),
-        **{
-            name: np.array([getattr(a, dim) for a in actions])
-            for name, dim in zip(_LEVEL_FIELDS, ACTION_DIMENSIONS)
-        },
-        **{
-            name: None if values[0] is None else np.array(values)
-            for name, values in zip(StepDetail._fields, zip(*details))
-        },
+    y_cum = 0.0
+    total_reward = np.zeros(params.n_regions)
+    for _ in range(params.n_steps):
+        actions = next_actions(world)
+        result = step(world, actions)
+        d = result.detail
+        y_cum += float(np.add.reduce(d.gross_output))
+        total_reward += d.rewards
+        if record:
+            history.append((actions, d))
+        world = result.world
+
+    stacked = {}
+    for name in record:
+        if name in _LEVEL_DIMENSIONS:
+            values = [getattr(a, _LEVEL_DIMENSIONS[name]) for a, _ in history]
+        else:
+            values = [getattr(d, name) for _, d in history]
+        stacked[name] = None if values[0] is None else np.array(values)
+    d_end = economy_mod.damage_fraction(
+        max(world.t_atmosphere, 0.0), variant.damage_kind, 0.0, params.damage_pi2
     )
-
-
-def run_fixed_actions_summary(
-    params: SimParams, variant: VariantConfig, actions: JointActions, seed: int
-) -> EpisodeSummary:
-    """Roll one episode applying the same joint actions every step, which
-    cannot follow commitment masks, so enforced masks are a config error."""
-    if params.negotiation.enabled and params.negotiation.enforce_masks:
-        raise ConfigError("sim.negotiation.enforce_masks: fixed actions cannot follow masks")
-    return _rollout(reset(params, variant, seed), lambda w: actions)
+    return EpisodeRecord(
+        delta_t_end=float(world.t_atmosphere),
+        y_cum=float(params.dt_years * y_cum),
+        total_reward=total_reward,
+        mean_total_reward=float(total_reward.mean()),
+        d_end=float(d_end),
+        initial_carbon_total=sum(climate_mod.INITIAL_CARBON_GTC),
+        cumulative_emissions=world.cumulative_emissions,
+        final_carbon_total=float(world.carbon.sum()),
+        **stacked,
+    )

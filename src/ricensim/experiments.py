@@ -18,7 +18,7 @@ import numpy as np
 from .actions import ACTION_DIMENSIONS, NUM_LEVELS, JointActions, levels_to_rates
 from .calibration import NO_MITIGATION_LEVELS, calibrate_damage_to_anchor
 from .config import HORIZON_YEARS, Range, SimParams, VariantConfig, check_whole_steps
-from .engine import run_episode, run_fixed_actions_summary
+from .engine import run_episode
 from .errors import ConfigError
 from .negotiation import commitments_from_arrays
 from .policies import IDEAL_TRADE_POLICY, FixedLevelsPolicy, PariahOverridePolicy
@@ -81,8 +81,8 @@ def _sweep_rollout(
     params: SimParams, variant: VariantConfig, seed: int, levels: tuple[int, ...]
 ) -> tuple[float, float, float]:
     actions = JointActions.uniform(params.n_regions, *levels)
-    summary = run_fixed_actions_summary(params, variant, actions, seed)
-    return summary.delta_t_end, summary.y_cum, summary.mean_total_reward
+    rec = run_episode(params, variant, actions, seed, record=())
+    return rec.delta_t_end, rec.y_cum, rec.mean_total_reward
 
 
 def _minmax(values: np.ndarray) -> np.ndarray:
@@ -219,7 +219,9 @@ def pariah_experiment(
         others = [k for k in range(params.n_regions) if k != subject]
         for c, override in overrides:
             policy = PariahOverridePolicy(IDEAL_TRADE_POLICY, subject, override)
-            rec = run_episode(params, variant, policy, int(run_seeds[r]))
+            rec = run_episode(
+                params, variant, policy, int(run_seeds[r]), record=("tariff_levels",)
+            )
             rewards[c][r] = rec.total_reward[subject]
             # Averaging integer levels (and converting to a rate only at the
             # end) keeps a constant tariff exactly at its rate.
@@ -261,8 +263,8 @@ def trade_effect_experiment(
     savings 0.3, and no tariffs."""
     no_trade = FixedLevelsPolicy(savings=3, mitigation=9, export=0, imports=0, tariffs=0)
     max_trade = FixedLevelsPolicy(savings=3, mitigation=9, export=9, imports=9, tariffs=0)
-    r_none = run_episode(params, variant, no_trade, seed).total_reward
-    r_full = run_episode(params, variant, max_trade, seed).total_reward
+    r_none = run_episode(params, variant, no_trade, seed, record=()).total_reward
+    r_full = run_episode(params, variant, max_trade, seed, record=()).total_reward
     return TradeEffectResult(
         reward_no_trade=r_none,
         reward_max_trade=r_full,
@@ -286,8 +288,9 @@ def tariff_effect_experiment(
     params: SimParams, variant: VariantConfig, seed: int
 ) -> TariffEffectResult:
     with_tariffs = FixedLevelsPolicy(savings=3, mitigation=9, export=9, imports=9, tariffs=9)
-    rec0 = run_episode(params, variant, IDEAL_TRADE_POLICY, seed)
-    rec9 = run_episode(params, variant, with_tariffs, seed)
+    channels = ("domestic", "foreign")
+    rec0 = run_episode(params, variant, IDEAL_TRADE_POLICY, seed, record=channels)
+    rec9 = run_episode(params, variant, with_tariffs, seed, record=channels)
     return TariffEffectResult(
         delta_total=rec9.total_reward - rec0.total_reward,
         delta_domestic=(rec9.domestic - rec0.domestic).sum(axis=0),
@@ -315,11 +318,11 @@ def horizon_experiment(
     d_end: dict[int, float] = {}
     for h in horizons:
         p = replace(params, horizon_years=h, damage_pi2=cal.pi2)
-        summary = run_fixed_actions_summary(
-            p, variant, JointActions.uniform(p.n_regions, *NO_MITIGATION_LEVELS), seed
+        rec = run_episode(
+            p, variant, JointActions.uniform(p.n_regions, *NO_MITIGATION_LEVELS), seed, record=()
         )
-        t_end[h] = summary.delta_t_end
-        d_end[h] = summary.d_end
+        t_end[h] = rec.delta_t_end
+        d_end[h] = rec.d_end
     return HorizonResult(t_end=t_end, damage_end=d_end)
 
 

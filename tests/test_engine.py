@@ -15,9 +15,9 @@ from ricensim import (
 )
 from ricensim import economy
 from ricensim.engine import (
+    HISTORY_FIELDS,
     reset,
     run_episode,
-    run_fixed_actions_summary,
     step,
 )
 from ricensim.errors import ConfigError, DomainError, MaskViolationError
@@ -80,24 +80,31 @@ def iterated_paths(constants):
     return rows
 
 
-def summary_bytes(summary) -> dict:
+def summary_bytes(rec) -> dict:
+    """Every recorded field of ``rec``, arrays as bytes and floats as hex."""
     return {k: v.tobytes() if isinstance(v, np.ndarray) else float.hex(v)
-            for k, v in vars(summary).items()}
+            for k, v in vars(rec).items() if v is not None}
 
 
 class TestExogenousPaths:
     PATHS = {"labor": "labor_path", "productivity": "productivity_path",
              "intensity": "intensity_path", "labor_term": "labor_term"}
 
-    @pytest.mark.parametrize("n_regions, seed", [(2, 0), (4, 1), (27, 0), (27, 7), (39, 3)])
+    @pytest.mark.parametrize("n_regions, seed", [
+        (2, 0), (3, 5), (4, 1), (5, 2), (27, 0), (27, 7), (39, 3), (64, 4), (100, 6),
+    ])
     def test_rows_are_the_iterated_products_bit_for_bit(self, baseline, n_regions, seed):
-        params = SimParams(n_regions=n_regions)
-        constants = reset(params, baseline, seed).constants
-        for name, rows in iterated_paths(constants).items():
-            path = getattr(constants, self.PATHS[name])
-            assert path.shape == (params.n_steps + 1, n_regions), name
-            for t, row in enumerate(rows):
-                assert path[t].tobytes() == row.tobytes(), (name, t)
+        """The paths are built whole, the labor term as one power over the
+        ``[n_steps + 1, n]`` labor path, yet each row has the bits of the
+        step-by-step ``[n]`` products and power."""
+        for dt in (1, 5, 20):
+            params = SimParams(n_regions=n_regions, dt_years=dt)
+            constants = reset(params, baseline, seed).constants
+            for name, rows in iterated_paths(constants).items():
+                path = getattr(constants, self.PATHS[name])
+                assert path.shape == (params.n_steps + 1, n_regions), (name, dt)
+                for t, row in enumerate(rows):
+                    assert path[t].tobytes() == row.tobytes(), (name, dt, t)
 
     def test_paths_are_read_only_and_the_world_reads_row_t(self, small_params, baseline):
         world = reset(small_params, baseline, 2)
@@ -163,9 +170,9 @@ class TestResetSharesConstants:
         first = reset(params, baseline, 5).constants
         after = reset(other_params, variant, seed).constants
         assert after is not first
-        warm = run_fixed_actions_summary(other_params, variant, self.ACTIONS, seed)
+        warm = run_episode(other_params, variant, self.ACTIONS, seed, record=())
         monkeypatch.setattr(engine, "_last_constants", None)
-        cold = run_fixed_actions_summary(other_params, variant, self.ACTIONS, seed)
+        cold = run_episode(other_params, variant, self.ACTIONS, seed, record=())
         assert summary_bytes(warm) == summary_bytes(cold)
 
     def test_generates_the_regions_once_per_reset(self, default_params, baseline, monkeypatch):
@@ -284,29 +291,15 @@ class TestEpisodes:
             assert rec.carbon[t].tobytes() == w.carbon.tobytes()
         assert np.all(rec.tariff_levels == actions.tariffs)
 
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
-    def test_record_and_fixed_action_summary_agree_bitwise(self, default_params, baseline, seed):
-        """The full record and the endpoints-only rollout share one loop, so
-        their endpoints are the same floats."""
-        for levels in [(3, 0, 0, 0, 0), (5, 5, 9, 9, 0), (9, 9, 2, 7, 4), (0, 9, 9, 9, 9)]:
-            rec = run_episode(default_params, baseline, FixedLevelsPolicy(*levels), seed)
-            summary = run_fixed_actions_summary(
-                default_params, baseline, JointActions.uniform(27, *levels), seed
-            )
-            for name in ("delta_t_end", "y_cum", "d_end", "cumulative_emissions",
-                         "final_carbon_total"):
-                assert getattr(rec, name) == getattr(summary, name), (levels, name)
-            assert rec.total_reward.tobytes() == summary.total_reward.tobytes(), levels
-
     def test_action_irrelevance_for_climate_and_output(self, default_params, baseline):
         """Trade actions never touch production or emissions: with (savings,
         mitigation) fixed, any import/export/tariff combination gives
         bitwise-identical warming and cumulative output."""
         outcomes = set()
         for export, imports, tariffs in [(0, 0, 0), (9, 9, 0), (9, 9, 9), (2, 7, 4)]:
-            s = run_fixed_actions_summary(
+            s = run_episode(
                 default_params, baseline,
-                JointActions.uniform(27, 3, 5, export, imports, tariffs), 4,
+                JointActions.uniform(27, 3, 5, export, imports, tariffs), 4, record=(),
             )
             outcomes.add((s.delta_t_end, s.y_cum))
         assert len(outcomes) == 1
@@ -314,16 +307,16 @@ class TestEpisodes:
     def test_trade_actions_do_change_rewards(self, default_params, baseline):
         rewards = set()
         for export, imports, tariffs in [(0, 0, 0), (9, 9, 0), (9, 9, 9)]:
-            s = run_fixed_actions_summary(
+            s = run_episode(
                 default_params, baseline,
-                JointActions.uniform(27, 3, 5, export, imports, tariffs), 4,
+                JointActions.uniform(27, 3, 5, export, imports, tariffs), 4, record=(),
             )
             rewards.add(round(s.mean_total_reward, 9))
         assert len(rewards) == 3
 
     def test_carbon_conservation_over_episode(self, default_params, baseline):
-        s = run_fixed_actions_summary(
-            default_params, baseline, JointActions.uniform(27, 3, 0, 9, 9, 0), 2
+        s = run_episode(
+            default_params, baseline, JointActions.uniform(27, 3, 0, 9, 9, 0), 2, record=()
         )
         drift = abs(
             s.final_carbon_total - s.initial_carbon_total - s.cumulative_emissions
@@ -374,13 +367,13 @@ class TestNegotiation:
     def test_fixed_actions_reject_enforced_masks(self, small_params, baseline):
         actions = JointActions.uniform(4, 3, 0, 0, 0, 0)
         with pytest.raises(ConfigError, match="sim.negotiation.enforce_masks"):
-            run_fixed_actions_summary(self.negotiating(small_params), baseline, actions, 6)
+            run_episode(self.negotiating(small_params), baseline, actions, 6, record=())
         # Unenforced commitments leave the rollout's arithmetic alone.
         unenforced = dataclasses.replace(
             small_params, negotiation=NegotiationConfig(enabled=True, enforce_masks=False)
         )
-        a = run_fixed_actions_summary(unenforced, baseline, actions, 6)
-        b = run_fixed_actions_summary(small_params, baseline, actions, 6)
+        a = run_episode(unenforced, baseline, actions, 6, record=())
+        b = run_episode(small_params, baseline, actions, 6, record=())
         assert (a.delta_t_end, a.y_cum) == (b.delta_t_end, b.y_cum)
         assert a.total_reward.tobytes() == b.total_reward.tobytes()
 
@@ -428,9 +421,9 @@ class TestNegotiation:
 
 
 #: ``float.hex`` of (delta_t_end, y_cum, mean_total_reward, final_carbon_total)
-#: of ``run_fixed_actions_summary`` on the default 27-region world, recorded
-#: before the trade and damage kernels were rewritten for speed. Any change
-#: that moves a bit of the engine's arithmetic fails here.
+#: of a uniform fixed-action ``run_episode`` on the default 27-region world,
+#: recorded before the trade and damage kernels were rewritten for speed. Any
+#: change that moves a bit of the engine's arithmetic fails here.
 GOLDEN_SUMMARIES = {
     ((3, 0, 0, 0, 0), 0): ("0x1.535db50ae48b6p+4", "0x1.5e12fbfd8da9ep+20",
                            "0x1.b92f38c97b0cep+12", "0x1.11b2bb9efc2dcp+18"),
@@ -517,7 +510,7 @@ def record_digest(rec) -> str:
 
 
 def summary_bits(params, variant, levels, seed) -> tuple[str, ...]:
-    s = run_fixed_actions_summary(params, variant, JointActions.uniform(27, *levels), seed)
+    s = run_episode(params, variant, JointActions.uniform(27, *levels), seed, record=())
     return tuple(
         float.hex(getattr(s, name))
         for name in ("delta_t_end", "y_cum", "mean_total_reward", "final_carbon_total")
@@ -548,6 +541,57 @@ class TestGoldenBits:
         )
         rec = run_episode(params, baseline, NEGOTIATED_POLICIES[policy], 3)
         assert record_digest(rec) == GOLDEN_NEGOTIATED_RECORD_SHA256[case]
+
+
+#: Each action source of the equivalence test: its negotiation setting and
+#: the source for given action levels.
+EQUIVALENCE_SOURCES = {
+    "uniform": (NegotiationConfig(), lambda levels: JointActions.uniform(27, *levels)),
+    "fixed": (NegotiationConfig(), lambda levels: FixedLevelsPolicy(*levels)),
+    "pariah": (NegotiationConfig(), lambda levels: PariahOverridePolicy(
+        FixedLevelsPolicy(*levels), target=1, tariff_level=9
+    )),
+    "random_off": (NegotiationConfig(), lambda levels: UniformRandomPolicy()),
+    "random_enforced": (NegotiationConfig(enabled=True), lambda levels: UniformRandomPolicy()),
+    "random_unenforced": (
+        NegotiationConfig(enabled=True, enforce_masks=False), lambda levels: UniformRandomPolicy()
+    ),
+}
+RECORD_SETS = [(), ("tariff_levels",), ("domestic", "foreign"), HISTORY_FIELDS]
+
+
+@pytest.mark.parametrize("variant", ["baseline", *GOLDEN_VARIANTS])
+@pytest.mark.parametrize("source", list(EQUIVALENCE_SOURCES))
+def test_every_source_and_record_set_agree_bitwise(default_params, source, variant):
+    """Every episode runs the one loop, whatever its caller records: each
+    endpoint and recorded field has the full record's bits, and every field
+    not recorded is None. Uniform ``JointActions`` roll the same episode as
+    the ``FixedLevelsPolicy`` of their levels."""
+    negotiation, make_source = EQUIVALENCE_SOURCES[source]
+    params = dataclasses.replace(default_params, negotiation=negotiation)
+    v = GOLDEN_VARIANTS.get(variant, VariantConfig())
+    full = run_episode(params, v, make_source((9, 4, 2, 7, 5)), 3)
+    assert [name for name in HISTORY_FIELDS if getattr(full, name) is None] == (
+        [] if negotiation.enabled else ["commitments"]
+    )
+    for record in RECORD_SETS:
+        rec = run_episode(params, v, make_source((9, 4, 2, 7, 5)), 3, record=record)
+        expected = {name: value for name, value in summary_bytes(full).items()
+                    if name not in HISTORY_FIELDS or name in record}
+        assert summary_bytes(rec) == expected, record
+        assert all(getattr(rec, name) is None for name in HISTORY_FIELDS if name not in record)
+    if source == "uniform":
+        for seed in range(5):
+            for levels in [(3, 0, 0, 0, 0), (5, 5, 9, 9, 0), (9, 9, 2, 7, 4), (0, 9, 9, 9, 9)]:
+                rec = run_episode(params, v, JointActions.uniform(27, *levels), seed)
+                policy_rec = run_episode(params, v, FixedLevelsPolicy(*levels), seed)
+                assert summary_bytes(rec) == summary_bytes(policy_rec), (levels, seed)
+
+
+def test_an_unknown_record_name_is_named(small_params, baseline):
+    with pytest.raises(ConfigError, match="record: 'tarif_levels'"):
+        run_episode(small_params, baseline, FixedLevelsPolicy(3, 0, 0, 0, 0), 0,
+                    record=("domestic", "tarif_levels"))
 
 
 @pytest.mark.parametrize("variant", ["baseline", *GOLDEN_VARIANTS])
