@@ -5,7 +5,9 @@ Each pair runs ``perfbench/run.py --workload W --seed S --seconds N --trace 0``
 once in each of two checkouts, for every workload that ``BENCHMARK.json``
 lists, with the seed of the pair (``--seed`` plus the pair index) on both
 sides. Even pairs run the parent first, odd pairs the change, so drift in
-the host's speed falls on both sides alike. The summary is rewritten after every run, so an
+the host's speed falls on both sides alike. Before the first pair, each
+checkout's ``src/ricensim`` is compiled once, so that no run's ``setup_s``
+includes compiling it. The summary is rewritten after every run, so an
 interrupted session keeps the pairs it finished:
 
     python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --pairs 10 --seconds 35 \\
@@ -33,9 +35,11 @@ itself.
 from __future__ import annotations
 
 import argparse
+import compileall
 import json
 import os
 import platform
+import py_compile
 import statistics
 import subprocess
 import sys
@@ -44,6 +48,18 @@ from pathlib import Path
 import numpy as np
 
 SIDES = ("parent", "change")
+
+
+def precompile(checkout: Path) -> None:
+    """Write the bytecode cache of every module under the checkout's
+    ``src/ricensim``, as an import would. ``compileall`` writes it even under
+    ``PYTHONDONTWRITEBYTECODE=1``, where an import writes none."""
+    ok = compileall.compile_dir(
+        checkout / "src" / "ricensim", quiet=1,
+        invalidation_mode=py_compile.PycInvalidationMode.TIMESTAMP,
+    )
+    if not ok:
+        raise RuntimeError(f"{checkout}: src/ricensim does not compile")
 
 
 def run_benchmark(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
@@ -150,6 +166,8 @@ def main(argv: list[str] | None = None) -> int:
     workloads = [w["name"] for w in benchmark["workloads"]]
     spec = benchmark["end_to_end"]
 
+    for path in checkouts.values():
+        precompile(path)
     runs: dict[str, list[dict]] = {w: [] for w in workloads}
     sources: dict[str, str] = {}
     for k in range(args.pairs):

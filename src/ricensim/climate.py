@@ -86,16 +86,13 @@ def step_carbon(
     return out
 
 
-def radiative_forcing(
-    atmosphere_gtc: float,
-    forcing_per_doubling: float,
-    reference_gtc: float,
-    exogenous: float = 0.0,
-) -> float:
-    """Logarithmic forcing of the atmospheric stock over its reference."""
-    if atmosphere_gtc <= 0 or reference_gtc <= 0:
-        raise DomainError("atmospheric stock and reference must be positive")
-    return forcing_per_doubling * math.log2(atmosphere_gtc / reference_gtc) + exogenous
+def radiative_forcing(atmosphere_gtc: float, exogenous: float) -> float:
+    """Logarithmic forcing of the atmospheric stock over its reference,
+    ``FORCING_PER_DOUBLING * log2(M_at / REFERENCE_ATMOSPHERE_GTC)``, plus
+    the exogenous non-CO2 forcing."""
+    if atmosphere_gtc <= 0:
+        raise DomainError("atmospheric stock must be positive")
+    return FORCING_PER_DOUBLING * math.log2(atmosphere_gtc / REFERENCE_ATMOSPHERE_GTC) + exogenous
 
 
 def exogenous_forcing(years_elapsed: float) -> float:
@@ -104,20 +101,16 @@ def exogenous_forcing(years_elapsed: float) -> float:
     return FORCING_EXOGENOUS_START + frac * (FORCING_EXOGENOUS_END - FORCING_EXOGENOUS_START)
 
 
-def step_temperature(
-    t_atmosphere: float,
-    t_ocean: float,
-    forcing: float,
-    c1: float,
-    c3: float,
-    c4: float,
-    feedback: float,
-) -> tuple[float, float]:
-    """One step of the two-box temperature model."""
-    t_at = t_atmosphere + c1 * (
-        forcing - feedback * t_atmosphere - c3 * (t_atmosphere - t_ocean)
+def step_temperature(t_atmosphere: float, t_ocean: float, forcing: float) -> tuple[float, float]:
+    """One step of the two-box temperature model with the DICE coefficients
+    ``HEAT_CAPACITY_C1``, ``ATM_OCEAN_EXCHANGE_C3``, ``OCEAN_UPTAKE_C4`` and
+    ``TEMPERATURE_FEEDBACK``."""
+    t_at = t_atmosphere + HEAT_CAPACITY_C1 * (
+        forcing
+        - TEMPERATURE_FEEDBACK * t_atmosphere
+        - ATM_OCEAN_EXCHANGE_C3 * (t_atmosphere - t_ocean)
     )
-    t_lo = t_ocean + c4 * (t_atmosphere - t_ocean)
+    t_lo = t_ocean + OCEAN_UPTAKE_C4 * (t_atmosphere - t_ocean)
     if not (math.isfinite(t_at) and math.isfinite(t_lo)):
         raise DomainError(f"temperature step left the finite range: ({t_at}, {t_lo})")
     return t_at, t_lo

@@ -46,6 +46,16 @@ class Range:
             kind = "an integer" if self.ends == ".." else "a number"
             raise ConfigError(f"{path}: expected {kind} in {self}, got {value!r}")
 
+    def check_list(self, path: str, value) -> None:
+        """Raise a ``ConfigError`` naming ``path`` unless ``value`` is a
+        non-empty list or tuple of distinct entries, each in range."""
+        if not isinstance(value, (list, tuple)) or not value:
+            raise ConfigError(f"{path}: expected a non-empty list, got {value!r}")
+        for k, entry in enumerate(value):
+            self.check(f"{path}[{k}]", entry)
+        if len(set(value)) < len(value):
+            raise ConfigError(f"{path}: expected distinct entries, got {value!r}")
+
 
 def ranged(bounds: Range, default=MISSING):
     """A dataclass field that declares the ``Range`` of its values."""

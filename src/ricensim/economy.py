@@ -50,12 +50,12 @@ _TRANSITIONAL_RESIDUAL = _float64(TRANSITIONAL_RESIDUAL)
 TRANSITIONAL_THETA3 = 1.0
 
 
-def gross_output(productivity, capital, labor_term, elasticity):
-    """Cobb-Douglas production A * K^gamma * L^(1-gamma), evaluated as
-    ``productivity * capital**elasticity * labor_term``. The caller passes
-    the labor term ``L ** (1 - elasticity)``, which no action moves
-    (``engine.EpisodeConstants.labor_term``)."""
-    return productivity * capital**elasticity * labor_term
+def gross_output(productivity, capital, labor_term):
+    """Cobb-Douglas production A * K^gamma * L^(1-gamma) with gamma the
+    ``OUTPUT_ELASTICITY``, evaluated as ``productivity * capital**gamma *
+    labor_term``. The caller passes the labor term ``L ** (1 - gamma)``,
+    which no action moves (``engine.EpisodeConstants.labor_term``)."""
+    return productivity * capital**OUTPUT_ELASTICITY * labor_term
 
 
 def damage_fraction(temperature, kind: str, pi1: float, pi2: float):
@@ -93,22 +93,23 @@ def calibrate_damage_coefficient(t_ref: float, d_ref: float) -> float:
     return d_ref / ((1.0 - d_ref) * t_ref * t_ref)
 
 
-def abatement_fraction(mitigation, mitigation_prev, kind: str, theta1, theta2, theta3=1.0):
+def abatement_fraction(mitigation, mitigation_prev, kind: str, theta1, theta2):
     """Fraction of gross output spent on mitigation.
 
     'persistent' charges the current level only; 'transitional' charges a
     small residual of that plus the squared increase over the previous level:
 
     ``persistent``: ``theta1 * mu ** theta2``;
-    ``transitional``: ``TRANSITIONAL_RESIDUAL * theta1 * mu ** theta2 + theta3 * rise * rise``
-    with ``rise = max(0, mu - mu_prev)``; either is clamped to ``[0, FRACTION_CAP]``.
+    ``transitional``: ``TRANSITIONAL_RESIDUAL * theta1 * mu ** theta2 +
+    TRANSITIONAL_THETA3 * rise * rise`` with ``rise = max(0, mu - mu_prev)``;
+    either is clamped to ``[0, FRACTION_CAP]``.
     """
     mu = np.asarray(mitigation, dtype=np.float64)
     if kind == "persistent":
         lam = theta1 * mu**theta2
     elif kind == "transitional":
         rise = np.maximum(_ZERO, mu - np.asarray(mitigation_prev, dtype=np.float64))
-        lam = _TRANSITIONAL_RESIDUAL * theta1 * mu**theta2 + theta3 * rise * rise
+        lam = _TRANSITIONAL_RESIDUAL * theta1 * mu**theta2 + TRANSITIONAL_THETA3 * rise * rise
     else:
         raise DomainError(f"unknown abatement kind {kind!r}")
     lam = np.minimum(np.maximum(lam, _ZERO), _FRACTION_CAP)

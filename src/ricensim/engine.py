@@ -313,15 +313,13 @@ def step(world: World, actions: JointActions) -> StepResult:
 
     # Production, damages at the step's starting temperature, abatement.
     mitigation_rate = actions.mitigation_rate
-    y_gross = economy_mod.gross_output(
-        c.productivity_path[t], world.capital, c.labor_term[t], economy_mod.OUTPUT_ELASTICITY
-    )
+    y_gross = economy_mod.gross_output(c.productivity_path[t], world.capital, c.labor_term[t])
     dmg = economy_mod.damage_fraction(
         max(world.t_atmosphere, 0.0), v.damage_kind, 0.0, p.damage_pi2
     )
     abat = economy_mod.abatement_fraction(
         mitigation_rate, world.mitigation_prev, v.abatement_kind, c.theta1,
-        economy_mod.ABATEMENT_THETA2, economy_mod.TRANSITIONAL_THETA3,
+        economy_mod.ABATEMENT_THETA2,
     )
     y_net = (1.0 - dmg) * (_ONE - abat) * y_gross
     investment = actions.savings_rate * y_net
@@ -352,20 +350,9 @@ def step(world: World, actions: JointActions) -> StepResult:
     # Carbon, forcing, temperature.
     carbon_after = climate_mod.step_carbon(world.carbon, emissions_global, dt, c.transfer)
     forcing = climate_mod.radiative_forcing(
-        float(carbon_after[0]),
-        climate_mod.FORCING_PER_DOUBLING,
-        climate_mod.REFERENCE_ATMOSPHERE_GTC,
-        climate_mod.exogenous_forcing((t + 1) * dt),
+        float(carbon_after[0]), climate_mod.exogenous_forcing((t + 1) * dt)
     )
-    t_at, t_lo = climate_mod.step_temperature(
-        world.t_atmosphere,
-        world.t_ocean,
-        forcing,
-        climate_mod.HEAT_CAPACITY_C1,
-        climate_mod.ATM_OCEAN_EXCHANGE_C3,
-        climate_mod.OCEAN_UPTAKE_C4,
-        climate_mod.TEMPERATURE_FEEDBACK,
-    )
+    t_at, t_lo = climate_mod.step_temperature(world.t_atmosphere, world.t_ocean, forcing)
 
     # Capital accumulation; the exogenous quantities' next row is in the paths.
     new_world = World(

@@ -29,9 +29,10 @@ _MASKING_STREAM = 0x4D44
 
 SWEEP_METRICS = ("climate_index", "economic_index", "reward")
 
-#: The ranges of the run sizes the experiment functions take; the options
-#: of ``runio.EXPERIMENTS`` declare the same objects.
+#: The ranges of the run sizes and action levels the experiment functions
+#: take; the options of ``runio.EXPERIMENTS`` declare the same objects.
 GRID = Range(1, NUM_LEVELS, "..")
+LEVELS = Range(0, NUM_LEVELS - 1, "..")
 RUNS = Range(1, 10_000, "..")
 EPISODES = Range(1, 1_000_000, "..")
 #: The most (episode, step, region) draws ``commitment_statistics`` takes.
@@ -198,6 +199,7 @@ def pariah_experiment(
     across the pooled conditions.
     """
     RUNS.check("options.runs", runs)
+    LEVELS.check_list("options.tariff_levels", tariff_levels)
     # Each condition's name and the tariff level it forces toward the subject.
     overrides = [(f"pariah@{k}", k) for k in tariff_levels]
     overrides += [("control", None), ("free_trade", 0)]
@@ -310,8 +312,8 @@ def horizon_experiment(
     params: SimParams, variant: VariantConfig, horizons: tuple[int, ...], seed: int
 ) -> HorizonResult:
     """Calibrate damages on the 100-year no-mitigation run, then extend."""
+    HORIZON_YEARS.check_list("options.horizons", horizons)
     for k, h in enumerate(horizons):
-        HORIZON_YEARS.check(f"options.horizons[{k}]", h)
         check_whole_steps(f"options.horizons[{k}]", h, params.dt_years)
     cal = calibrate_damage_to_anchor(params, variant, seed)
     t_end: dict[int, float] = {}

@@ -22,7 +22,7 @@ from typing import Any, get_args, get_type_hints
 
 import numpy as np
 
-from .actions import ACTION_DIMENSIONS, NUM_LEVELS
+from .actions import ACTION_DIMENSIONS
 from .calibration import ANCHOR_DAMAGE, calibrate_damage_to_anchor
 from .config import HORIZON_YEARS, Range, SimParams, VariantConfig
 from .engine import run_episode
@@ -30,6 +30,7 @@ from .errors import ConfigError
 from .experiments import (
     EPISODES,
     GRID,
+    LEVELS,
     RUNS,
     SWEEP_METRICS,
     action_sweep,
@@ -57,15 +58,10 @@ class Option:
         return isinstance(self.default, tuple)
 
     def check(self, path: str, value) -> None:
-        if not self.is_list:
+        if self.is_list:
+            self.bounds.check_list(path, value)
+        else:
             self.bounds.check(path, value)
-            return
-        if not isinstance(value, (list, tuple)) or not value:
-            raise ConfigError(f"{path}: expected a non-empty list, got {value!r}")
-        for k, entry in enumerate(value):
-            self.bounds.check(f"{path}[{k}]", entry)
-        if len(set(value)) < len(value):
-            raise ConfigError(f"{path}: expected distinct entries, got {value!r}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -256,8 +252,6 @@ def _write_calibration(out: Path, config: RunConfig, result) -> str:
     return f"calibrate: pi2={result.pi2:.6e} at t_ref={result.t_ref:.4f} degC"
 
 
-_LEVELS = Range(0, NUM_LEVELS - 1, "..")
-
 #: Every experiment, by name. Run functions look the experiment functions up
 #: when called, never when the registry is built.
 EXPERIMENTS = {
@@ -271,7 +265,7 @@ EXPERIMENTS = {
             ),
             write=_write_episode,
             options={
-                dim: Option(level, _LEVELS)
+                dim: Option(level, LEVELS)
                 for dim, level in zip(ACTION_DIMENSIONS, (3, 0, 0, 0, 0))
             },
         ),
@@ -299,7 +293,7 @@ EXPERIMENTS = {
             write=_write_pariah,
             options={
                 "runs": Option(100, RUNS, full_scale=1000, flag_help="runs per condition"),
-                "tariff_levels": Option((5, 7, 9), _LEVELS),
+                "tariff_levels": Option((5, 7, 9), LEVELS),
             },
         ),
         Experiment(

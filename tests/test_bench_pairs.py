@@ -1,12 +1,14 @@
-"""The verdicts of ``scripts/bench_pairs.py`` on synthetic paired runs."""
+"""The verdicts of ``scripts/bench_pairs.py`` on synthetic paired runs, and
+its precompiled checkouts."""
 import importlib.util
+import shutil
+import sys
 from pathlib import Path
 
 import pytest
 
-_SPEC = importlib.util.spec_from_file_location(
-    "bench_pairs", Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
-)
+ROOT = Path(__file__).resolve().parents[1]
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
 bench_pairs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_pairs)
 
@@ -53,3 +55,17 @@ def test_compare_reports_spread_and_wins():
     assert result["change_frac"] == pytest.approx(0.1)
     assert result["parent_iqr"] == pytest.approx(0.75)
     assert result["wins"] == 10
+
+
+def test_precompile_caches_every_module_with_bytecode_writing_off(tmp_path, monkeypatch):
+    # What PYTHONDONTWRITEBYTECODE=1 sets: imports write no cache.
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    package = tmp_path / "src" / "ricensim"
+    shutil.copytree(ROOT / "src" / "ricensim", package,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    modules = sorted(package.glob("*.py"))
+    assert modules
+    bench_pairs.precompile(tmp_path)
+    for module in modules:
+        assert Path(importlib.util.cache_from_source(str(module))).is_file(), module.name

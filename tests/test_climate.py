@@ -69,25 +69,23 @@ class TestCarbon:
 
 class TestForcing:
     def test_reference_stock_gives_zero(self):
-        assert radiative_forcing(588.0, 3.6813, 588.0, 0.0) == 0.0
+        assert radiative_forcing(588.0, 0.0) == 0.0
 
     def test_one_doubling(self):
-        assert math.isclose(radiative_forcing(1176.0, 3.6813, 588.0, 0.0), 3.6813, rel_tol=1e-12)
+        assert math.isclose(radiative_forcing(1176.0, 0.0), 3.6813, rel_tol=1e-12)
 
     def test_two_doublings_with_offset(self):
         # 2 * 3.6813 + 0.5
-        got = radiative_forcing(4 * 588.0, 3.6813, 588.0, 0.5)
+        got = radiative_forcing(4 * 588.0, 0.5)
         assert math.isclose(got, 7.8626, rel_tol=1e-9)
 
     def test_nonpositive_inputs_rejected(self):
         with pytest.raises(DomainError):
-            radiative_forcing(0.0, 3.6813, 588.0)
-        with pytest.raises(DomainError):
-            radiative_forcing(100.0, 3.6813, 0.0)
+            radiative_forcing(0.0, 0.0)
 
     def test_strictly_increasing_in_atmospheric_stock(self):
         stocks = np.linspace(100.0, 5000.0, 200)
-        values = [radiative_forcing(m, 3.6813, 588.0, 0.3) for m in stocks]
+        values = [radiative_forcing(m, 0.3) for m in stocks]
         assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_exogenous_ramp_holds_after_ramp_years(self):
@@ -105,13 +103,11 @@ class TestForcing:
 
 
 class TestTemperature:
-    C = dict(c1=0.1005, c3=0.088, c4=0.025, feedback=1.1875)
-
     def test_non_finite_step_rejected(self):
         with pytest.raises(DomainError, match="finite"):
-            step_temperature(1.0, 0.3, math.inf, **self.C)
+            step_temperature(1.0, 0.3, math.inf)
         with pytest.raises(DomainError, match="finite"):
-            step_temperature(1e308, 0.3, 0.0, c1=50.0, c3=0.088, c4=0.025, feedback=1.1875)
+            step_temperature(1e308, -1e308, 0.0)
 
     def test_two_box_step_contracts(self):
         # One step maps (T_at, T_lo) through this matrix plus the forcing;
@@ -124,18 +120,18 @@ class TestTemperature:
         assert radius < 1
 
     def test_cold_dark_fixed_point(self):
-        assert step_temperature(0.0, 0.0, 0.0, **self.C) == (0.0, 0.0)
+        assert step_temperature(0.0, 0.0, 0.0) == (0.0, 0.0)
 
     def test_equilibrium_is_stationary(self):
         f = 3.6813
-        t_eq = f / self.C["feedback"]
-        t_at, t_lo = step_temperature(t_eq, t_eq, f, **self.C)
+        t_eq = f / climate.TEMPERATURE_FEEDBACK
+        t_at, t_lo = step_temperature(t_eq, t_eq, f)
         assert math.isclose(t_at, t_eq, rel_tol=1e-12)
         assert math.isclose(t_lo, t_eq, rel_tol=1e-12)
 
     def test_hand_computed_step(self):
         # 1 + 0.1005 * (3.6813 - 1.1875 - 0.088) = 1.2417829
-        t_at, t_lo = step_temperature(1.0, 0.0, 3.6813, **self.C)
+        t_at, t_lo = step_temperature(1.0, 0.0, 3.6813)
         assert math.isclose(t_at, 1.2417829, abs_tol=1e-7)
         assert math.isclose(t_lo, 0.025, abs_tol=1e-12)
 
@@ -150,9 +146,8 @@ class TestTemperature:
         deltas = []
         for k in range(100):
             m = step_carbon(m, 0.0, 5, PHI)
-            f = radiative_forcing(m[0], climate.FORCING_PER_DOUBLING,
-                                  climate.REFERENCE_ATMOSPHERE_GTC, exogenous_forcing(5 * (k + 1)))
-            new_at, new_lo = step_temperature(t_at, t_lo, f, **self.C)
+            f = radiative_forcing(m[0], exogenous_forcing(5 * (k + 1)))
+            new_at, new_lo = step_temperature(t_at, t_lo, f)
             deltas.append(abs(new_at - t_at))
             t_at, t_lo = new_at, new_lo
         settled = deltas[21:]  # forcing ramp ends at year 100 = step 20
@@ -167,9 +162,8 @@ class TestTemperature:
         deltas = []
         for k in range(100):
             m = step_carbon(m, 0.0, 5, PHI)
-            f = radiative_forcing(m[0], climate.FORCING_PER_DOUBLING,
-                                  climate.REFERENCE_ATMOSPHERE_GTC, exogenous_forcing(5 * (k + 1)))
-            new_at, new_lo = step_temperature(t_at, t_lo, f, **self.C)
+            f = radiative_forcing(m[0], exogenous_forcing(5 * (k + 1)))
+            new_at, new_lo = step_temperature(t_at, t_lo, f)
             deltas.append(abs(new_at - t_at))
             t_at, t_lo = new_at, new_lo
         assert max(deltas[90:]) < 0.1 * max(deltas[:30])

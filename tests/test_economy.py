@@ -24,15 +24,15 @@ class TestGrossOutput:
     """``gross_output`` takes the labor term ``L ** (1 - gamma)``."""
 
     def test_zero_capital_means_zero_output(self):
-        assert gross_output(5.0, 0.0, 7.0**0.7, 0.3) == 0.0
+        assert gross_output(5.0, 0.0, 7.0**0.7) == 0.0
 
     def test_cobb_douglas_value(self):
         # 5 * 100^0.3 * 7^0.7 = 77.72
-        assert math.isclose(gross_output(5.0, 100.0, 7.0**0.7, 0.3), 77.72, abs_tol=0.01)
+        assert math.isclose(gross_output(5.0, 100.0, 7.0**0.7), 77.72, abs_tol=0.01)
 
     def test_linear_in_productivity(self):
-        y1 = gross_output(2.5, 80.0, 12.0**0.7, 0.3)
-        y2 = gross_output(5.0, 80.0, 12.0**0.7, 0.3)
+        y1 = gross_output(2.5, 80.0, 12.0**0.7)
+        y2 = gross_output(5.0, 80.0, 12.0**0.7)
         assert math.isclose(y2, 2 * y1, rel_tol=1e-12)
 
 
@@ -110,12 +110,12 @@ class TestAbatement:
 
     def test_transitional_completed_mitigation_keeps_residual_only(self):
         # No increment: only the 0.2-weighted persistent residual remains.
-        got = abatement_fraction(0.9, 0.9, "transitional", 0.1, 2.6, 1.0)
+        got = abatement_fraction(0.9, 0.9, "transitional", 0.1, 2.6)
         assert math.isclose(got, 0.0152, abs_tol=5e-4)
 
     def test_transitional_charges_squared_increment(self):
-        flat = abatement_fraction(0.5, 0.5, "transitional", 0.1, 2.6, 1.0)
-        jump = abatement_fraction(0.5, 0.0, "transitional", 0.1, 2.6, 1.0)
+        flat = abatement_fraction(0.5, 0.5, "transitional", 0.1, 2.6)
+        jump = abatement_fraction(0.5, 0.0, "transitional", 0.1, 2.6)
         assert math.isclose(jump - flat, 0.25, rel_tol=1e-9)
 
     @given(st.integers(min_value=0, max_value=9))
@@ -144,7 +144,7 @@ class TestAbatement:
             total = 0.0
             for mu in path[1:]:
                 total += (
-                    abatement_fraction(mu, prev, "transitional", 0.0, 2.6, 1.0)
+                    abatement_fraction(mu, prev, "transitional", 0.0, 2.6)
                 )
                 prev = mu
             return total

@@ -248,7 +248,7 @@ class TestStep:
             assert getattr(new, name).tobytes() == value.tobytes(), name
         abatement = economy.abatement_fraction(
             actions.mitigation / 10.0, w.mitigation_prev, baseline.abatement_kind,
-            rates["theta1"], economy.ABATEMENT_THETA2, economy.TRANSITIONAL_THETA3,
+            rates["theta1"], economy.ABATEMENT_THETA2,
         )
         assert d.abatement_fraction.tobytes() == abatement.tobytes()
 

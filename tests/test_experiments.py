@@ -1,3 +1,4 @@
+import json
 import math
 import os
 
@@ -7,6 +8,7 @@ import pytest
 from ricensim import JointActions, SimParams, VariantConfig
 from ricensim.engine import reset, step
 from ricensim import experiments
+from ricensim.cli import main
 from ricensim.errors import ConfigError
 from ricensim.experiments import (
     action_sweep,
@@ -207,6 +209,32 @@ class TestHorizon:
     def test_rejects_misaligned_horizon(self, params, baseline):
         with pytest.raises(ConfigError):
             horizon_experiment(params, baseline, horizons=(100, 123), seed=0)
+
+
+@pytest.mark.parametrize(
+    "experiment, key, value",
+    [
+        ("pariah", "tariff_levels", []),
+        ("pariah", "tariff_levels", [5, 5]),
+        ("pariah", "tariff_levels", [12]),
+        ("pariah", "tariff_levels", [True]),
+        ("horizon", "horizons", [100, 100]),
+    ],
+    ids=["empty", "duplicate", "out of range", "bool", "duplicate horizons"],
+)
+def test_bad_list_option_fails_as_in_the_cli(
+    tmp_path, capsys, params, baseline, experiment, key, value
+):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"experiment": experiment, "options": {key: value}}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    cli_error = capsys.readouterr().err.splitlines()[-1]  # after the usage lines
+    with pytest.raises(ConfigError) as library_error:
+        if experiment == "pariah":
+            pariah_experiment(params, baseline, runs=2, tariff_levels=value, seed=0)
+        else:
+            horizon_experiment(params, baseline, horizons=value, seed=0)
+    assert cli_error == f"error: {library_error.value}"
 
 
 class TestMaskingDemo:

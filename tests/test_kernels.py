@@ -20,6 +20,7 @@ from ricensim.config import VariantConfig
 from ricensim.economy import (
     FRACTION_CAP,
     TRANSITIONAL_RESIDUAL,
+    TRANSITIONAL_THETA3,
     WEITZMAN_A,
     WEITZMAN_B,
     WEITZMAN_C,
@@ -174,20 +175,19 @@ def test_damage_fraction_is_its_formula(ts, pi1, pi2):
         ), st.lists(st.floats(min_value=1e-3, max_value=5.0), min_size=n, max_size=n))
     ),
     st.floats(min_value=1.1, max_value=3.0),
-    st.floats(min_value=0.0, max_value=3.0),
 )
 @settings(max_examples=300, deadline=None)
-def test_abatement_fraction_is_its_formula(inputs, theta2, theta3):
+def test_abatement_fraction_is_its_formula(inputs, theta2):
     mu, prev, theta1 = (np.array(v) for v in inputs)
     power = (mu ** theta2).tolist()
     persistent = [th * p for th, p in zip(theta1.tolist(), power)]
     transitional = []
     for m, mp, th, p in zip(mu.tolist(), prev.tolist(), theta1.tolist(), power):
         rise = max(0.0, m - mp)
-        transitional.append(TRANSITIONAL_RESIDUAL * th * p + theta3 * rise * rise)
+        transitional.append(TRANSITIONAL_RESIDUAL * th * p + TRANSITIONAL_THETA3 * rise * rise)
     for kind, lam in (("persistent", persistent), ("transitional", transitional)):
         expected = [min(max(v, 0.0), FRACTION_CAP) for v in lam]
-        got = abatement_fraction(mu, prev, kind, theta1, theta2, theta3)
+        got = abatement_fraction(mu, prev, kind, theta1, theta2)
         assert same_bits(got, expected), kind
 
 
