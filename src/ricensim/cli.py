@@ -47,7 +47,7 @@ def _build_parser() -> _ArgumentParser:
         p.add_argument("--config", type=str, default=None, help="JSON config file")
         p.add_argument("--seed", type=int, default=None, help="seed override")
         p.add_argument("--out", type=str, default=None, help="output directory")
-        p.add_argument("--workers", type=int, default=1, help="worker processes, 1..nproc")
+        p.add_argument("--workers", type=int, default=1, help="worker processes, 1..os.cpu_count()")
         p.add_argument(
             "--full-scale",
             action="store_true",

@@ -477,34 +477,39 @@ def run_episode(
     ``source`` is either a ``JointActions``, applied every step (no
     observation is built and no policy called), or a policy, asked for each
     region's actions: once per episode if it is static and no mask binds,
-    else every step. ``record`` names the ``HISTORY_FIELDS`` to stack over
+    else every step. ``record`` names the ``HISTORY_FIELDS`` to record over
     the steps; the endpoints are always computed, and every history field
-    not named is None. An unknown name is a ``ConfigError`` that names it."""
+    not named is None. An unknown name is a ``ConfigError`` that names it.
+
+    Each recorded field's ``[n_steps, ...]`` array is allocated at step 0,
+    with the dtype and shape ``np.array`` gives the list of its per-step
+    values, and row ``t`` is written as step ``t`` ends: no step's
+    ``JointActions`` or ``StepDetail`` outlives its step."""
     for name in record:
         if name not in HISTORY_FIELDS:
             raise ConfigError(f"record: {name!r} is not one of {HISTORY_FIELDS}")
     world = reset(params, variant, seed)
     next_actions = _next_actions(world, source)
-    history: list[tuple[JointActions, StepDetail]] = []
+    fields = [(name, name in _LEVEL_DIMENSIONS, _LEVEL_DIMENSIONS.get(name, name))
+              for name in record]
+    rows: dict[str, np.ndarray | None] = dict.fromkeys(record)
     y_cum = 0.0
     total_reward = np.zeros(params.n_regions)
-    for _ in range(params.n_steps):
+    for t in range(params.n_steps):
         actions = next_actions(world)
         result = step(world, actions)
         d = result.detail
         y_cum += float(np.add.reduce(d.gross_output))
         total_reward += d.rewards
-        if record:
-            history.append((actions, d))
+        for name, of_actions, attr in fields:
+            value = getattr(actions if of_actions else d, attr)
+            if t == 0 and value is not None:
+                value = np.asarray(value)
+                rows[name] = np.empty((params.n_steps, *value.shape), value.dtype)
+            if rows[name] is not None:
+                rows[name][t] = value
         world = result.world
 
-    stacked = {}
-    for name in record:
-        if name in _LEVEL_DIMENSIONS:
-            values = [getattr(a, _LEVEL_DIMENSIONS[name]) for a, _ in history]
-        else:
-            values = [getattr(d, name) for _, d in history]
-        stacked[name] = None if values[0] is None else np.array(values)
     d_end = economy_mod.damage_fraction(
         max(world.t_atmosphere, 0.0), variant.damage_kind, 0.0, params.damage_pi2
     )
@@ -517,5 +522,5 @@ def run_episode(
         initial_carbon_total=sum(climate_mod.INITIAL_CARBON_GTC),
         cumulative_emissions=world.cumulative_emissions,
         final_carbon_total=float(world.carbon.sum()),
-        **stacked,
+        **rows,
     )

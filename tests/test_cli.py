@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import ricensim
-from ricensim import climate, experiments, regions, runio
+from ricensim import climate, regions, runio
 from ricensim.cli import main
 from ricensim.errors import ConfigError
 from ricensim.runio import EXPERIMENTS, parse_config
@@ -349,7 +349,7 @@ class TestErrors:
         def no_pool(*args, **kwargs):
             raise AssertionError("a worker pool was started")
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
         argv = ["sweep", "--grid", "2", "--workers", str(workers), "--out", str(tmp_path / "o")]
         assert main(argv) == 1
         assert "workers: expected an integer in 1.." in capsys.readouterr().err
@@ -390,3 +390,28 @@ def test_default_out_dir_is_under_the_working_directory(tmp_path, monkeypatch):
     assert main(["masking-demo", "--episodes", "200", "--seed", "1"]) == 0
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ricensim_out"]
     assert (tmp_path / "ricensim_out" / "masking_summary.csv").exists()
+
+
+def test_one_process_runs_load_no_process_pool(tmp_path):
+    """A ``--workers 1`` sweep, a pariah run and a negotiated episode never
+    import the process pool's modules; ``action_sweep`` imports them only
+    where it starts a pool."""
+    script = f"""
+import sys
+from ricensim import NegotiationConfig, SimParams, UniformRandomPolicy, VariantConfig
+from ricensim.cli import main
+from ricensim.engine import run_episode
+
+out = {str(tmp_path)!r}
+assert main(["sweep", "--grid", "2", "--workers", "1", "--out", out + "/sweep"]) == 0
+assert main(["pariah", "--runs", "2", "--out", out + "/pariah"]) == 0
+params = SimParams(negotiation=NegotiationConfig(enabled=True))
+run_episode(params, VariantConfig(), UniformRandomPolicy(), 0)
+print(sorted(m for m in ("multiprocessing", "concurrent.futures.process") if m in sys.modules))
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(ricensim.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

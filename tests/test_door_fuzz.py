@@ -35,7 +35,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ricensim import cli, experiments
+from ricensim import cli
 from ricensim.config import (
     HORIZON_YEARS,
     N_REGIONS,
@@ -324,7 +324,7 @@ def run_cli(doc, command: str, extra: list, tmp: str):
     stderr = io.StringIO()
     # Threads stand in for the sweep's worker processes: nothing forks.
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr), \
-            mock.patch.object(experiments, "ProcessPoolExecutor", ThreadPoolExecutor), \
+            mock.patch("concurrent.futures.ProcessPoolExecutor", ThreadPoolExecutor), \
             mock.patch.object(cli, "_execute", recording_execute):
         code = cli.main(argv)
     return code, stderr.getvalue(), raised, out

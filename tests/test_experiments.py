@@ -98,7 +98,7 @@ class TestActionSweep:
         def no_pool(*args, **kwargs):
             raise AssertionError("a process pool was started")
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
         with pytest.raises(ConfigError, match=r"workers: expected an integer in 1\.\."):
             action_sweep(SimParams(n_regions=4), baseline, grid=1, seed=0, workers=workers)
 
