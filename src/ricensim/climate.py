@@ -7,11 +7,11 @@ abatement-cost functions, never the climate.
 """
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
 
+from .config import STEP_YEARS
 from .errors import DomainError
 
 #: Per-5-year carbon transfer fractions between (atmosphere, upper ocean,
@@ -22,6 +22,9 @@ CARBON_TRANSFER_5Y = (
     (0.12, 0.797, 0.001465),
     (0.0, 0.007, 0.998535),
 )
+#: ``CARBON_TRANSFER_5Y`` as a read-only matrix: one step's transfer.
+CARBON_TRANSFER = np.array(CARBON_TRANSFER_5Y, dtype=np.float64)
+CARBON_TRANSFER.setflags(write=False)
 FORCING_PER_DOUBLING = 3.6813  # W/m^2
 REFERENCE_ATMOSPHERE_GTC = 588.0
 TEMPERATURE_FEEDBACK = 1.1875  # W/m^2 per degC
@@ -39,40 +42,11 @@ INITIAL_T_ATMOSPHERE = 1.1  # degC
 INITIAL_T_OCEAN = 0.3
 
 
-@functools.lru_cache(maxsize=8)
-def carbon_transfer_matrix(dt_years: float) -> np.ndarray:
-    """Column-stochastic transfer matrix scaled from the native 5-year step.
+def step_carbon(carbon: np.ndarray, emissions_gtc_per_year: float) -> np.ndarray:
+    """Advance the 3-reservoir carbon stocks by one ``STEP_YEARS`` step.
 
-    Off-diagonal fractions scale linearly with dt/5; diagonals absorb the
-    remainder so every column still sums to 1 (exact conservation). Built
-    once per step length, cached and returned read-only.
-    """
-    base = np.array(CARBON_TRANSFER_5Y, dtype=np.float64)
-    scale = dt_years / 5.0
-    phi = base * scale
-    for j in range(3):
-        off = phi[:, j].sum() - phi[j, j]
-        diag = 1.0 - off
-        if diag < 0.0:
-            raise DomainError(
-                f"carbon transfer matrix column {j} leaves a negative diagonal "
-                f"at dt={dt_years}; use a smaller step"
-            )
-        phi[j, j] = diag
-    phi.setflags(write=False)
-    return phi
-
-
-def step_carbon(
-    carbon: np.ndarray,
-    emissions_gtc_per_year: float,
-    dt_years: float,
-    transfer: np.ndarray,
-) -> np.ndarray:
-    """Advance the 3-reservoir carbon stocks by one step.
-
-    Total carbon changes by exactly dt * emissions because the transfer
-    matrix is column-stochastic.
+    Total carbon changes by exactly ``STEP_YEARS * emissions`` because the
+    transfer matrix is column-stochastic.
     """
     m = np.asarray(carbon, dtype=np.float64)
     # Three Python comparisons cost less than two numpy calls; as with
@@ -81,8 +55,8 @@ def step_carbon(
         raise DomainError(f"carbon stocks must be a positive 3-vector, got {carbon}")
     if emissions_gtc_per_year < 0.0:
         raise DomainError(f"emissions {emissions_gtc_per_year} are negative")
-    out = transfer @ m
-    out[0] += dt_years * emissions_gtc_per_year
+    out = CARBON_TRANSFER @ m
+    out[0] += STEP_YEARS * emissions_gtc_per_year
     return out
 
 

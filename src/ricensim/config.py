@@ -72,11 +72,15 @@ def _check_ranges(obj, prefix: str) -> None:
 #: Ranges that a library entry point taking a raw value checks as well.
 N_REGIONS = Range(2, 100, "..")
 HORIZON_YEARS = Range(1, 1000, "..")
+#: Years per step. The carbon transfer fractions and the two-box temperature
+#: coefficients are the DICE calibration's per-5-year values, so the climate
+#: is right at this step length only.
+STEP_YEARS = 5
 
 
-def check_whole_steps(path: str, years: int, dt_years: int) -> None:
-    """Reject a horizon that is not a whole number of ``dt_years`` steps."""
-    _require(years % dt_years == 0, path, f"{years} is not a multiple of dt_years ({dt_years})")
+def check_whole_steps(path: str, years: int) -> None:
+    """Reject a horizon that is not a whole number of ``STEP_YEARS`` steps."""
+    _require(years % STEP_YEARS == 0, path, f"{years} is not a multiple of {STEP_YEARS}")
 
 
 @dataclass(frozen=True)
@@ -142,9 +146,6 @@ class SimParams:
     the constants of ``economy`` and ``trade``."""
 
     n_regions: int = ranged(N_REGIONS, 27)
-    # Up to 20 years, every column of the scaled carbon transfer matrix
-    # keeps a non-negative diagonal.
-    dt_years: int = ranged(Range(1, 20, ".."), 5)
     horizon_years: int = ranged(HORIZON_YEARS, 100)
     foreign_weight: float = ranged(Range(0, 1, "(]"), 0.7)  # weight of foreign consumption in the reward
     damage_pi2: float = ranged(Range(0, 1), DEFAULT_DAMAGE_PI2)
@@ -152,8 +153,8 @@ class SimParams:
 
     def __post_init__(self) -> None:
         _check_ranges(self, "sim")
-        check_whole_steps("sim.horizon_years", self.horizon_years, self.dt_years)
+        check_whole_steps("sim.horizon_years", self.horizon_years)
 
     @property
     def n_steps(self) -> int:
-        return self.horizon_years // self.dt_years
+        return self.horizon_years // STEP_YEARS

@@ -28,7 +28,7 @@ from . import climate as climate_mod
 from . import economy as economy_mod
 from . import trade as trade_mod
 from .actions import ACTION_DIMENSIONS, JointActions
-from .config import SimParams, VariantConfig
+from .config import STEP_YEARS, SimParams, VariantConfig
 from .economy import _ONE, _float64
 from .errors import ConfigError, DomainError, MaskViolationError
 from .negotiation import build_mask, commitments_from_arrays
@@ -36,6 +36,9 @@ from .regions import generate_regions
 
 _NEGOTIATION_STREAM = 0x4E47
 _POLICY_STREAM = 0x504C
+
+#: One step's capital decay, ``(1 - DEPRECIATION) ** STEP_YEARS``.
+_CAPITAL_FACTOR = _float64((1.0 - economy_mod.DEPRECIATION) ** STEP_YEARS)
 
 
 @dataclass(frozen=True)
@@ -61,9 +64,9 @@ class EpisodeConstants:
     The derived fields are computed by the constructor alone (so
     ``dataclasses.replace`` recomputes them), from read-only copies of the
     rates and initial values, so a path never disagrees with the values it
-    came from. The scalar ones are read-only 0-d ``float64`` arrays, which
-    numpy takes as ufunc operands faster than Python numbers, with the same
-    bits. The exogenous paths are read-only ``[n_steps + 1, n]`` arrays: no
+    came from. The scalar one is a read-only 0-d ``float64`` array, which
+    numpy takes as a ufunc operand faster than a Python number, with the
+    same bits. The exogenous paths are read-only ``[n_steps + 1, n]`` arrays: no
     action moves labor, productivity or intensity, so row ``t`` is their
     value at step ``t``.
     """
@@ -78,14 +81,10 @@ class EpisodeConstants:
     labor: np.ndarray
     productivity: np.ndarray
     intensity: np.ndarray
-    #: ``params.dt_years`` and ``params.foreign_weight`` as 0-d operands.
-    dt: np.ndarray = field(init=False)
+    #: ``params.foreign_weight`` as a 0-d operand.
     foreign_weight: np.ndarray = field(init=False)
-    #: One step's capital decay over ``dt_years``, ``(1 - DEPRECIATION) ** dt``.
-    capital_factor: np.ndarray = field(init=False)
-    transfer: np.ndarray = field(init=False)
-    #: Row ``t + 1`` is row ``t`` times one step's growth over ``dt_years``,
-    #: e.g. ``(1 + labor_growth) ** dt``; row 0 is the initial value.
+    #: Row ``t + 1`` is row ``t`` times one step's growth,
+    #: e.g. ``(1 + labor_growth) ** STEP_YEARS``; row 0 is the initial value.
     labor_path: np.ndarray = field(init=False)
     productivity_path: np.ndarray = field(init=False)
     intensity_path: np.ndarray = field(init=False)
@@ -98,19 +97,15 @@ class EpisodeConstants:
 
         for name in _REGION_RATES + _EXOGENOUS:
             put(name, _read_only(np.array(getattr(self, name), dtype=np.float64)))
-        dt = self.params.dt_years
         n_steps = self.params.n_steps
         put("seed", int(self.seed))
-        put("dt", _float64(dt))
         put("foreign_weight", _float64(self.params.foreign_weight))
-        put("capital_factor", _float64((1.0 - economy_mod.DEPRECIATION) ** dt))
-        put("transfer", climate_mod.carbon_transfer_matrix(dt))
-        put("labor_path", _path(self.labor, (1.0 + self.labor_growth) ** dt, n_steps))
+        put("labor_path", _path(self.labor, (1.0 + self.labor_growth) ** STEP_YEARS, n_steps))
         put("productivity_path", _path(
-            self.productivity, (1.0 + self.productivity_growth) ** dt, n_steps
+            self.productivity, (1.0 + self.productivity_growth) ** STEP_YEARS, n_steps
         ))
         put("intensity_path", _path(
-            self.intensity, (1.0 - self.intensity_decline) ** dt, n_steps
+            self.intensity, (1.0 - self.intensity_decline) ** STEP_YEARS, n_steps
         ))
         put("labor_term", _read_only(self.labor_path ** (1.0 - economy_mod.OUTPUT_ELASTICITY)))
 
@@ -306,7 +301,6 @@ def step(world: World, actions: JointActions) -> StepResult:
     c = world.constants
     p = c.params
     v = c.variant
-    dt = p.dt_years
     t = world.t
     if t >= p.n_steps:
         raise DomainError(f"the world is at step {t}, the end of its {p.n_steps}-step episode")
@@ -344,13 +338,13 @@ def step(world: World, actions: JointActions) -> StepResult:
         rewards -= v.disaster.penalty
 
     balance_after = trade_mod.step_balance(
-        world.balance, flows.exports_scaled, flows.imports_scaled, revenue, v, c.dt
+        world.balance, flows.exports_scaled, flows.imports_scaled, revenue, v
     )
 
     # Carbon, forcing, temperature.
-    carbon_after = climate_mod.step_carbon(world.carbon, emissions_global, dt, c.transfer)
+    carbon_after = climate_mod.step_carbon(world.carbon, emissions_global)
     forcing = climate_mod.radiative_forcing(
-        float(carbon_after[0]), climate_mod.exogenous_forcing((t + 1) * dt)
+        float(carbon_after[0]), climate_mod.exogenous_forcing((t + 1) * STEP_YEARS)
     )
     t_at, t_lo = climate_mod.step_temperature(world.t_atmosphere, world.t_ocean, forcing)
 
@@ -358,7 +352,7 @@ def step(world: World, actions: JointActions) -> StepResult:
     new_world = World(
         constants=c,
         t=t + 1,
-        capital=world.capital * c.capital_factor + c.dt * investment,
+        capital=world.capital * _CAPITAL_FACTOR + trade_mod._STEP_YEARS * investment,
         mitigation_prev=mitigation_rate,
         balance=balance_after,
         carbon=carbon_after,
@@ -367,7 +361,7 @@ def step(world: World, actions: JointActions) -> StepResult:
         commitments=(
             _draw_commitments(p, c.seed, t + 1) if p.negotiation.enabled else None
         ),
-        cumulative_emissions=world.cumulative_emissions + dt * emissions_global,
+        cumulative_emissions=world.cumulative_emissions + STEP_YEARS * emissions_global,
     )
     # Positional, in ``StepDetail._fields`` order; ``cons`` fills the four
     # ``ConsumptionBreakdown`` fields from ``domestic`` to ``domestic_floored``.
@@ -400,7 +394,7 @@ class EpisodeRecord:
     had any."""
 
     delta_t_end: float
-    y_cum: float  # dt times the running sum of each step's world gross output
+    y_cum: float  # STEP_YEARS times the running sum of each step's world gross output
     total_reward: np.ndarray  # [region]
     mean_total_reward: float
     d_end: float
@@ -515,7 +509,7 @@ def run_episode(
     )
     return EpisodeRecord(
         delta_t_end=float(world.t_atmosphere),
-        y_cum=float(params.dt_years * y_cum),
+        y_cum=float(STEP_YEARS * y_cum),
         total_reward=total_reward,
         mean_total_reward=float(total_reward.mean()),
         d_end=float(d_end),

@@ -317,7 +317,7 @@ def horizon_experiment(
     """Calibrate damages on the 100-year no-mitigation run, then extend."""
     HORIZON_YEARS.check_list("options.horizons", horizons)
     for k, h in enumerate(horizons):
-        check_whole_steps(f"options.horizons[{k}]", h, params.dt_years)
+        check_whole_steps(f"options.horizons[{k}]", h)
     cal = calibrate_damage_to_anchor(params, variant, seed)
     t_end: dict[int, float] = {}
     d_end: dict[int, float] = {}

@@ -24,7 +24,7 @@ import numpy as np
 
 from .actions import ACTION_DIMENSIONS
 from .calibration import ANCHOR_DAMAGE, calibrate_damage_to_anchor
-from .config import HORIZON_YEARS, Range, SimParams, VariantConfig
+from .config import HORIZON_YEARS, STEP_YEARS, Range, SimParams, VariantConfig, check_whole_steps
 from .engine import run_episode
 from .errors import ConfigError
 from .experiments import (
@@ -52,6 +52,8 @@ class Option:
     bounds: Range
     full_scale: int | None = None  # default under --full-scale, when it differs
     flag_help: str | None = None  # the option is also the CLI flag --<key>
+    #: A list option's further check of each entry, ``entry_check(path, entry)``.
+    entry_check: Callable[[str, int], None] | None = None
 
     @property
     def is_list(self) -> bool:
@@ -60,6 +62,9 @@ class Option:
     def check(self, path: str, value) -> None:
         if self.is_list:
             self.bounds.check_list(path, value)
+            if self.entry_check is not None:
+                for k, entry in enumerate(value):
+                    self.entry_check(f"{path}[{k}]", entry)
         else:
             self.bounds.check(path, value)
 
@@ -104,7 +109,7 @@ def _write_episode(out: Path, config: RunConfig, rec) -> str:
     step = np.repeat(np.arange(n_steps), n)  # rows run step by step, region by region
     write_csv(out / "episode.csv", {
         "step": step,
-        "year": (step + 1) * sim.dt_years,
+        "year": (step + 1) * STEP_YEARS,
         "region": np.tile(np.arange(n), n_steps),
         "savings_level": rec.savings_levels.ravel(),
         "mitigation_level": rec.mitigation_levels.ravel(),
@@ -317,7 +322,8 @@ EXPERIMENTS = {
             write=_write_horizon,
             options={
                 "horizons": Option(
-                    (100, 200, 300), HORIZON_YEARS, flag_help="comma-separated horizons in years"
+                    (100, 200, 300), HORIZON_YEARS, flag_help="comma-separated horizons in years",
+                    entry_check=check_whole_steps,
                 ),
             },
         ),

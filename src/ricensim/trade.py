@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import VariantConfig
+from .config import STEP_YEARS, VariantConfig
 from .economy import _ONE, _ZERO, _float64
 
 #: The balance-driven multiplier on the import budget is clamped here to
@@ -32,6 +32,9 @@ TINY = 1e-300
 
 #: The ``10`` of ``import_budget_multiplier``'s ``10 * Y``.
 _TEN = _float64(10.0)
+
+#: ``STEP_YEARS`` as a 0-d operand; the engine's capital step reads it too.
+_STEP_YEARS = _float64(STEP_YEARS)
 
 
 class TradeFlows:
@@ -162,18 +165,17 @@ def step_balance(
     imports_scaled: np.ndarray,
     revenue: np.ndarray,
     variant: VariantConfig,
-    dt_years: np.ndarray | float,
 ) -> np.ndarray:
-    """Advance trade balances; tariff revenue accrues only under the variant.
+    """Advance trade balances by one ``STEP_YEARS`` step; tariff revenue
+    accrues only under the variant.
 
     The revenue term is added separately so that, given identical flows,
-    switching the variant on changes the balance by exactly dt * revenue.
-    ``dt_years`` is a number or a 0-d ``float64`` array (``step`` passes
-    ``EpisodeConstants.dt``); either gives the same bits.
+    switching the variant on changes the balance by exactly
+    ``STEP_YEARS * revenue``.
     """
-    out = balance + dt_years * (exports_scaled - imports_scaled)
+    out = balance + _STEP_YEARS * (exports_scaled - imports_scaled)
     if variant.use_tariff_revenue:
-        out = out + dt_years * revenue
+        out = out + _STEP_YEARS * revenue
     return out
 
 

@@ -22,6 +22,7 @@ from ricensim import (
     run_episode,
 )
 from ricensim.cli import main as cli_main
+from ricensim.config import STEP_YEARS
 from ricensim.experiments import (
     action_sweep,
     commitment_statistics,
@@ -180,14 +181,14 @@ def test_c08_variant_efficacy():
     for t in range(PARAMS.n_steps):
         balance = step_balance(
             balance, on.exports_scaled[t], on.imports_scaled[t], on.revenue[t],
-            revenue_variant, PARAMS.dt_years,
+            revenue_variant,
         )
         replay_exact = replay_exact and bool(np.array_equal(balance, on.balance[t]))
     # Paired runs share flows on the first step (feedback has not kicked in),
     # so the balance difference equals dt*revenue to float precision.
     first_diff = on.balance[0] - off.balance[0]
     paired_ok = bool(
-        np.allclose(first_diff, PARAMS.dt_years * on.revenue[0], rtol=1e-12, atol=0)
+        np.allclose(first_diff, STEP_YEARS * on.revenue[0], rtol=1e-12, atol=0)
         and np.array_equal(on.revenue[0], off.revenue[0])
     )
     report(8, "overproduction: reward strictly decreasing in received tariffs; "

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import ricensim
-from ricensim import climate, regions, runio
+from ricensim import regions, runio
 from ricensim.cli import main
 from ricensim.errors import ConfigError
 from ricensim.runio import EXPERIMENTS, parse_config
@@ -112,11 +112,9 @@ def test_manifest_reproduces_run(tmp_path, name):
 @pytest.mark.parametrize("argv", [["sweep", "--grid", "2"], ["pariah", "--runs", "3"]])
 def test_cold_and_warm_generation_caches_write_the_same_bytes(tmp_path, argv):
     """A run that generates every world afresh writes what a run that finds
-    them all in the caches of ``generate_regions`` and
-    ``carbon_transfer_matrix`` writes."""
+    them all in the cache of ``generate_regions`` writes."""
     cold, warm = tmp_path / "cold", tmp_path / "warm"
     regions._generated.cache_clear()
-    climate.carbon_transfer_matrix.cache_clear()
     assert main([*argv, "--seed", "6", "--out", str(cold)]) == 0
     assert regions._generated.cache_info().currsize > 0
     assert main([*argv, "--seed", "6", "--out", str(warm)]) == 0
@@ -257,7 +255,9 @@ class TestErrors:
             ({"sim": {"n_regions": "27"}}, "sim.n_regions"),
             ({"sim": {"n_regions": True}}, "sim.n_regions"),
             ({"sim": {"region_seed": -1}}, "unknown key: sim.region_seed"),
-            ({"sim": {"dt_years": 25}}, "dt_years"),
+            # Manifests written while the step length was configurable hold
+            # this line; the step is now the climate calibration's 5 years.
+            ({"sim": {"dt_years": 5}}, "unknown key: sim.dt_years"),
             # The top-level seed is the only seed; a second one is not ignored.
             ({"sim": {"region_seed": 5}, "seed": 7}, "unknown key: sim.region_seed"),
             ({"seed": None}, "seed"),
@@ -295,6 +295,10 @@ class TestErrors:
             ({"sim": {"damage_pi1": 0.0, "damage_pi2": 0.0002, "depreciation": 0.1,
                       "import_budget": 0.1, "output_elasticity": 0.3, "theta2": 2.6,
                       "theta3": 1.0}}, "unknown key: sim.damage_pi1"),
+            # A horizon is a whole number of 5-year steps.
+            ({"sim": {"horizon_years": 102}}, "sim.horizon_years: 102 is not a multiple of 5"),
+            ({"experiment": "horizon", "options": {"horizons": [100, 7]}},
+             "options.horizons[1]: 7 is not a multiple of 5"),
         ],
     )
     def test_bad_option_or_seed_is_a_config_error(self, tmp_path, capsys, doc, key):

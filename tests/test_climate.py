@@ -1,5 +1,4 @@
 import math
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,41 +7,42 @@ from hypothesis import strategies as st
 
 from ricensim import climate
 from ricensim.climate import (
-    carbon_transfer_matrix,
+    CARBON_TRANSFER,
+    CARBON_TRANSFER_5Y,
     exogenous_forcing,
     radiative_forcing,
     step_carbon,
     step_temperature,
 )
-from ricensim.config import SimParams
+from ricensim.config import STEP_YEARS
 from ricensim.errors import DomainError
-
-PHI = carbon_transfer_matrix(5)
 
 
 class TestCarbon:
     def test_zero_emission_conserves_total(self):
         m = np.array([600.0, 400.0, 1300.0])
-        out = step_carbon(m, 0.0, 5, PHI)
+        out = step_carbon(m, 0.0)
         assert math.isclose(out.sum(), m.sum(), rel_tol=1e-9)
 
     def test_emission_adds_exactly_dt_times_e(self):
         m = np.array([600.0, 400.0, 1300.0])
-        out = step_carbon(m, 10.0, 5, PHI)
+        out = step_carbon(m, 10.0)
+        assert STEP_YEARS == 5
         assert math.isclose(out.sum(), m.sum() + 50.0, rel_tol=1e-12)
 
-    def test_identity_matrix_keeps_stocks(self):
+    def test_step_is_the_transfer_plus_emissions_into_the_atmosphere(self):
         m = np.array([600.0, 400.0, 1300.0])
-        out = step_carbon(m, 0.0, 5, np.eye(3))
-        assert np.allclose(out, m, rtol=0, atol=0)
+        expected = CARBON_TRANSFER @ m
+        expected[0] += STEP_YEARS * 10.0
+        assert step_carbon(m, 10.0).tobytes() == expected.tobytes()
 
     def test_emissions_below_floor_rejected(self):
         with pytest.raises(DomainError):
-            step_carbon(np.array([1.0, 1.0, 1.0]), -0.5, 5, PHI)
+            step_carbon(np.array([1.0, 1.0, 1.0]), -0.5)
 
     def test_nonpositive_stock_rejected(self):
         with pytest.raises(DomainError):
-            step_carbon(np.array([0.0, 1.0, 1.0]), 0.0, 5, PHI)
+            step_carbon(np.array([0.0, 1.0, 1.0]), 0.0)
 
     @given(
         st.lists(st.floats(min_value=0.0, max_value=100.0), min_size=60, max_size=60),
@@ -55,16 +55,24 @@ class TestCarbon:
         total0 = m.sum()
         cumulative = 0.0
         for e in emissions:
-            m = step_carbon(m, e, 5, PHI)
-            cumulative += 5 * e
+            m = step_carbon(m, e)
+            cumulative += STEP_YEARS * e
         assert math.isclose(m.sum(), total0 + cumulative, rel_tol=1e-9)
 
-    def test_matrix_columns_sum_to_one_at_any_dt(self):
-        dt_range = next(f for f in fields(SimParams) if f.name == "dt_years").metadata["range"]
-        for dt in range(dt_range.lo, dt_range.hi + 1):
-            phi = carbon_transfer_matrix(dt)
-            assert np.allclose(phi.sum(axis=0), 1.0, rtol=0, atol=1e-12)
-            assert (phi >= 0).all()
+
+class TestCarbonTransfer:
+    def test_is_the_5_year_fractions_bit_for_bit(self):
+        assert CARBON_TRANSFER.shape == (3, 3) and CARBON_TRANSFER.dtype == np.float64
+        assert CARBON_TRANSFER.tobytes() == np.array(CARBON_TRANSFER_5Y).tobytes()
+
+    def test_read_only(self):
+        assert not CARBON_TRANSFER.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            CARBON_TRANSFER[0, 0] = 1.0
+
+    def test_columns_sum_to_one_and_entries_are_non_negative(self):
+        assert np.allclose(CARBON_TRANSFER.sum(axis=0), 1.0, rtol=0, atol=1e-12)
+        assert (CARBON_TRANSFER >= 0).all()
 
 
 class TestForcing:
@@ -145,8 +153,8 @@ class TestTemperature:
         t_at, t_lo = climate.INITIAL_T_ATMOSPHERE, climate.INITIAL_T_OCEAN
         deltas = []
         for k in range(100):
-            m = step_carbon(m, 0.0, 5, PHI)
-            f = radiative_forcing(m[0], exogenous_forcing(5 * (k + 1)))
+            m = step_carbon(m, 0.0)
+            f = radiative_forcing(m[0], exogenous_forcing(STEP_YEARS * (k + 1)))
             new_at, new_lo = step_temperature(t_at, t_lo, f)
             deltas.append(abs(new_at - t_at))
             t_at, t_lo = new_at, new_lo
@@ -161,8 +169,8 @@ class TestTemperature:
         t_at, t_lo = climate.INITIAL_T_ATMOSPHERE, climate.INITIAL_T_OCEAN
         deltas = []
         for k in range(100):
-            m = step_carbon(m, 0.0, 5, PHI)
-            f = radiative_forcing(m[0], exogenous_forcing(5 * (k + 1)))
+            m = step_carbon(m, 0.0)
+            f = radiative_forcing(m[0], exogenous_forcing(STEP_YEARS * (k + 1)))
             new_at, new_lo = step_temperature(t_at, t_lo, f)
             deltas.append(abs(new_at - t_at))
             t_at, t_lo = new_at, new_lo

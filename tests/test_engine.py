@@ -14,6 +14,7 @@ from ricensim import (
     VariantConfig,
 )
 from ricensim import economy
+from ricensim.config import STEP_YEARS
 from ricensim.engine import (
     HISTORY_FIELDS,
     reset,
@@ -66,11 +67,10 @@ def iterated_paths(constants):
     """The exogenous rows as a step-by-step rollout grows them, each a fresh
     ``[n]`` array: ``row * factor``, and ``labor ** (1 - OUTPUT_ELASTICITY)``
     taken on each labor row."""
-    dt = constants.params.dt_years
     factors = {
-        "labor": (1.0 + constants.labor_growth) ** dt,
-        "productivity": (1.0 + constants.productivity_growth) ** dt,
-        "intensity": (1.0 - constants.intensity_decline) ** dt,
+        "labor": (1.0 + constants.labor_growth) ** STEP_YEARS,
+        "productivity": (1.0 + constants.productivity_growth) ** STEP_YEARS,
+        "intensity": (1.0 - constants.intensity_decline) ** STEP_YEARS,
     }
     rows = {name: [np.array(getattr(constants, name))] for name in factors}
     for _ in range(constants.params.n_steps):
@@ -97,14 +97,13 @@ class TestExogenousPaths:
         """The paths are built whole, the labor term as one power over the
         ``[n_steps + 1, n]`` labor path, yet each row has the bits of the
         step-by-step ``[n]`` products and power."""
-        for dt in (1, 5, 20):
-            params = SimParams(n_regions=n_regions, dt_years=dt)
-            constants = reset(params, baseline, seed).constants
-            for name, rows in iterated_paths(constants).items():
-                path = getattr(constants, self.PATHS[name])
-                assert path.shape == (params.n_steps + 1, n_regions), (name, dt)
-                for t, row in enumerate(rows):
-                    assert path[t].tobytes() == row.tobytes(), (name, dt, t)
+        params = SimParams(n_regions=n_regions)
+        constants = reset(params, baseline, seed).constants
+        for name, rows in iterated_paths(constants).items():
+            path = getattr(constants, self.PATHS[name])
+            assert path.shape == (params.n_steps + 1, n_regions), name
+            for t, row in enumerate(rows):
+                assert path[t].tobytes() == row.tobytes(), (name, t)
 
     def test_paths_are_read_only_and_the_world_reads_row_t(self, small_params, baseline):
         world = reset(small_params, baseline, 2)
@@ -224,7 +223,7 @@ class TestStep:
         """The growth factors come from the constants' constructor, so rates
         swapped in after ``reset`` are the ones the step grows by."""
         w = reset(small_params, baseline, 1)
-        n, dt = w.n_regions, small_params.dt_years
+        n, dt = w.n_regions, STEP_YEARS
         rates = {
             "theta1": np.full(n, 0.05),
             "productivity_growth": np.linspace(0.0, 0.03, n),
@@ -612,22 +611,16 @@ def test_step_never_writes_to_its_input_world(small_params, variant):
 
 @pytest.mark.parametrize("foreign_weight", [0.7, 1e-3, 1])
 def test_episode_scalars_are_read_only_0d_float64(small_params, baseline, foreign_weight):
-    """The scalar operands the step reads from its constants are read-only
-    0-d ``float64`` arrays equal to the values they come from, also after
+    """The scalar operand the step reads from its constants is a read-only
+    0-d ``float64`` array equal to the value it comes from, also after
     ``dataclasses.replace``; an ``int`` weight (the config admits ``1``)
     becomes its float."""
-    params = dataclasses.replace(small_params, foreign_weight=foreign_weight, dt_years=10)
+    params = dataclasses.replace(small_params, foreign_weight=foreign_weight)
     constants = reset(params, baseline, 1).constants
-    expected = {
-        "dt": float(params.dt_years),
-        "foreign_weight": float(params.foreign_weight),
-        "capital_factor": (1 - economy.DEPRECIATION) ** params.dt_years,
-    }
     for c in (constants, dataclasses.replace(constants, seed=2)):
-        for name, value in expected.items():
-            field = getattr(c, name)
-            assert isinstance(field, np.ndarray), name
-            assert field.shape == () and field.dtype == np.float64, name
-            assert field.tobytes() == np.float64(value).tobytes(), name
-            with pytest.raises(ValueError):
-                field[...] = 0.0
+        field = c.foreign_weight
+        assert isinstance(field, np.ndarray)
+        assert field.shape == () and field.dtype == np.float64
+        assert field.tobytes() == np.float64(float(foreign_weight)).tobytes()
+        with pytest.raises(ValueError):
+            field[...] = 0.0

@@ -15,8 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ricensim import economy, trade
-from ricensim.config import VariantConfig
+from ricensim import economy, engine, trade
+from ricensim.config import STEP_YEARS, VariantConfig
 from ricensim.economy import (
     FRACTION_CAP,
     TRANSITIONAL_RESIDUAL,
@@ -201,6 +201,10 @@ TWINS = {
     "trade._BUDGET_HI": (trade._BUDGET_HI, BUDGET_MULTIPLIER_BOUNDS[1]),
     "trade._IMPORT_BUDGET": (trade._IMPORT_BUDGET, trade.IMPORT_BUDGET),
     "trade._TEN": (trade._TEN, 10.0),
+    "trade._STEP_YEARS": (trade._STEP_YEARS, float(STEP_YEARS)),
+    "engine._CAPITAL_FACTOR": (
+        engine._CAPITAL_FACTOR, (1.0 - economy.DEPRECIATION) ** STEP_YEARS
+    ),
 }
 
 

@@ -95,6 +95,5 @@ def test_reset_world_state_is_read_only():
         assert isinstance(values, np.ndarray)
         assert not values.flags.writeable
     c = world.constants
-    for values in (c.theta1, c.productivity_growth, c.labor_growth, c.intensity_decline,
-                   c.transfer):
+    for values in (c.theta1, c.productivity_growth, c.labor_growth, c.intensity_decline):
         assert not values.flags.writeable

@@ -20,7 +20,7 @@ class TestParseConfig:
         config = parse_config("")
         assert config.sim.n_regions == 27
         assert config.sim.horizon_years == 100
-        assert config.sim.dt_years == 5
+        assert config.sim.n_steps == 20
         assert config.variant == VariantConfig()
 
     def test_invariant_violation_names_key(self):
@@ -80,7 +80,7 @@ class TestParseConfig:
 
     def test_type_error_named(self):
         with pytest.raises(ConfigError):
-            parse_config('{"sim": {"dt_years": "five"}}')
+            parse_config('{"sim": {"horizon_years": "five"}}')
 
     @pytest.mark.parametrize(
         "doc, key",

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ricensim.config import VariantConfig
+from ricensim.config import STEP_YEARS, VariantConfig
 from ricensim.trade import (
     TradeFlows,
     apply_tariffs,
@@ -166,19 +166,19 @@ class TestConsumption:
 class TestBalance:
     def test_balanced_trade_keeps_balance(self):
         b = step_balance(np.array([5.0]), np.array([3.0]), np.array([3.0]),
-                         np.array([4.0]), BASE, 5)
+                         np.array([4.0]), BASE)
         assert b[0] == 5.0
 
     def test_revenue_accrues_under_variant(self):
         b = step_balance(np.array([5.0]), np.array([3.0]), np.array([3.0]),
-                         np.array([4.0]), REVENUE, 5)
+                         np.array([4.0]), REVENUE)
         assert b[0] == 25.0
 
     def test_variant_difference_is_exactly_dt_times_revenue(self):
         args = (np.array([2.0]), np.array([7.0]), np.array([4.0]), np.array([1.5]))
-        off = step_balance(*args, BASE, 5)
-        on = step_balance(*args, REVENUE, 5)
-        assert on[0] - off[0] == 5 * 1.5
+        off = step_balance(*args, BASE)
+        on = step_balance(*args, REVENUE)
+        assert on[0] - off[0] == STEP_YEARS * 1.5
 
     def test_budget_multiplier_clamped(self):
         y = np.array([10.0, 10.0, 10.0, 0.0])
