@@ -2,7 +2,8 @@
 from __future__ import annotations
 
 import functools
-from itertools import chain
+import operator
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -68,13 +69,18 @@ def _check_levels(name: str, levels, per_region: int) -> None:
         check_level(f"region {i // per_region}: {name}", level)
 
 
+_DTYPE_KIND = operator.attrgetter("dtype.kind")
+
+
 def _integer_arrays(value) -> bool:
     """Whether ``value`` is an integer array or a list or tuple of them:
     neither can hold a bool."""
     if isinstance(value, np.ndarray):
         return value.dtype.kind in "iu"
-    return isinstance(value, (list, tuple)) and all(
-        isinstance(row, np.ndarray) and row.dtype.kind in "iu" for row in value
+    return (
+        isinstance(value, (list, tuple))
+        and all(map(isinstance, value, repeat(np.ndarray)))
+        and {"i", "u"}.issuperset(map(_DTYPE_KIND, value))
     )
 
 
@@ -179,14 +185,11 @@ class JointActions:
 
     @classmethod
     def from_action_sets(cls, sets: list[ActionSet]) -> "JointActions":
-        """Stack per-region sets into one checked ``JointActions``."""
-        return cls(
-            savings=[a.savings_level for a in sets],
-            mitigation=[a.mitigation_level for a in sets],
-            export=[a.max_export_level for a in sets],
-            imports=[a.import_levels for a in sets],
-            tariffs=[a.tariff_levels for a in sets],
-        )
+        """Stack per-region sets into one checked ``JointActions``: the sets
+        transposed into the five dimensions' columns. No sets give five
+        empty columns, which fail the check as any empty action does."""
+        columns = tuple(zip(*sets)) or ((),) * len(ACTION_DIMENSIONS)
+        return cls(*columns)
 
     @classmethod
     def uniform(

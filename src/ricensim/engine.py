@@ -5,9 +5,9 @@ starting temperature), investment, trade matching and consumption, reward,
 balance settlement, emissions into the carbon cycle, forcing and
 temperature, then capital accumulation. The exogenous quantities (labor,
 productivity, emission intensity) follow paths that no action moves, fixed
-when the world is reset. Commitment masks for the *next* step
-are drawn at the end of each step (and once at reset for the first step),
-so policies always see the masks that will bind their actions.
+when the world is reset. No action moves the commitments either: every
+step's are drawn at reset, and a world's masks are those of its step, so
+policies always see the masks that will bind their actions.
 
 ``run_episode`` is the one rollout: it takes fixed ``JointActions`` or a
 policy, and returns an ``EpisodeRecord`` of the episode's endpoints plus
@@ -68,7 +68,8 @@ class EpisodeConstants:
     numpy takes as a ufunc operand faster than a Python number, with the
     same bits. The exogenous paths are read-only ``[n_steps + 1, n]`` arrays: no
     action moves labor, productivity or intensity, so row ``t`` is their
-    value at step ``t``.
+    value at step ``t``. So are the commitments when negotiation is on: row
+    ``t`` binds step ``t``.
     """
 
     params: SimParams
@@ -90,6 +91,9 @@ class EpisodeConstants:
     intensity_path: np.ndarray = field(init=False)
     #: ``L ** (1 - OUTPUT_ELASTICITY)`` of each labor row.
     labor_term: np.ndarray = field(init=False)
+    #: Each step's commitments (``_draw_commitments``), or None when
+    #: negotiation is off.
+    commitments: np.ndarray | None = field(init=False)
 
     def __post_init__(self) -> None:
         def put(name, value):
@@ -100,24 +104,33 @@ class EpisodeConstants:
         n_steps = self.params.n_steps
         put("seed", int(self.seed))
         put("foreign_weight", _float64(self.params.foreign_weight))
-        put("labor_path", _path(self.labor, (1.0 + self.labor_growth) ** STEP_YEARS, n_steps))
-        put("productivity_path", _path(
-            self.productivity, (1.0 + self.productivity_growth) ** STEP_YEARS, n_steps
+        labor, productivity, intensity = _paths(n_steps, (
+            (self.labor, (1.0 + self.labor_growth) ** STEP_YEARS),
+            (self.productivity, (1.0 + self.productivity_growth) ** STEP_YEARS),
+            (self.intensity, (1.0 - self.intensity_decline) ** STEP_YEARS),
         ))
-        put("intensity_path", _path(
-            self.intensity, (1.0 - self.intensity_decline) ** STEP_YEARS, n_steps
-        ))
+        put("labor_path", labor)
+        put("productivity_path", productivity)
+        put("intensity_path", intensity)
         put("labor_term", _read_only(self.labor_path ** (1.0 - economy_mod.OUTPUT_ELASTICITY)))
+        put("commitments", (
+            _draw_commitments(self.params.n_regions, n_steps, self.seed)
+            if self.params.negotiation.enabled
+            else None
+        ))
 
 
-def _path(initial: np.ndarray, factor: np.ndarray, n_steps: int) -> np.ndarray:
-    """Read-only ``[n_steps + 1, n]`` rows: ``initial``, then each row times
-    ``factor``. ``multiply.accumulate`` makes the same one multiplication
-    per element and row as iterating ``row * factor``, so the bits agree."""
-    rows = np.empty((n_steps + 1, initial.shape[0]))
-    rows[0] = initial
-    rows[1:] = factor
-    return _read_only(np.multiply.accumulate(rows, axis=0, out=rows))
+def _paths(n_steps: int, starts: tuple[tuple[np.ndarray, np.ndarray], ...]) -> np.ndarray:
+    """One read-only ``[n_steps + 1, n]`` slab per ``(initial, factor)``:
+    ``initial``, then each row times ``factor``. One ``multiply.accumulate``
+    over the ``[len(starts), n_steps + 1, n]`` block makes the same one
+    multiplication per element and row as iterating ``row * factor``, so the
+    bits agree, and leaves each slab contiguous."""
+    block = np.empty((len(starts), n_steps + 1, starts[0][0].shape[0]))
+    for slab, (initial, factor) in zip(block, starts):
+        slab[0] = initial
+        slab[1:] = factor
+    return _read_only(np.multiply.accumulate(block, axis=1, out=block))
 
 
 @dataclass(slots=True)
@@ -126,8 +139,9 @@ class World:
     actions move. Treated as a value: ``step`` returns a new instance and
     never mutates its input. The state arrays of a world from ``reset`` are
     read-only, and the generated capital is shared by every world reset
-    from the same ``(n_regions, seed)``. ``labor``, ``productivity`` and
-    ``intensity`` are read-only rows ``t`` of the constants' paths."""
+    from the same ``(n_regions, seed)``. ``labor``, ``productivity``,
+    ``intensity`` and ``commitments`` are read-only rows ``t`` of the
+    constants' arrays."""
 
     constants: EpisodeConstants
     t: int
@@ -137,7 +151,6 @@ class World:
     carbon: np.ndarray
     t_atmosphere: float
     t_ocean: float
-    commitments: np.ndarray | None
     cumulative_emissions: float
 
     @property
@@ -151,6 +164,11 @@ class World:
     @property
     def intensity(self) -> np.ndarray:
         return self.constants.intensity_path[self.t]
+
+    @property
+    def commitments(self) -> np.ndarray | None:
+        rows = self.constants.commitments
+        return None if rows is None else rows[self.t]
 
     @property
     def n_regions(self) -> int:
@@ -177,16 +195,21 @@ class World:
 def _masks_bind(world: World) -> bool:
     """Whether the world's commitments constrain the upcoming step."""
     neg = world.constants.params.negotiation
-    return neg.enabled and neg.enforce_masks and world.commitments is not None
+    return neg.enabled and neg.enforce_masks
 
 
-def _draw_commitments(params: SimParams, episode_seed: int, t: int) -> np.ndarray:
-    """Uniform proposals, all-accept evaluations, maximum-accepted commitment."""
-    rng = np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence([int(episode_seed), _NEGOTIATION_STREAM, int(t)]))
-    )
-    proposals = rng.integers(0, 10, size=params.n_regions)
-    return np.full(params.n_regions, commitments_from_arrays(proposals))
+def _draw_commitments(n_regions: int, n_steps: int, episode_seed: int) -> np.ndarray:
+    """Read-only ``[n_steps + 1, n_regions]`` commitments, row ``t`` from its
+    own counter-based stream keyed on ``(episode_seed, t)``: uniform
+    proposals, all-accept evaluations, maximum-accepted commitment."""
+    proposals = np.empty((n_steps + 1, n_regions), dtype=np.int64)
+    for t, row in enumerate(proposals):
+        rng = np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence([episode_seed, _NEGOTIATION_STREAM, t]))
+        )
+        row[:] = rng.integers(0, 10, size=n_regions)
+    committed = commitments_from_arrays(proposals)
+    return _read_only(np.repeat(committed[:, None], n_regions, axis=1))
 
 
 #: The constants the last ``reset`` built. A sweep resets one world for
@@ -196,8 +219,8 @@ _last_constants: EpisodeConstants | None = None
 
 def reset(params: SimParams, variant: VariantConfig, seed: int = 0) -> World:
     """Fresh world: the episode's constants (generated regions' rates and
-    exogenous quantities, and the paths derived from them), the regions' initial capital,
-    the initial climate and the first step's commitments. ``generate_regions``
+    exogenous quantities, and the paths and commitments derived from them),
+    the regions' initial capital and the initial climate. ``generate_regions``
     caches the generated regions per ``(n_regions, seed)``; every state
     array of the world is read-only.
 
@@ -231,11 +254,6 @@ def reset(params: SimParams, variant: VariantConfig, seed: int = 0) -> World:
         carbon=_read_only(np.array(climate_mod.INITIAL_CARBON_GTC, dtype=np.float64)),
         t_atmosphere=climate_mod.INITIAL_T_ATMOSPHERE,
         t_ocean=climate_mod.INITIAL_T_OCEAN,
-        commitments=(
-            _read_only(_draw_commitments(params, seed, 0))
-            if params.negotiation.enabled
-            else None
-        ),
         cumulative_emissions=0.0,
     )
 
@@ -281,10 +299,11 @@ def _enforce_masks(world: World, actions: JointActions) -> None:
     if not _masks_bind(world):
         return
     levels = actions.mitigation
-    below = np.flatnonzero(levels < world.commitments)
+    floors = world.commitments
+    below = np.flatnonzero(levels < floors)
     if below.size:
         r = int(below[0])
-        raise MaskViolationError(r, int(levels[r]), int(world.commitments[r]))
+        raise MaskViolationError(r, int(levels[r]), int(floors[r]))
 
 
 def step(world: World, actions: JointActions) -> StepResult:
@@ -358,9 +377,6 @@ def step(world: World, actions: JointActions) -> StepResult:
         carbon=carbon_after,
         t_atmosphere=t_at,
         t_ocean=t_lo,
-        commitments=(
-            _draw_commitments(p, c.seed, t + 1) if p.negotiation.enabled else None
-        ),
         cumulative_emissions=world.cumulative_emissions + STEP_YEARS * emissions_global,
     )
     # Positional, in ``StepDetail._fields`` order; ``cons`` fills the four
@@ -487,6 +503,8 @@ def run_episode(
     fields = [(name, name in _LEVEL_DIMENSIONS, _LEVEL_DIMENSIONS.get(name, name))
               for name in record]
     rows: dict[str, np.ndarray | None] = dict.fromkeys(record)
+    # (array, of the actions?, attribute) of each field not None at step 0.
+    writes = []
     y_cum = 0.0
     total_reward = np.zeros(params.n_regions)
     for t in range(params.n_steps):
@@ -495,13 +513,15 @@ def run_episode(
         d = result.detail
         y_cum += float(np.add.reduce(d.gross_output))
         total_reward += d.rewards
-        for name, of_actions, attr in fields:
-            value = getattr(actions if of_actions else d, attr)
-            if t == 0 and value is not None:
-                value = np.asarray(value)
-                rows[name] = np.empty((params.n_steps, *value.shape), value.dtype)
-            if rows[name] is not None:
-                rows[name][t] = value
+        if t == 0:
+            for name, of_actions, attr in fields:
+                value = getattr(actions if of_actions else d, attr)
+                if value is not None:
+                    value = np.asarray(value)
+                    rows[name] = np.empty((params.n_steps, *value.shape), value.dtype)
+                    writes.append((rows[name], of_actions, attr))
+        for out, of_actions, attr in writes:
+            out[t] = getattr(actions if of_actions else d, attr)
         world = result.world
 
     d_end = economy_mod.damage_fraction(

@@ -7,18 +7,25 @@ the floor up.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .actions import ACTION_DIMENSIONS, ActionSet, _partner_matrix, check_level
+from .actions import ACTION_DIMENSIONS, NUM_LEVELS, ActionSet, _partner_matrix, check_level
 from .negotiation import masked_sample
+
+
+@functools.lru_cache(maxsize=4 * NUM_LEVELS)
+def _partner_rows(n_regions: int, level: int) -> tuple[np.ndarray, ...]:
+    """The read-only rows of the cached ``_partner_matrix``, sliced once."""
+    return tuple(_partner_matrix(n_regions, level))
 
 
 def _partner_vector(observation, level: int) -> np.ndarray:
     """``level`` toward every other region, 0 toward the region itself: a
     read-only row of the cached ``_partner_matrix``."""
-    return _partner_matrix(observation.n_regions, level)[observation.region]
+    return _partner_rows(observation.n_regions, level)[observation.region]
 
 
 @dataclass(frozen=True)
@@ -58,17 +65,19 @@ IDEAL_TRADE_POLICY = FixedLevelsPolicy(savings=3, mitigation=9, export=9, import
 @dataclass(frozen=True)
 class UniformRandomPolicy:
     """Uniform draw of every level; mitigation from its floor up, the rest
-    from 0."""
+    from 0. The unmasked levels are ``rng.integers(NUM_LEVELS)``, the very
+    draw ``masked_sample`` makes at floor 0, so only the masked one goes
+    through it."""
 
     is_static = False
 
     def act(self, observation, mask: int | None, rng) -> ActionSet:
         return ActionSet(
-            masked_sample(0, rng),
+            rng.integers(NUM_LEVELS),
             masked_sample(mask or 0, rng),
-            masked_sample(0, rng),
-            _partner_vector(observation, masked_sample(0, rng)),
-            _partner_vector(observation, masked_sample(0, rng)),
+            rng.integers(NUM_LEVELS),
+            _partner_vector(observation, rng.integers(NUM_LEVELS)),
+            _partner_vector(observation, rng.integers(NUM_LEVELS)),
         )
 
 

@@ -124,6 +124,10 @@ class TestJointActions:
         j = JointActions.from_action_sets(sets)
         assert j.imports[1, 0] == 5
 
+    def test_no_sets_is_an_empty_action(self):
+        with pytest.raises(InvalidActionError, match=r"savings array has shape \(0,\)"):
+            JointActions.from_action_sets([])
+
     def test_out_of_range_matrix_rejected(self):
         # The arrays are read-only, so the out-of-range matrix has to come in
         # through the constructor, which rejects it.

@@ -102,6 +102,7 @@ class TestExogenousPaths:
         for name, rows in iterated_paths(constants).items():
             path = getattr(constants, self.PATHS[name])
             assert path.shape == (params.n_steps + 1, n_regions), name
+            assert path.flags.c_contiguous, name
             for t, row in enumerate(rows):
                 assert path[t].tobytes() == row.tobytes(), (name, t)
 
@@ -417,6 +418,66 @@ class TestNegotiation:
         rec = run_episode(params, baseline, UniformRandomPolicy(), 1)
         assert rec.commitments.shape == (params.n_steps, 4)
         assert rec.commitments.max() <= 9
+
+
+def step_commitments(n_regions, seed, t):
+    """Step ``t``'s commitments drawn on their own, the reference for the
+    rows ``reset`` draws: the maximum of ``n_regions`` uniform proposals
+    from the counter-based stream keyed on (seed, t)."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0x4E47, t])))
+    return np.full(n_regions, rng.integers(0, 10, size=n_regions).max())
+
+
+class TestCommitmentsDrawnAtReset:
+    @pytest.mark.parametrize("n_regions", [2, 27, 39])
+    @pytest.mark.parametrize("seed", [0, 3, 2**31 + 5])
+    def test_row_t_is_the_step_draw(self, baseline, n_regions, seed):
+        params = SimParams(n_regions=n_regions, negotiation=NegotiationConfig(enabled=True))
+        rows = reset(params, baseline, seed).constants.commitments
+        assert rows.shape == (params.n_steps + 1, n_regions) and rows.dtype == np.int64
+        assert not rows.flags.writeable
+        for t in range(params.n_steps + 1):
+            assert rows[t].tobytes() == step_commitments(n_regions, seed, t).tobytes(), t
+
+    @pytest.mark.parametrize("enforce", [True, False], ids=["enforced", "unenforced"])
+    def test_each_world_reads_its_row(self, small_params, baseline, enforce):
+        params = dataclasses.replace(
+            small_params, negotiation=NegotiationConfig(enabled=True, enforce_masks=enforce)
+        )
+        world = reset(params, baseline, 4)
+        rows = world.constants.commitments
+        policy = UniformRandomPolicy()
+        rng = np.random.default_rng(0)
+        for t in range(params.n_steps + 1):
+            assert world.t == t
+            assert world.commitments.tobytes() == rows[t].tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                world.commitments[0] = 0
+            if t < params.n_steps:
+                masks = world.masks()
+                actions = JointActions.from_action_sets([
+                    policy.act(world.observation(i), masks[i] if masks else None, rng)
+                    for i in range(4)
+                ])
+                result = step(world, actions)
+                assert result.detail.commitments.tobytes() == rows[t].tobytes()
+                world = result.world
+
+    def test_none_with_negotiation_off(self, small_params, baseline):
+        world = reset(small_params, baseline, 4)
+        assert world.constants.commitments is None and world.commitments is None
+        world = step(world, JointActions.uniform(4, 3, 5, 2, 4, 1)).world
+        assert world.commitments is None
+
+    def test_replace_redraws_the_same_rows(self, small_params, baseline):
+        params = dataclasses.replace(small_params, negotiation=NegotiationConfig(enabled=True))
+        c = reset(params, baseline, 4).constants
+        replaced = dataclasses.replace(c)
+        assert replaced.commitments is not c.commitments
+        assert replaced.commitments.tobytes() == c.commitments.tobytes()
+        assert dataclasses.replace(c, seed=5).commitments.tobytes() == (
+            reset(params, baseline, 5).constants.commitments.tobytes()
+        )
 
 
 #: ``float.hex`` of (delta_t_end, y_cum, mean_total_reward, final_carbon_total)

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ricensim.actions import NUM_LEVELS, _partner_matrix
 from ricensim.engine import reset
 from ricensim.config import SimParams, VariantConfig
 from ricensim.errors import InvalidActionError
-from ricensim.negotiation import build_mask
+from ricensim.negotiation import build_mask, masked_sample
 from ricensim.policies import (
     IDEAL_TRADE_POLICY,
     FixedLevelsPolicy,
@@ -81,6 +82,28 @@ class TestUniformRandom:
         policy = UniformRandomPolicy()
         masked = policy.act(obs(), build_mask(0), np.random.default_rng(5))
         assert same_set(masked, policy.act(obs(), None, np.random.default_rng(5)))
+
+    @pytest.mark.parametrize("buffered", [False, True], ids=["fresh", "half-word buffered"])
+    @pytest.mark.parametrize("floor", [None, *range(NUM_LEVELS)])
+    def test_same_draws_and_state_as_five_masked_samples(self, floor, buffered):
+        """``act`` draws the unmasked levels with ``rng.integers`` directly:
+        the levels and the generator state it leaves are those of the five
+        ``masked_sample`` calls, the unmasked ones at floor 0."""
+        for seed in range(20):
+            ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+            if buffered:
+                ours.integers(NUM_LEVELS), reference.integers(NUM_LEVELS)
+                assert ours.bit_generator.state["has_uint32"] == 1
+            got = UniformRandomPolicy().act(obs(region=1), floor, ours)
+            savings, mitigation, export, imports, tariffs = (
+                masked_sample(lo, reference) for lo in (0, floor or 0, 0, 0, 0)
+            )
+            assert (got.savings_level, got.mitigation_level, got.max_export_level) == (
+                savings, mitigation, export
+            )
+            assert np.array_equal(got.import_levels, _partner_matrix(4, imports)[1])
+            assert np.array_equal(got.tariff_levels, _partner_matrix(4, tariffs)[1])
+            assert ours.bit_generator.state == reference.bit_generator.state
 
 
 class TestPariahOverride:
