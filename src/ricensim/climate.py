@@ -46,16 +46,16 @@ def step_carbon(carbon: np.ndarray, emissions_gtc_per_year: float) -> np.ndarray
     """Advance the 3-reservoir carbon stocks by one ``STEP_YEARS`` step.
 
     Total carbon changes by exactly ``STEP_YEARS * emissions`` because the
-    transfer matrix is column-stochastic.
+    transfer matrix is column-stochastic. ``carbon`` is a ``float64``
+    ndarray, as ``step`` passes it; it is not converted.
     """
-    m = np.asarray(carbon, dtype=np.float64)
     # Three Python comparisons cost less than two numpy calls; as with
-    # ``(m <= 0).any()``, a NaN stock does not trip the check.
-    if m.shape != (3,) or any(stock <= 0.0 for stock in m.tolist()):
+    # ``(carbon <= 0).any()``, a NaN stock does not trip the check.
+    if carbon.shape != (3,) or any(stock <= 0.0 for stock in carbon.tolist()):
         raise DomainError(f"carbon stocks must be a positive 3-vector, got {carbon}")
     if emissions_gtc_per_year < 0.0:
         raise DomainError(f"emissions {emissions_gtc_per_year} are negative")
-    out = CARBON_TRANSFER @ m
+    out = CARBON_TRANSFER @ carbon
     out[0] += STEP_YEARS * emissions_gtc_per_year
     return out
 

@@ -103,12 +103,18 @@ def abatement_fraction(mitigation, mitigation_prev, kind: str, theta1, theta2):
     ``transitional``: ``TRANSITIONAL_RESIDUAL * theta1 * mu ** theta2 +
     TRANSITIONAL_THETA3 * rise * rise`` with ``rise = max(0, mu - mu_prev)``;
     either is clamped to ``[0, FRACTION_CAP]``.
+
+    ``mitigation`` is converted to a ``float64`` array even when it is a
+    scalar: ``**`` then rounds as numpy's does, which on a host with
+    AVX-512 can differ from Python's. ``mitigation_prev`` is a ``float64``
+    ndarray or a float, either of which ``mu - mitigation_prev`` takes
+    unconverted.
     """
     mu = np.asarray(mitigation, dtype=np.float64)
     if kind == "persistent":
         lam = theta1 * mu**theta2
     elif kind == "transitional":
-        rise = np.maximum(_ZERO, mu - np.asarray(mitigation_prev, dtype=np.float64))
+        rise = np.maximum(_ZERO, mu - mitigation_prev)
         lam = _TRANSITIONAL_RESIDUAL * theta1 * mu**theta2 + TRANSITIONAL_THETA3 * rise * rise
     else:
         raise DomainError(f"unknown abatement kind {kind!r}")

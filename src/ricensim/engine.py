@@ -19,7 +19,8 @@ shared mutable generators.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -32,7 +33,7 @@ from .config import STEP_YEARS, SimParams, VariantConfig
 from .economy import _ONE, _float64
 from .errors import ConfigError, DomainError, MaskViolationError
 from .negotiation import build_mask, commitments_from_arrays
-from .regions import generate_regions
+from .regions import _generated, generate_regions
 
 _NEGOTIATION_STREAM = 0x4E47
 _POLICY_STREAM = 0x504C
@@ -49,24 +50,15 @@ class Observation:
     n_regions: int
 
 
-#: The generated per-region quantities that stay fixed for an episode: the
-#: structural rates, then the initial values of the exogenous quantities.
-_REGION_RATES = ("theta1", "productivity_growth", "labor_growth", "intensity_decline")
-_EXOGENOUS = ("labor", "productivity", "intensity")
-
-
 @dataclass(frozen=True)
 class EpisodeConstants:
-    """What stays fixed for a whole episode: its configuration, seed,
-    per-region structural rates and the initial values of its exogenous
-    quantities, and what is derived from them.
+    """What the step reads that stays fixed for a whole episode: its
+    configuration and seed, each region's abatement coefficient, the
+    exogenous paths and the commitments. ``episode_constants`` builds it.
 
-    The derived fields are computed by the constructor alone (so
-    ``dataclasses.replace`` recomputes them), from read-only copies of the
-    rates and initial values, so a path never disagrees with the values it
-    came from. The scalar one is a read-only 0-d ``float64`` array, which
-    numpy takes as a ufunc operand faster than a Python number, with the
-    same bits. The exogenous paths are read-only ``[n_steps + 1, n]`` arrays: no
+    ``foreign_weight`` is a read-only 0-d ``float64`` array, which numpy
+    takes as a ufunc operand faster than a Python number, with the same
+    bits. The exogenous paths are read-only ``[n_steps + 1, n]`` arrays: no
     action moves labor, productivity or intensity, so row ``t`` is their
     value at step ``t``. So are the commitments when negotiation is on: row
     ``t`` binds step ``t``.
@@ -76,61 +68,50 @@ class EpisodeConstants:
     variant: VariantConfig
     seed: int
     theta1: np.ndarray
-    productivity_growth: np.ndarray
-    labor_growth: np.ndarray
-    intensity_decline: np.ndarray
-    labor: np.ndarray
-    productivity: np.ndarray
-    intensity: np.ndarray
     #: ``params.foreign_weight`` as a 0-d operand.
-    foreign_weight: np.ndarray = field(init=False)
+    foreign_weight: np.ndarray
     #: Row ``t + 1`` is row ``t`` times one step's growth,
     #: e.g. ``(1 + labor_growth) ** STEP_YEARS``; row 0 is the initial value.
-    labor_path: np.ndarray = field(init=False)
-    productivity_path: np.ndarray = field(init=False)
-    intensity_path: np.ndarray = field(init=False)
+    labor_path: np.ndarray
+    productivity_path: np.ndarray
+    intensity_path: np.ndarray
     #: ``L ** (1 - OUTPUT_ELASTICITY)`` of each labor row.
-    labor_term: np.ndarray = field(init=False)
+    labor_term: np.ndarray
     #: Each step's commitments (``_draw_commitments``), or None when
     #: negotiation is off.
-    commitments: np.ndarray | None = field(init=False)
-
-    def __post_init__(self) -> None:
-        def put(name, value):
-            object.__setattr__(self, name, value)
-
-        for name in _REGION_RATES + _EXOGENOUS:
-            put(name, _read_only(np.array(getattr(self, name), dtype=np.float64)))
-        n_steps = self.params.n_steps
-        put("seed", int(self.seed))
-        put("foreign_weight", _float64(self.params.foreign_weight))
-        labor, productivity, intensity = _paths(n_steps, (
-            (self.labor, (1.0 + self.labor_growth) ** STEP_YEARS),
-            (self.productivity, (1.0 + self.productivity_growth) ** STEP_YEARS),
-            (self.intensity, (1.0 - self.intensity_decline) ** STEP_YEARS),
-        ))
-        put("labor_path", labor)
-        put("productivity_path", productivity)
-        put("intensity_path", intensity)
-        put("labor_term", _read_only(self.labor_path ** (1.0 - economy_mod.OUTPUT_ELASTICITY)))
-        put("commitments", (
-            _draw_commitments(self.params.n_regions, n_steps, self.seed)
-            if self.params.negotiation.enabled
-            else None
-        ))
+    commitments: np.ndarray | None
 
 
-def _paths(n_steps: int, starts: tuple[tuple[np.ndarray, np.ndarray], ...]) -> np.ndarray:
-    """One read-only ``[n_steps + 1, n]`` slab per ``(initial, factor)``:
-    ``initial``, then each row times ``factor``. One ``multiply.accumulate``
-    over the ``[len(starts), n_steps + 1, n]`` block makes the same one
-    multiplication per element and row as iterating ``row * factor``, so the
-    bits agree, and leaves each slab contiguous."""
-    block = np.empty((len(starts), n_steps + 1, starts[0][0].shape[0]))
-    for slab, (initial, factor) in zip(block, starts):
-        slab[0] = initial
-        slab[1:] = factor
-    return _read_only(np.multiply.accumulate(block, axis=1, out=block))
+def episode_constants(
+    params: SimParams, variant: VariantConfig, seed: int, regions: dict[str, np.ndarray]
+) -> EpisodeConstants:
+    """The constants of an episode over ``regions``, ``[n]`` arrays keyed as
+    ``generate_regions`` keys them (``capital`` is not read). Pure; what it
+    keeps are read-only copies.
+
+    Each path is one contiguous slab of a ``[3, n_steps + 1, n]`` block: the
+    initial row, then each row times one step's growth factor. One
+    ``multiply.accumulate`` makes the same one multiplication per element
+    and row as iterating ``row * factor``, so the bits agree."""
+    paths = np.empty((3, params.n_steps + 1, params.n_regions))
+    paths[:, 0] = regions["labor"], regions["productivity"], regions["intensity"]
+    paths[0, 1:] = (1.0 + regions["labor_growth"]) ** STEP_YEARS
+    paths[1, 1:] = (1.0 + regions["productivity_growth"]) ** STEP_YEARS
+    paths[2, 1:] = (1.0 - regions["intensity_decline"]) ** STEP_YEARS
+    labor, productivity, intensity = _read_only(np.multiply.accumulate(paths, axis=1, out=paths))
+    commitments = (
+        _draw_commitments(params.n_regions, params.n_steps, int(seed))
+        if params.negotiation.enabled
+        else None
+    )
+    return EpisodeConstants(
+        params, variant, int(seed),
+        theta1=_read_only(np.array(regions["theta1"], dtype=np.float64)),
+        foreign_weight=_float64(params.foreign_weight),
+        labor_path=labor, productivity_path=productivity, intensity_path=intensity,
+        labor_term=_read_only(labor ** (1.0 - economy_mod.OUTPUT_ELASTICITY)),
+        commitments=commitments,
+    )
 
 
 @dataclass(slots=True)
@@ -139,9 +120,8 @@ class World:
     actions move. Treated as a value: ``step`` returns a new instance and
     never mutates its input. The state arrays of a world from ``reset`` are
     read-only, and the generated capital is shared by every world reset
-    from the same ``(n_regions, seed)``. ``labor``, ``productivity``,
-    ``intensity`` and ``commitments`` are read-only rows ``t`` of the
-    constants' arrays."""
+    from the same ``(n_regions, seed)``. ``commitments`` is the read-only
+    row ``t`` of the constants' commitments."""
 
     constants: EpisodeConstants
     t: int
@@ -152,18 +132,6 @@ class World:
     t_atmosphere: float
     t_ocean: float
     cumulative_emissions: float
-
-    @property
-    def labor(self) -> np.ndarray:
-        return self.constants.labor_path[self.t]
-
-    @property
-    def productivity(self) -> np.ndarray:
-        return self.constants.productivity_path[self.t]
-
-    @property
-    def intensity(self) -> np.ndarray:
-        return self.constants.intensity_path[self.t]
 
     @property
     def commitments(self) -> np.ndarray | None:
@@ -212,41 +180,29 @@ def _draw_commitments(n_regions: int, n_steps: int, episode_seed: int) -> np.nda
     return _read_only(np.repeat(committed[:, None], n_regions, axis=1))
 
 
-#: The constants the last ``reset`` built. A sweep resets one world for
-#: every rollout, and a pariah run one world for each of its conditions.
-_last_constants: EpisodeConstants | None = None
+# A sweep resets one world for every rollout, and a pariah run one world for
+# each of its conditions, so one entry serves them.
+@functools.lru_cache(maxsize=1)
+def _cached_constants(params: SimParams, variant: VariantConfig, seed: int) -> EpisodeConstants:
+    """``episode_constants`` of the regions ``reset`` has just generated,
+    read from the cache behind ``generate_regions`` without calling it again.
+    Equal configurations share an entry: they differ at most as ``1`` and
+    ``1.0`` (or ``np.float64`` and ``float``) in a ranged field, and each
+    such value enters the step as the same IEEE double."""
+    return episode_constants(params, variant, seed, dict(_generated(params.n_regions, seed)))
 
 
 def reset(params: SimParams, variant: VariantConfig, seed: int = 0) -> World:
-    """Fresh world: the episode's constants (generated regions' rates and
-    exogenous quantities, and the paths and commitments derived from them),
-    the regions' initial capital and the initial climate. ``generate_regions``
-    caches the generated regions per ``(n_regions, seed)``; every state
-    array of the world is read-only.
-
-    A reset given the very ``params`` and ``variant`` objects (both frozen)
-    and the seed of the one before it shares that reset's constants. Equal
-    but distinct configurations build their own, so a shared one never
-    mixes configurations that compare equal but differ, as ``1`` and ``1.0``.
+    """Fresh world: the episode's constants (those of the reset before when
+    ``(params, variant, seed)`` compare equal), the generated regions'
+    initial capital and the initial climate. Every state array is read-only.
 
     ``seed`` has a default only because ``perfbench/run.py`` times
     ``reset(SimParams(), VariantConfig())``; every caller in the package
     passes it."""
-    global _last_constants
     regions = generate_regions(params.n_regions, seed)
-    constants = _last_constants
-    if (
-        constants is None
-        or constants.params is not params
-        or constants.variant is not variant
-        or constants.seed != seed
-    ):
-        constants = EpisodeConstants(
-            params, variant, seed, **{name: regions[name] for name in _REGION_RATES + _EXOGENOUS}
-        )
-        _last_constants = constants
     return World(
-        constants=constants,
+        constants=_cached_constants(params, variant, int(seed)),
         t=0,
         capital=regions["capital"],
         mitigation_prev=_read_only(np.zeros(params.n_regions)),

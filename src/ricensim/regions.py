@@ -33,8 +33,8 @@ def _within(lo: float, hi: float, values: np.ndarray) -> np.ndarray:
 def generate_regions(n: int, seed: int) -> dict[str, np.ndarray]:
     """Generate ``n`` heterogeneous regions deterministically from ``seed``.
 
-    Returns one ``[n]`` array per generated quantity, keyed by the field of
-    ``engine.World`` or ``engine.EpisodeConstants`` that stores it.
+    Returns one ``[n]`` array per generated quantity: ``capital``, which
+    ``engine.reset`` gives the world, and what ``engine.episode_constants`` reads.
     Productivity and labor growth compound upward, intensity decline
     compounds downward, and ``theta1`` is the region's linear
     abatement-cost coefficient.

@@ -11,10 +11,12 @@ from pathlib import Path
 import pytest
 
 import ricensim
-from ricensim import regions, runio
+from ricensim import engine, regions, runio
 from ricensim.cli import main
 from ricensim.errors import ConfigError
 from ricensim.runio import EXPERIMENTS, parse_config
+
+from conftest import DISPATCH
 
 
 def read_lines(path: Path) -> list[str]:
@@ -48,40 +50,78 @@ TINY_OPTIONS = {"sweep": {"grid": 2}, "pariah": {"runs": 2}, "masking-demo": {"e
 
 
 #: SHA-256 of each file ``test_manifest_reproduces_run`` writes, except
-#: ``manifest.json``, which records the python and numpy versions. Like
-#: ``TestGoldenBits`` in tests/test_engine.py, these were recorded under
-#: numpy 2.4.6 and may differ under another numpy.
+#: ``manifest.json``, which records the python and numpy versions, keyed by
+#: the dispatch class whose rounding numpy's ``**``, ``log`` and ``exp``
+#: follow (``conftest.DISPATCH``). Like ``TestGoldenBits`` in
+#: tests/test_engine.py, these were recorded under numpy 2.4.6 and may differ
+#: under another numpy; the ``libm`` set was recorded on an AVX-512 host under
+#: ``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"``, from the code
+#: that wrote the ``avx512`` set. A file that goes through none of those
+#: functions, or only where both round alike, has one digest in both.
 GOLDEN_OUTPUT_SHA256 = {
-    "episode": {
-        "episode.csv": "261674148259ee907a0711287798ddf62da435737cb6df9c318b83d87ba1da71",
-        "episode_summary.csv": "68837e131f9627e1f5fa401da04e063f4b26b86d385f5b89927b3c9abfeaa238",
+    "avx512": {
+        "episode": {
+            "episode.csv": "261674148259ee907a0711287798ddf62da435737cb6df9c318b83d87ba1da71",
+            "episode_summary.csv": "68837e131f9627e1f5fa401da04e063f4b26b86d385f5b89927b3c9abfeaa238",
+        },
+        "sweep": {
+            "correlations.csv": "035284675ca9a48ec4aaf72a13d3545918b88d715977da2fb94f05b711f4b703",
+            "sweep.csv": "bf0a712eaa84628366b77ad7477245d8d5932d0168edfab17b73360750c3957a",
+            "sweep_summary.csv": "13890263153fca7cc164ed21ab5436d5b4b8a56b47d20c6b04fae5d3d6307432",
+        },
+        "pariah": {
+            "pariah.csv": "030d7a531aa4f50ba47026de97eb1c670b7945bacc0e27c37c0151c1473178e3",
+            "pariah_runs.csv": "2c441ffd3e08a9fdb621d468d1868d2ce82c87f36ce1ec8e7a0e1d1d63d4a112",
+        },
+        "trade-effect": {
+            "trade_effect.csv": "29ae8c3e280efc765f1b6dc468c486bfcf823e87d789b7addf481090b1f8b46e",
+        },
+        "tariff-effect": {
+            "tariff_effect.csv": "ff8535f57666b41fd2eebe11ed69a5629f11a253e74160dbb7ee6045d1f0d2f8",
+        },
+        "horizon": {
+            "horizon.csv": "7acc04f92d152e6ab1994c0bc861750ee0c0d1d765ef34dec956df17e96ed055",
+        },
+        "masking-demo": {
+            "masking.csv": "94e1b7cca20e394103b040fe3c243ad25f4deeacdd50bbabaf526f9ff1004596",
+            "masking_summary.csv": "e059a77f407a3603092aa947a419e8975004578cbb21af3b75f0a444a17f839b",
+        },
+        "calibrate": {
+            "calibration.json": "094d21743e7e0fddb3a66dafe02389cb02890c05c264886de864203059257a7f",
+        },
     },
-    "sweep": {
-        "correlations.csv": "035284675ca9a48ec4aaf72a13d3545918b88d715977da2fb94f05b711f4b703",
-        "sweep.csv": "bf0a712eaa84628366b77ad7477245d8d5932d0168edfab17b73360750c3957a",
-        "sweep_summary.csv": "13890263153fca7cc164ed21ab5436d5b4b8a56b47d20c6b04fae5d3d6307432",
+    "libm": {
+        "episode": {
+            "episode.csv": "a194ce8b2103636e42890a495843871b10ec88513ee62c18c392dd4c327abbbb",
+            "episode_summary.csv": "60e3989f8107b30de4032f3586ba4c26fb1eb08fb23777082ca3057821bd415f",
+        },
+        "sweep": {
+            "correlations.csv": "29e32203945b2c4d319ec17e18d07613761c73656cb1bffc820a4406baced57f",
+            "sweep.csv": "005194a7661ddcfb38a773cccf0b2dcaeb1ed6162e64aabcc4a19507859707b2",
+            "sweep_summary.csv": "13890263153fca7cc164ed21ab5436d5b4b8a56b47d20c6b04fae5d3d6307432",
+        },
+        "pariah": {
+            "pariah.csv": "030d7a531aa4f50ba47026de97eb1c670b7945bacc0e27c37c0151c1473178e3",
+            "pariah_runs.csv": "c7b7373447d9c97c6bdd8d060dd4ebd1529007b254207caf2ea5da213f044089",
+        },
+        "trade-effect": {
+            "trade_effect.csv": "9395cb92444bba6e697a2fd2d1d26b720517d598f47022e8fe9e5a62e2e7e90b",
+        },
+        "tariff-effect": {
+            "tariff_effect.csv": "0592bc3138a319bc945fcb6e6064c39a40944da9f5c4957b9aee4398d28b4817",
+        },
+        "horizon": {
+            "horizon.csv": "059ed5542d53631af328a23e48b7e8bc93d6d307bc35bc09681f753122a91dd8",
+        },
+        "masking-demo": {
+            "masking.csv": "94e1b7cca20e394103b040fe3c243ad25f4deeacdd50bbabaf526f9ff1004596",
+            "masking_summary.csv": "e059a77f407a3603092aa947a419e8975004578cbb21af3b75f0a444a17f839b",
+        },
+        "calibrate": {
+            "calibration.json": "094d21743e7e0fddb3a66dafe02389cb02890c05c264886de864203059257a7f",
+        },
     },
-    "pariah": {
-        "pariah.csv": "030d7a531aa4f50ba47026de97eb1c670b7945bacc0e27c37c0151c1473178e3",
-        "pariah_runs.csv": "2c441ffd3e08a9fdb621d468d1868d2ce82c87f36ce1ec8e7a0e1d1d63d4a112",
-    },
-    "trade-effect": {
-        "trade_effect.csv": "29ae8c3e280efc765f1b6dc468c486bfcf823e87d789b7addf481090b1f8b46e",
-    },
-    "tariff-effect": {
-        "tariff_effect.csv": "ff8535f57666b41fd2eebe11ed69a5629f11a253e74160dbb7ee6045d1f0d2f8",
-    },
-    "horizon": {
-        "horizon.csv": "7acc04f92d152e6ab1994c0bc861750ee0c0d1d765ef34dec956df17e96ed055",
-    },
-    "masking-demo": {
-        "masking.csv": "94e1b7cca20e394103b040fe3c243ad25f4deeacdd50bbabaf526f9ff1004596",
-        "masking_summary.csv": "e059a77f407a3603092aa947a419e8975004578cbb21af3b75f0a444a17f839b",
-    },
-    "calibrate": {
-        "calibration.json": "094d21743e7e0fddb3a66dafe02389cb02890c05c264886de864203059257a7f",
-    },
-}
+}[DISPATCH]
 
 
 @pytest.mark.parametrize("name", list(EXPERIMENTS))
@@ -111,10 +151,12 @@ def test_manifest_reproduces_run(tmp_path, name):
 
 @pytest.mark.parametrize("argv", [["sweep", "--grid", "2"], ["pariah", "--runs", "3"]])
 def test_cold_and_warm_generation_caches_write_the_same_bytes(tmp_path, argv):
-    """A run that generates every world afresh writes what a run that finds
-    them all in the cache of ``generate_regions`` writes."""
+    """A run that generates every world and builds its first constants
+    afresh writes what a run that finds them in the caches of
+    ``generate_regions`` and ``reset`` writes."""
     cold, warm = tmp_path / "cold", tmp_path / "warm"
     regions._generated.cache_clear()
+    engine._cached_constants.cache_clear()
     assert main([*argv, "--seed", "6", "--out", str(cold)]) == 0
     assert regions._generated.cache_info().currsize > 0
     assert main([*argv, "--seed", "6", "--out", str(warm)]) == 0

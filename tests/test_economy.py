@@ -194,11 +194,12 @@ class TestStepEconomy:
             rtol=1e-12, atol=0,
         )
         assert np.all(out.investment <= out.net_output)
+        c = region.constants
         assert np.allclose(
-            out.emissions, region.intensity * 0.4 * out.gross_output, rtol=1e-12, atol=0
+            out.emissions, c.intensity_path[0] * 0.4 * out.gross_output, rtol=1e-12, atol=0
         )
         assert np.all(new.mitigation_prev == 0.6)
-        # exogenous trajectories advanced
-        assert np.all(new.productivity > region.productivity)
-        assert np.all(new.labor > region.labor)
-        assert np.all(new.intensity < region.intensity)
+        # exogenous trajectories advance
+        assert np.all(c.productivity_path[1] > c.productivity_path[0])
+        assert np.all(c.labor_path[1] > c.labor_path[0])
+        assert np.all(c.intensity_path[1] < c.intensity_path[0])

@@ -13,16 +13,20 @@ from ricensim import (
     UniformRandomPolicy,
     VariantConfig,
 )
-from ricensim import economy
+from ricensim import economy, engine
 from ricensim.config import STEP_YEARS
 from ricensim.engine import (
     HISTORY_FIELDS,
+    episode_constants,
     reset,
     run_episode,
     step,
 )
 from ricensim.errors import ConfigError, DomainError, MaskViolationError
 from ricensim.policies import IDEAL_TRADE_POLICY, PariahOverridePolicy
+from ricensim.regions import generate_regions
+
+from conftest import DISPATCH
 
 
 def world_state(world) -> dict:
@@ -63,17 +67,17 @@ class TestReset:
         assert w.t_atmosphere == 1.1 and w.t_ocean == 0.3
 
 
-def iterated_paths(constants):
-    """The exogenous rows as a step-by-step rollout grows them, each a fresh
-    ``[n]`` array: ``row * factor``, and ``labor ** (1 - OUTPUT_ELASTICITY)``
-    taken on each labor row."""
+def iterated_paths(regions, n_steps):
+    """The exogenous rows of ``regions`` as a step-by-step rollout grows
+    them, each a fresh ``[n]`` array: ``row * factor``, and
+    ``labor ** (1 - OUTPUT_ELASTICITY)`` taken on each labor row."""
     factors = {
-        "labor": (1.0 + constants.labor_growth) ** STEP_YEARS,
-        "productivity": (1.0 + constants.productivity_growth) ** STEP_YEARS,
-        "intensity": (1.0 - constants.intensity_decline) ** STEP_YEARS,
+        "labor": (1.0 + regions["labor_growth"]) ** STEP_YEARS,
+        "productivity": (1.0 + regions["productivity_growth"]) ** STEP_YEARS,
+        "intensity": (1.0 - regions["intensity_decline"]) ** STEP_YEARS,
     }
-    rows = {name: [np.array(getattr(constants, name))] for name in factors}
-    for _ in range(constants.params.n_steps):
+    rows = {name: [np.array(regions[name])] for name in factors}
+    for _ in range(n_steps):
         for name, factor in factors.items():
             rows[name].append(rows[name][-1] * factor)
     rows["labor_term"] = [row ** (1.0 - economy.OUTPUT_ELASTICITY) for row in rows["labor"]]
@@ -99,40 +103,44 @@ class TestExogenousPaths:
         step-by-step ``[n]`` products and power."""
         params = SimParams(n_regions=n_regions)
         constants = reset(params, baseline, seed).constants
-        for name, rows in iterated_paths(constants).items():
+        for name, rows in iterated_paths(generate_regions(n_regions, seed), params.n_steps).items():
             path = getattr(constants, self.PATHS[name])
             assert path.shape == (params.n_steps + 1, n_regions), name
             assert path.flags.c_contiguous, name
             for t, row in enumerate(rows):
                 assert path[t].tobytes() == row.tobytes(), (name, t)
 
-    def test_paths_are_read_only_and_the_world_reads_row_t(self, small_params, baseline):
+    def test_paths_are_read_only_and_step_t_reads_row_t(self, small_params, baseline):
         world = reset(small_params, baseline, 2)
         c = world.constants
-        actions = JointActions.uniform(4, 3, 5, 2, 4, 1)
-        for t in range(small_params.n_steps + 1):
-            assert world.t == t
-            for name in ("labor", "productivity", "intensity"):
-                value = getattr(world, name)
-                assert value.tobytes() == getattr(c, self.PATHS[name])[t].tobytes(), name
-                with pytest.raises(ValueError, match="read-only"):
-                    value[0] = 0.0
-            if t < small_params.n_steps:
-                world = step(world, actions).world
-        for name in (*self.PATHS.values(), "labor", "productivity", "intensity"):
+        for name in self.PATHS.values():
             assert not getattr(c, name).flags.writeable, name
-        with pytest.raises(AttributeError):
-            world.labor = np.ones(4)
+        actions = JointActions.uniform(4, 3, 5, 2, 4, 1)
+        for t in range(small_params.n_steps):
+            w, d = step(world, actions)
+            gross = economy.gross_output(c.productivity_path[t], world.capital, c.labor_term[t])
+            assert d.gross_output.tobytes() == gross.tobytes(), t
+            emissions = c.intensity_path[t] * actions.unmitigated_rate * gross
+            assert d.emissions.tobytes() == emissions.tobytes(), t
+            world = w
 
-    def test_replace_rederives_the_paths(self, small_params, baseline):
-        c = reset(small_params, baseline, 2).constants
-        replaced = dataclasses.replace(c, labor=np.full(4, 2.0), intensity_decline=np.zeros(4))
-        assert replaced.labor_path[0].tolist() == [2.0] * 4
-        assert replaced.labor_term[0].tobytes() == (np.full(4, 2.0) ** 0.7).tobytes()
-        assert np.all(replaced.intensity_path == c.intensity)
-        assert replaced.productivity_path.tobytes() == c.productivity_path.tobytes()
-        for name, rows in iterated_paths(replaced).items():
-            assert getattr(replaced, self.PATHS[name]).tobytes() == np.stack(rows).tobytes()
+    def test_the_builder_derives_the_paths_from_its_regions(self, small_params, baseline):
+        regions = generate_regions(4, 2)
+        c = episode_constants(small_params, baseline, 2, regions)
+        changed = {**regions, "labor": np.full(4, 2.0), "intensity_decline": np.zeros(4),
+                   "theta1": np.array(regions["theta1"])}
+        built = episode_constants(small_params, baseline, 2, changed)
+        assert built.labor_path[0].tolist() == [2.0] * 4
+        assert built.labor_term[0].tobytes() == (np.full(4, 2.0) ** 0.7).tobytes()
+        assert np.all(built.intensity_path == regions["intensity"])
+        assert built.productivity_path.tobytes() == c.productivity_path.tobytes()
+        for name, rows in iterated_paths(changed, small_params.n_steps).items():
+            assert getattr(built, self.PATHS[name]).tobytes() == np.stack(rows).tobytes()
+        # What it keeps are copies: a later write to its input reaches nothing.
+        changed["labor"][:] = 3.0
+        changed["theta1"][:] = 0.0
+        assert built.labor_path[0].tolist() == [2.0] * 4
+        assert built.theta1.tobytes() == regions["theta1"].tobytes()
 
     def test_a_world_at_the_end_of_its_episode_has_no_step(self, small_params, baseline):
         world = reset(small_params, baseline, 2)
@@ -140,7 +148,6 @@ class TestExogenousPaths:
         for _ in range(small_params.n_steps):
             world = step(world, actions).world
         assert world.t == small_params.n_steps
-        assert world.labor.shape == (4,)
         with pytest.raises(DomainError, match="20-step episode"):
             step(world, actions)
 
@@ -154,30 +161,45 @@ class TestResetSharesConstants:
         assert b.constants is a.constants
         assert world_state(b) == world_state(a)
 
-    @pytest.mark.parametrize("change", ["seed", "variant", "equal_params"])
-    def test_any_other_reset_builds_fresh_constants(self, baseline, monkeypatch, change):
-        from ricensim import engine
-
+    @pytest.mark.parametrize("change", ["seed", "variant"])
+    def test_any_other_reset_builds_fresh_constants(self, baseline, change):
         params = SimParams(foreign_weight=1)
-        seed, variant, other_params = 5, baseline, params
+        seed, variant = 5, baseline
         if change == "seed":
             seed = 6
-        elif change == "variant":
-            variant = VariantConfig(use_tariff_revenue=True)
         else:
-            other_params = SimParams(foreign_weight=1.0)
-            assert other_params == params and other_params is not params
+            variant = VariantConfig(use_tariff_revenue=True)
         first = reset(params, baseline, 5).constants
-        after = reset(other_params, variant, seed).constants
+        after = reset(params, variant, seed).constants
         assert after is not first
-        warm = run_episode(other_params, variant, self.ACTIONS, seed, record=())
-        monkeypatch.setattr(engine, "_last_constants", None)
-        cold = run_episode(other_params, variant, self.ACTIONS, seed, record=())
+        warm = run_episode(params, variant, self.ACTIONS, seed, record=())
+        engine._cached_constants.cache_clear()
+        cold = run_episode(params, variant, self.ACTIONS, seed, record=())
         assert summary_bytes(warm) == summary_bytes(cold)
 
-    def test_generates_the_regions_once_per_reset(self, default_params, baseline, monkeypatch):
-        from ricensim import engine
+    @pytest.mark.parametrize("field, before, value", [
+        ("foreign_weight", 1, 1.0), ("foreign_weight", 1.0, 1),
+        ("damage_pi2", 0, 0.0), ("damage_pi2", 0.0, 0),
+    ])
+    def test_equal_configurations_share_constants_and_bits(self, baseline, field, before, value):
+        """A reset after one with an equal but distinct configuration gets
+        that reset's constants, built from ``1`` where its own value is
+        ``1.0`` (or the reverse), and rolls the bits of a reset that builds
+        its own."""
+        first, params = SimParams(**{field: before}), SimParams(**{field: value})
+        assert params == first and params is not first
+        policy = FixedLevelsPolicy(3, 9, 4, 2, 7)
+        engine._cached_constants.cache_clear()
+        built = reset(first, baseline, 5).constants
+        assert reset(params, baseline, 5).constants is built
+        assert built.params is first
+        shared = run_episode(params, baseline, policy, 5)
+        engine._cached_constants.cache_clear()
+        own = reset(params, baseline, 5).constants
+        assert own is not built and own.params is params
+        assert summary_bytes(run_episode(params, baseline, policy, 5)) == summary_bytes(shared)
 
+    def test_generates_the_regions_once_per_reset(self, default_params, baseline, monkeypatch):
         calls = []
         generate = engine.generate_regions
         monkeypatch.setattr(
@@ -221,8 +243,8 @@ class TestStep:
         assert np.array_equal(without.detail.rewards - with_penalty.detail.rewards, np.full(4, 1e6))
 
     def test_replaced_rates_step_like_the_in_step_formula(self, small_params, baseline):
-        """The growth factors come from the constants' constructor, so rates
-        swapped in after ``reset`` are the ones the step grows by."""
+        """The growth factors come from the rates the constants were built
+        from, so rates built in after ``reset`` are the ones the step grows by."""
         w = reset(small_params, baseline, 1)
         n, dt = w.n_regions, STEP_YEARS
         rates = {
@@ -231,21 +253,25 @@ class TestStep:
             "labor_growth": np.full(n, 0.02),
             "intensity_decline": np.linspace(0.01, 0.04, n),
         }
-        w.constants = dataclasses.replace(w.constants, **rates)
+        regions = {**generate_regions(n, 1), **rates}
+        w.constants = c = episode_constants(small_params, baseline, 1, regions)
         with pytest.raises(dataclasses.FrozenInstanceError):
-            w.constants.labor_growth = np.zeros(n)
-        assert not w.constants.labor_growth.flags.writeable
+            c.theta1 = np.zeros(n)
+        assert not c.theta1.flags.writeable
         actions = JointActions.uniform(n, 3, 5, 2, 4, 1)
         result = step(w, actions)
         new, d = result.world, result.detail
         expected = {
-            "labor": w.labor * (1.0 + rates["labor_growth"]) ** dt,
-            "productivity": w.productivity * (1.0 + rates["productivity_growth"]) ** dt,
-            "intensity": w.intensity * (1.0 - rates["intensity_decline"]) ** dt,
-            "capital": w.capital * (1.0 - economy.DEPRECIATION) ** dt + dt * d.investment,
+            "labor_path": regions["labor"] * (1.0 + rates["labor_growth"]) ** dt,
+            "productivity_path": regions["productivity"] * (1.0 + rates["productivity_growth"]) ** dt,
+            "intensity_path": regions["intensity"] * (1.0 - rates["intensity_decline"]) ** dt,
         }
         for name, value in expected.items():
-            assert getattr(new, name).tobytes() == value.tobytes(), name
+            assert getattr(c, name)[1].tobytes() == value.tobytes(), name
+        capital = w.capital * (1.0 - economy.DEPRECIATION) ** dt + dt * d.investment
+        assert new.capital.tobytes() == capital.tobytes()
+        gross = economy.gross_output(c.productivity_path[1], new.capital, c.labor_term[1])
+        assert step(new, actions).detail.gross_output.tobytes() == gross.tobytes()
         abatement = economy.abatement_fraction(
             actions.mitigation / 10.0, w.mitigation_prev, baseline.abatement_kind,
             rates["theta1"], economy.ABATEMENT_THETA2,
@@ -469,40 +495,65 @@ class TestCommitmentsDrawnAtReset:
         world = step(world, JointActions.uniform(4, 3, 5, 2, 4, 1)).world
         assert world.commitments is None
 
-    def test_replace_redraws_the_same_rows(self, small_params, baseline):
+    def test_the_builder_draws_the_rows_of_its_seed(self, small_params, baseline):
         params = dataclasses.replace(small_params, negotiation=NegotiationConfig(enabled=True))
         c = reset(params, baseline, 4).constants
-        replaced = dataclasses.replace(c)
-        assert replaced.commitments is not c.commitments
-        assert replaced.commitments.tobytes() == c.commitments.tobytes()
-        assert dataclasses.replace(c, seed=5).commitments.tobytes() == (
-            reset(params, baseline, 5).constants.commitments.tobytes()
-        )
+        regions = generate_regions(4, 4)
+        built = episode_constants(params, baseline, 4, regions)
+        assert built.commitments is not c.commitments
+        assert built.commitments.tobytes() == c.commitments.tobytes()
+        other_seed = episode_constants(params, baseline, 5, regions).commitments
+        assert other_seed.tobytes() == reset(params, baseline, 5).constants.commitments.tobytes()
 
+
+# Each golden below holds one value per dispatch class, the rounding that
+# numpy's float64 ``**``, ``log`` and ``exp`` follow on the host
+# (``conftest.DISPATCH``): ``avx512`` as first recorded, and ``libm`` recorded
+# from the code that gave the ``avx512`` values, on an AVX-512 host under
+# ``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"``.
 
 #: ``float.hex`` of (delta_t_end, y_cum, mean_total_reward, final_carbon_total)
 #: of a uniform fixed-action ``run_episode`` on the default 27-region world,
 #: recorded before the trade and damage kernels were rewritten for speed. Any
 #: change that moves a bit of the engine's arithmetic fails here.
 GOLDEN_SUMMARIES = {
-    ((3, 0, 0, 0, 0), 0): ("0x1.535db50ae48b6p+4", "0x1.5e12fbfd8da9ep+20",
-                           "0x1.b92f38c97b0cep+12", "0x1.11b2bb9efc2dcp+18"),
-    ((3, 0, 0, 0, 0), 7): ("0x1.5dd2f4c1f9b8fp+4", "0x1.7058fb7195f3ap+20",
-                           "0x1.ce4246e617882p+12", "0x1.4e860b4811c5ep+18"),
-    ((3, 9, 9, 9, 0), 0): ("0x1.8f7f0af941fc4p+3", "0x1.5e2d0d038e5d4p+20",
-                           "0x1.ab1de2050345bp+12", "0x1.e0ad1055302b5p+14"),
-    ((3, 9, 9, 9, 0), 7): ("0x1.a3409d229b619p+3", "0x1.712332538f621p+20",
-                           "0x1.c278f39016de9p+12", "0x1.215ebf0b78958p+15"),
-    ((9, 4, 2, 7, 5), 0): ("0x1.4e89e9d9ee36fp+4", "0x1.151224d0f551dp+21",
-                           "0x1.9e61cdf450074p+9", "0x1.02f00b3f962abp+18"),
-    ((9, 4, 2, 7, 5), 7): ("0x1.591114c723230p+4", "0x1.23e170ec6f86cp+21",
-                           "0x1.b14eba2e10988p+9", "0x1.3cf5e61a14fbfp+18"),
-}
+    "avx512": {
+        ((3, 0, 0, 0, 0), 0): ("0x1.535db50ae48b6p+4", "0x1.5e12fbfd8da9ep+20",
+                               "0x1.b92f38c97b0cep+12", "0x1.11b2bb9efc2dcp+18"),
+        ((3, 0, 0, 0, 0), 7): ("0x1.5dd2f4c1f9b8fp+4", "0x1.7058fb7195f3ap+20",
+                               "0x1.ce4246e617882p+12", "0x1.4e860b4811c5ep+18"),
+        ((3, 9, 9, 9, 0), 0): ("0x1.8f7f0af941fc4p+3", "0x1.5e2d0d038e5d4p+20",
+                               "0x1.ab1de2050345bp+12", "0x1.e0ad1055302b5p+14"),
+        ((3, 9, 9, 9, 0), 7): ("0x1.a3409d229b619p+3", "0x1.712332538f621p+20",
+                               "0x1.c278f39016de9p+12", "0x1.215ebf0b78958p+15"),
+        ((9, 4, 2, 7, 5), 0): ("0x1.4e89e9d9ee36fp+4", "0x1.151224d0f551dp+21",
+                               "0x1.9e61cdf450074p+9", "0x1.02f00b3f962abp+18"),
+        ((9, 4, 2, 7, 5), 7): ("0x1.591114c723230p+4", "0x1.23e170ec6f86cp+21",
+                               "0x1.b14eba2e10988p+9", "0x1.3cf5e61a14fbfp+18"),
+    },
+    "libm": {
+        ((3, 0, 0, 0, 0), 0): ("0x1.535db50ae48b6p+4", "0x1.5e12fbfd8daa0p+20",
+                               "0x1.b92f38c97b0cfp+12", "0x1.11b2bb9efc2ddp+18"),
+        ((3, 0, 0, 0, 0), 7): ("0x1.5dd2f4c1f9b90p+4", "0x1.7058fb7195f3dp+20",
+                               "0x1.ce4246e617885p+12", "0x1.4e860b4811c61p+18"),
+        ((3, 9, 9, 9, 0), 0): ("0x1.8f7f0af941fc4p+3", "0x1.5e2d0d038e5d4p+20",
+                               "0x1.ab1de2050345bp+12", "0x1.e0ad1055302b7p+14"),
+        ((3, 9, 9, 9, 0), 7): ("0x1.a3409d229b619p+3", "0x1.712332538f623p+20",
+                               "0x1.c278f39016decp+12", "0x1.215ebf0b7895bp+15"),
+        ((9, 4, 2, 7, 5), 0): ("0x1.4e89e9d9ee36fp+4", "0x1.151224d0f551ep+21",
+                               "0x1.9e61cdf450077p+9", "0x1.02f00b3f962adp+18"),
+        ((9, 4, 2, 7, 5), 7): ("0x1.591114c723230p+4", "0x1.23e170ec6f86fp+21",
+                               "0x1.b14eba2e1098bp+9", "0x1.3cf5e61a14fc3p+18"),
+    },
+}[DISPATCH]
 
 #: SHA-256 over every array of the ``run_episode`` record of a pariah-style
 #: policy (everyone at the high-trade levels, all tariffing region 0 at level
 #: 9) at seed 3, recorded together with ``GOLDEN_SUMMARIES``.
-GOLDEN_PARIAH_RECORD_SHA256 = "c583a4df513e570c98c9a7db0be0076fb629087bc5e57836c65ffc41ad0a3cee"
+GOLDEN_PARIAH_RECORD_SHA256 = {
+    "avx512": "c583a4df513e570c98c9a7db0be0076fb629087bc5e57836c65ffc41ad0a3cee",
+    "libm": "f16ab2478e870010fcc644ee5e129c238c9108c09e973f3ced7d3166430c054c",
+}[DISPATCH]
 
 
 #: SHA-256 of the ``run_episode`` record of each negotiated episode on the
@@ -510,18 +561,32 @@ GOLDEN_PARIAH_RECORD_SHA256 = "c583a4df513e570c98c9a7db0be0076fb629087bc5e57836c
 #: policy's mitigation (2) sits below most commitments, so the floor moves
 #: its level whenever masks bind. Recorded before masks became integer floors.
 GOLDEN_NEGOTIATED_RECORD_SHA256 = {
-    ("random", True):
-        "95e279a26065216be1209c301f2aaa9af16a489093b36d9341c5a9df156f4dda",
-    ("random", False):
-        "fd72be9a5efc3ead8711fc68b84fbbe3faee0344683d6e0eba6eaaab764b75bd",
-    ("fixed", True):
-        "4ac49911cc24d89df80a0e06d4f8fe1a63dda199a3a87563ba45394c7b560382",
-    ("fixed", False):
-        "a69de70dc7d94c761de18fb220d08f67efc17758c49a9b5bc806af9a69bccf8e",
-    # Recorded when a static policy acted every step under any negotiation.
-    ("pariah", False):
-        "a52871246b6ff65f710cfdccd9efb1bc6aa35e22cd730591649c7b0ed26a280e",
-}
+    "avx512": {
+        ("random", True):
+            "95e279a26065216be1209c301f2aaa9af16a489093b36d9341c5a9df156f4dda",
+        ("random", False):
+            "fd72be9a5efc3ead8711fc68b84fbbe3faee0344683d6e0eba6eaaab764b75bd",
+        ("fixed", True):
+            "4ac49911cc24d89df80a0e06d4f8fe1a63dda199a3a87563ba45394c7b560382",
+        ("fixed", False):
+            "a69de70dc7d94c761de18fb220d08f67efc17758c49a9b5bc806af9a69bccf8e",
+        # Recorded when a static policy acted every step under any negotiation.
+        ("pariah", False):
+            "a52871246b6ff65f710cfdccd9efb1bc6aa35e22cd730591649c7b0ed26a280e",
+    },
+    "libm": {
+        ("random", True):
+            "effd14f2d42a10ac855e7446cc6283c33fe217935765cbef42ce64b1e10e201c",
+        ("random", False):
+            "5483df9bd91211498a52aee0ae18e35e01a847b3b6e66254764d75dec7e73293",
+        ("fixed", True):
+            "a5fe5c87bf4c5c8a8379a7b4603b5f86eff2b16ebba7f44dec534906fa6d964a",
+        ("fixed", False):
+            "b25107ef63459f8dd368c3521ab81cdd04cad72ae6cd551f6ee687b33620be78",
+        ("pariah", False):
+            "a535bc860afd05c9b2d14bfae4b038d28cee6c17067871a910e6e4a8cdf330b0",
+    },
+}[DISPATCH]
 
 #: The same ``float.hex`` summary as ``GOLDEN_SUMMARIES``, at levels
 #: (9, 4, 2, 7, 5) and seed 0, under each model variant that switches a
@@ -529,17 +594,31 @@ GOLDEN_NEGOTIATED_RECORD_SHA256 = {
 #: first starts above 1.5 degC. Recorded before the step kernels were
 #: rewritten to make fewer numpy calls.
 GOLDEN_VARIANT_SUMMARIES = {
-    "use_tariff_revenue": ("0x1.4e89e9d9ee36fp+4", "0x1.151224d0f551dp+21",
-                           "0x1.7206ef500c3a2p+9", "0x1.02f00b3f962abp+18"),
-    "overproduction_penalty": ("0x1.4e89e9d9ee36fp+4", "0x1.151224d0f551dp+21",
-                               "0x1.9beb9504b775cp+8", "0x1.02f00b3f962abp+18"),
-    "transitional": ("0x1.4e4acac397a96p+4", "0x1.14e4ef3f0dbf2p+21",
-                     "0x1.9f7618ebd1dcbp+9", "0x1.02999a72f72a6p+18"),
-    "weitzman": ("0x1.274b527f1543ep+4", "0x1.8e45a7ac6f0e4p+19",
-                 "0x1.52a95020fec95p+7", "0x1.a94c6eba07a36p+16"),
-    "disaster": ("0x1.4e89e9d9ee36fp+4", "0x1.151224d0f551dp+21",
-                 "-0x1.0bcf1905d7fc6p+10", "0x1.02f00b3f962abp+18"),
-}
+    "avx512": {
+        "use_tariff_revenue": ("0x1.4e89e9d9ee36fp+4", "0x1.151224d0f551dp+21",
+                               "0x1.7206ef500c3a2p+9", "0x1.02f00b3f962abp+18"),
+        "overproduction_penalty": ("0x1.4e89e9d9ee36fp+4", "0x1.151224d0f551dp+21",
+                                   "0x1.9beb9504b775cp+8", "0x1.02f00b3f962abp+18"),
+        "transitional": ("0x1.4e4acac397a96p+4", "0x1.14e4ef3f0dbf2p+21",
+                         "0x1.9f7618ebd1dcbp+9", "0x1.02999a72f72a6p+18"),
+        "weitzman": ("0x1.274b527f1543ep+4", "0x1.8e45a7ac6f0e4p+19",
+                     "0x1.52a95020fec95p+7", "0x1.a94c6eba07a36p+16"),
+        "disaster": ("0x1.4e89e9d9ee36fp+4", "0x1.151224d0f551dp+21",
+                     "-0x1.0bcf1905d7fc6p+10", "0x1.02f00b3f962abp+18"),
+    },
+    "libm": {
+        "use_tariff_revenue": ("0x1.4e89e9d9ee36fp+4", "0x1.151224d0f551ep+21",
+                               "0x1.7206ef500c3a4p+9", "0x1.02f00b3f962adp+18"),
+        "overproduction_penalty": ("0x1.4e89e9d9ee36fp+4", "0x1.151224d0f551ep+21",
+                                   "0x1.9beb9504b775fp+8", "0x1.02f00b3f962adp+18"),
+        "transitional": ("0x1.4e4acac397a96p+4", "0x1.14e4ef3f0dbf4p+21",
+                         "0x1.9f7618ebd1dcdp+9", "0x1.02999a72f72a8p+18"),
+        "weitzman": ("0x1.274b527f1543ep+4", "0x1.8e45a7ac6f0e6p+19",
+                     "0x1.52a95020fec95p+7", "0x1.a94c6eba07a3ap+16"),
+        "disaster": ("0x1.4e89e9d9ee36fp+4", "0x1.151224d0f551ep+21",
+                     "-0x1.0bcf1905d7fc5p+10", "0x1.02f00b3f962adp+18"),
+    },
+}[DISPATCH]
 
 GOLDEN_VARIANTS = {
     "use_tariff_revenue": VariantConfig(use_tariff_revenue=True),
@@ -673,12 +752,12 @@ def test_step_never_writes_to_its_input_world(small_params, variant):
 @pytest.mark.parametrize("foreign_weight", [0.7, 1e-3, 1])
 def test_episode_scalars_are_read_only_0d_float64(small_params, baseline, foreign_weight):
     """The scalar operand the step reads from its constants is a read-only
-    0-d ``float64`` array equal to the value it comes from, also after
-    ``dataclasses.replace``; an ``int`` weight (the config admits ``1``)
+    0-d ``float64`` array equal to the value it comes from, from ``reset``
+    and from the builder; an ``int`` weight (the config admits ``1``)
     becomes its float."""
     params = dataclasses.replace(small_params, foreign_weight=foreign_weight)
     constants = reset(params, baseline, 1).constants
-    for c in (constants, dataclasses.replace(constants, seed=2)):
+    for c in (constants, episode_constants(params, baseline, 2, generate_regions(4, 2))):
         field = c.foreign_weight
         assert isinstance(field, np.ndarray)
         assert field.shape == () and field.dtype == np.float64

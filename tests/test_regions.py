@@ -44,10 +44,13 @@ def test_deterministic_for_same_seed():
 
 def test_two_region_world_satisfies_invariants():
     w = reset(SimParams(n_regions=2), VariantConfig(), 5)
-    for arr in (w.capital, w.labor, w.productivity, w.intensity, w.mitigation_prev, w.balance):
+    c = w.constants
+    for arr in (w.capital, w.mitigation_prev, w.balance, c.theta1):
         assert arr.shape == (2,)
-    assert np.all(w.capital >= 0) and np.all(w.labor > 0) and np.all(w.productivity > 0)
-    assert np.all(w.intensity >= 0)
+    for path in (c.labor_path, c.productivity_path, c.intensity_path, c.labor_term):
+        assert path.shape == (21, 2)
+    assert np.all(w.capital >= 0) and np.all(c.labor_path > 0) and np.all(c.productivity_path > 0)
+    assert np.all(c.intensity_path >= 0)
     assert np.all(w.mitigation_prev == 0.0) and np.all(w.balance == 0.0)
 
 
@@ -87,13 +90,12 @@ def test_changing_a_returned_dict_leaves_later_calls_unchanged():
 def test_reset_world_state_is_read_only():
     params = SimParams(negotiation=NegotiationConfig(enabled=True))
     world = reset(params, VariantConfig(), 4)
+    c = world.constants
     state = (
-        world.capital, world.labor, world.productivity, world.intensity,
-        world.mitigation_prev, world.balance, world.carbon, world.commitments,
+        world.capital, world.mitigation_prev, world.balance, world.carbon, world.commitments,
+        c.theta1, c.foreign_weight, c.labor_path, c.productivity_path, c.intensity_path,
+        c.labor_term, c.commitments,
     )
     for values in state:
         assert isinstance(values, np.ndarray)
-        assert not values.flags.writeable
-    c = world.constants
-    for values in (c.theta1, c.productivity_growth, c.labor_growth, c.intensity_decline):
         assert not values.flags.writeable
