@@ -97,17 +97,9 @@ def _partner_matrix(n_regions: int, level: int) -> np.ndarray:
 
 
 def _integer_copy(name: str, value) -> np.ndarray:
-    """Read-only ``int64`` copy of ``value``, whose elements must be integers;
-    numpy stacks ``True`` among integers as 1, so the elements of a sequence
-    of anything but integer arrays are looked at. An ``int64`` array that is
-    read-only and owns its data is kept as it is: nothing can write to it."""
-    if (
-        isinstance(value, np.ndarray)
-        and value.dtype == np.int64
-        and not value.flags.writeable
-        and value.base is None
-    ):
-        return value
+    """``int64`` copy of ``value``, whose elements must be integers; numpy
+    stacks ``True`` among integers as 1, so the elements of a sequence of
+    anything but integer arrays are looked at."""
     try:
         arr = np.array(value)
     except ValueError:
@@ -121,9 +113,14 @@ def _integer_copy(name: str, value) -> np.ndarray:
     if arr.size and not integral:
         _check_levels(name, _elements(value, arr.ndim), arr.size // len(arr) if arr.ndim else 1)
         raise InvalidActionError(f"{name} levels must be integers, got {arr.dtype}")
-    arr = arr.astype(np.int64, copy=False)
-    arr.setflags(write=False)
-    return arr
+    return arr.astype(np.int64, copy=False)
+
+
+#: The level and row types that ``from_action_sets`` stacks straight into the
+#: blocks: what the policies return.
+_PLAIN_LEVELS = frozenset((int, np.int64))
+_INT64 = np.dtype(np.int64)
+_DTYPE = operator.attrgetter("dtype")
 
 
 class JointActions:
@@ -132,16 +129,17 @@ class JointActions:
     ``imports[i, j]`` / ``tariffs[i, j]`` refer to region i importing from /
     tariffing region j. Diagonals are zero.
 
-    Immutable and checked when built: ``__init__`` stores read-only
-    ``int64`` copies of the five arrays (non-integer elements raise; a
-    read-only ``int64`` array that owns its data is stored as is) and,
-    under the ``RATE_NAMES`` (``savings_rate``, ...), their read-only rates
-    ``levels_to_rates(levels)``, then runs ``_check``; rebinding an
-    attribute raises. So an invalid ``JointActions`` cannot exist. It also
-    stores the read-only complements the step multiplies by,
-    ``unmitigated_rate = 1.0 - mitigation_rate`` and
-    ``untariffed_rate = 1.0 - tariffs_rate``, so a rollout that reuses one
-    object derives them once.
+    Immutable and checked when built. The levels are held in two read-only
+    ``int64`` blocks, savings, mitigation and export in a ``[3, n]`` vector
+    block and imports and tariffs in a ``[2, n, n]`` matrix block; the five
+    level attributes are their rows. Under the ``RATE_NAMES``
+    (``savings_rate``, ...) are the rows of the read-only rate blocks
+    ``levels_to_rates(block)``, and ``unmitigated_rate = 1.0 -
+    mitigation_rate`` and ``untariffed_rate = 1.0 - tariffs_rate`` are the
+    read-only complements the step multiplies by, so a rollout that reuses
+    one object derives them once. ``__init__`` copies its five inputs
+    (non-integer elements raise) into the blocks; rebinding an attribute
+    raises. So an invalid ``JointActions`` cannot exist.
     """
 
     __slots__ = (*ACTION_DIMENSIONS, *RATE_NAMES, "unmitigated_rate", "untariffed_rate")
@@ -154,21 +152,53 @@ class JointActions:
         imports: np.ndarray,
         tariffs: np.ndarray,
     ):
-        for name, rate_name, value in zip(
-            ACTION_DIMENSIONS, RATE_NAMES, (savings, mitigation, export, imports, tariffs)
+        levels = [
+            _integer_copy(name, value)
+            for name, value in zip(ACTION_DIMENSIONS, (savings, mitigation, export, imports, tariffs))
+        ]
+        if levels[0].ndim != 1 or not levels[0].size:
+            raise InvalidActionError(f"savings array has shape {levels[0].shape}")
+        n = len(levels[0])
+        for name, arr in zip(ACTION_DIMENSIONS, levels):
+            shape = (n, n) if name in ("imports", "tariffs") else (n,)
+            if arr.shape != shape:
+                raise InvalidActionError(f"{name} array has shape {arr.shape}, expected {shape}")
+        self._build(np.array(levels[:3]), np.array(levels[3:]))
+
+    def _build(self, vectors: np.ndarray, matrices: np.ndarray) -> None:
+        """Check the fresh ``[3, n]`` and ``[2, n, n]`` ``int64`` level blocks
+        (n >= 1, levels in 0..9, zero diagonals; errors name the region) and
+        store them read-only, with their rates and complements, as rows."""
+        n = vectors.shape[1]
+        if not n:  # only ``uniform`` can get here with no regions
+            raise InvalidActionError(f"savings array has shape {vectors[0].shape}")
+        # One reduction per block for both ends: a negative level reads as a
+        # huge unsigned value. Every (n + 1)-th element of a row-major matrix
+        # is on its diagonal.
+        if (
+            np.maximum.reduce(vectors.view(np.uint64), axis=None) >= NUM_LEVELS
+            or np.maximum.reduce(matrices.view(np.uint64), axis=None) >= NUM_LEVELS
+            or np.count_nonzero(matrices.reshape(2, n * n)[:, :: n + 1])
         ):
-            levels = _integer_copy(name, value)
-            rates = levels_to_rates(levels)
-            rates.setflags(write=False)
-            object.__setattr__(self, name, levels)
-            object.__setattr__(self, rate_name, rates)
-        for name, rates in (
-            ("unmitigated_rate", self.mitigation_rate), ("untariffed_rate", self.tariffs_rate)
+            for name, arr in zip(ACTION_DIMENSIONS, (*vectors, *matrices)):
+                _check_levels(name, arr.flat, arr.size // n)
+                if arr.ndim == 2 and np.count_nonzero(np.diagonal(arr)):
+                    region = int(np.flatnonzero(np.diagonal(arr))[0])
+                    raise InvalidActionError(f"region {region}: self entry of {name} must be 0")
+        vector_rates, matrix_rates = levels_to_rates(vectors), levels_to_rates(matrices)
+        complements = 1.0 - vector_rates[1], 1.0 - matrix_rates[1]
+        for arr in (vectors, matrices, vector_rates, matrix_rates, *complements):
+            arr.setflags(write=False)
+        for name, value in zip(
+            self.__slots__, (*vectors, *matrices, *vector_rates, *matrix_rates, *complements)
         ):
-            complement = 1.0 - rates
-            complement.setflags(write=False)
-            object.__setattr__(self, name, complement)
-        self._check()
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _from_blocks(cls, vectors: np.ndarray, matrices: np.ndarray) -> "JointActions":
+        actions = object.__new__(cls)
+        actions._build(vectors, matrices)
+        return actions
 
     def __setattr__(self, name, value):
         raise AttributeError(f"JointActions is immutable; cannot set {name!r}")
@@ -186,9 +216,26 @@ class JointActions:
     @classmethod
     def from_action_sets(cls, sets: list[ActionSet]) -> "JointActions":
         """Stack per-region sets into one checked ``JointActions``: the sets
-        transposed into the five dimensions' columns. No sets give five
-        empty columns, which fail the check as any empty action does."""
+        transposed into the five dimensions' columns. Sets whose levels are
+        each an ``int`` or ``np.int64`` and whose rows are ``int64`` arrays of
+        one length each, as the policies return them, are stacked straight
+        into the two blocks; any other sets go through the constructor, whose
+        checks name what is wrong. No sets give five empty columns, which
+        fail the check as any empty action does."""
         columns = tuple(zip(*sets)) or ((),) * len(ACTION_DIMENSIONS)
+        rows = columns[3] + columns[4]
+        if (
+            _PLAIN_LEVELS.issuperset(map(type, chain(*columns[:3])))
+            and {np.ndarray}.issuperset(map(type, rows))
+            and {_INT64}.issuperset(map(_DTYPE, rows))
+        ):
+            try:
+                vectors, matrices = np.array(columns[:3]), np.array(columns[3:])
+            except ValueError:  # rows of different lengths
+                pass
+            else:
+                if vectors.dtype == _INT64 and matrices.shape == (2, len(sets), len(sets)):
+                    return cls._from_blocks(vectors, matrices)
         return cls(*columns)
 
     @classmethod
@@ -202,37 +249,18 @@ class JointActions:
         tariffs: int,
     ) -> "JointActions":
         """Identical levels for every region (diagonals forced to zero). The
-        vectors are built read-only and the matrices come from the cached
-        ``_partner_matrix``, so the constructor copies none of them."""
-        for name, lvl in zip(ACTION_DIMENSIONS, (savings, mitigation, export, imports, tariffs)):
+        blocks are built directly: the vectors repeat the checked levels and
+        the matrices stack the cached ``_partner_matrix``."""
+        levels = (savings, mitigation, export, imports, tariffs)
+        for name, lvl in zip(ACTION_DIMENSIONS, levels):
             check_level(name, lvl)
-        vectors = [np.full(n_regions, lvl) for lvl in (savings, mitigation, export)]
-        for vector in vectors:
-            vector.setflags(write=False)
-        return cls(
-            *vectors, _partner_matrix(n_regions, imports), _partner_matrix(n_regions, tariffs)
+        vectors = np.repeat(np.array(levels[:3], dtype=np.int64)[:, None], n_regions, axis=1)
+        matrices = np.array(
+            (_partner_matrix(n_regions, imports), _partner_matrix(n_regions, tariffs))
         )
+        return cls._from_blocks(vectors, matrices)
 
     def validate(self, n_regions: int) -> None:
         """Reject actions that do not cover a world of ``n_regions``."""
         if self.n_regions != n_regions:
             raise ConfigError(f"actions cover {self.n_regions} regions, world has {n_regions}")
-
-    def _check(self) -> None:
-        """Shapes, levels in 0..9, zero diagonals; errors name the region."""
-        if self.savings.ndim != 1 or not self.savings.size:
-            raise InvalidActionError(f"savings array has shape {self.savings.shape}")
-        n = self.n_regions
-        for name in ACTION_DIMENSIONS:
-            arr = getattr(self, name)
-            shape = (n, n) if name in ("imports", "tariffs") else (n,)
-            if arr.shape != shape:
-                raise InvalidActionError(f"{name} array has shape {arr.shape}, expected {shape}")
-            # One reduction for both ends: a negative level reads as a huge
-            # unsigned value.
-            if np.maximum.reduce(arr.view(np.uint64), axis=None) >= NUM_LEVELS:
-                _check_levels(name, arr.flat, arr.size // n)
-            # Every (n + 1)-th element of the row-major ravel is on the diagonal.
-            if arr.ndim == 2 and np.count_nonzero(arr.ravel()[:: n + 1]):
-                region = int(np.flatnonzero(np.diagonal(arr))[0])
-                raise InvalidActionError(f"region {region}: self entry of {name} must be 0")

@@ -107,12 +107,18 @@ def _write_episode(out: Path, config: RunConfig, rec) -> str:
     sim = config.sim
     n_steps, n = sim.n_steps, sim.n_regions
     step = np.repeat(np.arange(n_steps), n)  # rows run step by step, region by region
+    # The floor each region's mitigation was committed to, enforced or not;
+    # an episode without negotiation has none, and no such column.
+    commitments = (
+        {} if rec.commitments is None else {"commitment_level": rec.commitments.ravel()}
+    )
     write_csv(out / "episode.csv", {
         "step": step,
         "year": (step + 1) * STEP_YEARS,
         "region": np.tile(np.arange(n), n_steps),
         "savings_level": rec.savings_levels.ravel(),
         "mitigation_level": rec.mitigation_levels.ravel(),
+        **commitments,
         "export_level": rec.export_levels.ravel(),
         "gross_output": rec.gross_output.ravel(),
         "net_output": rec.net_output.ravel(),

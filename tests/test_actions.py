@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ricensim import SimParams, VariantConfig
+from ricensim import actions as actions_mod
 from ricensim.actions import (
     ACTION_DIMENSIONS,
     RATE_NAMES,
@@ -81,6 +82,15 @@ def policy_sets(n: int, *levels: int) -> list[ActionSet]:
     return [policy.act(Observation(region=i, n_regions=n), None, None) for i in range(n)]
 
 
+def random_sets(n: int, rng: np.random.Generator) -> list[ActionSet]:
+    """One random valid set per region, as ``UniformRandomPolicy`` hands
+    them: ``np.int64`` levels and read-only ``int64`` rows."""
+    vectors = rng.integers(10, size=(3, n))
+    matrices = rng.integers(10, size=(2, n, n)) * (1 - np.eye(n, dtype=np.int64))
+    matrices.setflags(write=False)
+    return [ActionSet(*vectors[:, i], *matrices[:, i]) for i in range(n)]
+
+
 class TestActionSet:
     def test_immutable(self):
         a = policy_sets(3, 1, 2, 3, 5, 7)[0]
@@ -149,36 +159,54 @@ class TestJointActions:
                 make()
 
     def test_constructor_copies_its_inputs(self):
-        imports = 5 * (1 - np.eye(3, dtype=np.int64))
-        ones = np.ones(3, dtype=np.int64)
-        j = JointActions(ones, ones, ones, imports, imports)
-        imports[0, 1] = 11
-        assert j.imports[0, 1] == 5 and j.tariffs[0, 1] == 5
-        assert j.savings.dtype == np.int64 and not j.savings.flags.writeable
-
-    def test_constructor_keeps_what_nothing_can_write(self):
-        """A read-only ``int64`` array that owns its data is kept; a writable
-        array, a read-only view (its base may be writable) or a list is
-        copied. ``uniform`` hands over only arrays it can keep."""
-        kept = np.array([1, 2, 3])
-        kept.setflags(write=False)
+        """Every input is copied, whether writable or read-only, an array, a
+        view or a list, and so is every ``_partner_matrix`` ``uniform``
+        stacks: writes to an input reach nothing, and every level is a
+        read-only ``int64``."""
+        read_only = np.array([1, 2, 3])
+        read_only.setflags(write=False)
+        vector = np.array([1, 2, 3])
         matrix = _partner_matrix(3, 4)
         writable = 2 * (1 - np.eye(3, dtype=np.int64))
         view = writable[:]
         view.setflags(write=False)
-        j = JointActions(kept, np.array([1, 2, 3]), [1, 2, 3], matrix, view)
-        assert j.savings is kept and j.imports is matrix
-        assert j.mitigation.base is None and j.tariffs is not view
-        writable[0, 1] = 9
-        assert j.tariffs[0, 1] == 2
-        assert not j.export.flags.writeable and not j.tariffs.flags.writeable
+        inputs = (read_only, vector, [1, 2, 3], matrix, view)
+        j = JointActions(*inputs)
         u = JointActions.uniform(3, savings=1, mitigation=2, export=3, imports=5, tariffs=7)
-        assert u.imports is _partner_matrix(3, 5) and u.tariffs is _partner_matrix(3, 7)
+        vector[0] = 9
+        writable[0, 1] = 9
+        assert j.mitigation[0] == 1 and j.tariffs[0, 1] == 2
+        for name, value in zip(ACTION_DIMENSIONS, inputs):
+            assert not np.shares_memory(getattr(j, name), np.asarray(value)), name
+        for name, level in (("imports", 5), ("tariffs", 7)):
+            assert not np.shares_memory(getattr(u, name), _partner_matrix(3, level)), name
         assert _partner_matrix(5, np.uint64(6)).dtype == np.int64
-        for name in ACTION_DIMENSIONS:
-            levels = getattr(u, name)
-            assert levels.dtype == np.int64 and not levels.flags.writeable, name
-            assert levels.base is None, name
+        for built in (j, u):
+            for name in ACTION_DIMENSIONS:
+                levels = getattr(built, name)
+                assert levels.dtype == np.int64 and not levels.flags.writeable, name
+                with pytest.raises(ValueError, match="read-only"):
+                    levels[0] = 1
+
+    def test_levels_and_rates_are_rows_of_two_blocks(self):
+        """Savings, mitigation and export are the rows of one read-only
+        ``[3, n]`` block, imports and tariffs of one ``[2, n, n]`` block, and
+        each rate is the same row of its block's rates."""
+        for j in (
+            JointActions.uniform(4, savings=1, mitigation=2, export=3, imports=5, tariffs=7),
+            JointActions.from_action_sets(random_sets(4, np.random.default_rng(4))),
+            JointActions(*zip(*random_sets(4, np.random.default_rng(4)))),
+        ):
+            for names, shape in (
+                (ACTION_DIMENSIONS[:3], (3, 4)), (ACTION_DIMENSIONS[3:], (2, 4, 4))
+            ):
+                for suffix in ("", "_rate"):
+                    rows = [getattr(j, name + suffix) for name in names]
+                    block = rows[0].base
+                    assert block.shape == shape and not block.flags.writeable
+                    for k, row in enumerate(rows):
+                        assert row.base is block and row.flags.c_contiguous
+                        assert np.shares_memory(row, block[k])
 
     @pytest.mark.parametrize("dtype", [np.float64, np.bool_, np.str_])
     def test_non_integer_arrays_rejected(self, dtype):
@@ -352,6 +380,18 @@ BAD_SETS |= {
         ("tariffs all bools", 1, "tariff_levels"),
     ]
 }
+BAD_SETS |= {
+    f"{case}, np.int64 level": (
+        _sets_with(region, **{field: np.int64(getattr(BAD_SETS[case][0][region], field))}),
+        BAD_SETS[case][1],
+    )
+    for case, region, field in [
+        ("savings below range", 1, "savings_level"),
+        ("savings above range", 1, "savings_level"),
+        ("mitigation above range", 0, "mitigation_level"),
+        ("export below range", 2, "max_export_level"),
+    ]
+}
 
 
 @pytest.mark.parametrize("case", list(BAD_SETS))
@@ -359,3 +399,64 @@ def test_from_action_sets_rejects_bad_sets(case):
     sets, message = BAD_SETS[case]
     with pytest.raises(InvalidActionError, match=re.escape(message)):
         JointActions.from_action_sets(sets)
+
+
+#: Ways a caller may hand a set's levels and rows: as the policies do
+#: (``int`` or ``np.int64`` levels, ``int64`` rows), or as plain sequences.
+SET_FORMS = {
+    "np.int64 levels, int64 rows": (lambda level: level, lambda row: row),
+    "int levels, int64 rows": (int, lambda row: row),
+    "int levels, writable int64 rows": (int, np.array),
+    "np.int64 levels, tuple rows": (lambda level: level, lambda row: tuple(row.tolist())),
+    "int levels, list rows": (int, lambda row: row.tolist()),
+}
+
+
+def _block_arrays(j: JointActions) -> list[tuple]:
+    """What must match between two ``JointActions``: each of the 12 arrays'
+    dtype, shape, bytes and read-only flag."""
+    return [
+        (name, a.dtype, a.shape, a.tobytes(), a.flags.writeable)
+        for name in JointActions.__slots__
+        for a in [getattr(j, name)]
+    ]
+
+
+@pytest.mark.parametrize("n", [2, 27, 100])
+@pytest.mark.parametrize("form", list(SET_FORMS))
+def test_from_action_sets_equals_the_constructor_bit_for_bit(n, form):
+    level, row = SET_FORMS[form]
+    sets = [
+        ActionSet(*map(level, s[:3]), *map(row, s[3:]))
+        for s in random_sets(n, np.random.default_rng(n))
+    ]
+    assert _block_arrays(JointActions.from_action_sets(sets)) == _block_arrays(
+        JointActions(*zip(*sets))
+    )
+
+
+def test_policy_sets_are_stacked_without_the_constructor(monkeypatch):
+    """Sets as the policies hand them go straight into the blocks, so no
+    dimension is converted or checked on its own; a bool level is not such
+    a set."""
+    sets = random_sets(5, np.random.default_rng(5))
+
+    def refuse(name, *args):
+        raise AssertionError(f"{name} converted on its own")
+
+    monkeypatch.setattr(actions_mod, "_integer_copy", refuse)
+    monkeypatch.setattr(actions_mod, "_check_levels", refuse)
+    JointActions.from_action_sets(sets)
+    JointActions.from_action_sets(policy_sets(3, 1, 2, 3, 5, 7))
+    with pytest.raises(AssertionError, match="savings converted on its own"):
+        JointActions.from_action_sets([a._replace(savings_level=True) for a in sets])
+
+
+@pytest.mark.parametrize("n", [2, 27, 100])
+def test_uniform_equals_the_constructor_bit_for_bit(n):
+    for levels in [(0, 0, 0, 0, 0), (3, 9, 1, 5, 7), (9, 9, 9, 9, 9)]:
+        given = (*(np.full(n, level) for level in levels[:3]),
+                 *(_partner_matrix(n, level) for level in levels[3:]))
+        assert _block_arrays(JointActions.uniform(n, *levels)) == _block_arrays(
+            JointActions(*given)
+        ), levels

@@ -202,6 +202,26 @@ class TestOtherCommands:
         rows = read_lines(out / "episode.csv")
         assert len(rows) == 1 + 4 * 4  # header + steps * regions
 
+    @pytest.mark.parametrize("enforce", [False, True])
+    def test_negotiated_episode_writes_its_commitments(self, tmp_path, enforce):
+        """Each row holds the commitment its region's step drew, enforced or
+        not: the replay of an unenforced episode sees what it drew."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "sim": {"n_regions": 4, "horizon_years": 20,
+                    "negotiation": {"enabled": True, "enforce_masks": enforce}},
+            "experiment": "episode",
+            "seed": 2,
+        }))
+        out = tmp_path / "e"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        header, *rows = [line.split(",") for line in read_lines(out / "episode.csv")]
+        assert header[3:6] == ["savings_level", "mitigation_level", "commitment_level"]
+        committed = [int(row[5]) for row in rows]
+        assert committed == engine._draw_commitments(4, 4, 2)[:4].ravel().tolist()
+        mitigation = [int(row[4]) for row in rows]
+        assert (min(m - c for m, c in zip(mitigation, committed)) >= 0) == enforce
+
     def test_episode_subcommand_matches_run_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"sim": {"n_regions": 4, "horizon_years": 20}, "seed": 2}))
