@@ -2,7 +2,7 @@
 trade, tariffs, and a negotiation/masking protocol, plus the experiment
 harness that probes their reward structure."""
 
-from .actions import ACTION_DIMENSIONS, NUM_LEVELS, ActionSet, JointActions
+from .actions import ACTION_DIMENSIONS, NUM_LEVELS, JointActions
 from .config import (
     DisasterPenalty,
     NegotiationConfig,
@@ -38,7 +38,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ACTION_DIMENSIONS",
     "NUM_LEVELS",
-    "ActionSet",
     "ConfigError",
     "DisasterPenalty",
     "DomainError",

@@ -4,7 +4,6 @@ from __future__ import annotations
 import functools
 import operator
 from itertools import chain, repeat
-from typing import NamedTuple
 
 import numpy as np
 
@@ -34,24 +33,6 @@ def levels_to_rates(levels: np.ndarray) -> np.ndarray:
     """Vectorized level -> rate conversion (no validation): one division,
     with the bits of a ``float64`` copy divided by 10."""
     return np.true_divide(levels, 10.0)
-
-
-class ActionSet(NamedTuple):
-    """One region's action for one step, as a policy returns it: an
-    immutable tuple. The partner vectors have one entry per region (self
-    entry 0); checked when stacked. The policies hand them as read-only
-    ``int64`` rows, which ``==`` would compare element by element, so sets
-    compare and hash by identity, as objects do, not as tuples."""
-
-    savings_level: int
-    mitigation_level: int
-    max_export_level: int
-    import_levels: np.ndarray
-    tariff_levels: np.ndarray
-
-    __eq__ = object.__eq__
-    __ne__ = object.__ne__
-    __hash__ = object.__hash__
 
 
 def _elements(value, ndim: int):
@@ -214,15 +195,28 @@ class JointActions:
         return self.savings.shape[0]
 
     @classmethod
-    def from_action_sets(cls, sets: list[ActionSet]) -> "JointActions":
-        """Stack per-region sets into one checked ``JointActions``: the sets
-        transposed into the five dimensions' columns. Sets whose levels are
-        each an ``int`` or ``np.int64`` and whose rows are ``int64`` arrays of
-        one length each, as the policies return them, are stacked straight
-        into the two blocks; any other sets go through the constructor, whose
-        checks name what is wrong. No sets give five empty columns, which
-        fail the check as any empty action does."""
-        columns = tuple(zip(*sets)) or ((),) * len(ACTION_DIMENSIONS)
+    def from_action_sets(cls, sets: list[tuple]) -> "JointActions":
+        """Stack per-region sets into one checked ``JointActions``. Set ``i``
+        is region ``i``'s action for one step, as a policy's ``act`` returns
+        it: a plain 5-tuple ``(savings, mitigation, export, import_row,
+        tariff_row)`` in ``ACTION_DIMENSIONS`` order, whose rows have one
+        entry per region, 0 toward the region itself. The policies' levels
+        are ``int`` or ``np.int64`` and their rows read-only ``int64``
+        arrays; such sets are transposed straight into the two blocks. Any
+        other sets go through the constructor, whose checks name what is
+        wrong, and a set of any other length than 5 is an error naming its
+        region. No sets give five empty columns, which fail the check as any
+        empty action does."""
+        try:
+            columns = tuple(zip(*sets, strict=True))
+        except ValueError:  # sets of different lengths
+            columns = ()
+        if sets and len(columns) != len(ACTION_DIMENSIONS):
+            region = next(i for i, s in enumerate(sets) if len(s) != len(ACTION_DIMENSIONS))
+            raise InvalidActionError(
+                f"region {region}: action set has {len(sets[region])} entries, expected 5"
+            )
+        columns = columns or ((),) * len(ACTION_DIMENSIONS)
         rows = columns[3] + columns[4]
         if (
             _PLAIN_LEVELS.issuperset(map(type, chain(*columns[:3])))

@@ -28,7 +28,7 @@ import numpy as np
 from . import climate as climate_mod
 from . import economy as economy_mod
 from . import trade as trade_mod
-from .actions import ACTION_DIMENSIONS, JointActions
+from .actions import JointActions
 from .config import STEP_YEARS, SimParams, VariantConfig
 from .economy import _ONE, _float64
 from .errors import ConfigError, DomainError, MaskViolationError
@@ -220,10 +220,17 @@ def _read_only(values: np.ndarray) -> np.ndarray:
 
 
 class StepDetail(NamedTuple):
-    """Everything computed during one step, under the names ``EpisodeRecord``
-    stacks it by. ``balance``, ``carbon``, ``t_atmosphere`` and ``t_ocean``
-    are the state the step leaves; ``commitments`` are those that bound it."""
+    """The levels one step acted on and everything it computed, under the
+    names ``EpisodeRecord`` stacks them by: its fields are the
+    ``HISTORY_FIELDS``. The levels are the actions' own read-only arrays.
+    ``balance``, ``carbon``, ``t_atmosphere`` and ``t_ocean`` are the state
+    the step leaves; ``commitments`` are those that bound it."""
 
+    savings_levels: np.ndarray
+    mitigation_levels: np.ndarray
+    export_levels: np.ndarray
+    import_levels: np.ndarray  # [importer, exporter]
+    tariff_levels: np.ndarray
     gross_output: np.ndarray
     damage_fraction: float
     abatement_fraction: np.ndarray
@@ -246,11 +253,6 @@ class StepDetail(NamedTuple):
     commitments: np.ndarray | None
 
 
-class StepResult(NamedTuple):
-    world: World
-    detail: StepDetail
-
-
 def _enforce_masks(world: World, actions: JointActions) -> None:
     if not _masks_bind(world):
         return
@@ -262,8 +264,9 @@ def _enforce_masks(world: World, actions: JointActions) -> None:
         raise MaskViolationError(r, int(levels[r]), int(floors[r]))
 
 
-def step(world: World, actions: JointActions) -> StepResult:
-    """Advance one step. Pure: identical inputs give identical outputs.
+def step(world: World, actions: JointActions) -> tuple[World, StepDetail]:
+    """Advance one step: the new world and the step's detail. Pure:
+    identical inputs give identical outputs.
 
     Uses the rates ``actions`` converted from its levels when it was built,
     and reads labor, productivity and intensity from row ``t`` of the paths
@@ -338,32 +341,26 @@ def step(world: World, actions: JointActions) -> StepResult:
     # Positional, in ``StepDetail._fields`` order; ``cons`` fills the four
     # ``ConsumptionBreakdown`` fields from ``domestic`` to ``domestic_floored``.
     detail = StepDetail(
+        actions.savings, actions.mitigation, actions.export, actions.imports, actions.tariffs,
         y_gross, float(dmg), abat, y_net, investment, emissions, emissions_global,
         *cons,
         flows.exports_scaled, flows.imports_scaled, revenue, rewards,
         balance_after, carbon_after, t_at, t_lo, world.commitments,
     )
-    return StepResult(world=new_world, detail=detail)
+    return new_world, detail
 
 
-#: The record name of each of the five ``ACTION_DIMENSIONS``' levels.
-_LEVEL_DIMENSIONS = dict(zip(
-    ("savings_levels", "mitigation_levels", "export_levels", "import_levels", "tariff_levels"),
-    ACTION_DIMENSIONS,
-))
-#: Every history field ``run_episode`` can stack, in ``EpisodeRecord`` order:
-#: the action levels, then the ``StepDetail`` fields.
-HISTORY_FIELDS = (*_LEVEL_DIMENSIONS, *StepDetail._fields)
+#: Every history field ``run_episode`` can stack, in ``EpisodeRecord`` order.
+HISTORY_FIELDS = StepDetail._fields
 
 
 @dataclass(frozen=True)
 class EpisodeRecord:
     """One episode's endpoints and the history fields its caller named.
 
-    A history field is a per-step array: the levels of one action
-    dimension, or one ``StepDetail`` field, stacked over the steps. A field
-    that was not recorded is None, and so is ``commitments`` when no step
-    had any."""
+    A history field is one ``StepDetail`` field stacked over the steps. A
+    field that was not recorded is None, and so is ``commitments`` when no
+    step had any."""
 
     delta_t_end: float
     y_cum: float  # STEP_YEARS times the running sum of each step's world gross output
@@ -456,29 +453,24 @@ def run_episode(
             raise ConfigError(f"record: {name!r} is not one of {HISTORY_FIELDS}")
     world = reset(params, variant, seed)
     next_actions = _next_actions(world, source)
-    fields = [(name, name in _LEVEL_DIMENSIONS, _LEVEL_DIMENSIONS.get(name, name))
-              for name in record]
     rows: dict[str, np.ndarray | None] = dict.fromkeys(record)
-    # (array, of the actions?, attribute) of each field not None at step 0.
+    # (array, field name) of each field not None at step 0.
     writes = []
     y_cum = 0.0
     total_reward = np.zeros(params.n_regions)
     for t in range(params.n_steps):
-        actions = next_actions(world)
-        result = step(world, actions)
-        d = result.detail
+        world, d = step(world, next_actions(world))
         y_cum += float(np.add.reduce(d.gross_output))
         total_reward += d.rewards
         if t == 0:
-            for name, of_actions, attr in fields:
-                value = getattr(actions if of_actions else d, attr)
+            for name in record:
+                value = getattr(d, name)
                 if value is not None:
                     value = np.asarray(value)
                     rows[name] = np.empty((params.n_steps, *value.shape), value.dtype)
-                    writes.append((rows[name], of_actions, attr))
-        for out, of_actions, attr in writes:
-            out[t] = getattr(actions if of_actions else d, attr)
-        world = result.world
+                    writes.append((rows[name], name))
+        for out, name in writes:
+            out[t] = getattr(d, name)
 
     d_end = economy_mod.damage_fraction(
         max(world.t_atmosphere, 0.0), variant.damage_kind, 0.0, params.damage_pi2

@@ -3,7 +3,8 @@
 Policies are immutable values. ``act`` always honors the supplied mask,
 the mitigation floor: fixed policies raise a mitigation level below it to
 the floor (masking overrides intent), random policies draw uniformly from
-the floor up.
+the floor up. ``act`` returns one region's set as
+``JointActions.from_action_sets`` takes it.
 """
 from __future__ import annotations
 
@@ -12,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .actions import ACTION_DIMENSIONS, NUM_LEVELS, ActionSet, _partner_matrix, check_level
+from .actions import ACTION_DIMENSIONS, NUM_LEVELS, _partner_matrix, check_level
+from .errors import InvalidActionError
 from .negotiation import masked_sample
 
 
@@ -46,13 +48,13 @@ class FixedLevelsPolicy:
         for name in ACTION_DIMENSIONS:
             check_level(name, getattr(self, name))
 
-    def act(self, observation, mask: int | None, rng) -> ActionSet:
-        return ActionSet(
-            savings_level=self.savings,
-            mitigation_level=max(self.mitigation, mask or 0),
-            max_export_level=self.export,
-            import_levels=_partner_vector(observation, self.imports),
-            tariff_levels=_partner_vector(observation, self.tariffs),
+    def act(self, observation, mask: int | None, rng) -> tuple:
+        return (
+            self.savings,
+            max(self.mitigation, mask or 0),
+            self.export,
+            _partner_vector(observation, self.imports),
+            _partner_vector(observation, self.tariffs),
         )
 
 
@@ -71,8 +73,8 @@ class UniformRandomPolicy:
 
     is_static = False
 
-    def act(self, observation, mask: int | None, rng) -> ActionSet:
-        return ActionSet(
+    def act(self, observation, mask: int | None, rng) -> tuple:
+        return (
             rng.integers(NUM_LEVELS),
             masked_sample(mask or 0, rng),
             rng.integers(NUM_LEVELS),
@@ -85,13 +87,17 @@ class UniformRandomPolicy:
 class PariahOverridePolicy:
     """Wraps a base policy, forcing every other region's tariff toward
     ``target`` to ``tariff_level``. ``None`` leaves the base policy alone
-    (the control condition); 0 is the free-trade condition."""
+    (the control condition); 0 is the free-trade condition. ``target`` is
+    a region index: a bool, a non-``int`` or a negative one is rejected when
+    the policy is built, one outside the world when it acts."""
 
     base: FixedLevelsPolicy
     target: int
     tariff_level: int | None
 
     def __post_init__(self) -> None:
+        if isinstance(self.target, bool) or not isinstance(self.target, int) or self.target < 0:
+            raise InvalidActionError(f"pariah target must be a region index, got {self.target!r}")
         if self.tariff_level is not None:
             check_level("override tariff", self.tariff_level)
 
@@ -99,12 +105,15 @@ class PariahOverridePolicy:
     def is_static(self) -> bool:
         return self.base.is_static
 
-    def act(self, observation, mask: int | None, rng) -> ActionSet:
+    def act(self, observation, mask: int | None, rng) -> tuple:
+        if self.target >= observation.n_regions:
+            raise InvalidActionError(f"pariah target {self.target} outside a world of "
+                                     f"{observation.n_regions} regions")
         base_action = self.base.act(observation, mask, rng)
         if self.tariff_level is None or observation.region == self.target:
             return base_action
-        tariffs = base_action.tariff_levels.copy()
+        savings, mitigation, export, imports, tariffs = base_action
+        tariffs = tariffs.copy()
         tariffs[self.target] = self.tariff_level
         tariffs.setflags(write=False)
-        savings, mitigation, export, imports, _ = base_action
-        return ActionSet(savings, mitigation, export, imports, tariffs)
+        return savings, mitigation, export, imports, tariffs

@@ -12,7 +12,6 @@ from ricensim import actions as actions_mod
 from ricensim.actions import (
     ACTION_DIMENSIONS,
     RATE_NAMES,
-    ActionSet,
     JointActions,
     _partner_matrix,
     check_level,
@@ -76,34 +75,19 @@ class TestLevelToRate:
 COMPLEMENTS = {"unmitigated_rate": "mitigation_rate", "untariffed_rate": "tariffs_rate"}
 
 
-def policy_sets(n: int, *levels: int) -> list[ActionSet]:
+def policy_sets(n: int, *levels: int) -> list[tuple]:
     """Every region's set under one fixed policy."""
     policy = FixedLevelsPolicy(*levels)
     return [policy.act(Observation(region=i, n_regions=n), None, None) for i in range(n)]
 
 
-def random_sets(n: int, rng: np.random.Generator) -> list[ActionSet]:
+def random_sets(n: int, rng: np.random.Generator) -> list[tuple]:
     """One random valid set per region, as ``UniformRandomPolicy`` hands
     them: ``np.int64`` levels and read-only ``int64`` rows."""
     vectors = rng.integers(10, size=(3, n))
     matrices = rng.integers(10, size=(2, n, n)) * (1 - np.eye(n, dtype=np.int64))
     matrices.setflags(write=False)
-    return [ActionSet(*vectors[:, i], *matrices[:, i]) for i in range(n)]
-
-
-class TestActionSet:
-    def test_immutable(self):
-        a = policy_sets(3, 1, 2, 3, 5, 7)[0]
-        for name in a._fields:
-            with pytest.raises(AttributeError):
-                setattr(a, name, getattr(a, name))
-
-    def test_compares_and_hashes_by_identity(self):
-        a, b = policy_sets(3, 1, 2, 3, 5, 7)[0], policy_sets(3, 1, 2, 3, 5, 7)[0]
-        assert a == a and not a != a and hash(a) == object.__hash__(a)
-        assert a != b and not a == b
-        assert a in [b, a] and b not in [a]
-        assert len({a, b, a}) == 2
+    return [(*vectors[:, i], *matrices[:, i]) for i in range(n)]
 
 
 class TestJointActions:
@@ -120,16 +104,16 @@ class TestJointActions:
     def test_round_trip_region_view(self):
         j = JointActions.uniform(3, savings=1, mitigation=2, export=3, imports=5, tariffs=7)
         sets = policy_sets(3, 1, 2, 3, 5, 7)
-        assert sets[1].savings_level == 1
-        assert np.array_equal(sets[1].import_levels, (5, 0, 5))
+        assert sets[1][0] == 1
+        assert np.array_equal(sets[1][3], (5, 0, 5))
         joint = JointActions.from_action_sets(sets)
         for name in ("savings", "mitigation", "export", "imports", "tariffs"):
             assert np.array_equal(getattr(joint, name), getattr(j, name)), name
 
     def test_from_action_sets_validates(self):
         sets = [
-            ActionSet(1, 2, 3, (0, 5), (0, 4)),
-            ActionSet(1, 2, 3, (5, 0), (4, 0)),
+            (1, 2, 3, (0, 5), (0, 4)),
+            (1, 2, 3, (5, 0), (4, 0)),
         ]
         j = JointActions.from_action_sets(sets)
         assert j.imports[1, 0] == 5
@@ -292,105 +276,138 @@ class TestJointActions:
         sets = policy_sets(4, 1, 2, 3, 5, 7)
         j = JointActions.from_action_sets(sets)
         j.validate(4)
-        for i, a in enumerate(sets):
-            assert j.savings[i] == a.savings_level and j.mitigation[i] == a.mitigation_level
-            assert j.export[i] == a.max_export_level
-            assert np.array_equal(j.imports[i], a.import_levels)
-            assert np.array_equal(j.tariffs[i], a.tariff_levels)
+        for i, (savings, mitigation, export, imports, tariffs) in enumerate(sets):
+            assert j.savings[i] == savings and j.mitigation[i] == mitigation
+            assert j.export[i] == export
+            assert np.array_equal(j.imports[i], imports)
+            assert np.array_equal(j.tariffs[i], tariffs)
 
 
 def _sets_with(region, **changes):
-    """Three valid sets, one field of one region's set replaced."""
+    """Three valid sets, one dimension of one region's set replaced; each
+    change is keyed by its name in ``ACTION_DIMENSIONS``."""
     sets = policy_sets(3, 1, 2, 3, 5, 7)
-    sets[region] = sets[region]._replace(**changes)
+    entries = list(sets[region])
+    for name, value in changes.items():
+        entries[ACTION_DIMENSIONS.index(name)] = value
+    sets[region] = tuple(entries)
     return sets
 
 
 #: Each bad case and the message it is rejected with.
 BAD_SETS = {
-    "savings below range": (_sets_with(1, savings_level=-1), "region 1: savings level -1 outside"),
-    "savings above range": (_sets_with(1, savings_level=10), "region 1: savings level 10 outside"),
+    "savings below range": (_sets_with(1, savings=-1), "region 1: savings level -1 outside"),
+    "savings above range": (_sets_with(1, savings=10), "region 1: savings level 10 outside"),
     "mitigation above range": (
-        _sets_with(0, mitigation_level=10), "region 0: mitigation level 10 outside"
+        _sets_with(0, mitigation=10), "region 0: mitigation level 10 outside"
     ),
-    "export below range": (_sets_with(2, max_export_level=-1), "region 2: export level -1 outside"),
-    "imports too short": (_sets_with(1, import_levels=(5, 0)), "imports rows differ in length"),
-    "tariffs too long": (_sets_with(1, tariff_levels=(7, 0, 7, 7)), "tariffs rows differ in length"),
+    "export below range": (_sets_with(2, export=-1), "region 2: export level -1 outside"),
+    "imports too short": (_sets_with(1, imports=(5, 0)), "imports rows differ in length"),
+    "tariffs too long": (_sets_with(1, tariffs=(7, 0, 7, 7)), "tariffs rows differ in length"),
     "imports entry above range": (
-        _sets_with(0, import_levels=(0, 10, 5)), "region 0: imports level 10 outside"
+        _sets_with(0, imports=(0, 10, 5)), "region 0: imports level 10 outside"
     ),
     "tariffs entry below range": (
-        _sets_with(2, tariff_levels=(-1, 7, 0)), "region 2: tariffs level -1 outside"
+        _sets_with(2, tariffs=(-1, 7, 0)), "region 2: tariffs level -1 outside"
     ),
     "imports self entry": (
-        _sets_with(1, import_levels=(5, 1, 5)), "region 1: self entry of imports must be 0"
+        _sets_with(1, imports=(5, 1, 5)), "region 1: self entry of imports must be 0"
     ),
     "tariffs self entry": (
-        _sets_with(2, tariff_levels=(7, 7, 7)), "region 2: self entry of tariffs must be 0"
+        _sets_with(2, tariffs=(7, 7, 7)), "region 2: self entry of tariffs must be 0"
     ),
     "savings float": (
-        _sets_with(1, savings_level=2.5), "region 1: savings level must be an integer, got 2.5"
+        _sets_with(1, savings=2.5), "region 1: savings level must be an integer, got 2.5"
     ),
     "mitigation bool": (
-        _sets_with(2, mitigation_level=True),
+        _sets_with(2, mitigation=True),
         "region 2: mitigation level must be an integer, got True",
     ),
     "export string": (
-        _sets_with(0, max_export_level="3"), "region 0: export level must be an integer, got '3'"
+        _sets_with(0, export="3"), "region 0: export level must be an integer, got '3'"
     ),
     "imports float inside vector": (
-        _sets_with(0, import_levels=(0, 2.5, 5)),
+        _sets_with(0, imports=(0, 2.5, 5)),
         "region 0: imports level must be an integer, got 2.5",
     ),
     "tariffs bool inside vector": (
-        _sets_with(1, tariff_levels=(5, 0, True)),
+        _sets_with(1, tariffs=(5, 0, True)),
         "region 1: tariffs level must be an integer, got True",
     ),
     "tariffs entry at int64 min": (
-        _sets_with(2, tariff_levels=(np.iinfo(np.int64).min, 7, 0)),
+        _sets_with(2, tariffs=(np.iinfo(np.int64).min, 7, 0)),
         f"region 2: tariffs level {np.iinfo(np.int64).min} outside",
     ),
     "imports all floats": (
-        _sets_with(0, import_levels=(0.0, 2.5, 5.0)),
+        _sets_with(0, imports=(0.0, 2.5, 5.0)),
         "region 0: imports level must be an integer, got 0.0",
     ),
     "tariffs all bools": (
-        _sets_with(1, tariff_levels=(False, False, True)),
+        _sets_with(1, tariffs=(False, False, True)),
         "region 1: tariffs level must be an integer, got False",
     ),
 }
+
+
+def _entry(sets, region, name):
+    """Region ``region``'s ``name`` entry of ``sets``."""
+    return sets[region][ACTION_DIMENSIONS.index(name)]
 
 
 def _array_twin(case, region, field):
     """``BAD_SETS[case]`` with its bad row as an array, as the policies hand
     rows: rejected with the same message."""
     sets, message = BAD_SETS[case]
-    return _sets_with(region, **{field: np.array(getattr(sets[region], field))}), message
+    return _sets_with(region, **{field: np.array(_entry(sets, region, field))}), message
 
 
 BAD_SETS |= {
     f"{case}, array row": _array_twin(case, region, field)
     for case, region, field in [
-        ("imports too short", 1, "import_levels"),
-        ("imports entry above range", 0, "import_levels"),
-        ("tariffs entry below range", 2, "tariff_levels"),
-        ("tariffs entry at int64 min", 2, "tariff_levels"),
-        ("imports self entry", 1, "import_levels"),
-        ("imports all floats", 0, "import_levels"),
-        ("tariffs all bools", 1, "tariff_levels"),
+        ("imports too short", 1, "imports"),
+        ("imports entry above range", 0, "imports"),
+        ("tariffs entry below range", 2, "tariffs"),
+        ("tariffs entry at int64 min", 2, "tariffs"),
+        ("imports self entry", 1, "imports"),
+        ("imports all floats", 0, "imports"),
+        ("tariffs all bools", 1, "tariffs"),
     ]
 }
 BAD_SETS |= {
     f"{case}, np.int64 level": (
-        _sets_with(region, **{field: np.int64(getattr(BAD_SETS[case][0][region], field))}),
+        _sets_with(region, **{field: np.int64(_entry(BAD_SETS[case][0], region, field))}),
         BAD_SETS[case][1],
     )
     for case, region, field in [
-        ("savings below range", 1, "savings_level"),
-        ("savings above range", 1, "savings_level"),
-        ("mitigation above range", 0, "mitigation_level"),
-        ("export below range", 2, "max_export_level"),
+        ("savings below range", 1, "savings"),
+        ("savings above range", 1, "savings"),
+        ("mitigation above range", 0, "mitigation"),
+        ("export below range", 2, "export"),
     ]
+}
+
+
+def _sets_resized(regions, size):
+    """Three valid sets, those of ``regions`` cut or padded with 0 to ``size``
+    entries."""
+    sets = policy_sets(3, 1, 2, 3, 5, 7)
+    for region in regions:
+        sets[region] = (*sets[region], 0, 0)[:size]
+    return sets
+
+
+BAD_SETS |= {
+    "a 6-entry set among 5-entry ones": (
+        _sets_resized([1], 6), "region 1: action set has 6 entries, expected 5"
+    ),
+    "every set with 6 entries": (
+        _sets_resized([0, 1, 2], 6), "region 0: action set has 6 entries, expected 5"
+    ),
+    "a 4-entry set": (_sets_resized([2], 4), "region 2: action set has 4 entries, expected 5"),
+    "every set with 4 entries": (
+        _sets_resized([0, 1, 2], 4), "region 0: action set has 4 entries, expected 5"
+    ),
+    "an empty set": (_sets_resized([1], 0), "region 1: action set has 0 entries, expected 5"),
 }
 
 
@@ -427,7 +444,7 @@ def _block_arrays(j: JointActions) -> list[tuple]:
 def test_from_action_sets_equals_the_constructor_bit_for_bit(n, form):
     level, row = SET_FORMS[form]
     sets = [
-        ActionSet(*map(level, s[:3]), *map(row, s[3:]))
+        (*map(level, s[:3]), *map(row, s[3:]))
         for s in random_sets(n, np.random.default_rng(n))
     ]
     assert _block_arrays(JointActions.from_action_sets(sets)) == _block_arrays(
@@ -449,7 +466,7 @@ def test_policy_sets_are_stacked_without_the_constructor(monkeypatch):
     JointActions.from_action_sets(sets)
     JointActions.from_action_sets(policy_sets(3, 1, 2, 3, 5, 7))
     with pytest.raises(AssertionError, match="savings converted on its own"):
-        JointActions.from_action_sets([a._replace(savings_level=True) for a in sets])
+        JointActions.from_action_sets([(True, *a[1:]) for a in sets])
 
 
 @pytest.mark.parametrize("n", [2, 27, 100])

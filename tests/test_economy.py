@@ -165,8 +165,8 @@ class TestStepEconomy:
             capital=100.0, labor=1.0, productivity=self.PRODUCTIVITY, intensity=0.2,
         )
         world.t_atmosphere = temperature
-        result = step(world, JointActions.uniform(2, savings, mitigation, 0, 0, 0))
-        return world, result.detail, result.world
+        new, detail = step(world, JointActions.uniform(2, savings, mitigation, 0, 0, 0))
+        return world, detail, new
 
     def test_all_zero_actions(self):
         _, out, new = self.step(0, 0, 0.0)

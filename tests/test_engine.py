@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ricensim import (
+    ACTION_DIMENSIONS,
     DisasterPenalty,
     FixedLevelsPolicy,
     JointActions,
@@ -17,6 +18,8 @@ from ricensim import economy, engine
 from ricensim.config import STEP_YEARS
 from ricensim.engine import (
     HISTORY_FIELDS,
+    EpisodeRecord,
+    StepDetail,
     episode_constants,
     reset,
     run_episode,
@@ -146,7 +149,7 @@ class TestExogenousPaths:
         world = reset(small_params, baseline, 2)
         actions = JointActions.uniform(4, 3, 5, 2, 4, 1)
         for _ in range(small_params.n_steps):
-            world = step(world, actions).world
+            world, _ = step(world, actions)
         assert world.t == small_params.n_steps
         with pytest.raises(DomainError, match="20-step episode"):
             step(world, actions)
@@ -214,33 +217,31 @@ class TestStep:
     def test_pure_given_identical_inputs(self, small_params, baseline):
         w = reset(small_params, baseline, 1)
         actions = JointActions.uniform(4, 3, 5, 2, 4, 1)
-        r1 = step(w, actions)
-        r2 = step(w, actions)
-        assert np.array_equal(r1.detail.rewards, r2.detail.rewards)
-        assert world_state(r1.world) == world_state(r2.world)
+        w1, d1 = step(w, actions)
+        w2, d2 = step(w, actions)
+        assert np.array_equal(d1.rewards, d2.rewards)
+        assert world_state(w1) == world_state(w2)
 
     def test_all_zero_actions_reward_is_net_output(self, small_params, baseline):
         w = reset(small_params, baseline, 1)
-        result = step(w, JointActions.uniform(4, 0, 0, 0, 0, 0))
-        assert np.array_equal(result.detail.rewards, result.detail.net_output)
-        assert np.all(result.detail.investment == 0)
-        assert np.allclose(
-            result.world.capital, w.capital * 0.9**5, rtol=1e-12, atol=0
-        )
+        new, d = step(w, JointActions.uniform(4, 0, 0, 0, 0, 0))
+        assert np.array_equal(d.rewards, d.net_output)
+        assert np.all(d.investment == 0)
+        assert np.allclose(new.capital, w.capital * 0.9**5, rtol=1e-12, atol=0)
 
     def test_reward_is_aggregate_consumption_without_disaster(self, small_params, baseline):
         w = reset(small_params, baseline, 1)
-        result = step(w, JointActions.uniform(4, 3, 2, 5, 6, 2))
-        assert np.array_equal(result.detail.rewards, result.detail.aggregate)
+        _, d = step(w, JointActions.uniform(4, 3, 2, 5, 6, 2))
+        assert np.array_equal(d.rewards, d.aggregate)
 
     def test_disaster_penalty_applied_beyond_threshold(self, small_params):
         # The episode starts at 1.1 degC, past the 1.0 degC threshold.
         variant = VariantConfig(disaster=DisasterPenalty(threshold_degc=1.0, penalty=1e6))
         base = VariantConfig()
         actions = JointActions.uniform(4, 3, 2, 5, 6, 2)
-        with_penalty = step(reset(small_params, variant, 1), actions)
-        without = step(reset(small_params, base, 1), actions)
-        assert np.array_equal(without.detail.rewards - with_penalty.detail.rewards, np.full(4, 1e6))
+        _, with_penalty = step(reset(small_params, variant, 1), actions)
+        _, without = step(reset(small_params, base, 1), actions)
+        assert np.array_equal(without.rewards - with_penalty.rewards, np.full(4, 1e6))
 
     def test_replaced_rates_step_like_the_in_step_formula(self, small_params, baseline):
         """The growth factors come from the rates the constants were built
@@ -259,8 +260,7 @@ class TestStep:
             c.theta1 = np.zeros(n)
         assert not c.theta1.flags.writeable
         actions = JointActions.uniform(n, 3, 5, 2, 4, 1)
-        result = step(w, actions)
-        new, d = result.world, result.detail
+        new, d = step(w, actions)
         expected = {
             "labor_path": regions["labor"] * (1.0 + rates["labor_growth"]) ** dt,
             "productivity_path": regions["productivity"] * (1.0 + rates["productivity_growth"]) ** dt,
@@ -271,7 +271,7 @@ class TestStep:
         capital = w.capital * (1.0 - economy.DEPRECIATION) ** dt + dt * d.investment
         assert new.capital.tobytes() == capital.tobytes()
         gross = economy.gross_output(c.productivity_path[1], new.capital, c.labor_term[1])
-        assert step(new, actions).detail.gross_output.tobytes() == gross.tobytes()
+        assert step(new, actions)[1].gross_output.tobytes() == gross.tobytes()
         abatement = economy.abatement_fraction(
             actions.mitigation / 10.0, w.mitigation_prev, baseline.abatement_kind,
             rates["theta1"], economy.ABATEMENT_THETA2,
@@ -369,8 +369,8 @@ class TestNegotiation:
         w = reset(self.negotiating(small_params), baseline, 6)
         top = int(w.commitments.max())
         assert top > 0
-        result = step(w, JointActions.uniform(4, 0, top, 0, 0, 0))  # a mask floors mitigation only
-        assert result.detail.commitments is not None
+        _, d = step(w, JointActions.uniform(4, 0, top, 0, 0, 0))  # a mask floors mitigation only
+        assert d.commitments is not None
 
     def test_mask_soundness_over_episodes(self, small_params, baseline):
         params = self.negotiating(small_params)
@@ -387,8 +387,8 @@ class TestNegotiation:
         w = reset(params, baseline, 6)
         assert w.masks() is None  # commitments recorded but not binding
         low = JointActions.uniform(4, 3, 0, 0, 0, 0)
-        result = step(w, low)  # no violation raised
-        assert result.detail.commitments is not None
+        _, d = step(w, low)  # no violation raised
+        assert d.commitments is not None
 
     def test_fixed_actions_reject_enforced_masks(self, small_params, baseline):
         actions = JointActions.uniform(4, 3, 0, 0, 0, 0)
@@ -485,14 +485,13 @@ class TestCommitmentsDrawnAtReset:
                     policy.act(world.observation(i), masks[i] if masks else None, rng)
                     for i in range(4)
                 ])
-                result = step(world, actions)
-                assert result.detail.commitments.tobytes() == rows[t].tobytes()
-                world = result.world
+                world, d = step(world, actions)
+                assert d.commitments.tobytes() == rows[t].tobytes()
 
     def test_none_with_negotiation_off(self, small_params, baseline):
         world = reset(small_params, baseline, 4)
         assert world.constants.commitments is None and world.commitments is None
-        world = step(world, JointActions.uniform(4, 3, 5, 2, 4, 1)).world
+        world, _ = step(world, JointActions.uniform(4, 3, 5, 2, 4, 1))
         assert world.commitments is None
 
     def test_the_builder_draws_the_rows_of_its_seed(self, small_params, baseline):
@@ -727,6 +726,19 @@ def test_every_source_and_record_set_agree_bitwise(default_params, source, varia
                 assert summary_bytes(rec) == summary_bytes(policy_rec), (levels, seed)
 
 
+def test_the_history_fields_are_the_step_details(small_params, baseline):
+    """One source per recorded field: the history fields are ``StepDetail``'s
+    fields, and ``EpisodeRecord`` holds them, in order, after its endpoints.
+    Each recorded level row is the level array the step acted on."""
+    assert HISTORY_FIELDS == StepDetail._fields
+    record_fields = [f.name for f in dataclasses.fields(EpisodeRecord)]
+    assert tuple(record_fields[-len(HISTORY_FIELDS):]) == HISTORY_FIELDS
+    actions = JointActions.uniform(4, 3, 5, 2, 4, 1)
+    _, d = step(reset(small_params, baseline, 1), actions)
+    for field, name in zip(HISTORY_FIELDS, ACTION_DIMENSIONS):
+        assert getattr(d, field) is getattr(actions, name), field
+
+
 def test_an_unknown_record_name_is_named(small_params, baseline):
     with pytest.raises(ConfigError, match="record: 'tarif_levels'"):
         run_episode(small_params, baseline, FixedLevelsPolicy(3, 0, 0, 0, 0), 0,
@@ -743,10 +755,10 @@ def test_step_never_writes_to_its_input_world(small_params, variant):
     actions_before = actions_state(actions)
     for _ in range(4):
         before = world_state(world)
-        result = step(world, actions)
+        new, _ = step(world, actions)
         assert world_state(world) == before
         assert actions_state(actions) == actions_before
-        world = result.world
+        world = new
 
 
 @pytest.mark.parametrize("foreign_weight", [0.7, 1e-3, 1])

@@ -130,9 +130,8 @@ class TestTradeEffect:
                                            export=levels, imports=levels, tariffs=0)
             total = np.zeros(2)
             for _ in range(p.n_steps):
-                result = step(w, actions)
-                total += result.detail.rewards
-                w = result.world
+                w, d = step(w, actions)
+                total += d.rewards
             totals[label] = total
         assert np.allclose(totals["none"], totals["max"], rtol=1e-9)
 
@@ -146,9 +145,8 @@ class TestTradeEffect:
                                            export=9, imports=9, tariffs=tariff)
             total = np.zeros(2)
             for _ in range(p.n_steps):
-                result = step(w, actions)
-                total += result.detail.rewards
-                w = result.world
+                w, d = step(w, actions)
+                total += d.rewards
             totals[label] = total
         assert (totals["free"] > totals["walled"]).all()
 

@@ -22,31 +22,30 @@ def obs(region=0, n=4):
 
 
 def same_set(a, b) -> bool:
-    """Field-by-field equality of two action sets; ``==`` on sets is
-    identity, as their partner vectors are arrays."""
-    return all(np.array_equal(getattr(a, name), getattr(b, name)) for name in a._fields)
+    """Entry-by-entry equality of two 5-entry action sets; ``==`` on the
+    tuples would compare their partner rows element by element."""
+    return len(a) == len(b) == 5 and all(map(np.array_equal, a, b))
 
 
 class TestFixedLevels:
     def test_ideal_trade_levels_unmasked(self):
-        a = IDEAL_TRADE_POLICY.act(obs(), None, None)
-        assert a.mitigation_level == 9
-        assert a.savings_level == 3
-        assert a.max_export_level == 9
-        assert set(a.import_levels) == {0, 9} and a.import_levels[0] == 0
-        assert all(t == 0 for t in a.tariff_levels)
+        savings, mitigation, export, imports, tariffs = IDEAL_TRADE_POLICY.act(obs(), None, None)
+        assert mitigation == 9
+        assert savings == 3
+        assert export == 9
+        assert set(imports) == {0, 9} and imports[0] == 0
+        assert all(t == 0 for t in tariffs)
 
     def test_masked_level_snaps_to_commitment_floor(self):
         policy = FixedLevelsPolicy(savings=3, mitigation=2, export=0, imports=0, tariffs=0)
-        a = policy.act(obs(), build_mask(7), None)
-        assert a.mitigation_level == 7
-        assert a.savings_level == 3  # a mask floors mitigation only
-        assert a.max_export_level == 0
+        savings, mitigation, export, _, _ = policy.act(obs(), build_mask(7), None)
+        assert mitigation == 7
+        assert savings == 3  # a mask floors mitigation only
+        assert export == 0
 
     def test_desired_level_above_floor_kept(self):
         policy = FixedLevelsPolicy(savings=3, mitigation=8, export=0, imports=0, tariffs=0)
-        a = policy.act(obs(), build_mask(7), None)
-        assert a.mitigation_level == 8
+        assert policy.act(obs(), build_mask(7), None)[1] == 8
 
     def test_zero_floor_acts_as_no_mask(self):
         policy = FixedLevelsPolicy(savings=1, mitigation=2, export=4, imports=0, tariffs=0)
@@ -71,11 +70,12 @@ class TestUniformRandom:
     @settings(max_examples=60, deadline=None)
     def test_never_violates_mask(self, commitment, seed):
         policy = UniformRandomPolicy()
-        a = policy.act(obs(), build_mask(commitment), np.random.default_rng(seed))
-        assert a.mitigation_level >= commitment
+        savings, mitigation, *_ = policy.act(
+            obs(), build_mask(commitment), np.random.default_rng(seed)
+        )
+        assert mitigation >= commitment
         # Savings is drawn first, from 0, whatever the floor.
-        unmasked = policy.act(obs(), None, np.random.default_rng(seed))
-        assert a.savings_level == unmasked.savings_level
+        assert savings == policy.act(obs(), None, np.random.default_rng(seed))[0]
 
 
     def test_zero_floor_draws_as_no_mask(self):
@@ -98,11 +98,9 @@ class TestUniformRandom:
             savings, mitigation, export, imports, tariffs = (
                 masked_sample(lo, reference) for lo in (0, floor or 0, 0, 0, 0)
             )
-            assert (got.savings_level, got.mitigation_level, got.max_export_level) == (
-                savings, mitigation, export
-            )
-            assert np.array_equal(got.import_levels, _partner_matrix(4, imports)[1])
-            assert np.array_equal(got.tariff_levels, _partner_matrix(4, tariffs)[1])
+            assert got[:3] == (savings, mitigation, export)
+            assert np.array_equal(got[3], _partner_matrix(4, imports)[1])
+            assert np.array_equal(got[4], _partner_matrix(4, tariffs)[1])
             assert ours.bit_generator.state == reference.bit_generator.state
 
 
@@ -110,9 +108,9 @@ class TestPariahOverride:
     def test_free_trade_condition_forces_zero(self):
         base = FixedLevelsPolicy(savings=3, mitigation=9, export=9, imports=9, tariffs=6)
         policy = PariahOverridePolicy(base, target=2, tariff_level=0)
-        a = policy.act(obs(region=0), None, None)
-        assert a.tariff_levels[2] == 0
-        assert a.tariff_levels[1] == 6
+        tariffs = policy.act(obs(region=0), None, None)[4]
+        assert tariffs[2] == 0
+        assert tariffs[1] == 6
 
     def test_modifies_only_target_entry(self):
         base = FixedLevelsPolicy(savings=3, mitigation=9, export=9, imports=9, tariffs=0)
@@ -123,16 +121,10 @@ class TestPariahOverride:
             if region == 2:
                 assert same_set(overridden, plain)
                 continue
-            assert overridden.tariff_levels[2] == 9
-            assert np.array_equal(overridden.import_levels, plain.import_levels)
-            assert overridden.savings_level == plain.savings_level
-            assert overridden.mitigation_level == plain.mitigation_level
-            assert overridden.max_export_level == plain.max_export_level
-            assert all(
-                overridden.tariff_levels[j] == plain.tariff_levels[j]
-                for j in range(4)
-                if j != 2
-            )
+            assert overridden[4][2] == 9
+            assert np.array_equal(overridden[3], plain[3])
+            assert overridden[:3] == plain[:3]
+            assert all(overridden[4][j] == plain[4][j] for j in range(4) if j != 2)
 
     def test_control_condition_is_base_policy(self):
         base = FixedLevelsPolicy(savings=3, mitigation=9, export=9, imports=9, tariffs=0)
@@ -146,10 +138,55 @@ class TestPariahOverride:
         overridden = policy.act(obs(region=0), None, None)
         after = base.act(obs(region=0), None, None)
         # The base rows are one cached array per region count and level.
-        assert after.tariff_levels.base is before.tariff_levels.base
-        assert np.array_equal(after.tariff_levels, [0, 6, 6, 6])
-        assert np.array_equal(overridden.tariff_levels, [0, 6, 0, 6])
-        for row in (before.import_levels, before.tariff_levels, overridden.tariff_levels):
+        assert after[4].base is before[4].base
+        assert np.array_equal(after[4], [0, 6, 6, 6])
+        assert np.array_equal(overridden[4], [0, 6, 0, 6])
+        for row in (before[3], before[4], overridden[4]):
             assert row.dtype == np.int64 and not row.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 row[1] = 5
+
+    @pytest.mark.parametrize("target", [True, False, 1.5, "1", None, np.int64(1), -1])
+    def test_a_target_that_is_no_region_index_is_rejected_when_built(self, target):
+        with pytest.raises(InvalidActionError, match="pariah target must be a region index"):
+            PariahOverridePolicy(IDEAL_TRADE_POLICY, target=target, tariff_level=9)
+
+    @pytest.mark.parametrize("tariff_level", [9, 0, None])
+    @pytest.mark.parametrize("target", [4, 5])
+    def test_a_target_outside_the_world_is_rejected_when_acting(self, target, tariff_level):
+        policy = PariahOverridePolicy(IDEAL_TRADE_POLICY, target=target, tariff_level=tariff_level)
+        for region in range(4):
+            with pytest.raises(
+                InvalidActionError, match=f"pariah target {target} outside a world of 4 regions"
+            ):
+                policy.act(obs(region=region), None, None)
+        policy.act(obs(region=0, n=target + 1), None, None)
+
+
+#: Each policy of the set contract, as it acts at ``n`` regions.
+CONTRACT_POLICIES = {
+    "fixed": lambda n: FixedLevelsPolicy(savings=3, mitigation=2, export=9, imports=7, tariffs=4),
+    "random": lambda n: UniformRandomPolicy(),
+    "pariah": lambda n: PariahOverridePolicy(IDEAL_TRADE_POLICY, target=n - 1, tariff_level=9),
+}
+
+
+@pytest.mark.parametrize("mask", [None, 6], ids=["no mask", "mask 6"])
+@pytest.mark.parametrize("n", [2, 27])
+@pytest.mark.parametrize("name", list(CONTRACT_POLICIES))
+def test_every_policy_returns_the_set_from_action_sets_takes(name, n, mask):
+    """Each ``act`` returns a plain 5-tuple: three integer levels in 0..9,
+    mitigation at or above the mask's floor, then two read-only ``[n]``
+    ``int64`` partner rows with 0 toward the region itself."""
+    policy = CONTRACT_POLICIES[name](n)
+    world = reset(SimParams(n_regions=n), VariantConfig(), 3)
+    rng = np.random.default_rng(n)
+    for region in range(n):
+        entries = policy.act(world.observation(region), mask, rng)
+        assert type(entries) is tuple and len(entries) == 5
+        for level in entries[:3]:
+            assert isinstance(level, (int, np.int64)) and 0 <= level < NUM_LEVELS
+        assert entries[1] >= (mask or 0)
+        for row in entries[3:]:
+            assert row.dtype == np.int64 and row.shape == (n,) and not row.flags.writeable
+            assert row[region] == 0
