@@ -27,10 +27,11 @@ neither side) and a ``verdict``, the first of these that holds:
   its median, and not every run of the change beats every parent run;
 - ``no regression``.
 
-It also records ``nproc``, the numpy version and each side's
-``source_sha256`` as ``perfbench/run.py`` reports them. Nothing under
-``perfbench/`` is written except the result files the benchmark writes
-itself.
+It also records ``nproc``, the numpy version, each side's
+``source_sha256`` as ``perfbench/run.py`` reports them, and each side's
+``src_lines``, the ``wc -l`` total of its ``src/ricensim/*.py``. Nothing
+under ``perfbench/`` is written except the result files the benchmark
+writes itself.
 """
 from __future__ import annotations
 
@@ -60,6 +61,14 @@ def precompile(checkout: Path) -> None:
     )
     if not ok:
         raise RuntimeError(f"{checkout}: src/ricensim does not compile")
+
+
+def src_lines(checkout: Path) -> int:
+    """The newlines in the checkout's ``src/ricensim/*.py``, as ``wc -l``
+    counts them."""
+    return sum(
+        path.read_bytes().count(b"\n") for path in (checkout / "src" / "ricensim").glob("*.py")
+    )
 
 
 def run_benchmark(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
@@ -168,6 +177,7 @@ def main(argv: list[str] | None = None) -> int:
 
     for path in checkouts.values():
         precompile(path)
+    lines = {side: src_lines(path) for side, path in checkouts.items()}
     runs: dict[str, list[dict]] = {w: [] for w in workloads}
     sources: dict[str, str] = {}
     for k in range(args.pairs):
@@ -194,6 +204,7 @@ def main(argv: list[str] | None = None) -> int:
                         "python": platform.python_version(),
                     },
                     "source_sha256": sources,
+                    "src_lines": lines,
                     "summary": summarize(runs, spec),
                     "runs": runs,
                 }

@@ -100,6 +100,9 @@ def _integer_copy(name: str, value) -> np.ndarray:
 #: The level and row types that ``from_action_sets`` stacks straight into the
 #: blocks: what the policies return.
 _PLAIN_LEVELS = frozenset((int, np.int64))
+#: The set types ``from_action_sets`` checks in one pass over every set's
+#: type and length; any other set is checked on its own.
+_SET_TYPES = frozenset((tuple, list))
 _INT64 = np.dtype(np.int64)
 _DTYPE = operator.attrgetter("dtype")
 
@@ -204,19 +207,24 @@ class JointActions:
         are ``int`` or ``np.int64`` and their rows read-only ``int64``
         arrays; such sets are transposed straight into the two blocks. Any
         other sets go through the constructor, whose checks name what is
-        wrong, and a set of any other length than 5 is an error naming its
-        region. No sets give five empty columns, which fail the check as any
-        empty action does."""
-        try:
-            columns = tuple(zip(*sets, strict=True))
-        except ValueError:  # sets of different lengths
-            columns = ()
-        if sets and len(columns) != len(ACTION_DIMENSIONS):
-            region = next(i for i, s in enumerate(sets) if len(s) != len(ACTION_DIMENSIONS))
-            raise InvalidActionError(
-                f"region {region}: action set has {len(sets[region])} entries, expected 5"
-            )
-        columns = columns or ((),) * len(ACTION_DIMENSIONS)
+        wrong. A set that is not a tuple or list of 5 entries is an error
+        naming its region. No sets give five empty columns, which fail the
+        check as any empty action does."""
+        if not (
+            _SET_TYPES.issuperset(map(type, sets))
+            and {len(ACTION_DIMENSIONS)}.issuperset(map(len, sets))
+        ):
+            for region, entries in enumerate(sets):
+                if not isinstance(entries, (tuple, list)):
+                    raise InvalidActionError(
+                        f"region {region}: action set must be a tuple or list, "
+                        f"got {type(entries).__name__}"
+                    )
+                if len(entries) != len(ACTION_DIMENSIONS):
+                    raise InvalidActionError(
+                        f"region {region}: action set has {len(entries)} entries, expected 5"
+                    )
+        columns = tuple(zip(*sets)) or ((),) * len(ACTION_DIMENSIONS)
         rows = columns[3] + columns[4]
         if (
             _PLAIN_LEVELS.issuperset(map(type, chain(*columns[:3])))

@@ -62,8 +62,6 @@ def calibrate_damage_to_anchor(
             pi2 = new_pi2
             break
         pi2 = new_pi2
-    else:
-        iteration = MAX_ITERATIONS
 
     achieved = damage_fraction(t_ref, "dice_quadratic", 0.0, pi2)
     if abs(achieved - ANCHOR_DAMAGE) > 1e-9:

@@ -20,7 +20,7 @@ shared mutable generators.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, make_dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -224,13 +224,14 @@ class StepDetail(NamedTuple):
     names ``EpisodeRecord`` stacks them by: its fields are the
     ``HISTORY_FIELDS``. The levels are the actions' own read-only arrays.
     ``balance``, ``carbon``, ``t_atmosphere`` and ``t_ocean`` are the state
-    the step leaves; ``commitments`` are those that bound it."""
+    the step leaves; ``commitments`` are those that bound it. An array is
+    ``[region]`` unless its field says otherwise."""
 
     savings_levels: np.ndarray
     mitigation_levels: np.ndarray
     export_levels: np.ndarray
     import_levels: np.ndarray  # [importer, exporter]
-    tariff_levels: np.ndarray
+    tariff_levels: np.ndarray  # [importer, exporter]
     gross_output: np.ndarray
     damage_fraction: float
     abatement_fraction: np.ndarray
@@ -246,11 +247,11 @@ class StepDetail(NamedTuple):
     imports_scaled: np.ndarray
     revenue: np.ndarray
     rewards: np.ndarray
-    balance: np.ndarray
-    carbon: np.ndarray
-    t_atmosphere: float
+    balance: np.ndarray  # after settlement
+    carbon: np.ndarray  # [3], after the update
+    t_atmosphere: float  # after the update
     t_ocean: float
-    commitments: np.ndarray | None
+    commitments: np.ndarray | None  # None when negotiation is off
 
 
 def _enforce_masks(world: World, actions: JointActions) -> None:
@@ -306,8 +307,11 @@ def step(world: World, actions: JointActions) -> tuple[World, StepDetail]:
     tariffed, revenue = trade_mod.apply_tariffs(
         scaled, actions.tariffs_rate, actions.untariffed_rate
     )
-    flows = trade_mod.TradeFlows(scaled, tariffed)
-    cons = trade_mod.consumption(y_net, investment, flows, c.foreign_weight, v)
+    exports_scaled = np.add.reduce(scaled, 0)  # the rationed matrix's column sums
+    imports_scaled = np.add.reduce(scaled, 1)  # and row sums
+    cons = trade_mod.consumption(
+        y_net, investment, exports_scaled, scaled, tariffed, c.foreign_weight, v
+    )
 
     # Reward, with the optional disaster penalty at the same temperature the
     # damages saw.
@@ -316,7 +320,7 @@ def step(world: World, actions: JointActions) -> tuple[World, StepDetail]:
         rewards -= v.disaster.penalty
 
     balance_after = trade_mod.step_balance(
-        world.balance, flows.exports_scaled, flows.imports_scaled, revenue, v
+        world.balance, exports_scaled, imports_scaled, revenue, v
     )
 
     # Carbon, forcing, temperature.
@@ -344,7 +348,7 @@ def step(world: World, actions: JointActions) -> tuple[World, StepDetail]:
         actions.savings, actions.mitigation, actions.export, actions.imports, actions.tariffs,
         y_gross, float(dmg), abat, y_net, investment, emissions, emissions_global,
         *cons,
-        flows.exports_scaled, flows.imports_scaled, revenue, rewards,
+        exports_scaled, imports_scaled, revenue, rewards,
         balance_after, carbon_after, t_at, t_lo, world.commitments,
     )
     return new_world, detail
@@ -354,47 +358,30 @@ def step(world: World, actions: JointActions) -> tuple[World, StepDetail]:
 HISTORY_FIELDS = StepDetail._fields
 
 
-@dataclass(frozen=True)
-class EpisodeRecord:
-    """One episode's endpoints and the history fields its caller named.
+EpisodeRecord = make_dataclass(
+    "EpisodeRecord",
+    [
+        ("delta_t_end", "float"),
+        # STEP_YEARS times the running sum of each step's world gross output.
+        ("y_cum", "float"),
+        ("total_reward", "np.ndarray"),  # [region]
+        ("mean_total_reward", "float"),
+        ("d_end", "float"),
+        ("initial_carbon_total", "float"),
+        ("cumulative_emissions", "float"),
+        ("final_carbon_total", "float"),
+        *((name, "np.ndarray | None", None) for name in HISTORY_FIELDS),
+    ],
+    frozen=True,
+)
+EpisodeRecord.__module__ = __name__
+EpisodeRecord.__doc__ = """One episode's endpoints and the history fields its caller named.
 
-    A history field is one ``StepDetail`` field stacked over the steps. A
-    field that was not recorded is None, and so is ``commitments`` when no
+    The history fields are the ``HISTORY_FIELDS``, after the endpoints. A
+    history field is one ``StepDetail`` field stacked over the steps, so a
+    ``[region]`` field is recorded as ``[t, region]`` and a number as ``[t]``.
+    A field that was not recorded is None, and so is ``commitments`` when no
     step had any."""
-
-    delta_t_end: float
-    y_cum: float  # STEP_YEARS times the running sum of each step's world gross output
-    total_reward: np.ndarray  # [region]
-    mean_total_reward: float
-    d_end: float
-    initial_carbon_total: float
-    cumulative_emissions: float
-    final_carbon_total: float
-    savings_levels: np.ndarray | None = None  # [t, region]
-    mitigation_levels: np.ndarray | None = None
-    export_levels: np.ndarray | None = None
-    import_levels: np.ndarray | None = None  # [t, importer, exporter]
-    tariff_levels: np.ndarray | None = None
-    gross_output: np.ndarray | None = None  # [t, region]
-    damage_fraction: np.ndarray | None = None  # [t]
-    abatement_fraction: np.ndarray | None = None
-    net_output: np.ndarray | None = None
-    investment: np.ndarray | None = None
-    emissions: np.ndarray | None = None
-    emissions_global: np.ndarray | None = None  # [t]
-    domestic: np.ndarray | None = None
-    foreign: np.ndarray | None = None
-    aggregate: np.ndarray | None = None
-    domestic_floored: np.ndarray | None = None
-    exports_scaled: np.ndarray | None = None
-    imports_scaled: np.ndarray | None = None
-    revenue: np.ndarray | None = None
-    rewards: np.ndarray | None = None
-    balance: np.ndarray | None = None  # [t, region], post-settlement
-    carbon: np.ndarray | None = None  # [t, 3], post-update
-    t_atmosphere: np.ndarray | None = None  # [t], post-update
-    t_ocean: np.ndarray | None = None
-    commitments: np.ndarray | None = None  # [t, region] when negotiation is on
 
 
 def _episode_actions(

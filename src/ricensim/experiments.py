@@ -16,11 +16,13 @@ import numpy as np
 
 from .actions import ACTION_DIMENSIONS, NUM_LEVELS, JointActions, levels_to_rates
 from .calibration import NO_MITIGATION_LEVELS, calibrate_damage_to_anchor
-from .config import HORIZON_YEARS, Range, SimParams, VariantConfig, check_whole_steps
+from .config import (
+    HORIZON_YEARS, N_REGIONS, STEP_YEARS, Range, SimParams, VariantConfig, check_whole_steps,
+)
 from .engine import run_episode
 from .errors import ConfigError
 from .negotiation import commitments_from_arrays
-from .policies import IDEAL_TRADE_POLICY, FixedLevelsPolicy, PariahOverridePolicy
+from .policies import IDEAL_TRADE_POLICY, PariahOverridePolicy
 from .stats import pearson, zscore_by_group
 
 _PARIAH_STREAM = 0x5052
@@ -34,6 +36,11 @@ GRID = Range(1, NUM_LEVELS, "..")
 LEVELS = Range(0, NUM_LEVELS - 1, "..")
 RUNS = Range(1, 10_000, "..")
 EPISODES = Range(1, 1_000_000, "..")
+#: The region and step counts ``commitment_statistics`` takes: those of
+#: ``N_REGIONS`` and a single region, and those of the horizons
+#: ``HORIZON_YEARS`` admits.
+MASKING_REGIONS = Range(1, N_REGIONS.hi, "..")
+STEPS = Range(1, HORIZON_YEARS.hi // STEP_YEARS, "..")
 #: The most (episode, step, region) draws ``commitment_statistics`` takes.
 #: It holds one integer per (episode, step) and draws the rest in chunks of
 #: whole episodes, about ``_MASKING_CHUNK_DRAWS`` draws each.
@@ -266,10 +273,9 @@ def trade_effect_experiment(
 ) -> TradeEffectResult:
     """Compare zero trade against maximal trade at mitigation 0.9,
     savings 0.3, and no tariffs."""
-    no_trade = FixedLevelsPolicy(savings=3, mitigation=9, export=0, imports=0, tariffs=0)
-    max_trade = FixedLevelsPolicy(savings=3, mitigation=9, export=9, imports=9, tariffs=0)
+    no_trade = replace(IDEAL_TRADE_POLICY, export=0, imports=0)
     r_none = run_episode(params, variant, no_trade, seed, record=()).total_reward
-    r_full = run_episode(params, variant, max_trade, seed, record=()).total_reward
+    r_full = run_episode(params, variant, IDEAL_TRADE_POLICY, seed, record=()).total_reward
     return TradeEffectResult(
         reward_no_trade=r_none,
         reward_max_trade=r_full,
@@ -292,7 +298,7 @@ class TariffEffectResult:
 def tariff_effect_experiment(
     params: SimParams, variant: VariantConfig, seed: int
 ) -> TariffEffectResult:
-    with_tariffs = FixedLevelsPolicy(savings=3, mitigation=9, export=9, imports=9, tariffs=9)
+    with_tariffs = replace(IDEAL_TRADE_POLICY, tariffs=9)
     channels = ("domestic", "foreign")
     rec0 = run_episode(params, variant, IDEAL_TRADE_POLICY, seed, record=channels)
     rec9 = run_episode(params, variant, with_tariffs, seed, record=channels)
@@ -350,7 +356,10 @@ def commitment_statistics(
     Uniform proposals, all-accept evaluations; realized mitigation is the
     uniform draw over each step's permitted levels. Commitments depend only
     on proposals and evaluations, so the rollout economy is not simulated.
+    ``n_regions`` is checked as ``sim.n_regions``.
     """
+    MASKING_REGIONS.check("sim.n_regions", n_regions)
+    STEPS.check("steps", steps)
     EPISODES.check("options.episodes", episodes)
     if episodes * steps * n_regions > MASKING_DRAWS:
         raise ConfigError(f"options.episodes: {episodes} episodes x {steps} steps x "

@@ -1,7 +1,9 @@
 """Bilateral trade: demand, export rationing, tariffs, and consumption.
 
 Matrix convention: entry ``[i, j]`` is the flow from exporter j to importer
-i, so row sums are a region's imports and column sums its exports.
+i, so row sums are a region's imports and column sums its exports. The
+matrices and the per-region vectors pass between these functions and the
+step as plain ``float64`` arrays.
 
 Import demand allocates each importer's budget (a fraction of its gross
 output) across partners in proportion to partner gross output. The budget
@@ -35,20 +37,6 @@ _TEN = _float64(10.0)
 
 #: ``STEP_YEARS`` as a 0-d operand; the engine's capital step reads it too.
 _STEP_YEARS = _float64(STEP_YEARS)
-
-
-class TradeFlows:
-    """Rationed and tariffed import matrices, with the rationed matrix's
-    column sums (``exports_scaled``) and row sums (``imports_scaled``) taken
-    once, by the constructor."""
-
-    __slots__ = ("scaled", "tariffed", "exports_scaled", "imports_scaled")
-
-    def __init__(self, scaled: np.ndarray, tariffed: np.ndarray):  # [importer, exporter]
-        self.scaled = scaled
-        self.tariffed = tariffed
-        self.exports_scaled = np.add.reduce(scaled, 0)
-        self.imports_scaled = np.add.reduce(scaled, 1)
 
 
 class ConsumptionBreakdown(NamedTuple):
@@ -131,26 +119,31 @@ def apply_tariffs(
 def consumption(
     net_output: np.ndarray,
     investment: np.ndarray,
-    flows: TradeFlows,
+    exports_scaled: np.ndarray,
+    scaled: np.ndarray,
+    tariffed: np.ndarray,
     foreign_weight: np.ndarray | float,
     variant: VariantConfig,
 ) -> ConsumptionBreakdown:
     """Split consumption into domestic and foreign parts.
 
-    Domestic consumption is net output less investment and scaled exports,
-    floored at 0; foreign consumption is the region's own tariffed imports,
-    and the aggregate is ``domestic + foreign_weight * foreign``. With the
-    overproduction penalty on, the exporter also loses the part of its
-    shipped output that the importers tariffed away. ``foreign_weight`` is a
-    number or a 0-d ``float64`` array (``step`` passes
-    ``EpisodeConstants.foreign_weight``); either gives the same bits.
+    ``scaled`` and ``tariffed`` are the rationed and tariffed import
+    matrices, and ``exports_scaled`` is the rationed matrix's column sums
+    (``step`` takes them once, for the balance too). Domestic consumption
+    is net output less investment and scaled exports, floored at 0; foreign
+    consumption is the region's own tariffed imports, and the aggregate is
+    ``domestic + foreign_weight * foreign``. With the overproduction penalty
+    on, the exporter also loses the part of its shipped output that the
+    importers tariffed away. ``foreign_weight`` is a number or a 0-d
+    ``float64`` array (``step`` passes ``EpisodeConstants.foreign_weight``);
+    either gives the same bits.
     """
-    domestic = net_output - investment - flows.exports_scaled
+    domestic = net_output - investment - exports_scaled
     if variant.overproduction_penalty:
-        domestic = domestic - np.add.reduce(flows.scaled - flows.tariffed, 0)
+        domestic = domestic - np.add.reduce(scaled - tariffed, 0)
     floored = domestic < _ZERO
     domestic = np.maximum(domestic, _ZERO)
-    foreign = np.add.reduce(flows.tariffed, 1)
+    foreign = np.add.reduce(tariffed, 1)
     return ConsumptionBreakdown(
         domestic=domestic,
         foreign=foreign,

@@ -1,3 +1,4 @@
+import collections
 import copy
 import pickle
 import re
@@ -411,6 +412,32 @@ BAD_SETS |= {
 }
 
 
+def _set_replaced(region, replace):
+    """Three valid sets, that of ``region`` replaced by ``replace(set)``."""
+    sets = policy_sets(3, 1, 2, 3, 5, 7)
+    sets[region] = replace(sets[region])
+    return sets
+
+
+BAD_SETS |= {
+    "a None set": (
+        _set_replaced(1, lambda s: None),
+        "region 1: action set must be a tuple or list, got NoneType",
+    ),
+    "an int set": (
+        _set_replaced(1, lambda s: 7), "region 1: action set must be a tuple or list, got int"
+    ),
+    "a 4-entry generator": (
+        _set_replaced(1, lambda s: (x for x in s[:4])),
+        "region 1: action set must be a tuple or list, got generator",
+    ),
+    "a 5-entry generator": (
+        _set_replaced(1, lambda s: (x for x in s)),
+        "region 1: action set must be a tuple or list, got generator",
+    ),
+}
+
+
 @pytest.mark.parametrize("case", list(BAD_SETS))
 def test_from_action_sets_rejects_bad_sets(case):
     sets, message = BAD_SETS[case]
@@ -477,3 +504,15 @@ def test_uniform_equals_the_constructor_bit_for_bit(n):
         assert _block_arrays(JointActions.uniform(n, *levels)) == _block_arrays(
             JointActions(*given)
         ), levels
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [list, collections.namedtuple("Set", ACTION_DIMENSIONS)._make],
+    ids=["list", "namedtuple"],
+)
+def test_list_and_tuple_subclass_sets_equal_tuple_sets(kind):
+    sets = random_sets(4, np.random.default_rng(4))
+    assert _block_arrays(JointActions.from_action_sets([kind(s) for s in sets])) == _block_arrays(
+        JointActions.from_action_sets(sets)
+    )

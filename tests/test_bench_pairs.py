@@ -1,5 +1,5 @@
-"""The verdicts of ``scripts/bench_pairs.py`` on synthetic paired runs, and
-its precompiled checkouts."""
+"""The verdicts of ``scripts/bench_pairs.py`` on synthetic paired runs, its
+precompiled checkouts and its source line counts."""
 import importlib.util
 import shutil
 import sys
@@ -69,3 +69,14 @@ def test_precompile_caches_every_module_with_bytecode_writing_off(tmp_path, monk
     bench_pairs.precompile(tmp_path)
     for module in modules:
         assert Path(importlib.util.cache_from_source(str(module))).is_file(), module.name
+
+
+def test_src_lines_counts_newlines_of_the_package_modules_alone(tmp_path):
+    package = tmp_path / "src" / "ricensim"
+    (package / "sub").mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\n\ny = 2\n")
+    (package / "b.py").write_text("z = 3\nw = 4")  # no final newline: wc -l counts 1
+    (package / "empty.py").write_text("")
+    (package / "notes.txt").write_text("not\ncounted\n")
+    (package / "sub" / "c.py").write_text("not = 'counted'\n")
+    assert bench_pairs.src_lines(tmp_path) == 4

@@ -739,6 +739,18 @@ def test_the_history_fields_are_the_step_details(small_params, baseline):
         assert getattr(d, field) is getattr(actions, name), field
 
 
+def test_an_episode_record_is_a_frozen_engine_dataclass():
+    """``EpisodeRecord`` is built from ``HISTORY_FIELDS`` but reads as if
+    declared in ``ricensim.engine``; a record given only its endpoints holds
+    None in every history field."""
+    assert EpisodeRecord.__module__ == "ricensim.engine"
+    assert EpisodeRecord.__doc__.startswith("One episode's endpoints")
+    rec = EpisodeRecord(*range(8))
+    assert all(getattr(rec, name) is None for name in HISTORY_FIELDS)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rec.rewards = np.zeros(1)
+
+
 def test_an_unknown_record_name_is_named(small_params, baseline):
     with pytest.raises(ConfigError, match="record: 'tarif_levels'"):
         run_episode(small_params, baseline, FixedLevelsPolicy(3, 0, 0, 0, 0), 0,

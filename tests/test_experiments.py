@@ -253,6 +253,13 @@ class TestMaskingDemo:
         result = commitment_statistics(params.n_regions, params.n_steps, episodes=100, seed=0)
         assert result.level_counts.sum() == 100 * params.n_steps
 
+    @pytest.mark.parametrize("bad", [0, -1, True, 2.5])
+    @pytest.mark.parametrize("key", ["sim.n_regions", "steps"])
+    def test_bad_sizes_name_their_key(self, key, bad):
+        sizes = {"sim.n_regions": 27, "steps": 20} | {key: bad}
+        with pytest.raises(ConfigError, match=f"^{key}: expected an integer"):
+            commitment_statistics(sizes["sim.n_regions"], sizes["steps"], episodes=10, seed=0)
+
     @pytest.mark.parametrize(
         "n_regions, steps, episodes, chunk_draws",
         [(27, 20, 1000, None), (5, 3, 101, 7 * 15), (3, 7, 11, 2 * 21)],

@@ -30,7 +30,6 @@ from ricensim.economy import (
 from ricensim.trade import (
     BUDGET_MULTIPLIER_BOUNDS,
     TINY,
-    TradeFlows,
     apply_tariffs,
     build_demand,
     consumption,
@@ -292,9 +291,10 @@ def test_consumption_is_its_formula(inputs, foreign_weight, overproduction_penal
     domestic = [max(d, 0.0) for d in raw]
     aggregate = [d + foreign_weight * float(f) for d, f in zip(domestic, foreign.tolist())]
     variant = VariantConfig(overproduction_penalty=overproduction_penalty)
-    flows = TradeFlows(scaled, tariffed)
     for weight in (foreign_weight, np.array(float(foreign_weight))):
-        got = consumption(np.array(net), np.array(investment), flows, weight, variant)
+        got = consumption(
+            np.array(net), np.array(investment), exports, scaled, tariffed, weight, variant
+        )
         assert same_bits(got.domestic, domestic)
         assert same_bits(got.foreign, foreign)
         assert same_bits(got.aggregate, aggregate)
