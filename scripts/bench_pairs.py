@@ -17,7 +17,10 @@ For each workload and end-to-end metric the summary holds both sides'
 median and quartiles (``statistics.quantiles``, inclusive method), every
 run's value, the number of pairs the change won (a win is a value
 better in the metric's direction from ``BENCHMARK.json``; ties count for
-neither side) and a ``verdict``, the first of these that holds:
+neither side), the median and quartiles of the per-pair ratio change/parent
+(the two runs of a pair share the host's state, so the ratio can hold
+steady while the medians of the sides drift apart) and a ``verdict``, the
+first of these that holds:
 
 - ``gain``: the change won at least 9/10 of the pairs, and its median is
   better than the parent's by more than the parent's interquartile range;
@@ -106,7 +109,8 @@ def spread(values: list[float]) -> dict:
 
 def compare(parent: list[float], change: list[float], better: str, bound: float) -> dict:
     """Both sides' spread and runs of one metric, the change of the median,
-    the parent's interquartile range, the change's wins and the verdict."""
+    the spread of the per-pair ratios change/parent, the parent's
+    interquartile range, the change's wins and the verdict."""
     sign = 1 if better == "higher" else -1
     p, c = spread(parent), spread(change)
     iqr = p["q3"] - p["q1"]
@@ -126,6 +130,7 @@ def compare(parent: list[float], change: list[float], better: str, bound: float)
         "parent": dict(p, runs=parent),
         "change": dict(c, runs=change),
         "change_frac": c["median"] / p["median"] - 1.0,
+        "pair_ratio": spread([b / a for a, b in zip(parent, change)]),
         "parent_iqr": iqr,
         "wins": wins,
         "verdict": verdict,

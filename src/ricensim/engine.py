@@ -13,8 +13,8 @@ policies always see the masks that will bind their actions.
 policy, and returns an ``EpisodeRecord`` of the episode's endpoints plus
 the per-step history fields its caller names.
 
-Everything is deterministic given (params, variant, seed): negotiation
-draws come from counter-based streams keyed on (seed, step), never from
+Everything is deterministic given (params, variant, seed): an episode's
+commitments come from one stream keyed on the episode seed, never from
 shared mutable generators.
 """
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 from . import climate as climate_mod
 from . import economy as economy_mod
 from . import trade as trade_mod
-from .actions import JointActions
+from .actions import NUM_LEVELS, JointActions
 from .config import STEP_YEARS, SimParams, VariantConfig
 from .economy import _ONE, _float64
 from .errors import ConfigError, DomainError, MaskViolationError
@@ -167,16 +167,14 @@ def _masks_bind(world: World) -> bool:
 
 
 def _draw_commitments(n_regions: int, n_steps: int, episode_seed: int) -> np.ndarray:
-    """Read-only ``[n_steps + 1, n_regions]`` commitments, row ``t`` from its
-    own counter-based stream keyed on ``(episode_seed, t)``: uniform
-    proposals, all-accept evaluations, maximum-accepted commitment."""
-    proposals = np.empty((n_steps + 1, n_regions), dtype=np.int64)
-    for t, row in enumerate(proposals):
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence([episode_seed, _NEGOTIATION_STREAM, t]))
-        )
-        row[:] = rng.integers(0, 10, size=n_regions)
-    committed = commitments_from_arrays(proposals)
+    """Read-only ``[n_steps + 1, n_regions]`` commitments from one stream
+    keyed on the episode seed: uniform proposals, row ``t`` step ``t``'s,
+    all-accept evaluations, maximum-accepted commitment. A longer horizon
+    draws more rows after the same first ones."""
+    rng = np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence([episode_seed, _NEGOTIATION_STREAM]))
+    )
+    committed = commitments_from_arrays(rng.integers(0, NUM_LEVELS, size=(n_steps + 1, n_regions)))
     return _read_only(np.repeat(committed[:, None], n_regions, axis=1))
 
 

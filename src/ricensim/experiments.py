@@ -19,9 +19,8 @@ from .calibration import NO_MITIGATION_LEVELS, calibrate_damage_to_anchor
 from .config import (
     HORIZON_YEARS, N_REGIONS, STEP_YEARS, Range, SimParams, VariantConfig, check_whole_steps,
 )
-from .engine import run_episode
+from .engine import _draw_commitments, run_episode
 from .errors import ConfigError
-from .negotiation import commitments_from_arrays
 from .policies import IDEAL_TRADE_POLICY, PariahOverridePolicy
 from .stats import pearson, zscore_by_group
 
@@ -42,10 +41,9 @@ EPISODES = Range(1, 1_000_000, "..")
 MASKING_REGIONS = Range(1, N_REGIONS.hi, "..")
 STEPS = Range(1, HORIZON_YEARS.hi // STEP_YEARS, "..")
 #: The most (episode, step, region) draws ``commitment_statistics`` takes.
-#: It holds one integer per (episode, step) and draws the rest in chunks of
-#: whole episodes, about ``_MASKING_CHUNK_DRAWS`` draws each.
+#: It holds one integer per (episode, step) and draws the rest one episode
+#: at a time.
 MASKING_DRAWS = 20_000_000
-_MASKING_CHUNK_DRAWS = 1 << 18
 
 
 def check_workers(workers: int) -> None:
@@ -353,10 +351,12 @@ def commitment_statistics(
 ) -> MaskingDemoResult:
     """Monte-Carlo commitment statistics for any region count.
 
-    Uniform proposals, all-accept evaluations; realized mitigation is the
-    uniform draw over each step's permitted levels. Commitments depend only
-    on proposals and evaluations, so the rollout economy is not simulated.
-    ``n_regions`` is checked as ``sim.n_regions``.
+    Episode ``e`` commits as an episode at the ``e``-th seed of
+    ``SeedSequence([seed, _MASKING_STREAM])`` does: the first ``steps`` rows
+    of ``engine._draw_commitments``. Realized mitigation is the uniform draw
+    over each step's permitted levels, one ``[steps, n_regions]`` block per
+    episode from a stream spawned off that sequence. The rollout economy is
+    not simulated. ``n_regions`` is checked as ``sim.n_regions``.
     """
     MASKING_REGIONS.check("sim.n_regions", n_regions)
     STEPS.check("steps", steps)
@@ -364,21 +364,17 @@ def commitment_statistics(
     if episodes * steps * n_regions > MASKING_DRAWS:
         raise ConfigError(f"options.episodes: {episodes} episodes x {steps} steps x "
                           f"{n_regions} regions are more than {MASKING_DRAWS} draws")
-    rng = np.random.default_rng(np.random.SeedSequence([seed, _MASKING_STREAM]))
-    chunk = max(1, _MASKING_CHUNK_DRAWS // (steps * n_regions))  # whole episodes
-    starts = range(0, episodes, chunk)
-    # Every proposal is drawn before any uniform, as two one-shot draws of
-    # the whole [episode, step, region] arrays would.
+    streams = np.random.SeedSequence([seed, _MASKING_STREAM])
+    uniforms = np.random.Generator(np.random.PCG64(streams.spawn(1)[0]))
     commitments = np.empty((episodes, steps), dtype=np.int64)
-    for lo in starts:
-        block = commitments[lo : lo + chunk]
-        proposals = rng.integers(0, NUM_LEVELS, size=(len(block), steps, n_regions))
-        block[:] = commitments_from_arrays(proposals)
-    realized_sum = 0  # of integer levels, so exact in any chunking
-    for lo in starts:
-        c = commitments[lo : lo + chunk, :, None]
-        u = rng.random(size=(len(c), steps, n_regions))
-        realized_sum += int((c + np.floor(u * (NUM_LEVELS - c))).sum())
+    above = 0.0  # realized levels above the commitments: whole numbers, so exact
+    for e, episode_seed in enumerate(streams.generate_state(episodes, np.uint64).tolist()):
+        c = _draw_commitments(n_regions, steps, episode_seed)[:steps]  # [step, region]
+        commitments[e] = c[:, 0]
+        u = uniforms.random(size=(steps, n_regions))
+        u *= NUM_LEVELS - c
+        above += np.add.reduce(np.floor(u, out=u), axis=None)
+    realized_sum = n_regions * int(commitments.sum()) + int(above)
     counts = np.bincount(commitments.ravel(), minlength=NUM_LEVELS)
     return MaskingDemoResult(
         level_counts=counts,

@@ -57,6 +57,28 @@ def test_compare_reports_spread_and_wins():
     assert result["wins"] == 10
 
 
+def test_compare_reports_the_spread_of_the_pair_ratios():
+    """The ratio is taken pair by pair: a change 10% above its own pair's
+    parent reads 1.1 in every pair, however far the parents spread."""
+    change = [1.1 * a for a in WIDE]
+    ratio = bench_pairs.compare(WIDE, change, "higher", 0.15)["pair_ratio"]
+    assert ratio == pytest.approx({"median": 1.1, "q1": 1.1, "q3": 1.1})
+    # Ratios 0.9, 1.0, ..., 1.3 in pair order; the quartiles are inclusive.
+    parent = [100.0, 50.0, 200.0, 10.0, 40.0]
+    change = [90.0, 50.0, 220.0, 12.0, 52.0]
+    ratio = bench_pairs.compare(parent, change, "lower", 0.15)["pair_ratio"]
+    assert ratio == pytest.approx({"median": 1.1, "q1": 1.0, "q3": 1.2})
+
+
+def test_the_pair_ratio_leaves_the_verdict_alone():
+    """Medians 9.5 apart but the pairs split 5/5: the ratio's median is
+    above 1, and still no gain."""
+    change = [a + 20.0 if k % 2 else a - 1.0 for k, a in enumerate(PARENT)]
+    result = bench_pairs.compare(PARENT, change, "higher", 0.15)
+    assert result["pair_ratio"]["median"] > 1.0
+    assert result["wins"] == 5 and result["verdict"] == "no regression"
+
+
 def test_precompile_caches_every_module_with_bytecode_writing_off(tmp_path, monkeypatch):
     # What PYTHONDONTWRITEBYTECODE=1 sets: imports write no cache.
     monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")

@@ -83,8 +83,8 @@ GOLDEN_OUTPUT_SHA256 = {
             "horizon.csv": "7acc04f92d152e6ab1994c0bc861750ee0c0d1d765ef34dec956df17e96ed055",
         },
         "masking-demo": {
-            "masking.csv": "94e1b7cca20e394103b040fe3c243ad25f4deeacdd50bbabaf526f9ff1004596",
-            "masking_summary.csv": "e059a77f407a3603092aa947a419e8975004578cbb21af3b75f0a444a17f839b",
+            "masking.csv": "55944f81777a644cfb332272f999d11641f4a866dea0b847a57fd973046b1872",
+            "masking_summary.csv": "4835159e2c184c8fa9b6208e696c7a3365b2f17d67d65ca4232b7f7f9d137861",
         },
         "calibrate": {
             "calibration.json": "094d21743e7e0fddb3a66dafe02389cb02890c05c264886de864203059257a7f",
@@ -114,8 +114,8 @@ GOLDEN_OUTPUT_SHA256 = {
             "horizon.csv": "059ed5542d53631af328a23e48b7e8bc93d6d307bc35bc09681f753122a91dd8",
         },
         "masking-demo": {
-            "masking.csv": "94e1b7cca20e394103b040fe3c243ad25f4deeacdd50bbabaf526f9ff1004596",
-            "masking_summary.csv": "e059a77f407a3603092aa947a419e8975004578cbb21af3b75f0a444a17f839b",
+            "masking.csv": "55944f81777a644cfb332272f999d11641f4a866dea0b847a57fd973046b1872",
+            "masking_summary.csv": "4835159e2c184c8fa9b6208e696c7a3365b2f17d67d65ca4232b7f7f9d137861",
         },
         "calibrate": {
             "calibration.json": "094d21743e7e0fddb3a66dafe02389cb02890c05c264886de864203059257a7f",

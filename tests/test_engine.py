@@ -447,23 +447,39 @@ class TestNegotiation:
 
 
 def step_commitments(n_regions, seed, t):
-    """Step ``t``'s commitments drawn on their own, the reference for the
-    rows ``reset`` draws: the maximum of ``n_regions`` uniform proposals
-    from the counter-based stream keyed on (seed, t)."""
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0x4E47, t])))
-    return np.full(n_regions, rng.integers(0, 10, size=n_regions).max())
+    """Step ``t``'s commitments, the reference for the rows ``reset`` draws:
+    the maximum of the ``t``-th ``n_regions`` uniform proposals of the one
+    stream keyed on the episode seed, drawn as one flat run of proposals."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0x4E47])))
+    proposals = rng.integers(0, 10, size=(t + 1) * n_regions)
+    return np.full(n_regions, proposals[t * n_regions:].max())
+
+
+def negotiated(n_regions, horizon_years=100):
+    return SimParams(n_regions=n_regions, horizon_years=horizon_years,
+                     negotiation=NegotiationConfig(enabled=True))
 
 
 class TestCommitmentsDrawnAtReset:
     @pytest.mark.parametrize("n_regions", [2, 27, 39])
     @pytest.mark.parametrize("seed", [0, 3, 2**31 + 5])
     def test_row_t_is_the_step_draw(self, baseline, n_regions, seed):
-        params = SimParams(n_regions=n_regions, negotiation=NegotiationConfig(enabled=True))
+        params = negotiated(n_regions)
         rows = reset(params, baseline, seed).constants.commitments
         assert rows.shape == (params.n_steps + 1, n_regions) and rows.dtype == np.int64
         assert not rows.flags.writeable
         for t in range(params.n_steps + 1):
             assert rows[t].tobytes() == step_commitments(n_regions, seed, t).tobytes(), t
+
+    @pytest.mark.parametrize("n_regions", [2, 27, 39])
+    @pytest.mark.parametrize("seed", [0, 3, 2**31 + 5])
+    def test_a_longer_horizon_keeps_the_first_rows(self, baseline, n_regions, seed):
+        """The 1000-year episode's first 21 rows are the 100-year episode's:
+        a longer horizon draws more proposals after the same ones."""
+        short = reset(negotiated(n_regions, 100), baseline, seed).constants.commitments
+        long = reset(negotiated(n_regions, 1000), baseline, seed).constants.commitments
+        assert short.shape == (21, n_regions) and long.shape == (201, n_regions)
+        assert long[:21].tobytes() == short.tobytes()
 
     @pytest.mark.parametrize("enforce", [True, False], ids=["enforced", "unenforced"])
     def test_each_world_reads_its_row(self, small_params, baseline, enforce):
@@ -558,32 +574,32 @@ GOLDEN_PARIAH_RECORD_SHA256 = {
 #: SHA-256 of the ``run_episode`` record of each negotiated episode on the
 #: default world at seed 3, keyed by (policy, ``enforce_masks``). The fixed
 #: policy's mitigation (2) sits below most commitments, so the floor moves
-#: its level whenever masks bind. Recorded before masks became integer floors.
+#: its level whenever masks bind. Recorded when each episode's commitments
+#: became one stream keyed on its seed.
 GOLDEN_NEGOTIATED_RECORD_SHA256 = {
     "avx512": {
         ("random", True):
-            "95e279a26065216be1209c301f2aaa9af16a489093b36d9341c5a9df156f4dda",
+            "e672131a4d92fa0822b9ea219cd61242993ac9528cbac17606212ab5a75333f1",
         ("random", False):
-            "fd72be9a5efc3ead8711fc68b84fbbe3faee0344683d6e0eba6eaaab764b75bd",
+            "55ae7ee2736ae3d783c7817220cf6b93d20b8de78d361dcb2f7c6860cc722d73",
         ("fixed", True):
-            "4ac49911cc24d89df80a0e06d4f8fe1a63dda199a3a87563ba45394c7b560382",
+            "e231cf84b4b362412fa731d074fae30e85a5eae999bd08ff27031b34632da660",
         ("fixed", False):
-            "a69de70dc7d94c761de18fb220d08f67efc17758c49a9b5bc806af9a69bccf8e",
-        # Recorded when a static policy acted every step under any negotiation.
+            "5b8324fec311c90c6588987049abab19f1b549f9abbe78c3491b0842d0c3d6fd",
         ("pariah", False):
-            "a52871246b6ff65f710cfdccd9efb1bc6aa35e22cd730591649c7b0ed26a280e",
+            "557716aa256380e9300c87b6314696b8216fc6333ae942a702c1e9311a9d95a2",
     },
     "libm": {
         ("random", True):
-            "effd14f2d42a10ac855e7446cc6283c33fe217935765cbef42ce64b1e10e201c",
+            "e467727120c02495d84812c14a16cef7a43c68b56b7ab9857070b82e603f2409",
         ("random", False):
-            "5483df9bd91211498a52aee0ae18e35e01a847b3b6e66254764d75dec7e73293",
+            "28ae4f091eaa8f5b0e4bff22dda84eb7182d9f19a80cd2ec0e21d79758be8cc4",
         ("fixed", True):
-            "a5fe5c87bf4c5c8a8379a7b4603b5f86eff2b16ebba7f44dec534906fa6d964a",
+            "ec61002f60835f1343d7b0056fe3060c04364d8762d6cb805c7e7ffefff3640b",
         ("fixed", False):
-            "b25107ef63459f8dd368c3521ab81cdd04cad72ae6cd551f6ee687b33620be78",
+            "00b98bad9e0ff659db96365952cc1cd0b4bc0ededbcff39021aa65554e46a310",
         ("pariah", False):
-            "a535bc860afd05c9b2d14bfae4b038d28cee6c17067871a910e6e4a8cdf330b0",
+            "e644ade6ce7ceace61fd2ce9e37e8937f4777796618ea0603c7c7891bc11240a",
     },
 }[DISPATCH]
 
@@ -788,3 +804,53 @@ def test_episode_scalars_are_read_only_0d_float64(small_params, baseline, foreig
         assert field.tobytes() == np.float64(float(foreign_weight)).tobytes()
         with pytest.raises(ValueError):
             field[...] = 0.0
+
+
+def permuted_details(params, variant, seed, vectors, matrices, perm):
+    """Each step's detail of the episode at ``seed`` under fixed level blocks
+    (``[3, n]`` vectors, ``[2, n, n]`` matrices), with the generated regions
+    and the vector rows reordered by ``perm`` and the matrices along both
+    axes. The identity gives the episode as generated."""
+    world = reset(params, variant, seed)
+    regions = generate_regions(params.n_regions, seed)
+    world.capital = world.capital[perm]
+    world.constants = episode_constants(
+        params, variant, seed, {name: values[perm] for name, values in regions.items()}
+    )
+    actions = JointActions(*vectors[:, perm], *matrices[:, perm][:, :, perm])
+    details = []
+    for _ in range(params.n_steps):
+        world, d = step(world, actions)
+        details.append(d)
+    return details
+
+
+@pytest.mark.parametrize("variant", ["baseline", *GOLDEN_VARIANTS])
+@pytest.mark.parametrize("seed", [0, 5])
+def test_reordering_the_regions_reorders_every_path(default_params, variant, seed):
+    """No rule treats a region by its index: permuting the generated regions
+    and both axes of the level matrices permutes every per-region path, each
+    reward to within 1e-12 of its own value, and leaves the world's paths
+    alone but for the order of their sums."""
+    n = default_params.n_regions
+    rng = np.random.default_rng(seed)
+    vectors = rng.integers(0, 10, size=(3, n))
+    matrices = rng.integers(0, 10, size=(2, n, n)) * (1 - np.eye(n, dtype=np.int64))
+    perm = rng.permutation(n)
+    v = GOLDEN_VARIANTS.get(variant, VariantConfig())
+    plain = permuted_details(default_params, v, seed, vectors, matrices, np.arange(n))
+    permuted = permuted_details(default_params, v, seed, vectors, matrices, perm)
+    for name in HISTORY_FIELDS:
+        if name == "commitments":
+            continue
+        a = np.array([getattr(d, name) for d in plain])
+        b = np.array([getattr(d, name) for d in permuted])
+        if a.shape[1:] == (n,):
+            a = a[:, perm]
+        elif a.shape[1:] == (n, n):
+            a = a[:, perm][:, :, perm]
+        if a.dtype.kind != "f":  # levels and the floor flags
+            assert np.array_equal(a, b), name
+            continue
+        scale = np.abs(a) if name == "rewards" else np.abs(a).max()
+        assert np.all(np.abs(b - a) <= 1e-12 * scale), name

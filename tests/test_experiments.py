@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from ricensim import JointActions, SimParams, VariantConfig
+from ricensim import JointActions, NegotiationConfig, SimParams, VariantConfig
 from ricensim.engine import reset, step
 from ricensim import experiments
 from ricensim.cli import main
@@ -260,29 +260,26 @@ class TestMaskingDemo:
         with pytest.raises(ConfigError, match=f"^{key}: expected an integer"):
             commitment_statistics(sizes["sim.n_regions"], sizes["steps"], episodes=10, seed=0)
 
-    @pytest.mark.parametrize(
-        "n_regions, steps, episodes, chunk_draws",
-        [(27, 20, 1000, None), (5, 3, 101, 7 * 15), (3, 7, 11, 2 * 21)],
-        ids=["default_chunks", "odd_chunks", "two_episode_chunks"],
-    )
-    def test_chunked_draws_equal_one_shot_draws(
-        self, monkeypatch, n_regions, steps, episodes, chunk_draws
+    @pytest.mark.parametrize("n_regions, steps, episodes", [(27, 20, 40), (2, 7, 30), (3, 1, 11)])
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_each_episode_commits_as_the_episode_at_its_seed(
+        self, baseline, n_regions, steps, episodes, seed
     ):
-        """The chunks leave a remainder of episodes; the reference draws
-        every proposal, then every uniform, as whole arrays."""
-        if chunk_draws is not None:
-            monkeypatch.setattr(experiments, "_MASKING_CHUNK_DRAWS", chunk_draws)
-        per_chunk = max(1, experiments._MASKING_CHUNK_DRAWS // (steps * n_regions))
-        assert episodes % per_chunk != 0
-        for seed in (0, 3):
-            rng = np.random.default_rng(np.random.SeedSequence([seed, experiments._MASKING_STREAM]))
-            shape = (episodes, steps, n_regions)
-            commitments = rng.integers(0, 10, size=shape).max(axis=-1)
-            realized = commitments[..., None] + np.floor(
-                rng.random(size=shape) * (10 - commitments)[..., None]
-            )
-            result = commitment_statistics(n_regions, steps, episodes, seed)
-            assert np.array_equal(result.level_counts, np.bincount(commitments.ravel(), minlength=10))
-            assert result.mean_commitment == float(commitments.mean())
-            assert result.p_max_level == float((commitments == 9).mean())
-            assert result.mean_realized_mitigation == float(realized.mean() / 10.0)
+        """Episode ``e``'s commitments are the first ``steps`` rows ``reset``
+        draws at the ``e``-th seed of the masking sequence; its uniforms are
+        block ``e`` of one draw of them all from the stream spawned off it."""
+        streams = np.random.SeedSequence([seed, experiments._MASKING_STREAM])
+        params = SimParams(n_regions=n_regions, horizon_years=5 * steps,
+                           negotiation=NegotiationConfig(enabled=True))
+        commitments = np.array([
+            reset(params, baseline, episode_seed).constants.commitments[:steps, 0]
+            for episode_seed in streams.generate_state(episodes, np.uint64).tolist()
+        ])
+        uniforms = np.random.Generator(np.random.PCG64(streams.spawn(1)[0]))
+        u = uniforms.random(size=(episodes, steps, n_regions))
+        realized = commitments[..., None] + np.floor(u * (10 - commitments)[..., None])
+        result = commitment_statistics(n_regions, steps, episodes, seed)
+        assert np.array_equal(result.level_counts, np.bincount(commitments.ravel(), minlength=10))
+        assert result.mean_commitment == float(commitments.mean())
+        assert result.p_max_level == float((commitments == 9).mean())
+        assert result.mean_realized_mitigation == float(realized.mean() / 10.0)
